@@ -18,7 +18,7 @@
 
 use crate::error::DmwError;
 use dmw_mechanism::{AgentId, ExecutionTimes, MinWork, Outcome, TieBreak};
-use dmw_simnet::{Network, NetworkStats, NodeId, Payload};
+use dmw_simnet::{DelayTransport, NetworkStats, NodeId, Payload};
 use serde::{Deserialize, Serialize};
 
 /// Messages of the obedient protocol.
@@ -90,7 +90,7 @@ pub fn run_obedient(
 ) -> Result<ObedientRun, DmwError> {
     let n = bids.agents();
     let m = bids.tasks();
-    let mut network: Network<ObedientBody> = Network::new(n);
+    let mut network: DelayTransport<ObedientBody> = DelayTransport::new(n);
     let leader = NodeId(0);
 
     // Round 0: every non-leader sends its plaintext bid row to the leader.

@@ -64,8 +64,7 @@
 //! bench's recovery comparison.
 //!
 //! Everything here is driven by logical scheduler ticks and iterates in
-//! peer-index order, so recovery behaviour is bit-replayable and
-//! transport-invariant (lockstep vs. synchronous delay).
+//! peer-index order, so recovery behaviour is bit-replayable.
 
 use crate::messages::Body;
 use dmw_obs::{Key, MetricsSink, MetricsSnapshot};

@@ -11,12 +11,14 @@
 //! payment infrastructure. It is the reproduction's equivalent of
 //! "implementing DMW in a simulated distributed environment" (Section 5).
 //!
-//! On the default [`dmw_simnet::LockstepTransport`] with the default
-//! patience, ticks coincide with the paper's synchronous rounds and honest
-//! runs take exactly [`PROTOCOL_ROUNDS`] of them. [`DmwRunner::run_on`]
-//! accepts any other transport — e.g. [`dmw_simnet::DelayTransport`] with
-//! per-link delays — together with [`DmwRunner::with_round_budget`] and
-//! [`DmwRunner::with_patience`] to give messages time to arrive.
+//! [`DmwRunner::run`] uses the synchronous profile of
+//! [`dmw_simnet::DelayTransport`]; with the default patience, ticks
+//! coincide with the paper's synchronous rounds and honest runs take
+//! exactly [`PROTOCOL_ROUNDS`] of them. [`DmwRunner::run_on`] accepts any
+//! transport — e.g. a `DelayTransport` with a jittered
+//! [`dmw_simnet::DelayProfile`] or per-link delays — together with
+//! [`DmwRunner::with_round_budget`] and [`DmwRunner::with_patience`] to
+//! give messages time to arrive.
 
 use crate::agent::{AgentStatus, DmwAgent};
 use crate::config::DmwConfig;
@@ -29,7 +31,8 @@ use crate::trace::TraceEvent;
 use dmw_mechanism::{AgentId, ExecutionTimes, Schedule, TaskId};
 use dmw_obs::{Key, MetricsSink, MetricsSnapshot};
 use dmw_simnet::{
-    coalesce, FaultPlan, LockstepTransport, NetworkStats, NodeId, Payload, Recipient, Transport,
+    coalesce, DelayProfile, DelayTransport, FaultPlan, NetworkStats, NodeId, Payload, Recipient,
+    Transport,
 };
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -96,7 +99,7 @@ pub struct DmwRun {
     /// per-phase message/byte counts, and every agent's protocol
     /// metrics (dwell ticks, patience expirations, verifications,
     /// aborts). Bit-identical for identical seeds, whatever the thread
-    /// count or (timing-equivalent) transport.
+    /// count.
     pub metrics: MetricsSnapshot,
     /// The full message trace (feeds the Fig. 2 reproduction).
     pub trace: Vec<TraceEvent>,
@@ -348,7 +351,7 @@ impl DmwRunner {
         self.run_on(
             bids,
             behaviors,
-            LockstepTransport::with_faults(n, faults),
+            DelayTransport::with_faults(n, faults, DelayProfile::synchronous()),
             rng,
         )
     }
@@ -359,8 +362,8 @@ impl DmwRunner {
     /// outgoing messages out), steps the transport, and stops at the
     /// round budget or as soon as every agent is terminal and the
     /// transport is quiescent — whichever comes first. With the default
-    /// budget and patience on a [`LockstepTransport`] this reproduces the
-    /// paper's six synchronous rounds bit for bit.
+    /// budget and patience on the synchronous [`DelayProfile`] this
+    /// reproduces the paper's six synchronous rounds bit for bit.
     ///
     /// # Errors
     ///

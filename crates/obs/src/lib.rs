@@ -37,8 +37,8 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 /// Bucket bounds (in logical ticks) for message delivery-delay
-/// histograms. Lockstep delivery always takes exactly one tick; the
-/// delay transport adds its drawn jitter on top.
+/// histograms. Synchronous delivery always takes exactly one tick;
+/// delay profiles add their drawn latency on top.
 pub const DELAY_TICK_BUCKETS: &[u64] = &[1, 2, 3, 4, 6, 8, 12, 16];
 
 /// A structured metric key: a `'static` metric name plus optional

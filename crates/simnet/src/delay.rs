@@ -1,24 +1,25 @@
-//! A deterministic asynchronous transport with per-link delivery delays.
+//! The simulator's transport: deterministic per-link delivery delays.
 //!
-//! [`DelayTransport`] relaxes the lockstep model: every message is held
-//! for `1 + base + per-link schedule + seeded jitter` ticks before it
-//! reaches the recipient's inbox. The delay draw is a pure function of
-//! the profile seed and a per-message sequence number, so a run is
-//! bit-replayable — asynchrony here is a *parameter*, not a source of
-//! nondeterminism. With [`DelayProfile::synchronous`] (and no per-link
-//! schedule) the transport degenerates to exactly the lockstep delivery
-//! order, which is how the equivalence tests anchor it.
+//! [`DelayTransport`] holds every message for `1 + base + per-link
+//! schedule + seeded jitter` ticks before it reaches the recipient's
+//! inbox. The delay draw is a pure function of the profile seed and a
+//! per-message sequence number, so a run is bit-replayable — asynchrony
+//! here is a *parameter*, not a source of nondeterminism. The paper's
+//! synchronous rounds are the zero-delay case: with
+//! [`DelayProfile::synchronous`] (what [`DelayTransport::new`] builds)
+//! everything sent in round `r` arrives in round `r + 1`, the implicit
+//! barrier of protocol step II.4.
 //!
 //! An optional seeded inbox shuffle additionally permutes same-tick
 //! arrivals per recipient, probing the protocol's independence from
 //! arrival order *within* a tick.
 
 use crate::faults::{splitmix64, FaultPlan};
-use crate::network::{classify_loss, record_drop, record_enqueue, Delivered, NodeId, Payload};
+use crate::network::{Delivered, NodeId, Payload};
 use crate::stats::NetworkStats;
 use crate::transport::Transport;
-use dmw_obs::MetricsSnapshot;
-use std::collections::VecDeque;
+use dmw_obs::{Key, MetricsSink, MetricsSnapshot, DELAY_TICK_BUCKETS};
+use std::collections::{BTreeMap, VecDeque};
 
 /// The latency model of a [`DelayTransport`]: every message waits
 /// `1 + base + U{0..=jitter}` ticks, the jitter term drawn from a seeded
@@ -31,7 +32,7 @@ pub struct DelayProfile {
 }
 
 impl DelayProfile {
-    /// Next-tick delivery, exactly like the lockstep transport.
+    /// Next-tick delivery: the paper's synchronous rounds.
     pub fn synchronous() -> Self {
         Self::fixed(0)
     }
@@ -66,46 +67,159 @@ impl DelayProfile {
     }
 }
 
-/// One held transmission, waiting for its due tick.
+/// Why a transmission is lost. Variant order is the
+/// checking precedence of [`classify_loss`] (sender crash before
+/// recipient crash, then permanent link drop, transient partition, flap,
+/// ack-path, periodic schedule, and seeded probabilistic loss last).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DropCause {
+    /// The sender was crashed at the tick it sent.
+    SenderCrashed,
+    /// The recipient was crashed when the message would have landed.
+    RecipientCrashed,
+    /// The directed link is configured to drop everything.
+    Link,
+    /// A transient-partition window covered the send round.
+    Transient,
+    /// The link's flap schedule was in its dead phase at the send round.
+    Flapping,
+    /// The asymmetric ack-path schedule claimed this control
+    /// transmission (data on the same link is untouched).
+    AckPath,
+    /// The periodic-drop schedule claimed this transmission.
+    Periodic,
+    /// The seeded Bernoulli schedule claimed this transmission.
+    Probabilistic,
+}
+
+impl DropCause {
+    fn metric(self) -> &'static str {
+        match self {
+            DropCause::SenderCrashed => "drop_sender_crashed",
+            DropCause::RecipientCrashed => "drop_recipient_crashed",
+            DropCause::Link => "drop_link",
+            DropCause::Transient => "drop_transient",
+            DropCause::Flapping => "drop_flapping",
+            DropCause::AckPath => "drop_ack_path",
+            DropCause::Periodic => "drop_periodic",
+            DropCause::Probabilistic => "drop_probabilistic",
+        }
+    }
+}
+
+/// The fault-attribution chain, evaluated at enqueue. `seq` is the
+/// message's *enqueue-order* sequence number (1-based), which pins the
+/// periodic and probabilistic drop schedules to logical messages rather
+/// than delivery order — the transport-invariance contract of
+/// [`FaultPlan::is_periodically_dropped`] and
+/// [`FaultPlan::is_probabilistically_dropped`]. The round-keyed
+/// schedules (transient windows, flaps) are evaluated against
+/// `sent_round` for the same reason: a message is lost iff the link was
+/// down when it was *sent*, however long it then spends in flight.
+/// `control_seq` is `Some` with the transmission's 1-based position in
+/// the *control-only* enqueue order when the payload reported
+/// [`Payload::is_control`]; the asymmetric ack-path schedule counts
+/// only those, so it thins acknowledgments at a fixed rate regardless
+/// of how much data shares the wire.
+fn classify_loss(
+    faults: &FaultPlan,
+    from: NodeId,
+    to: NodeId,
+    sent_round: u64,
+    recv_round: u64,
+    seq: u64,
+    control_seq: Option<u64>,
+) -> Option<DropCause> {
+    if faults.is_crashed(from, sent_round) {
+        Some(DropCause::SenderCrashed)
+    } else if faults.is_crashed(to, recv_round) {
+        Some(DropCause::RecipientCrashed)
+    } else if faults.is_link_dropped(from, to) {
+        Some(DropCause::Link)
+    } else if faults.is_transiently_dropped(from, to, sent_round) {
+        Some(DropCause::Transient)
+    } else if faults.is_flapped_down(from, to, sent_round) {
+        Some(DropCause::Flapping)
+    } else if control_seq.is_some_and(|k| faults.is_ack_path_dropped(k)) {
+        Some(DropCause::AckPath)
+    } else if faults.is_periodically_dropped(seq) {
+        Some(DropCause::Periodic)
+    } else if faults.is_probabilistically_dropped(seq) {
+        Some(DropCause::Probabilistic)
+    } else {
+        None
+    }
+}
+
+/// Records the per-link counters and the delivery-delay histogram for
+/// one enqueued transmission. `delivery_ticks` is the logical latency
+/// the message was assigned.
+fn record_enqueue(
+    metrics: &mut MetricsSnapshot,
+    from: NodeId,
+    to: NodeId,
+    bytes: u64,
+    delivery_ticks: u64,
+) {
+    let link = Key::named("link_messages")
+        .agent(from.0 as u32)
+        .peer(to.0 as u32);
+    metrics.incr(link, 1);
+    let link_bytes = Key::named("link_bytes")
+        .agent(from.0 as u32)
+        .peer(to.0 as u32);
+    metrics.incr(link_bytes, bytes);
+    metrics.observe(
+        Key::named("delay_ticks"),
+        DELAY_TICK_BUCKETS,
+        delivery_ticks,
+    );
+}
+
+/// Records one lost transmission under its attributed cause.
+fn record_drop(metrics: &mut MetricsSnapshot, cause: DropCause) {
+    metrics.incr(Key::named(cause.metric()), 1);
+}
+
+/// One held transmission, waiting in the bucket of its due tick.
 #[derive(Debug, Clone)]
 struct Held<M> {
-    due: u64,
-    sent_round: u64,
-    /// Enqueue-order sequence number (1-based). The periodic-drop
-    /// schedule is evaluated against this, not against delivery order,
-    /// so a [`FaultPlan`] selects the same logical messages regardless
-    /// of jitter — exactly the numbering the lockstep transport's
-    /// in-order delivery produces.
-    seq: u64,
-    /// 1-based position in the control-only enqueue order when the
-    /// payload is control traffic (acks, nacks), `None` for data — the
-    /// key for the asymmetric ack-path drop schedule.
-    control_seq: Option<u64>,
-    /// `true` when the reorder schedule claimed this transmission: its
-    /// due tick carries a one-tick penalty that loss classification must
-    /// see through (the link state that matters is the one the message
-    /// would have met undisplaced).
-    reordered: bool,
     from: NodeId,
     to: NodeId,
     broadcast: bool,
-    payload: M,
+    /// The payload to deliver, or the cause it will be lost to. Every
+    /// input of [`classify_loss`] is fixed once the message is queued
+    /// (the plan never changes and the landing tick is drawn at
+    /// enqueue), so the verdict is taken then and only counted when the
+    /// message falls due. A lost body is never delivered, so it is not
+    /// stored: at scheduler-scale sweeps (n = 1024, every node crashed)
+    /// the per-recipient commitment clones of a single bidding
+    /// broadcast would otherwise hold tens of gigabytes in flight.
+    fate: Result<M, DropCause>,
 }
 
-/// An asynchronous-but-deterministic implementation of [`Transport`].
+/// The deterministic implementation of [`Transport`].
 ///
-/// Fault semantics mirror the lockstep transport: a message is lost when
-/// its sender was crashed at the tick it was sent, its recipient is
-/// crashed at the tick before delivery completes, the directed link is
-/// dropped, or the periodic-drop schedule claims the transmission.
-/// Traffic counters follow the same convention (`point_to_point`/`bytes`
-/// at enqueue, `delivered`/`dropped` at delivery), so Theorem 11's cost
+/// A message is lost, in this order of attribution, when its sender was
+/// crashed at the tick it was sent, its recipient is crashed at the tick
+/// before it lands, the directed link is dropped, a transient partition
+/// or a link flap covered the send round, the ack-path schedule claims a
+/// control transmission, or the periodic or seeded probabilistic
+/// schedule claims the transmission. Each loss is counted under its
+/// `drop_*` metric. The reorder schedule ([`FaultPlan::reorder_every`])
+/// is not loss: it holds the selected surviving transmissions one extra
+/// tick.
+/// Traffic counters follow one convention (`point_to_point`/`bytes` at
+/// enqueue, `delivered`/`dropped` at delivery), so Theorem 11's cost
 /// accounting is unchanged by asynchrony.
 #[derive(Debug)]
 pub struct DelayTransport<M> {
     n: usize,
     round: u64,
-    holding: Vec<Held<M>>,
+    /// Held traffic keyed by due tick, each bucket in enqueue order.
+    /// Every key exceeds the current round, so a step takes exactly one
+    /// bucket and the earliest event is the first key.
+    holding: BTreeMap<u64, Vec<Held<M>>>,
     inboxes: Vec<VecDeque<Delivered<M>>>,
     stats: NetworkStats,
     metrics: MetricsSnapshot,
@@ -117,14 +231,21 @@ pub struct DelayTransport<M> {
     control_seq: u64,
 }
 
+/// The paper's synchronous-rounds transport by name: build it with
+/// [`DelayTransport::new`], the zero-delay profile. The name stays
+/// because it documents the model the paper assumes, and because the
+/// `perfbench` harness constructs its lockstep workloads through it.
+pub type LockstepTransport<M> = DelayTransport<M>;
+
 impl<M: Payload + Clone> DelayTransport<M> {
-    /// Creates a fault-free delayed network of `n` nodes.
+    /// Creates a fault-free synchronous network of `n` nodes: every
+    /// message sent in round `r` arrives in round `r + 1`.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn new(n: usize, profile: DelayProfile) -> Self {
-        Self::with_faults(n, FaultPlan::none(n), profile)
+    pub fn new(n: usize) -> Self {
+        Self::with_faults(n, FaultPlan::none(n), DelayProfile::synchronous())
     }
 
     /// Creates a delayed network with a fault schedule (whose
@@ -138,7 +259,7 @@ impl<M: Payload + Clone> DelayTransport<M> {
         DelayTransport {
             n,
             round: 0,
-            holding: Vec::new(),
+            holding: BTreeMap::new(),
             inboxes: (0..n).map(|_| VecDeque::new()).collect(),
             stats: NetworkStats::default(),
             metrics: MetricsSnapshot::default(),
@@ -163,33 +284,57 @@ impl<M: Payload + Clone> DelayTransport<M> {
         &self.profile
     }
 
-    fn enqueue(&mut self, from: NodeId, to: NodeId, broadcast: bool, payload: M) {
+    /// Queues one transmission of a payload of `bytes` bytes. The body
+    /// is only materialised (`payload()`, a clone for broadcasts) when
+    /// the transmission will be delivered.
+    fn enqueue(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        broadcast: bool,
+        bytes: u64,
+        control: bool,
+        payload: impl FnOnce() -> M,
+    ) {
         self.stats.point_to_point += 1;
-        self.stats.bytes += payload.size_bytes() as u64;
+        self.stats.bytes += bytes;
         self.seq += 1;
-        let control_seq = payload.is_control().then(|| {
+        let control_seq = control.then(|| {
             self.control_seq += 1;
             self.control_seq
         });
-        let reordered = self.faults.is_reordered(self.seq);
         let delay = self.profile.draw(self.seq) + self.faults.link_delay_or_zero(from, to);
+        let reordered = self.faults.is_reordered(self.seq);
         record_enqueue(
             &mut self.metrics,
             from,
             to,
-            payload.size_bytes() as u64,
+            bytes,
             1 + delay + u64::from(reordered),
         );
-        self.holding.push(Held {
-            due: self.round + 1 + delay + u64::from(reordered),
-            sent_round: self.round,
-            seq: self.seq,
+        // Loss is attributed at the pre-reorder landing round, as if the
+        // message had not been displaced, so crash boundaries do not
+        // depend on the reorder schedule.
+        let fate = match classify_loss(
+            &self.faults,
+            from,
+            to,
+            self.round,
+            self.round + delay,
+            self.seq,
             control_seq,
-            reordered,
+        ) {
+            Some(cause) => Err(cause),
+            None => Ok(payload()),
+        };
+        // Only a delivered message is displaced by the reorder schedule;
+        // a lost one is counted at its undisplaced landing tick.
+        let due = self.round + 1 + delay + u64::from(reordered && fate.is_ok());
+        self.holding.entry(due).or_default().push(Held {
             from,
             to,
             broadcast,
-            payload,
+            fate,
         });
     }
 
@@ -201,7 +346,9 @@ impl<M: Payload + Clone> DelayTransport<M> {
     pub fn send(&mut self, from: NodeId, to: NodeId, payload: M) {
         assert!(from.0 < self.n && to.0 < self.n, "node out of range");
         assert_ne!(from, to, "self-sends are local state, not messages");
-        self.enqueue(from, to, false, payload);
+        let bytes = payload.size_bytes() as u64;
+        let control = payload.is_control();
+        self.enqueue(from, to, false, bytes, control, || payload);
     }
 
     /// Publishes a message to every other node — `n − 1` point-to-point
@@ -213,11 +360,13 @@ impl<M: Payload + Clone> DelayTransport<M> {
     pub fn broadcast(&mut self, from: NodeId, payload: M) {
         assert!(from.0 < self.n, "node out of range");
         self.stats.broadcasts += 1;
+        let bytes = payload.size_bytes() as u64;
+        let control = payload.is_control();
         for to in 0..self.n {
             if to == from.0 {
                 continue;
             }
-            self.enqueue(from, NodeId(to), true, payload.clone());
+            self.enqueue(from, NodeId(to), true, bytes, control, || payload.clone());
         }
     }
 
@@ -226,37 +375,26 @@ impl<M: Payload + Clone> DelayTransport<M> {
     /// delivered.
     pub fn step(&mut self) -> u64 {
         let next = self.round + 1;
-        let (mut arrivals, kept): (Vec<Held<M>>, Vec<Held<M>>) = std::mem::take(&mut self.holding)
-            .into_iter()
-            .partition(|msg| msg.due <= next);
-        self.holding = kept;
+        let mut arrivals = self.holding.remove(&next).unwrap_or_default();
         if let Some(seed) = self.shuffle_seed {
             self.shuffle_per_recipient(&mut arrivals, seed);
         }
         let mut delivered = 0;
         for msg in arrivals {
-            if let Some(cause) = classify_loss(
-                &self.faults,
-                msg.from,
-                msg.to,
-                msg.sent_round,
-                // The pre-reorder landing tick: both transports attribute
-                // loss as if the message had not been displaced, keeping
-                // crash-boundary classification transport-invariant.
-                msg.due.saturating_sub(1 + u64::from(msg.reordered)),
-                msg.seq,
-                msg.control_seq,
-            ) {
-                self.stats.dropped += 1;
-                record_drop(&mut self.metrics, cause);
-                continue;
+            match msg.fate {
+                Ok(payload) => {
+                    self.inboxes[msg.to.0].push_back(Delivered {
+                        from: msg.from,
+                        broadcast: msg.broadcast,
+                        payload,
+                    });
+                    delivered += 1;
+                }
+                Err(cause) => {
+                    self.stats.dropped += 1;
+                    record_drop(&mut self.metrics, cause);
+                }
             }
-            self.inboxes[msg.to.0].push_back(Delivered {
-                from: msg.from,
-                broadcast: msg.broadcast,
-                payload: msg.payload,
-            });
-            delivered += 1;
         }
         self.stats.delivered += delivered;
         self.stats.rounds += 1;
@@ -331,15 +469,13 @@ impl<M: Payload + Clone> DelayTransport<M> {
 
     /// The earliest tick at which the transport can matter to a
     /// scheduler tick: *now* while any inbox holds undrained
-    /// deliveries, otherwise the earliest held message's due tick
-    /// (every held `due` exceeds the current round — [`DelayTransport::step`]
-    /// already delivered everything at or before it), `None` when
-    /// quiescent.
+    /// deliveries, otherwise the earliest held message's due tick,
+    /// `None` when quiescent.
     pub fn next_due(&self) -> Option<u64> {
         if self.inboxes.iter().any(|q| !q.is_empty()) {
             return Some(self.round);
         }
-        self.holding.iter().map(|msg| msg.due).min()
+        self.holding.keys().next().copied()
     }
 
     /// Fast-forwards to tick `target` exactly as repeated
@@ -351,12 +487,12 @@ impl<M: Payload + Clone> DelayTransport<M> {
     pub fn advance_to(&mut self, target: u64) -> u64 {
         let mut delivered = 0;
         while self.round < target {
-            match self.holding.iter().map(|msg| msg.due).min() {
-                Some(due) => {
+            match self.holding.keys().next() {
+                Some(&due) => {
                     // A message due at tick `d` is moved by the step
                     // taken at round `d − 1`; rounds before that are
                     // dead air.
-                    let idle_until = due.saturating_sub(1).min(target);
+                    let idle_until = (due - 1).min(target);
                     if self.round < idle_until {
                         self.stats.rounds += idle_until - self.round;
                         self.round = idle_until;
@@ -431,7 +567,7 @@ mod tests {
 
     #[test]
     fn synchronous_profile_delivers_next_tick_like_lockstep() {
-        let mut net: DelayTransport<u64> = DelayTransport::new(3, DelayProfile::synchronous());
+        let mut net: DelayTransport<u64> = DelayTransport::new(3);
         net.send(NodeId(0), NodeId(1), 42);
         net.broadcast(NodeId(2), 7);
         assert!(!net.is_quiescent());
@@ -446,7 +582,8 @@ mod tests {
 
     #[test]
     fn fixed_delay_holds_messages_for_base_extra_ticks() {
-        let mut net: DelayTransport<u64> = DelayTransport::new(2, DelayProfile::fixed(2));
+        let mut net: DelayTransport<u64> =
+            DelayTransport::with_faults(2, FaultPlan::none(2), DelayProfile::fixed(2));
         net.send(NodeId(0), NodeId(1), 5);
         assert_eq!(net.step(), 0, "tick 1: still held");
         assert_eq!(net.step(), 0, "tick 2: still held");
@@ -474,7 +611,8 @@ mod tests {
     fn jitter_is_bounded_and_replayable() {
         let profile = DelayProfile::jittered(1, 3, 99);
         let run = |profile: DelayProfile| {
-            let mut net: DelayTransport<u64> = DelayTransport::new(2, profile);
+            let mut net: DelayTransport<u64> =
+                DelayTransport::with_faults(2, FaultPlan::none(2), profile);
             for k in 0..20 {
                 net.send(NodeId(0), NodeId(1), k);
             }
@@ -504,9 +642,8 @@ mod tests {
 
     #[test]
     fn inbox_shuffle_permutes_within_a_recipient_only() {
-        let mut plain: DelayTransport<u64> = DelayTransport::new(3, DelayProfile::synchronous());
-        let mut shuffled: DelayTransport<u64> =
-            DelayTransport::new(3, DelayProfile::synchronous()).with_inbox_shuffle(7);
+        let mut plain: DelayTransport<u64> = DelayTransport::new(3);
+        let mut shuffled: DelayTransport<u64> = DelayTransport::new(3).with_inbox_shuffle(7);
         for net in [&mut plain, &mut shuffled] {
             for k in 0..8 {
                 net.send(NodeId(0), NodeId(1), k);
@@ -542,86 +679,47 @@ mod tests {
     /// schedule used to advance per *delivered* message inside
     /// [`DelayTransport::step`], so jitter (which permutes delivery
     /// order relative to enqueue order) made the same [`FaultPlan`]
-    /// drop different logical messages than the lockstep transport.
-    /// Pinning the schedule to the enqueue-time sequence number makes
-    /// the selected set transport-invariant.
+    /// drop different logical messages than the synchronous (lockstep)
+    /// profile. Pinning the schedule to the enqueue-time sequence number
+    /// makes the selected set profile-invariant.
     #[test]
     fn periodic_drops_select_the_same_messages_as_lockstep_under_jitter() {
-        use crate::network::Network;
-
         let n = 4;
-        let ticks = 4u64;
-        let surviving = |net: &mut dyn FnMut(NodeId, NodeId, u64)| {
-            // Same traffic pattern on every transport: each tick, every
-            // ordered pair exchanges one uniquely-numbered message.
+        // Each tick, every ordered pair exchanges one uniquely-numbered
+        // message; then the network drains to quiescence.
+        let surviving = |profile: DelayProfile| {
+            let mut net: DelayTransport<u64> =
+                DelayTransport::with_faults(n, FaultPlan::none(n).drop_every(3), profile);
             let mut payload = 0;
-            for _ in 0..ticks {
+            for _ in 0..4 {
                 for from in 0..n {
-                    for to in 0..n {
-                        if from != to {
-                            net(NodeId(from), NodeId(to), payload);
-                            payload += 1;
-                        }
+                    for to in (0..n).filter(|&to| to != from) {
+                        net.send(NodeId(from), NodeId(to), payload);
+                        payload += 1;
                     }
                 }
+                net.step();
             }
+            let mut delivered = Vec::new();
+            loop {
+                for node in 0..n {
+                    delivered.extend(net.take_inbox(NodeId(node)).into_iter().map(|d| d.payload));
+                }
+                if net.is_quiescent() {
+                    break;
+                }
+                net.step();
+            }
+            delivered.sort_unstable();
+            (delivered, net.stats().dropped)
         };
-
-        let mut lockstep: Network<u64> = Network::with_faults(n, FaultPlan::none(n).drop_every(3));
-        {
-            let mut sends = 0;
-            let mut send = |from, to, p| {
-                // Re-create the per-tick cadence: step after each tick's
-                // batch of n·(n−1) sends.
-                lockstep.send(from, to, p);
-                sends += 1;
-                if sends % (n * (n - 1)) == 0 {
-                    lockstep.step();
-                }
-            };
-            surviving(&mut send);
-        }
-        let mut lockstep_delivered: Vec<u64> = (0..n)
-            .flat_map(|node| lockstep.take_inbox(NodeId(node)))
-            .map(|d| d.payload)
-            .collect();
-        lockstep_delivered.sort_unstable();
-
-        let mut delayed: DelayTransport<u64> = DelayTransport::with_faults(
-            n,
-            FaultPlan::none(n).drop_every(3),
-            DelayProfile::jittered(0, 3, 0xBEEF),
-        );
-        {
-            let mut sends = 0;
-            let mut send = |from, to, p| {
-                delayed.send(from, to, p);
-                sends += 1;
-                if sends % (n * (n - 1)) == 0 {
-                    delayed.step();
-                }
-            };
-            surviving(&mut send);
-        }
-        let mut jitter_delivered: Vec<u64> = Vec::new();
-        loop {
-            for node in 0..n {
-                for msg in delayed.take_inbox(NodeId(node)) {
-                    jitter_delivered.push(msg.payload);
-                }
-            }
-            if delayed.is_quiescent() {
-                break;
-            }
-            delayed.step();
-        }
-        jitter_delivered.sort_unstable();
-
+        let lockstep = surviving(DelayProfile::synchronous());
+        assert_eq!(lockstep.1, 16, "every third of 48 messages");
         assert_eq!(
-            jitter_delivered, lockstep_delivered,
-            "a fault plan must drop the same logical messages on every transport"
+            surviving(DelayProfile::jittered(0, 3, 0xBEEF)),
+            lockstep,
+            "a fault plan must drop the same logical messages under every profile"
         );
-        assert_eq!(delayed.stats().dropped, lockstep.stats().dropped);
     }
 
     #[test]
@@ -694,7 +792,7 @@ mod tests {
         net.send(NodeId(0), NodeId(2), 3);
         net.step();
         net.step();
-        // "Run end": every message is still in `holding` (due tick 5).
+        // "Run end": every message is still held (due tick 5).
         assert!(!net.is_quiescent());
         assert_eq!(net.stats().delivered, 0);
         assert_eq!(net.stats().dropped, 0);
@@ -703,8 +801,6 @@ mod tests {
 
     #[test]
     fn metrics_record_links_delays_and_drop_causes() {
-        use dmw_obs::Key;
-
         let plan = FaultPlan::none(3)
             .crash_at(NodeId(1), 0)
             .drop_link(NodeId(0), NodeId(2));
@@ -730,8 +826,72 @@ mod tests {
         assert_eq!(h.counts.get(1), Some(&4));
     }
 
-    /// A toy payload marking odd values as control traffic, mirroring
-    /// the lockstep transport's ack-path tests.
+    /// A payload whose clones are counted, to observe the sender-crash
+    /// tombstone.
+    #[derive(Debug)]
+    struct Counted {
+        clones: std::rc::Rc<std::cell::Cell<u32>>,
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.clones.set(self.clones.get() + 1);
+            Counted {
+                clones: self.clones.clone(),
+            }
+        }
+    }
+
+    impl Payload for Counted {
+        fn size_bytes(&self) -> usize {
+            8
+        }
+    }
+
+    /// A broadcast from a sender crashed at the send tick stores no
+    /// clones, yet is accounted and numbered exactly like stored
+    /// traffic: its `n − 1` tombstones take sequence numbers 1–3, so the
+    /// `drop_every(3)` schedule lands on seqs 6 and 9 — the third and
+    /// sixth of node 0's later sends. A live sender's broadcast clones
+    /// only for the recipients it will reach.
+    #[test]
+    fn sender_crashed_broadcast_stores_no_clones_and_keeps_numbering() {
+        let clones = std::rc::Rc::new(std::cell::Cell::new(0));
+        let msg = || Counted {
+            clones: clones.clone(),
+        };
+        let plan = FaultPlan::none(4).crash_at(NodeId(1), 0).drop_every(3);
+        let mut net: DelayTransport<Counted> =
+            DelayTransport::with_faults(4, plan, DelayProfile::synchronous());
+        net.broadcast(NodeId(1), msg());
+        assert_eq!(
+            clones.get(),
+            0,
+            "a crashed sender's broadcast is never cloned"
+        );
+        for _ in 0..6 {
+            net.send(NodeId(0), NodeId(2), msg());
+        }
+        net.step();
+        assert_eq!(net.take_inbox(NodeId(2)).len(), 4, "sends 3 and 6 dropped");
+        let stats = net.stats();
+        assert_eq!(stats.point_to_point, 9);
+        assert_eq!(stats.bytes, 9 * 8);
+        assert_eq!(stats.dropped, 5);
+        assert_eq!(net.metrics().counter_total("drop_sender_crashed"), 3);
+        assert_eq!(net.metrics().counter_total("drop_periodic"), 2);
+        // Seqs 10–12: node 0 receives, crashed node 1 does not, and seq
+        // 12 is periodic.
+        net.broadcast(NodeId(2), msg());
+        assert_eq!(clones.get(), 1, "only the delivered copy is cloned");
+        net.step();
+        assert_eq!(net.take_inbox(NodeId(0)).len(), 1);
+        assert_eq!(net.metrics().counter_total("drop_recipient_crashed"), 1);
+        assert_eq!(net.metrics().counter_total("drop_periodic"), 3);
+    }
+
+    /// A toy payload marking odd values as control traffic, for the
+    /// ack-path tests.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     struct Frame(u64);
 
@@ -747,37 +907,25 @@ mod tests {
 
     #[test]
     fn ack_path_and_reorder_schedules_mirror_lockstep() {
-        use crate::network::Network;
-
-        // Both knobs at once on the synchronous profile: the delivered
-        // multisets and per-cause drop counters must match lockstep
-        // exactly, and the reordered message must land a tick late on
-        // both transports.
-        let plan = || FaultPlan::none(2).drop_acks_every(2).reorder_every(5);
-        let traffic: Vec<Frame> = (1..=10).map(Frame).collect();
-
-        let mut lockstep: Network<Frame> = Network::with_faults(2, plan());
-        let mut delayed: DelayTransport<Frame> =
-            DelayTransport::with_faults(2, plan(), DelayProfile::synchronous());
-        for f in &traffic {
-            lockstep.send(NodeId(0), NodeId(1), *f);
-            delayed.send(NodeId(0), NodeId(1), *f);
+        // Both knobs at once on the synchronous profile: exactly the
+        // selected control frames drop, and the reordered frames land a
+        // tick late.
+        let plan = FaultPlan::none(2).drop_acks_every(2).reorder_every(5);
+        let mut net: DelayTransport<Frame> =
+            DelayTransport::with_faults(2, plan, DelayProfile::synchronous());
+        for f in (1..=10).map(Frame) {
+            net.send(NodeId(0), NodeId(1), f);
         }
-        let collect = |by_tick: &mut Vec<(u64, u64)>, inbox: Vec<Delivered<Frame>>, tick: u64| {
-            for msg in inbox {
-                by_tick.push((tick, msg.payload.0));
-            }
-        };
-        let mut lockstep_seen = Vec::new();
-        let mut delayed_seen = Vec::new();
+        let mut seen = Vec::new();
         for tick in 1..=3u64 {
-            lockstep.step();
-            delayed.step();
-            collect(&mut lockstep_seen, lockstep.take_inbox(NodeId(1)), tick);
-            collect(&mut delayed_seen, delayed.take_inbox(NodeId(1)), tick);
+            net.step();
+            seen.extend(
+                net.take_inbox(NodeId(1))
+                    .into_iter()
+                    .map(|d| (tick, d.payload.0)),
+            );
         }
-        assert!(lockstep.is_quiescent() && delayed.is_quiescent());
-        assert_eq!(lockstep_seen, delayed_seen, "transports diverged");
+        assert!(net.is_quiescent());
         // Control slots: frames 1,3,5,7,9 → #1..#5; even slots drop
         // (frames 3, 7). Reorder slots: seqs 5 and 10 → Frames 5 and 10
         // land a tick late.
@@ -791,16 +939,13 @@ mod tests {
             (2, 5),
             (2, 10),
         ];
-        assert_eq!(lockstep_seen, expected);
-        assert_eq!(lockstep.metrics().counter_total("drop_ack_path"), 2);
-        assert_eq!(delayed.metrics().counter_total("drop_ack_path"), 2);
-        assert_eq!(lockstep.stats(), delayed.stats());
+        assert_eq!(seen, expected);
+        assert_eq!(net.metrics().counter_total("drop_ack_path"), 2);
+        assert_eq!(net.stats().dropped, 2);
     }
 
     #[test]
     fn reordered_messages_record_their_penalized_latency() {
-        use dmw_obs::Key;
-
         let plan = FaultPlan::none(2).reorder_every(3);
         let mut net: DelayTransport<u64> =
             DelayTransport::with_faults(2, plan, DelayProfile::synchronous());

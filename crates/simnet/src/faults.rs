@@ -65,9 +65,8 @@ pub struct FaultPlan {
     /// Drop every `k`-th transmitted message (deterministic lossy
     /// network; `None` = lossless).
     drop_every: Option<u64>,
-    /// Extra delivery delay, in rounds, for specific directed links —
-    /// honoured by [`crate::DelayTransport`] (the lockstep transport
-    /// models the paper's synchronous barriers and ignores it). Kept as a
+    /// Extra delivery delay, in rounds, for specific directed links,
+    /// added to the [`crate::DelayProfile`] latency. Kept as a
     /// sorted-insert-free `Vec` rather than a map: plans are tiny and a
     /// linear probe keeps iteration order (and hence replay) trivially
     /// deterministic.

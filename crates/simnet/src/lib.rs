@@ -14,12 +14,13 @@
 //!   — dishonest *content* is produced by deviating agents, not by the
 //!   network);
 //! * **delivery timing as a parameter**: the [`Transport`] trait
-//!   abstracts *when* an enqueued message becomes visible.
-//!   [`LockstepTransport`] keeps the paper's synchronous rounds with
-//!   implicit barriers (protocol step II.4, "agents implicitly
-//!   synchronize at this point"); [`DelayTransport`] holds each message
-//!   for a deterministic seeded per-link delay, modelling asynchrony
-//!   without giving up replayability;
+//!   abstracts *when* an enqueued message becomes visible, and
+//!   [`DelayTransport`] implements it by holding each message for a
+//!   deterministic seeded per-link delay, modelling asynchrony without
+//!   giving up replayability. Its zero-delay profile
+//!   ([`DelayTransport::new`], also named [`LockstepTransport`]) is the
+//!   paper's synchronous rounds with implicit barriers (protocol step
+//!   II.4, "agents implicitly synchronize at this point");
 //! * **fault injection**: crash faults (an agent stops sending and
 //!   receiving), link drops and link delays, used by the resilience
 //!   ablation.
@@ -30,9 +31,9 @@
 //! # Example
 //!
 //! ```
-//! use dmw_simnet::{Network, NodeId, Recipient};
+//! use dmw_simnet::{DelayTransport, NodeId};
 //!
-//! let mut net: Network<u64> = Network::new(3);
+//! let mut net: DelayTransport<u64> = DelayTransport::new(3);
 //! net.send(NodeId(0), NodeId(1), 41);
 //! net.broadcast(NodeId(2), 42);
 //! net.step(); // deliver the round's traffic
@@ -49,8 +50,8 @@ pub mod network;
 pub mod stats;
 pub mod transport;
 
-pub use delay::{DelayProfile, DelayTransport};
+pub use delay::{DelayProfile, DelayTransport, LockstepTransport};
 pub use faults::FaultPlan;
-pub use network::{Delivered, LockstepTransport, Network, NodeId, Payload, Recipient};
+pub use network::{Delivered, NodeId, Payload, Recipient};
 pub use stats::NetworkStats;
 pub use transport::{coalesce, Transport};

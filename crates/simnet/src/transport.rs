@@ -3,15 +3,13 @@
 //! [`Transport`] captures exactly the surface the protocol scheduler in
 //! `dmw::runner` needs — send/broadcast, per-node inbox draining, a
 //! delivery step, quiescence, and traffic statistics — so the protocol is
-//! generic over *when* messages arrive. Two implementations ship with the
-//! simulator:
-//!
-//! * [`crate::LockstepTransport`] — the synchronous-rounds model of the
-//!   paper (the implicit barrier of protocol step II.4): everything sent
-//!   in round `r` arrives in round `r + 1`;
-//! * [`crate::DelayTransport`] — a deterministic asynchronous model where
-//!   each link holds messages for a seeded per-link delay, proving agents
-//!   assume message *completeness*, never next-round delivery.
+//! generic over *when* messages arrive. The simulator's implementation is
+//! [`crate::DelayTransport`], a deterministic model where each link holds
+//! messages for a seeded per-link delay. Its synchronous profile is the
+//! paper's rounds (the implicit barrier of protocol step II.4):
+//! everything sent in round `r` arrives in round `r + 1`. Longer delays
+//! prove agents assume message *completeness*, never next-round delivery;
+//! wrappers (timing decorators, test doubles) implement the trait too.
 //!
 //! The module also hosts [`coalesce`], the indexed per-recipient batching
 //! pass: grouping same-recipient payloads is a transport concern (fewer,
@@ -81,9 +79,8 @@ pub trait Transport<M: Payload + Clone> {
 
     /// The earliest tick `t >= round()` at which a scheduler tick can
     /// observe transport activity: `round()` itself while any inbox
-    /// still holds deliveries (or lockstep traffic is pending), the
-    /// earliest held message's due tick for a delaying transport, and
-    /// `None` when the transport is quiescent. An event-driven
+    /// still holds deliveries, otherwise the earliest held message's due
+    /// tick, and `None` when the transport is quiescent. An event-driven
     /// scheduler (see `docs/scheduler.md`) may [`Transport::advance_to`]
     /// any tick up to the reported value without changing what any
     /// agent ever observes.

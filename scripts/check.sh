@@ -18,19 +18,23 @@
 #   5. cargo build -p dmw-examples --bins
 #                                 -- the example binaries ([[bin]] targets
 #      with autobins off, so plain `cargo build`/`cargo test` skip them)
-#   6. fault-matrix smoke         -- the chaos determinism suite (reliable
+#   6. perfbench build            -- the benchmark package has its own
+#      `[workspace]`, so root `cargo build`/`cargo test` never compile it;
+#      building it here (into .bench_build, as perfbench/run.py does)
+#      catches a protocol-crate API change that would break the benchmark
+#   7. fault-matrix smoke         -- the chaos determinism suite (reliable
 #      delivery + graceful degradation over the seeded fault matrix),
 #      isolated so a recovery regression is named before the full suite
-#   7. cargo test                 -- full workspace suite (which re-runs
+#   8. cargo test                 -- full workspace suite (which re-runs
 #      dmw-lint as an integration test, so CI cannot skip it)
-#   8. bench_batch --smoke        -- the batch engine end-to-end on a tiny
+#   9. bench_batch --smoke        -- the batch engine end-to-end on a tiny
 #      instance, exiting non-zero if thread counts disagree or the
 #      adaptive recovery layer exceeds its retransmission/duplicate
 #      ceilings (the recovery-regression gate)
-#   9. bench_scale --smoke        -- the event-driven scheduler's n-sweep
+#  10. bench_scale --smoke        -- the event-driven scheduler's n-sweep
 #      harness end-to-end on the smallest point, exiting non-zero if the
 #      event engine and the polling oracle disagree bit-for-bit
-#  10. reproduce drift            -- regenerates the full report and the
+#  11. reproduce drift            -- regenerates the full report and the
 #      metrics snapshot under the (default) event engine and compares
 #      byte-for-byte against the committed docs/reproduce_output.md and
 #      docs/reproduce_metrics.json -- scheduler drift fails the gate
@@ -67,6 +71,10 @@ fi
 
 echo "==> cargo build -p dmw-examples --bins"
 cargo build --quiet -p dmw-examples --bins
+
+echo "==> perfbench build"
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --quiet \
+    --manifest-path perfbench/Cargo.toml
 
 echo "==> fault-matrix smoke (recovery determinism)"
 cargo test --quiet -p integration-tests --test recovery_determinism

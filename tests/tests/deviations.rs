@@ -153,7 +153,7 @@ fn every_tampering_deviation_is_still_detected_under_delay() {
             let mut behaviors = vec![Behavior::Suggested; n];
             behaviors[1] = behavior;
             let transport: dmw_simnet::DelayTransport<dmw::messages::Body> =
-                dmw_simnet::DelayTransport::new(n, profile);
+                dmw_simnet::DelayTransport::with_faults(n, dmw_simnet::FaultPlan::none(n), profile);
             let run = runner
                 .run_on(&truth, &behaviors, transport, &mut r)
                 .unwrap();

@@ -4,10 +4,10 @@
 //! [`dmw_simnet::NetworkStats`], the trace, the metrics snapshot — must
 //! be *bit-identical* except for the `events_processed` gauge that
 //! counts executed ticks. The sweep crosses honest, chaos and recovery
-//! (crash/degradation) runs with verify widths 1/2/8 on both the
-//! lockstep and the synchronous delay transport, and pins that the
-//! event engine actually skips idle ticks when a long retransmission
-//! backoff dominates the run (`docs/scheduler.md`).
+//! (crash/degradation) runs with verify widths 1/2/8 on the synchronous
+//! transport, adds a jittered-delay run where `next_due` does real work,
+//! and pins that the event engine actually skips idle ticks when a long
+//! retransmission backoff dominates the run (`docs/scheduler.md`).
 
 use dmw::reliable::RetryPolicy;
 use dmw::runner::{DmwRun, DmwRunner, Engine};
@@ -87,42 +87,6 @@ fn lockstep_runs_are_bit_identical_between_engines() {
                 .run(&bids, &behaviors, faults.clone(), &mut rng(SEED + 1))
                 .expect("valid polling run");
             assert_parity(&format!("{case}/w{width}/lockstep"), &event, &polling);
-        }
-    }
-}
-
-#[test]
-fn delay_transport_runs_are_bit_identical_between_engines() {
-    for (case, faults) in plans(6) {
-        for width in WIDTHS {
-            let mut r = rng(SEED ^ 0xDE1A);
-            let cfg = config(6, 1, &mut r);
-            let bids = random_bids(&cfg, 3, &mut r);
-            let behaviors = vec![Behavior::Suggested; 6];
-            let runner = DmwRunner::new(cfg)
-                .with_recovery()
-                .with_verify_threads(width);
-
-            let event = runner
-                .clone()
-                .with_engine(Engine::Event)
-                .run_on(
-                    &bids,
-                    &behaviors,
-                    DelayTransport::with_faults(6, faults.clone(), DelayProfile::synchronous()),
-                    &mut rng(SEED + 2),
-                )
-                .expect("valid event run");
-            let polling = runner
-                .with_engine(Engine::Polling)
-                .run_on(
-                    &bids,
-                    &behaviors,
-                    DelayTransport::with_faults(6, faults.clone(), DelayProfile::synchronous()),
-                    &mut rng(SEED + 2),
-                )
-                .expect("valid polling run");
-            assert_parity(&format!("{case}/w{width}/delay"), &event, &polling);
         }
     }
 }

@@ -37,7 +37,7 @@ fn every_message_of_a_real_run_round_trips_through_the_codec() {
             )
         })
         .collect();
-    let mut net: dmw_simnet::Network<Body> = dmw_simnet::Network::new(5);
+    let mut net: dmw_simnet::DelayTransport<Body> = dmw_simnet::DelayTransport::new(5);
     let mut total_encoded = 0u64;
     for _round in 0..dmw::runner::PROTOCOL_ROUNDS {
         for (i, agent) in agents.iter_mut().enumerate() {

@@ -34,7 +34,8 @@ fn assert_delay_matches_lockstep(seed: u64, profile: DelayProfile, shuffle: Opti
     // act up to `max_extra` ticks later than me, and its message may take
     // `max_extra` extra ticks on top of the one-tick baseline.
     let patience = 2 * profile.max_extra_delay() + 4;
-    let mut transport: DelayTransport<dmw::messages::Body> = DelayTransport::new(n, profile);
+    let mut transport: DelayTransport<dmw::messages::Body> =
+        DelayTransport::with_faults(n, FaultPlan::none(n), profile);
     if let Some(s) = shuffle {
         transport = transport.with_inbox_shuffle(s);
     }

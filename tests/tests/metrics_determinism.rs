@@ -1,15 +1,12 @@
 //! Determinism contract of the `dmw-obs` metrics layer: the
 //! [`MetricsSnapshot`] carried on every run is part of the observable
 //! artifact, so it must be bit-identical whatever the batch thread
-//! count, and identical between the lockstep transport and a delay
-//! transport with the synchronous profile (which delivers on the same
-//! schedule). Parallelism and transport plumbing are execution details,
-//! never observables.
+//! count. Parallelism is an execution detail, never an observable.
 
 use dmw::batch::{aggregate_metrics, BatchRunner, TrialSpec};
 use dmw::runner::DmwRunner;
 use dmw::Behavior;
-use dmw_simnet::{DelayProfile, DelayTransport, FaultPlan, NodeId};
+use dmw_simnet::{FaultPlan, NodeId};
 use integration_tests::{config, random_bids, rng};
 
 const SEED: u64 = 20050717;
@@ -62,50 +59,6 @@ fn metrics_are_bit_identical_across_thread_counts() {
             reference_aggregate.to_json(0),
             aggregate.to_json(0),
             "serialized metrics differ at width {width}"
-        );
-    }
-}
-
-#[test]
-fn lockstep_and_synchronous_delay_report_identical_metrics() {
-    // The synchronous delay profile delivers every message on the next
-    // tick, exactly like the lockstep transport, so the two runs walk
-    // the same schedule and must expose the same metrics — including
-    // drop attribution when crash faults are in play.
-    for (case, faults) in [
-        ("fault-free", FaultPlan::none(6)),
-        ("crash", FaultPlan::none(6).crash_at(NodeId(2), 3)),
-    ] {
-        let mut r = rng(SEED ^ 0x0B5);
-        let cfg = config(6, 1, &mut r);
-        let bids = random_bids(&cfg, 3, &mut r);
-        let behaviors = vec![Behavior::Suggested; 6];
-        let runner = DmwRunner::new(cfg);
-
-        let lockstep = runner
-            .run(&bids, &behaviors, faults.clone(), &mut rng(SEED + 9))
-            .expect("valid lockstep run");
-        let delayed = runner
-            .run_on(
-                &bids,
-                &behaviors,
-                DelayTransport::with_faults(6, faults, DelayProfile::synchronous()),
-                &mut rng(SEED + 9),
-            )
-            .expect("valid delay run");
-
-        assert_eq!(
-            lockstep.result, delayed.result,
-            "{case}: outcomes must agree before metrics can be compared"
-        );
-        assert_eq!(
-            lockstep.metrics, delayed.metrics,
-            "{case}: metrics differ between transports"
-        );
-        assert_eq!(
-            lockstep.metrics.to_json(0),
-            delayed.metrics.to_json(0),
-            "{case}: serialized metrics differ between transports"
         );
     }
 }

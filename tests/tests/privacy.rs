@@ -108,7 +108,7 @@ mod transcript_sweep {
     use dmw::runner::DmwRunner;
     use dmw::{Behavior, DmwConfig};
     use dmw_obs::MetricsSnapshot;
-    use dmw_simnet::{Delivered, FaultPlan, LockstepTransport, NetworkStats, NodeId, Transport};
+    use dmw_simnet::{DelayTransport, Delivered, FaultPlan, NetworkStats, NodeId, Transport};
     use integration_tests::{random_bids, rng};
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -244,7 +244,7 @@ mod transcript_sweep {
         let bids = random_bids(&cfg, 1, &mut r);
         let captured = Rc::new(RefCell::new(Vec::new()));
         let transport = CapturingTransport {
-            inner: LockstepTransport::new(cfg.agents()),
+            inner: DelayTransport::new(cfg.agents()),
             captured: Rc::clone(&captured),
         };
         let n = cfg.agents();
