@@ -33,6 +33,15 @@
 //! `Θ((c + 1)·n² log p) = Θ(n² log p)` per agent per task for constant
 //! `c`, matching Table 1 (see DESIGN.md).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "every agent/task index in this module is validated at construction \
+         (`with_policy` asserts `me < n`, bids are range checked) or at message \
+         admission (`admissible` rejects out-of-range senders), and all \
+         per-agent vectors are allocated with length `n` up front; per-site \
+         `.get()` plumbing would bury the protocol equations."
+)]
+
 use crate::config::DmwConfig;
 use crate::error::AbortReason;
 use crate::messages::Body;
@@ -46,12 +55,6 @@ use dmw_simnet::{Delivered, Recipient};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-// dmw-lint: allow-file(L1-index): every agent/task index in this module is
-// validated at construction (`with_policy` asserts `me < n`, bids are range
-// checked) or at message admission (`admissible` rejects out-of-range
-// senders), and all per-agent vectors are allocated with length `n` up
-// front; per-site `.get()` plumbing would bury the protocol equations.
-
 /// The funnel for state-machine invariants: a value the phase structure
 /// guarantees to be present (e.g. a bundle from an agent marked alive).
 /// Every call site states which invariant it relies on, and the single
@@ -64,7 +67,7 @@ impl<T> Invariant<T> for Option<T> {
     fn invariant(self, what: &'static str) -> T {
         match self {
             Some(v) => v,
-            // dmw-lint: allow(L1): the module's one audited invariant funnel
+            #[expect(clippy::panic, reason = "the module's one audited invariant funnel")]
             None => panic!("protocol invariant violated: {what}"),
         }
     }

@@ -63,10 +63,41 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// No wall-clock reads (clippy.toml's `disallowed-types`): `forbid`, so
+// no `#[allow]` can waive it.
+#![forbid(clippy::disallowed_types)]
 
+// The protocol-critical modules parse and dispatch peers' bytes, so a
+// panic there is a remote crash: no panic paths outside test code (the
+// root clippy.toml exempts tests). The codec and the runner must also
+// name every protocol variant, so a new message fails to compile at
+// each dispatch site; `forbid` keeps that unwaivable. See
+// docs/static_analysis.md.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 pub mod agent;
 pub mod audit;
 pub mod batch;
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+#[forbid(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 pub mod codec;
 pub mod collusion;
 pub mod config;
@@ -74,11 +105,42 @@ pub mod error;
 pub mod identity;
 pub mod messages;
 pub mod obedient;
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 pub mod payment;
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 pub mod phases;
 pub mod related_distributed;
 pub mod reliable;
 pub mod repeated;
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+#[forbid(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 pub mod runner;
 pub mod strategy;
 pub mod trace;

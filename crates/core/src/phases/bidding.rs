@@ -1,17 +1,20 @@
 //! Phase II — *Bidding*: sample polynomials, distribute shares, publish
 //! commitments.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "agent/task indices are validated at `DmwAgent` construction and every \
+         per-agent vector is allocated with length `n` up front (see \
+         `crate::agent`); per-site `.get()` plumbing would bury the protocol \
+         equations."
+)]
+
 use crate::agent::{DmwAgent, Invariant};
 use crate::messages::Body;
 use crate::strategy::Behavior;
 use dmw_crypto::polynomials::BidPolynomials;
 use dmw_crypto::Commitments;
 use dmw_simnet::{NodeId, Recipient};
-
-// dmw-lint: allow-file(L1-index): agent/task indices are validated at
-// `DmwAgent` construction and every per-agent vector is allocated with
-// length `n` up front (see `crate::agent`); per-site `.get()` plumbing
-// would bury the protocol equations.
 
 /// Bidding waits for nothing: it opens the protocol.
 pub(crate) fn ready(_agent: &DmwAgent) -> bool {

@@ -1,6 +1,14 @@
 //! Phase III.4 + IV — verify excluded pairs, resolve the second price,
 //! submit the payment claim.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "agent/task indices are validated at `DmwAgent` construction and every \
+         per-agent vector is allocated with length `n` up front (see \
+         `crate::agent`); per-site `.get()` plumbing would bury the protocol \
+         equations."
+)]
+
 use crate::agent::{AgentStatus, DmwAgent, Invariant};
 use crate::error::AbortReason;
 use crate::messages::Body;
@@ -8,11 +16,6 @@ use crate::strategy::Behavior;
 use dmw_crypto::resolution::{resolve_min_bid, verify_lambda_psi};
 use dmw_crypto::Commitments;
 use dmw_simnet::Recipient;
-
-// dmw-lint: allow-file(L1-index): agent/task indices are validated at
-// `DmwAgent` construction and every per-agent vector is allocated with
-// length `n` up front (see `crate::agent`); per-site `.get()` plumbing
-// would bury the protocol equations.
 
 /// Complete once an excluded pair has arrived from every responsive
 /// peer for every task.

@@ -1,6 +1,14 @@
 //! Phase III.3 — verify disclosures, identify the winner, publish the
 //! winner-excluded pair.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "agent/task indices are validated at `DmwAgent` construction and every \
+         per-agent vector is allocated with length `n` up front (see \
+         `crate::agent`); per-site `.get()` plumbing would bury the protocol \
+         equations."
+)]
+
 use crate::agent::{DmwAgent, Invariant};
 use crate::error::AbortReason;
 use crate::messages::Body;
@@ -10,11 +18,6 @@ use dmw_crypto::resolution::{
 };
 use dmw_crypto::Commitments;
 use dmw_simnet::Recipient;
-
-// dmw-lint: allow-file(L1-index): agent/task indices are validated at
-// `DmwAgent` construction and every per-agent vector is allocated with
-// length `n` up front (see `crate::agent`); per-site `.get()` plumbing
-// would bury the protocol equations.
 
 /// Complete once every designated discloser's `f`-column is in, for
 /// every task. Tasks flagged for the winner-claim fallback have no

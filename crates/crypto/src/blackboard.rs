@@ -155,12 +155,6 @@ pub fn honest_auction<R: Rng + ?Sized>(
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::cast_possible_truncation
-)]
 mod tests {
     use super::*;
     use proptest::prelude::*;

@@ -175,11 +175,9 @@ impl BidEncoding {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::cast_possible_truncation
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "tests compare `w_max` against small `usize` agent counts"
 )]
 mod tests {
     use super::*;

@@ -126,12 +126,6 @@ impl fmt::Display for CryptoError {
 impl Error for CryptoError {}
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::cast_possible_truncation
-)]
 mod tests {
     use super::*;
 

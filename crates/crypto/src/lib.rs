@@ -48,17 +48,26 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Protocol cryptography must not panic or silently truncate: failures
-// surface as `CryptoError`, and the workspace-level `warn` on these
-// lints escalates to a hard failure here (tests are exempted at each
-// `mod tests`). The dmw-lint pass enforces the complementary token-level
-// rules; see docs/static_analysis.md.
+// Protocol cryptography must not panic, and no cast may silently
+// truncate, wrap or drop a sign: failures surface as `CryptoError`, and
+// the workspace-level `warn` on these lints escalates to a hard failure
+// here (test code is exempted by the root clippy.toml; the cast lints
+// have no test exemption). See docs/static_analysis.md.
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
     clippy::indexing_slicing,
-    clippy::cast_possible_truncation
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
 )]
+// No wall-clock reads (clippy.toml's `disallowed-types`): `forbid`, so
+// no `#[allow]` can waive it.
+#![forbid(clippy::disallowed_types)]
 
 pub mod blackboard;
 pub mod commitments;

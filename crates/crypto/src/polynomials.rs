@@ -147,12 +147,6 @@ impl BidPolynomials {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::cast_possible_truncation
-)]
 mod tests {
     use super::*;
     use rand::SeedableRng;

@@ -288,12 +288,6 @@ pub fn exclude_winner(
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::cast_possible_truncation
-)]
 mod tests {
     use super::*;
     use crate::polynomials::BidPolynomials;

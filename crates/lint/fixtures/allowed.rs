@@ -1,15 +1,12 @@
-// Fixture: justified allowlist escapes. Never compiled; scanned by
-// tests/fixtures.rs as if it lived at crates/crypto/src/fixture.rs.
-// dmw-lint: allow-file(L1-index): fixture exercising the file-wide escape
+// Fixture: justified allowlist escapes for the waivable rules (L9, L10).
+// Never compiled; scanned by tests/fixtures.rs as if it lived at
+// crates/crypto/src/fixture.rs.
 
-fn with_escapes(x: Option<u64>, v: &[u64]) -> u64 {
-    // dmw-lint: allow(L1): construction guarantees presence in this fixture
-    let a = x.unwrap();
-    let b = v[0]; // suppressed by the allow-file directive above
-    a + b
+fn with_escapes(seen: &HashSet<u64>) -> usize {
+    // dmw-lint: allow(L10): only the count is observed, never the order
+    seen.iter().count()
 }
 
-fn trailing() -> u64 {
-    let mut rng = thread_rng(); // dmw-lint: allow(L4): fixture demonstrating a trailing allow
-    rng.gen()
+fn trailing(bid: u64, task: usize) -> Body {
+    Body::Disclose { task, f_values: vec![bid] } // dmw-lint: allow(L9): fixture demonstrating a trailing allow
 }

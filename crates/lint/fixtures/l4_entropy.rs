@@ -1,9 +1,12 @@
-// Fixture: every L4 shape. Never compiled; scanned by tests/fixtures.rs
-// under an arbitrary path (L4 applies everywhere).
+// Fixture: the L4 shape clippy owns, the `SystemTime` read. Checked by
+// tests/fixtures.rs under both clippy.toml files (root and bench
+// harness); the ambient RNG shapes (`thread_rng`, `from_entropy`,
+// `OsRng`) do not compile at all, see the doctests of vendor/rand.
 
-fn ambient_entropy() -> u64 {
-    let mut rng = rand::thread_rng();
-    let other = StdRng::from_entropy();
+use std::time::SystemTime;
+
+pub fn ambient_time() -> u64 {
     let now = SystemTime::now();
-    rng.gen()
+    let later = std::time::SystemTime::now();
+    u64::from(later >= now)
 }

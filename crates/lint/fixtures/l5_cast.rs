@@ -1,9 +1,12 @@
-// Fixture: L5 truncating casts. Never compiled; scanned by
-// tests/fixtures.rs as if it lived at crates/modmath/src/fixture.rs.
+// Fixture: L5 truncating, wrapping and sign-losing casts. Checked by tests/fixtures.rs
+// with clippy at the cast levels of the modmath and crypto crate roots.
 
-fn narrow(residue: u64) -> usize {
-    let small = residue as u32;
+pub fn narrow(residue: u64, small: u32, delta: i32) -> usize {
+    let short = residue as u32;
     let index = residue as usize;
-    let wide = residue as u128; // widening: legal
-    index + small as usize
+    let signed = small as i32;
+    let wide = residue as u128 + u128::from(short); // widening: legal
+    let reduced = (wide >> 1) as u64;
+    let magnitude = delta as u32;
+    index + usize::from(signed > 0) + usize::from(reduced > 0) + usize::from(magnitude > 0)
 }

@@ -1,10 +1,12 @@
-// Fixture: every L7 shape. Never compiled; scanned by tests/fixtures.rs
-// under a deterministic-crate path (L7 scopes to crates/{core,simnet,
-// crypto,obs}/src/). `SystemTime` also trips L4, which applies
-// everywhere; `Instant` is L7's own catch.
+// Fixture: every L7 shape. Checked by tests/fixtures.rs with clippy at
+// the crate-root level of the deterministic crates (core, simnet, crypto,
+// obs) under the root clippy.toml, and under the bench harness's
+// clippy.toml, which allows `Instant` but not `SystemTime`.
 
-fn wall_clock_reads() -> u64 {
+use std::time::SystemTime;
+
+pub fn wall_clock_reads() -> u64 {
     let started = std::time::Instant::now();
     let epoch = SystemTime::now();
-    started.elapsed().as_nanos() as u64
+    u64::from(epoch.elapsed().is_ok()) + started.elapsed().as_secs()
 }

@@ -4,20 +4,19 @@
 //! Grammar (line comments only):
 //!
 //! ```text
-//! // dmw-lint: allow(L1): justification text
-//! // dmw-lint: allow-file(L1-index): justification text
+//! // dmw-lint: allow(L10): justification text
 //! ```
 //!
-//! A plain `allow` suppresses matching findings on its own line and the
-//! line below (so the directive can sit above the offending statement or
-//! trail it). `allow-file` suppresses for the whole file and is accepted
-//! only for `L1-index`, where per-site annotation of structurally bounded
-//! indexing would drown the code in noise.
+//! An `allow` suppresses matching findings on its own line and the line
+//! below (so the directive can sit above the offending statement or
+//! trail it). Only the flow heuristics L9 and L10 are waivable. Waivers
+//! for the invariants clippy enforces are `#[expect(clippy::…, reason =
+//! "…")]` attributes in source instead.
 //!
 //! Directive misuse is itself reported as findings under the `allowlist`
 //! rule: unknown rule keys, `allow`s that suppress nothing, missing
-//! justifications, any attempt to allow `L2`/`L3`/`L6`/`L7`/`L8` (which
-//! are unconditional), and malformed `dmw-lint:` comments.
+//! justifications, any attempt to allow `L2`/`L6`/`L8`/`L11` (which are
+//! unconditional), and malformed `dmw-lint:` comments.
 
 use crate::lexer::Comment;
 use crate::rules::Finding;
@@ -26,16 +25,13 @@ use crate::rules::Finding;
 /// are flow heuristics over token shapes: a justified annotation at a
 /// genuinely-safe site (e.g. a set iterated only for membership counting)
 /// is better than weakening the rule for everyone.
-const ALLOWED_KEYS: &[&str] = &["L1", "L1-index", "L4", "L5", "L9", "L10"];
+const ALLOWED_KEYS: &[&str] = &["L9", "L10"];
 
 /// Rule keys that exist but must never be allowlisted. L11 is here
 /// because the phase-graph spec (`docs/phase_graph.toml`) *is* the escape
 /// hatch: an intended new transition belongs in the spec, not behind an
 /// allow comment.
-const UNWAIVABLE_KEYS: &[&str] = &["L2", "L3", "L6", "L7", "L8", "L11"];
-
-/// Keys `allow-file(...)` may name.
-const FILE_SCOPE_KEYS: &[&str] = &["L1-index"];
+const UNWAIVABLE_KEYS: &[&str] = &["L2", "L6", "L8", "L11"];
 
 /// A parsed `// dmw-lint: …` directive.
 #[derive(Debug, Clone)]
@@ -46,8 +42,14 @@ pub struct Directive {
     pub keys: Vec<String>,
     /// Justification text after the trailing `:` (trimmed), if any.
     pub justification: Option<String>,
-    /// True for `allow-file`.
-    pub file_scope: bool,
+}
+
+impl Directive {
+    /// Justified, and naming waivable keys only: the directive may
+    /// suppress findings.
+    fn is_valid(&self) -> bool {
+        self.justification.is_some() && self.keys.iter().all(|k| ALLOWED_KEYS.contains(&k.as_str()))
+    }
 }
 
 /// Extracts directives from a file's comments; malformed `dmw-lint:`
@@ -65,23 +67,15 @@ pub fn parse_directives(comments: &[Comment], errors: &mut Vec<Finding>) -> Vec<
             ));
             continue;
         }
-        let rest = rest.trim();
-        let (file_scope, rest) = match rest.strip_prefix("allow-file") {
-            Some(r) => (true, r),
-            None => match rest.strip_prefix("allow") {
-                Some(r) => (false, r),
-                None => {
-                    errors.push(misuse(
-                        c.line,
-                        "unknown dmw-lint directive — expected `allow(…)` or `allow-file(…)`",
-                    ));
-                    continue;
-                }
-            },
-        };
-        let rest = rest.trim_start();
-        let Some(rest) = rest.strip_prefix('(') else {
-            errors.push(misuse(c.line, "expected `(` after `allow`"));
+        let Some(rest) = rest
+            .trim()
+            .strip_prefix("allow")
+            .and_then(|r| r.trim_start().strip_prefix('('))
+        else {
+            errors.push(misuse(
+                c.line,
+                "unknown dmw-lint directive — expected `allow(…)`",
+            ));
             continue;
         };
         let Some(close) = rest.find(')') else {
@@ -106,7 +100,6 @@ pub fn parse_directives(comments: &[Comment], errors: &mut Vec<Finding>) -> Vec<
             line: c.line,
             keys,
             justification,
-            file_scope,
         });
     }
     out
@@ -128,11 +121,6 @@ pub fn apply(directives: &[Directive], findings: Vec<Finding>) -> Vec<Finding> {
                 ));
             } else if !ALLOWED_KEYS.contains(&key.as_str()) {
                 errors.push(misuse(d.line, &format!("unknown rule `{key}`")));
-            } else if d.file_scope && !FILE_SCOPE_KEYS.contains(&key.as_str()) {
-                errors.push(misuse(
-                    d.line,
-                    &format!("`allow-file` is only accepted for `L1-index`, not `{key}`"),
-                ));
             }
         }
         if d.justification.is_none() {
@@ -144,32 +132,19 @@ pub fn apply(directives: &[Directive], findings: Vec<Finding>) -> Vec<Finding> {
     }
 
     for f in findings {
-        let suppressed = directives.iter().enumerate().find(|(_, d)| {
-            let key_matches = d
-                .keys
-                .iter()
-                .any(|k| k == f.allow_key || (k == "L1" && f.allow_key == "L1-index"));
-            let valid = key_matches
-                && d.justification.is_some()
-                && d.keys.iter().all(|k| {
-                    ALLOWED_KEYS.contains(&k.as_str())
-                        && (!d.file_scope || FILE_SCOPE_KEYS.contains(&k.as_str()))
-                });
-            valid && (d.file_scope || d.line == f.line || d.line + 1 == f.line)
+        let suppressed = directives.iter().position(|d| {
+            d.is_valid()
+                && d.keys.iter().any(|k| k == f.rule)
+                && (d.line == f.line || d.line + 1 == f.line)
         });
         match suppressed {
-            Some((idx, _)) => used[idx] = true,
+            Some(idx) => used[idx] = true,
             None => kept.push(f),
         }
     }
 
     for (d, was_used) in directives.iter().zip(&used) {
-        let well_formed = d.justification.is_some()
-            && d.keys.iter().all(|k| {
-                ALLOWED_KEYS.contains(&k.as_str())
-                    && (!d.file_scope || FILE_SCOPE_KEYS.contains(&k.as_str()))
-            });
-        if well_formed && !was_used {
+        if d.is_valid() && !was_used {
             errors.push(misuse(
                 d.line,
                 "unused allow directive — delete it (stale allows hide future regressions)",
@@ -184,7 +159,6 @@ pub fn apply(directives: &[Directive], findings: Vec<Finding>) -> Vec<Finding> {
 fn misuse(line: u32, message: &str) -> Finding {
     Finding {
         rule: "allowlist",
-        allow_key: "allowlist",
         line,
         message: message.to_owned(),
     }
@@ -204,10 +178,9 @@ mod tests {
         out
     }
 
-    fn l1_at(line: u32) -> Finding {
+    fn l10_at(line: u32) -> Finding {
         Finding {
-            rule: "L1",
-            allow_key: "L1",
+            rule: "L10",
             line,
             message: "x".into(),
         }
@@ -215,24 +188,24 @@ mod tests {
 
     #[test]
     fn justified_allow_suppresses_same_and_next_line() {
-        let src = "// dmw-lint: allow(L1): startup-only invariant\nx.unwrap();";
-        assert!(check(src, vec![l1_at(2)]).is_empty());
-        let trailing = "x.unwrap(); // dmw-lint: allow(L1): startup-only invariant";
-        assert!(check(trailing, vec![l1_at(1)]).is_empty());
+        let src = "// dmw-lint: allow(L10): membership count only\nset.iter().count();";
+        assert!(check(src, vec![l10_at(2)]).is_empty());
+        let trailing = "set.iter().count(); // dmw-lint: allow(L10): membership count only";
+        assert!(check(trailing, vec![l10_at(1)]).is_empty());
     }
 
     #[test]
     fn allow_without_justification_is_an_error_and_does_not_suppress() {
-        let src = "// dmw-lint: allow(L1)\nx.unwrap();";
-        let out = check(src, vec![l1_at(2)]);
+        let src = "// dmw-lint: allow(L10)\nset.iter().count();";
+        let out = check(src, vec![l10_at(2)]);
         assert_eq!(out.len(), 2, "{out:?}");
         assert!(out.iter().any(|f| f.rule == "allowlist"));
-        assert!(out.iter().any(|f| f.rule == "L1"));
+        assert!(out.iter().any(|f| f.rule == "L10"));
     }
 
     #[test]
     fn l2_and_l3_cannot_be_allowed() {
-        for key in ["L2", "L3", "L6", "L7", "L8", "L11"] {
+        for key in ["L2", "L6", "L8", "L11"] {
             let src = format!("// dmw-lint: allow({key}): please\nlet x = a % b;");
             let out = check(&src, vec![]);
             assert!(
@@ -241,11 +214,22 @@ mod tests {
                 "{key}: {out:?}"
             );
         }
+        // L3 (and L1, L4, L5, L7) are clippy lints now: dmw-lint does not
+        // know them, so an allow naming one waives nothing.
+        for key in ["L1", "L3", "L4", "L5", "L7"] {
+            let src = format!("// dmw-lint: allow({key}): please\nlet x = 1;");
+            assert!(
+                check(&src, vec![])
+                    .iter()
+                    .any(|f| f.message.contains("unknown rule")),
+                "{key}"
+            );
+        }
     }
 
     #[test]
     fn unused_and_unknown_allows_are_errors() {
-        let unused = "// dmw-lint: allow(L4): no finding here\nlet x = 1;";
+        let unused = "// dmw-lint: allow(L10): no finding here\nlet x = 1;";
         assert!(check(unused, vec![])
             .iter()
             .any(|f| f.message.contains("unused")));
@@ -257,17 +241,16 @@ mod tests {
 
     #[test]
     fn allow_file_is_l1_index_only_and_file_wide() {
-        let src = "// dmw-lint: allow-file(L1-index): bounds checked at entry\n";
-        let far = Finding {
-            rule: "L1",
-            allow_key: "L1-index",
-            line: 400,
-            message: "x".into(),
-        };
-        assert!(check(src, vec![far]).is_empty());
-        let bad = "// dmw-lint: allow-file(L1): nope\n";
-        assert!(check(bad, vec![])
-            .iter()
-            .any(|f| f.message.contains("only accepted for")));
+        // Named for the retired `allow-file(L1-index)` form, which now
+        // waives nothing: file-wide waivers are `#![expect(clippy::…)]`
+        // attributes in source.
+        let src = "// dmw-lint: allow-file(L10): bounds checked at entry\n";
+        let out = check(src, vec![l10_at(400)]);
+        assert!(out.iter().any(|f| f.rule == "L10"), "{out:?}");
+        assert!(
+            out.iter()
+                .any(|f| f.message.contains("unknown dmw-lint directive")),
+            "{out:?}"
+        );
     }
 }

@@ -212,7 +212,6 @@ pub fn l10(tokens: &[Token], file: &ParsedFile) -> Vec<Finding> {
         let flag = |findings: &mut Vec<Finding>, line: u32, name: &str, how: &str| {
             findings.push(Finding {
                 rule: "L10",
-                allow_key: "L10",
                 line,
                 message: format!(
                     "{how} over hash-ordered `{name}` — iteration order is \
@@ -339,7 +338,6 @@ pub fn l9(
         for hit in fn_taint_hits(tokens, f, cfg, extra_sinks, true, &BTreeSet::new()) {
             findings.push(Finding {
                 rule: "L9",
-                allow_key: "L9",
                 line: hit.line,
                 message: format!(
                     "secret value `{}` reaches serialization sink `{}` — \

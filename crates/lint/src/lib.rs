@@ -1,21 +1,26 @@
 //! `dmw-lint` — workspace-wide protocol-invariant static analysis.
 //!
 //! The DMW protocol's safety rests on a handful of code-level invariants
-//! that the type system cannot express: no panic paths in protocol
-//! dispatch, no raw machine arithmetic on field residues, no wildcard
-//! dispatch over protocol enums, no ambient entropy, no truncating casts
-//! in the arithmetic core, no wall-clock reads in the deterministic
-//! crates, no unbudgeted retry loops in the reliability sublayer. This
-//! crate enforces them in two layers:
+//! that neither the type system nor clippy can express: no raw machine
+//! arithmetic on field residues, no round-number dispatch in the phase
+//! modules, no unbudgeted retry loops in the reliability sublayer, no
+//! secret reaching a serialization sink, no hash-order iteration in the
+//! deterministic crates, and no phase transition the spec does not
+//! declare. This crate enforces them in two layers:
 //!
-//! * **lexical** — a small Rust lexer ([`lexer`]), eight token-pattern
-//!   rules L1–L8 ([`rules`]) scoped to the modules where they are
-//!   unambiguous;
+//! * **lexical** — a small Rust lexer ([`lexer`]) and three token-pattern
+//!   rules, L2, L6 and L8 ([`rules`]), scoped to the modules where they
+//!   are unambiguous;
 //! * **flow-sensitive** — a token-tree parser ([`parse`]) feeding the
 //!   L9 secrecy-taint and L10 determinism-order passes ([`flow`],
 //!   configured by the checked-in `lint.toml`, see [`config`]) and the
 //!   L11 phase-graph conformance check ([`phase_graph`], against
 //!   `docs/phase_graph.toml`).
+//!
+//! The invariants clippy does express — no panic paths (L1), no wildcard
+//! arms (L3), no ambient entropy (L4), no truncating, wrapping or
+//! sign-losing casts (L5), no wall clock (L7) — are clippy lints with
+//! their levels set in source, so those rule numbers are unused here.
 //!
 //! A justified-allowlist escape hatch ([`allow`]) covers the waivable
 //! rules; findings render as human diagnostics or as a stable JSON
@@ -36,6 +41,10 @@ pub mod report;
 pub mod rules;
 pub mod toml_lite;
 
+#[cfg(test)]
+#[path = "../tests/support/clippy.rs"]
+mod clippy_probe;
+
 pub use config::LintConfig;
 pub use rules::Finding;
 
@@ -48,73 +57,35 @@ use std::path::{Path, PathBuf};
 /// fixtures.
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures"];
 
-/// Protocol-critical files inside `crates/core` (L1 scope).
-const CORE_CRITICAL: &[&str] = &[
-    "crates/core/src/codec.rs",
-    "crates/core/src/runner.rs",
-    "crates/core/src/agent.rs",
-    "crates/core/src/payment.rs",
-];
-
 /// A rule pass: tokens in, findings out.
 type Rule = fn(&[lexer::Token]) -> Vec<Finding>;
 
-/// Which rules police `path` (workspace-relative, `/`-separated).
+/// Which lexical rules police `path` (workspace-relative, `/`-separated).
 fn rules_for_path(path: &str) -> Vec<Rule> {
     let mut out: Vec<Rule> = Vec::new();
-    let in_crypto = path.starts_with("crates/crypto/src/");
-    let in_modmath = path.starts_with("crates/modmath/src/");
     // The typed phase state machine: the protocol equations moved here
     // from agent.rs, and its round-independence is what L6 protects.
     let in_phases = path.starts_with("crates/core/src/phases/");
+    let agent = path == "crates/core/src/agent.rs";
 
-    if in_crypto || in_phases || CORE_CRITICAL.contains(&path) {
-        out.push(rules::l1);
-    }
     // codec.rs is excluded from L2: byte/bit packing legitimately uses
     // `%` and shifts on lengths, never on field values.
-    if in_crypto
+    if path.starts_with("crates/crypto/src/")
         || in_phases
-        || [
-            "crates/core/src/agent.rs",
-            "crates/core/src/payment.rs",
-            "crates/core/src/runner.rs",
-        ]
-        .contains(&path)
+        || agent
+        || ["crates/core/src/payment.rs", "crates/core/src/runner.rs"].contains(&path)
     {
         out.push(rules::l2);
     }
-    if ["crates/core/src/codec.rs", "crates/core/src/runner.rs"].contains(&path) {
-        out.push(rules::l3);
-    }
-    out.push(rules::l4); // everywhere
-    if in_modmath || in_crypto {
-        out.push(rules::l5);
-    }
     // The scheduler (runner.rs) is the only module allowed to reason
     // about round numbers; the agent and its phases must not.
-    if in_phases || path == "crates/core/src/agent.rs" {
+    if in_phases || agent {
         out.push(rules::l6);
-    }
-    // The deterministic crates: protocol, simulated network, crypto and
-    // the metrics core all time themselves in logical ticks, so any
-    // wall-clock read there breaks replay. The bench harness is
-    // deliberately outside this scope — timing is its whole job.
-    let in_deterministic = [
-        "crates/core/src/",
-        "crates/simnet/src/",
-        "crates/crypto/src/",
-        "crates/obs/src/",
-    ]
-    .iter()
-    .any(|prefix| path.starts_with(prefix));
-    if in_deterministic {
-        out.push(rules::l7);
     }
     // The modules that may legitimately drive resends: the agent, its
     // phases, and the reliable-delivery sublayer itself. Every retry
     // loop there must be visibly bounded by a budget (L8).
-    if in_phases || ["crates/core/src/agent.rs", "crates/core/src/reliable.rs"].contains(&path) {
+    if in_phases || agent || path == "crates/core/src/reliable.rs" {
         out.push(rules::l8);
     }
     out
@@ -276,6 +247,7 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clippy_probe::{levels_in_source, sorted, L1, L3, L7};
 
     #[test]
     fn scoping_selects_the_documented_rule_sets() {
@@ -285,21 +257,49 @@ mod tests {
         assert_eq!(lint_source("crates/core/src/agent.rs", modsrc).len(), 1);
         assert!(lint_source("crates/core/src/codec.rs", modsrc).is_empty());
 
-        let wild = "fn g(m: M) -> u8 { match m { M::A => 1, _ => 2 } }";
-        assert_eq!(lint_source("crates/core/src/codec.rs", wild).len(), 1);
-        assert!(lint_source("crates/core/src/messages.rs", wild).is_empty());
+        // L3 is clippy's, `forbid` on the codec's `pub mod` line but not
+        // on the message vocabulary's; L7 is `forbid` at the crate root.
+        let core = include_str!("../../core/src/lib.rs");
+        assert_eq!(levels_in_source(core, Some("codec")), sorted(&[L1, L3]));
+        let messages = levels_in_source(core, Some("messages"));
+        assert!(L3.iter().all(|l| !messages.iter().any(|m| m == l)));
+        assert_eq!(levels_in_source(core, None), sorted(&[L7]));
+
+        // L6 fires in agent.rs but not in the scheduler.
+        let rounds = "fn g(round: u64) -> u8 { match round { 0 => 1, n => 2 } }";
+        assert_eq!(lint_source("crates/core/src/agent.rs", rounds).len(), 1);
+        assert!(lint_source("crates/core/src/runner.rs", rounds).is_empty());
     }
 
     #[test]
     fn l4_applies_everywhere() {
-        let src = "fn f() { let r = thread_rng(); }";
-        assert_eq!(lint_source("tests/src/lib.rs", src).len(), 1);
-        assert_eq!(lint_source("crates/simnet/src/net.rs", src).len(), 1);
+        // L4's `SystemTime` ban is clippy's `disallowed_types`: denied in
+        // every workspace member through `[workspace.lints]`, and listed
+        // in both clippy.toml files (root and bench harness).
+        let root = clippy_probe::root_conf();
+        let read =
+            |rel: &str| fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"));
+        let manifest = read("Cargo.toml");
+        assert!(manifest.contains("disallowed_types = \"deny\""));
+        let members = manifest
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix('"')?.strip_suffix("\","))
+            .filter(|m| !m.starts_with("vendor/"));
+        for member in members {
+            let crate_manifest = read(&format!("{member}/Cargo.toml"));
+            assert!(
+                crate_manifest.contains("[lints]\nworkspace = true"),
+                "{member} must opt into the workspace lints"
+            );
+        }
+        for conf in ["clippy.toml", "crates/bench/clippy.toml"] {
+            assert!(read(conf).contains("\"std::time::SystemTime\""), "{conf}");
+        }
     }
 
     #[test]
     fn findings_are_line_sorted() {
-        let src = "fn f() { x.unwrap();\n y.expect(\"z\"); }";
+        let src = "fn f() { x % y;\n y % z; }";
         let out = lint_source("crates/crypto/src/shares.rs", src);
         assert_eq!(out.len(), 2);
         assert!(out[0].line < out[1].line);

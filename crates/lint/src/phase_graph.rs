@@ -127,7 +127,6 @@ pub fn check_sources(
         path: path.to_owned(),
         finding: Finding {
             rule: "L11",
-            allow_key: "L11",
             line,
             message,
         },

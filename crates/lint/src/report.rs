@@ -9,7 +9,7 @@
 //!
 //! ```json
 //! {
-//!   "schema": "dmw-lint-report/v1",
+//!   "schema": "dmw-lint-report/v2",
 //!   "summary": { "total": 0, "by_rule": {} },
 //!   "findings": []
 //! }
@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Schema identifier emitted in every report.
-pub const SCHEMA: &str = "dmw-lint-report/v1";
+pub const SCHEMA: &str = "dmw-lint-report/v2";
 
 /// Renders findings as the stable JSON report (trailing newline
 /// included, so the file is POSIX-clean when written to disk).
@@ -55,11 +55,10 @@ pub fn to_json(findings: &[FileFinding]) -> String {
             let comma = if i == last { "" } else { "," };
             let _ = writeln!(
                 out,
-                "    {{ \"path\": {}, \"line\": {}, \"rule\": {}, \"allow_key\": {}, \"message\": {} }}{comma}",
+                "    {{ \"path\": {}, \"line\": {}, \"rule\": {}, \"message\": {} }}{comma}",
                 quote(&f.path),
                 f.finding.line,
                 quote(f.finding.rule),
-                quote(f.finding.allow_key),
                 quote(&f.finding.message),
             );
         }
@@ -100,7 +99,6 @@ mod tests {
             path: path.to_owned(),
             finding: Finding {
                 rule,
-                allow_key: rule,
                 line,
                 message: message.to_owned(),
             },
@@ -110,7 +108,7 @@ mod tests {
     #[test]
     fn empty_report_is_the_documented_fixed_point() {
         let json = to_json(&[]);
-        assert!(json.contains("\"schema\": \"dmw-lint-report/v1\""));
+        assert!(json.contains("\"schema\": \"dmw-lint-report/v2\""));
         assert!(json.contains("\"total\": 0"));
         assert!(json.contains("\"by_rule\": {}"));
         assert!(json.contains("\"findings\": []"));

@@ -2,10 +2,19 @@
 //! fixture produces nothing, and the allowlist escapes work end to end.
 //!
 //! The fixtures live in `crates/lint/fixtures/` (a directory the
-//! workspace walker skips) and are linted via [`dmw_lint::lint_source`]
-//! under synthetic in-scope paths, so these tests pin both the rule
-//! logic and the path scoping.
+//! workspace walker skips). The dmw-lint rules (L2, L6, L8–L11) lint
+//! them via [`dmw_lint::lint_source`] under synthetic in-scope paths, so
+//! these tests pin both the rule logic and the path scoping. The rules
+//! clippy enforces (L1, L3, L4, L5, L7) compile their fixtures with
+//! `clippy-driver` at the lint levels set in source, so these tests pin
+//! the exact `(line, lint)` set each mapping reports.
 
+#[path = "support/clippy.rs"]
+mod clippy_probe;
+
+use clippy_probe::{
+    bench_conf, clippy, levels_in_source, root_conf, sorted, L1, L3, L5, L7, WORKSPACE_L4,
+};
 use dmw_lint::{lint_source, Finding};
 
 fn lint_fixture(synthetic_path: &str, source: &str) -> Vec<Finding> {
@@ -16,21 +25,29 @@ fn rules_of(findings: &[Finding]) -> Vec<&'static str> {
     findings.iter().map(|f| f.rule).collect()
 }
 
+/// Expected `(line, lint)` pairs, in the order `clippy` sorts.
+fn at(pairs: &[(u32, &str)]) -> Vec<(u32, String)> {
+    pairs
+        .iter()
+        .map(|&(l, lint)| (l, lint.to_owned()))
+        .collect()
+}
+
 #[test]
 fn l1_fixture_catches_every_panic_shape() {
-    let findings = lint_fixture(
-        "crates/crypto/src/fixture.rs",
-        include_str!("../fixtures/l1_panic.rs"),
-    );
-    let rules = rules_of(&findings);
+    let found = clippy(include_str!("../fixtures/l1_panic.rs"), L1, &root_conf());
     assert_eq!(
-        rules.iter().filter(|r| **r == "L1").count(),
-        5,
-        "unwrap + expect + panic! + unreachable! + v[0]: {findings:?}"
-    );
-    assert!(
-        findings.iter().any(|f| f.allow_key == "L1-index"),
-        "indexing reports under the L1-index allow key: {findings:?}"
+        found,
+        at(&[
+            (5, "unwrap_used"),
+            (6, "expect_used"),
+            (8, "panic"),
+            (11, "unreachable"),
+            (13, "indexing_slicing"),
+            (17, "todo"),
+            (21, "unimplemented"),
+        ]),
+        "every shape outside the test module, none inside it"
     );
 }
 
@@ -49,90 +66,149 @@ fn l2_fixture_catches_raw_field_arithmetic() {
 
 #[test]
 fn l3_fixture_catches_wildcard_arm() {
-    let findings = lint_fixture(
-        "crates/core/src/codec.rs",
-        include_str!("../fixtures/l3_wildcard.rs"),
+    let found = clippy(include_str!("../fixtures/l3_wildcard.rs"), L3, &root_conf());
+    assert_eq!(
+        found,
+        at(&[
+            (9, "wildcard_enum_match_arm"),
+            (18, "match_wildcard_for_single_variants"),
+            (26, "wildcard_enum_match_arm"),
+        ]),
+        "`_` over many variants, `_` over one, a binding catch-all; \
+         exhaustive arms and `_` over a byte stay legal"
     );
-    assert_eq!(rules_of(&findings), vec!["L3"], "{findings:?}");
 }
 
 #[test]
 fn l4_fixture_catches_ambient_entropy() {
-    // In a deterministic crate the `SystemTime` read trips L7 as well
-    // (overlapping coverage is deliberate: L4 is waivable, L7 is not).
-    let findings = lint_fixture(
-        "crates/simnet/src/fixture.rs",
-        include_str!("../fixtures/l4_entropy.rs"),
-    );
-    assert_eq!(
-        rules_of(&findings),
-        vec!["L4", "L4", "L4", "L7"],
-        "thread_rng + from_entropy + SystemTime (+L7 overlap): {findings:?}"
-    );
-    // Outside the deterministic crates only L4 applies.
-    let findings = lint_fixture(
-        "crates/bench/src/fixture.rs",
-        include_str!("../fixtures/l4_entropy.rs"),
-    );
-    assert_eq!(
-        rules_of(&findings),
-        vec!["L4"; 3],
-        "thread_rng + from_entropy + SystemTime: {findings:?}"
-    );
+    // `SystemTime` is rejected everywhere: at the deterministic crates'
+    // `forbid` under the root clippy.toml, and at the workspace `deny`
+    // under the bench harness's clippy.toml.
+    let source = include_str!("../fixtures/l4_entropy.rs");
+    let expected = at(&[
+        (6, "disallowed_types"),
+        (9, "disallowed_types"),
+        (10, "disallowed_types"),
+    ]);
+    assert_eq!(clippy(source, L7, &root_conf()), expected);
+    assert_eq!(clippy(source, WORKSPACE_L4, &bench_conf()), expected);
+}
+
+/// The crate roots whose lint levels the docs list, by crate directory.
+const CRATE_ROOTS: &[(&str, &str)] = &[
+    ("core", include_str!("../../core/src/lib.rs")),
+    ("simnet", include_str!("../../simnet/src/lib.rs")),
+    ("crypto", include_str!("../../crypto/src/lib.rs")),
+    ("obs", include_str!("../../obs/src/lib.rs")),
+    ("modmath", include_str!("../../modmath/src/lib.rs")),
+    ("bench", include_str!("../../bench/src/lib.rs")),
+];
+
+fn crate_root(name: &str) -> &'static str {
+    CRATE_ROOTS
+        .iter()
+        .find(|(dir, _)| *dir == name)
+        .map(|(_, source)| *source)
+        .unwrap_or_else(|| panic!("no crate root for {name}"))
 }
 
 #[test]
 fn l7_fixture_catches_wall_clock_in_deterministic_crates_only() {
-    let source = include_str!("../fixtures/l7_wallclock.rs");
-    for path in [
-        "crates/core/src/fixture.rs",
-        "crates/simnet/src/fixture.rs",
-        "crates/crypto/src/fixture.rs",
-        "crates/obs/src/fixture.rs",
-    ] {
-        let findings = lint_fixture(path, source);
-        assert_eq!(
-            findings.iter().filter(|f| f.rule == "L7").count(),
-            2,
-            "{path}: Instant + SystemTime: {findings:?}"
+    // The deterministic crates forbid `disallowed_types` at their roots;
+    // the bench harness stays at the workspace `deny`.
+    for name in ["core", "simnet", "crypto", "obs"] {
+        assert!(
+            levels_in_source(crate_root(name), None).contains(&L7[0].to_owned()),
+            "{name} must forbid the wall clock at its crate root"
         );
     }
-    // The bench harness times wall clock by design: no L7 there (the
-    // fixture's `SystemTime` still trips the everywhere-scoped L4).
-    let findings = lint_fixture("crates/bench/src/fixture.rs", source);
-    assert!(
-        findings.iter().all(|f| f.rule != "L7"),
-        "L7 must not police the bench harness: {findings:?}"
+    assert!(levels_in_source(crate_root("bench"), None).is_empty());
+    let source = include_str!("../fixtures/l7_wallclock.rs");
+    assert_eq!(
+        clippy(source, L7, &root_conf()),
+        at(&[
+            (6, "disallowed_types"),
+            (9, "disallowed_types"),
+            (10, "disallowed_types"),
+        ]),
+        "the `use`, `Instant::now` and `SystemTime::now`"
+    );
+    // The bench harness times wall clock by design: its clippy.toml
+    // allows `Instant`, while `SystemTime` stays rejected.
+    assert_eq!(
+        clippy(source, WORKSPACE_L4, &bench_conf()),
+        at(&[(6, "disallowed_types"), (10, "disallowed_types")])
     );
 }
 
 #[test]
 fn l7_allows_are_rejected_even_with_justification() {
-    let source = "// dmw-lint: allow(L7): very good reason\nlet t = Instant::now();\n";
-    let findings = lint_fixture("crates/obs/src/fixture.rs", source);
-    assert!(
-        findings.iter().any(|f| f.rule == "L7"),
-        "the violation survives: {findings:?}"
-    );
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.rule == "allowlist" && f.message.contains("cannot be allowlisted")),
-        "{findings:?}"
-    );
+    // `forbid` makes the waiver itself a compile error (E0453).
+    let source = "#[allow(clippy::disallowed_types, reason = \"very good reason\")]\n\
+                  pub fn f() -> std::time::Instant { std::time::Instant::now() }\n";
+    let found = clippy(source, L7, &root_conf());
+    assert!(found.contains(&(1, "E0453".to_owned())), "{found:?}");
 }
 
 #[test]
 fn l5_fixture_catches_narrowing_casts_only() {
-    let findings = lint_fixture(
-        "crates/modmath/src/fixture.rs",
-        include_str!("../fixtures/l5_cast.rs"),
-    );
+    let found = clippy(include_str!("../fixtures/l5_cast.rs"), L5, &root_conf());
     assert_eq!(
-        rules_of(&findings),
-        vec!["L5"; 3],
-        "as u32 / as usize twice; as u128 stays legal: {findings:?}"
+        found,
+        at(&[
+            (5, "cast_possible_truncation"),
+            (6, "cast_possible_truncation"),
+            (7, "cast_possible_wrap"),
+            (9, "cast_possible_truncation"),
+            (10, "cast_sign_loss"),
+        ]),
+        "u64 as u32 / u64 as usize / u32 as i32 / u128 as u64 / i32 as u32; \
+         widening casts stay legal"
     );
+}
+
+#[test]
+fn lint_levels_set_in_source_are_the_probed_levels() {
+    // The fixture tests above compile at the probe's levels; this pins
+    // those levels to the attributes in source, so dropping one from a
+    // `pub mod` line or a crate root fails here.
+    let core = crate_root("core");
+    let modules: Vec<&str> = core
+        .lines()
+        .filter_map(|line| line.strip_prefix("pub mod ")?.strip_suffix(';'))
+        .collect();
+    assert!(modules.contains(&"messages"), "{modules:?}");
+    for module in modules {
+        let expected = match module {
+            "agent" | "payment" | "phases" => sorted(&[L1]),
+            "codec" | "runner" => sorted(&[L1, L3]),
+            _ => Vec::new(),
+        };
+        assert_eq!(
+            levels_in_source(core, Some(module)),
+            expected,
+            "`pub mod {module}` in crates/core/src/lib.rs"
+        );
+    }
+    let modmath_l1 = &[
+        "-Dclippy::unwrap_used",
+        "-Dclippy::expect_used",
+        "-Dclippy::indexing_slicing",
+    ][..];
+    for (name, expected) in [
+        ("core", sorted(&[L7])),
+        ("simnet", sorted(&[L7])),
+        ("obs", sorted(&[L7])),
+        ("crypto", sorted(&[L1, L5, L7])),
+        ("modmath", sorted(&[modmath_l1, L5])),
+        ("bench", Vec::new()),
+    ] {
+        assert_eq!(
+            levels_in_source(crate_root(name), None),
+            expected,
+            "crate root of {name}"
+        );
+    }
 }
 
 #[test]
@@ -195,11 +271,12 @@ fn l8_allows_are_rejected_even_with_justification() {
 
 #[test]
 fn clean_fixture_is_clean_under_the_strictest_scope() {
-    let findings = lint_fixture(
-        "crates/crypto/src/fixture.rs",
-        include_str!("../fixtures/clean.rs"),
-    );
+    let source = include_str!("../fixtures/clean.rs");
+    let findings = lint_fixture("crates/crypto/src/fixture.rs", source);
     assert!(findings.is_empty(), "{findings:?}");
+    let levels = [L1, L3, L5, L7].concat();
+    let found = clippy(source, &levels, &root_conf());
+    assert!(found.is_empty(), "{found:?}");
 }
 
 #[test]
@@ -214,10 +291,10 @@ fn allowlist_escapes_suppress_with_justification() {
 #[test]
 fn stripping_the_justification_revives_the_finding() {
     let source = include_str!("../fixtures/allowed.rs")
-        .replace(": construction guarantees presence in this fixture", "");
+        .replace(": only the count is observed, never the order", "");
     let findings = lint_fixture("crates/crypto/src/fixture.rs", &source);
     assert!(
-        findings.iter().any(|f| f.rule == "L1"),
+        findings.iter().any(|f| f.rule == "L10"),
         "unjustified allow must not suppress: {findings:?}"
     );
     assert!(
@@ -381,4 +458,10 @@ fn l2_and_l3_allows_are_rejected_even_with_justification() {
             .any(|f| f.rule == "allowlist" && f.message.contains("cannot be allowlisted")),
         "{findings:?}"
     );
+    // L3 is `forbid` on the codec and the runner: an `#[allow]` is E0453.
+    let source = "pub enum E { A, B, C }\n\
+                  #[allow(clippy::wildcard_enum_match_arm, reason = \"very good reason\")]\n\
+                  pub fn f(e: E) -> u8 { match e { E::A => 1, _ => 0 } }\n";
+    let found = clippy(source, L3, &root_conf());
+    assert!(found.contains(&(2, "E0453".to_owned())), "{found:?}");
 }

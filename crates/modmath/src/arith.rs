@@ -23,8 +23,10 @@ pub fn add_mod(a: u64, b: u64, m: u64) -> u64 {
     ops::record_add();
     let s = a as u128 + b as u128;
     let m128 = m as u128;
-    // In range: the conditional subtraction leaves a value `< m <= u64::MAX`.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "in range: the conditional subtraction leaves a value `< m <= u64::MAX`"
+    )]
     {
         (if s >= m128 { s - m128 } else { s }) as u64
     }
@@ -57,8 +59,10 @@ pub fn sub_mod(a: u64, b: u64, m: u64) -> u64 {
 pub fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
     debug_assert!(a < m && b < m);
     ops::record_mul();
-    // In range: the residue of `% m` is `< m <= u64::MAX`.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "in range: the residue of `% m` is `< m <= u64::MAX`"
+    )]
     {
         ((a as u128 * b as u128) % m as u128) as u64
     }
@@ -144,18 +148,15 @@ pub fn inv_mod(a: u64, m: u64) -> Option<u64> {
     }
     let m128 = m as i128;
     let inv = ((old_s % m128) + m128) % m128;
-    // In range: `inv` lies in `[0, m)` and `m` fits in u64.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "in range: `inv` lies in `[0, m)` and `m` fits in u64"
+    )]
     Some(inv as u64)
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::cast_possible_truncation
-)]
 mod tests {
     use super::*;
     use proptest::prelude::*;

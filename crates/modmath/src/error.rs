@@ -88,12 +88,6 @@ impl fmt::Display for ModMathError {
 impl Error for ModMathError {}
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::cast_possible_truncation
-)]
 mod tests {
     use super::*;
 

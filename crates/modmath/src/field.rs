@@ -76,8 +76,11 @@ impl PrimeField {
     /// constants appearing in Lagrange coefficients).
     pub fn reduce_i128(&self, v: i128) -> u64 {
         let m = self.modulus as i128;
-        // In range: `((v % m) + m) % m` lies in `[0, m)` and `m` fits in u64.
-        #[allow(clippy::cast_possible_truncation)]
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "in range: `((v % m) + m) % m` lies in `[0, m)` and `m` fits in u64"
+        )]
         {
             (((v % m) + m) % m) as u64
         }
@@ -178,12 +181,6 @@ impl PrimeField {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::cast_possible_truncation
-)]
 mod tests {
     use super::*;
     use proptest::prelude::*;

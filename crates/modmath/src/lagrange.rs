@@ -223,12 +223,6 @@ pub fn resolve_zero_degree_among(
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::cast_possible_truncation
-)]
 mod tests {
     use super::*;
     use crate::poly::Poly;

@@ -45,16 +45,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// The arithmetic core must not panic or silently truncate: every residue
-// operation returns through typed errors, and the workspace-level `warn`
-// on these lints escalates to a hard failure here (tests are exempted at
-// each `mod tests`). The dmw-lint pass enforces the complementary
-// token-level rules; see docs/static_analysis.md.
+// The arithmetic core must not panic, and no cast may silently truncate,
+// wrap or drop a sign: every residue operation returns through typed
+// errors, and the workspace-level `warn` on these lints escalates to a
+// hard failure here (test code is exempted by the root clippy.toml; the
+// cast lints have no test exemption). See docs/static_analysis.md.
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::indexing_slicing,
-    clippy::cast_possible_truncation
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
 )]
 
 pub mod arith;

@@ -58,12 +58,6 @@ pub fn multi_pow(field: &PrimeField, bases: &[u64], exps: &[u64]) -> u64 {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::cast_possible_truncation
-)]
 mod tests {
     use super::*;
     use crate::ops;

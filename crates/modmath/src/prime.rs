@@ -17,8 +17,10 @@ const WITNESSES: [u64; 12] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37];
 /// Table 1 computation measurements.
 #[inline]
 fn mul_raw(a: u64, b: u64, m: u64) -> u64 {
-    // In range: the residue of `% m` is `< m <= u64::MAX`.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "in range: the residue of `% m` is `< m <= u64::MAX`"
+    )]
     {
         ((a as u128 * b as u128) % m as u128) as u64
     }
@@ -147,12 +149,6 @@ pub fn random_prime<R: Rng + ?Sized>(bits: u32, rng: &mut R) -> u64 {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::cast_possible_truncation
-)]
 mod tests {
     use super::*;
     use proptest::prelude::*;

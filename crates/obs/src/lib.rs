@@ -8,9 +8,10 @@
 //! executions of the same seed produce byte-identical
 //! [`MetricsSnapshot`]s regardless of host load, thread count or
 //! transport timing model (see `tests/tests/metrics_determinism.rs`).
-//! Wall-clock timing exists only in the bench layer, and the static
-//! lint rule L7 (`dmw-lint`) denies `std::time::{Instant, SystemTime}`
-//! in every crate this one feeds.
+//! Wall-clock timing exists only in the bench layer: clippy's
+//! `disallowed_types` (configured in the root `clippy.toml`) rejects
+//! `std::time::{Instant, SystemTime}`, and this crate and every crate it
+//! feeds forbid that lint at their roots, so no `#[allow]` can waive it.
 //!
 //! ## Model
 //!
@@ -30,6 +31,8 @@
 //! [`MetricsSnapshot::absorb`] plus `Add`/`AddAssign`/`Sum` impls, so
 //! the batch harness can fold per-trial snapshots with the same
 //! `.sum()` it already uses for traffic totals.
+
+#![forbid(clippy::disallowed_types)]
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -43,6 +43,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// No wall-clock reads (clippy.toml's `disallowed-types`): `forbid`, so
+// no `#[allow]` can waive it.
+#![forbid(clippy::disallowed_types)]
 
 pub mod delay;
 pub mod faults;

@@ -5,14 +5,17 @@
 #   1. cargo fmt --check          -- formatting drift
 #   2. cargo clippy               -- warnings are errors workspace-wide;
 #      the four panic/truncation lints are advisory (`-A`) at this layer
-#      because crates/{modmath,crypto} already escalate them to `#![deny]`
-#      at their crate roots (source attributes outrank these CLI flags)
-#      and the protocol-critical modules of `dmw` are policed by dmw-lint
+#      so non-protocol crates only surface them. The protocol levels live
+#      in source and outrank these CLI flags: `#![deny]`/`#![forbid]` at
+#      the crate roots of modmath, crypto, core, simnet and obs, and
+#      `#[deny]`/`#[forbid]` on the protocol-critical `pub mod` lines of
+#      crates/core/src/lib.rs (rules L1, L3, L5, L7); `disallowed_types`
+#      is `deny` in [workspace.lints] (L4), configured by clippy.toml
 #   3. cargo doc                  -- rustdoc warnings (broken intra-doc
 #      links, missing docs) are errors
-#   4. dmw-lint                   -- protocol-invariant rules L1-L11
-#      (lexical L1-L8 plus flow-sensitive L9 secrecy-taint, L10
-#      determinism-order and L11 phase-graph conformance), then the
+#   4. dmw-lint                   -- protocol-invariant rules L2, L6,
+#      L8-L11 (lexical L2, L6, L8 plus flow-sensitive L9 secrecy-taint,
+#      L10 determinism-order and L11 phase-graph conformance), then the
 #      stable JSON report is regenerated and compared against the
 #      committed docs/lint_report.json -- a stale report fails the gate
 #   5. cargo build -p dmw-examples --bins
@@ -26,7 +29,8 @@
 #      delivery + graceful degradation over the seeded fault matrix),
 #      isolated so a recovery regression is named before the full suite
 #   8. cargo test                 -- full workspace suite (which re-runs
-#      dmw-lint as an integration test, so CI cannot skip it)
+#      dmw-lint, and clippy over all targets at the levels set in
+#      source, as integration tests, so CI cannot skip them)
 #   9. bench_batch --smoke        -- the batch engine end-to-end on a tiny
 #      instance, exiting non-zero if thread counts disagree or the
 #      adaptive recovery layer exceeds its retransmission/duplicate

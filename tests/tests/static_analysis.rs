@@ -1,13 +1,15 @@
-//! Tier-1 enforcement of the protocol-invariant lints: `cargo test` fails
-//! if any workspace source violates rules L1–L11 (see
+//! Tier-1 enforcement of the protocol invariants: `cargo test` fails if
+//! any workspace source violates a dmw-lint rule (L2, L6, L8–L11) or a
+//! clippy lint at the level set in source (L1, L3, L4, L5, L7; see
 //! `docs/static_analysis.md`), so a violation cannot merge even when the
 //! `scripts/check.sh` gate is skipped. Alongside the clean-workspace
-//! assertion, this suite pins the *other* direction: an injected
+//! assertions, this suite pins the *other* direction: an injected
 //! violation per flow-sensitive family (L9, L10, L11) must fail, and the
 //! committed JSON report must match the workspace byte for byte.
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 fn workspace_root() -> PathBuf {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -35,6 +37,41 @@ fn workspace_has_no_lint_violations() {
             .map(ToString::to_string)
             .collect::<Vec<_>>()
             .join("\n")
+    );
+}
+
+#[test]
+fn workspace_passes_clippy_at_the_levels_set_in_source() {
+    // `-A warnings` keeps the advisory `warn` tier quiet; every `deny`
+    // and `forbid` set in source or in `[workspace.lints]` still fails,
+    // and so does an `#[expect]` waiver that no longer suppresses
+    // anything. A separate target directory keeps this nested build from
+    // waiting on the lock of the one running the tests.
+    let root = workspace_root();
+    let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
+    let out = Command::new(cargo)
+        .current_dir(&root)
+        .env("CARGO_TARGET_DIR", root.join("target/clippy-tier1"))
+        .args([
+            "clippy",
+            "--offline",
+            "--quiet",
+            "--workspace",
+            "--all-targets",
+        ])
+        .args([
+            "--",
+            "-A",
+            "warnings",
+            "-D",
+            "unfulfilled_lint_expectations",
+        ])
+        .output()
+        .expect("cargo clippy runs (tier 1 needs the clippy component)");
+    assert!(
+        out.status.success(),
+        "clippy rejected the workspace:\n{}",
+        String::from_utf8_lossy(&out.stderr)
     );
 }
 
