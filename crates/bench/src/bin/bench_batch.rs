@@ -2,9 +2,9 @@
 //!
 //! Times the identical trial batch at several thread counts,
 //! cross-checks bit-identity of the results, and emits the
-//! `dmw-bench-batch/v4` JSON baseline — wall-clock timings plus a
-//! deterministic per-phase breakdown and the before/after (classic vs
-//! adaptive endpoints) recovery comparison (see `docs/benchmarks.md`):
+//! `dmw-bench-batch/v5` JSON baseline — wall-clock timings plus a
+//! deterministic per-phase breakdown and the recovery counters (see
+//! `docs/benchmarks.md`):
 //!
 //! ```text
 //! cargo run --release -p dmw-bench --bin bench_batch -- --out BENCH_batch.json
@@ -20,7 +20,7 @@
 //! <path>` (write the JSON baseline; omitted = print to stdout),
 //! `--smoke` (tiny instance, no file output — the `check.sh` gate),
 //! `--max-retransmissions <N>` / `--max-duplicates <N>` (recovery
-//! regression ceilings: fail when the adaptive batch exceeds them).
+//! regression ceilings: fail when the batch exceeds them).
 //! Exits non-zero if any thread count produced results differing from
 //! the sequential reference, or a recovery ceiling is exceeded.
 
@@ -144,7 +144,7 @@ fn main() {
         eprintln!("bench_batch: FAILED — thread counts disagreed on trial results");
         std::process::exit(1);
     }
-    // Recovery regression ceilings: the adaptive endpoints must stay
+    // Recovery regression ceilings: the reliable endpoints must stay
     // under the committed recovery-traffic budget.
     let mut over_ceiling = false;
     for (name, ceiling) in [

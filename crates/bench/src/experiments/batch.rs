@@ -8,19 +8,13 @@
 //! sweep). [`measure`] times the *same* trial batch at several thread
 //! counts and cross-checks that every width produces bit-identical
 //! results; [`Baseline::to_json`] serializes the measurement into the
-//! `dmw-bench-batch/v4` schema documented in `docs/benchmarks.md` —
-//! v2 added a per-phase breakdown (messages, bytes, dwell ticks)
-//! aggregated from the deterministic `dmw-obs` metrics every run
-//! carries; v3 added the chaos workload (reliable delivery over a seeded
-//! fault matrix, with a crash rotation exercising graceful degradation)
-//! and a `recovery` block of retransmit/ack/degradation counters; v4
-//! turns that block into a `before`/`after` comparison — the same chaos
-//! batch replayed once through the classic v3 fixed-backoff endpoints
-//! (`before`, untimed) and once through the adaptive endpoints
-//! (`after`: RTT-derived timeouts, selective acks, nack fast path,
-//! coalesced repair), quantifying the recovery-overhead diet. Recovery
-//! control traffic also gets its own `control` row in the `phases`
-//! table, keeping protocol-phase traffic comparable with v3 artifacts.
+//! `dmw-bench-batch/v5` schema documented in `docs/benchmarks.md` —
+//! a per-phase breakdown (messages, bytes, dwell ticks) aggregated from
+//! the deterministic `dmw-obs` metrics every run carries, with recovery
+//! control traffic in its own `control` row, and for the chaos workload
+//! (reliable delivery over a seeded fault matrix, with a crash rotation
+//! exercising graceful degradation) a `recovery` block of
+//! retransmit/ack/degradation counters.
 //!
 //! The [`run`] report (the `batch-engine` subcommand of `reproduce`)
 //! deliberately contains **no wall-clock numbers** so that
@@ -95,15 +89,9 @@ pub struct Baseline {
     /// Whole-batch traffic, aggregated over every trial.
     pub traffic: NetworkStats,
     /// Deterministic `dmw-obs` metrics, aggregated over every trial —
-    /// the source of the per-phase breakdown (added in schema v2) and
-    /// of the `recovery.after` block (`dmw-bench-batch/v4`).
+    /// the source of the per-phase breakdown and of the `recovery`
+    /// block.
     pub metrics: MetricsSnapshot,
-    /// Chaos workloads only: the same batch replayed sequentially
-    /// through the classic v3 fixed-backoff endpoints — the
-    /// `recovery.before` arm of the v4 comparison. Untimed on purpose:
-    /// it exists to count recovery traffic, not to skew the wall-clock
-    /// rows. `None` for honest workloads.
-    pub classic_metrics: Option<MetricsSnapshot>,
 }
 
 /// Runs `trials` honest trials through [`BatchRunner`] at each requested
@@ -178,16 +166,6 @@ pub fn measure(seed: u64, workload: Workload, thread_counts: &[usize]) -> Baseli
         .filter_map(|r| r.as_ref().ok().map(|run| run.network))
         .sum();
     let metrics = aggregate_metrics(&reference);
-    // The `before` arm of the v4 recovery comparison: the identical
-    // chaos batch through the classic fixed-backoff endpoints,
-    // sequential and untimed. Both modes repair to the same outcomes
-    // (the reliable sublayer is outcome-invariant); only the recovery
-    // traffic differs, which is exactly what the block quantifies.
-    let classic_metrics = workload.chaos.then(|| {
-        let classic_runner = runner.clone().with_classic_recovery(true);
-        let results = BatchRunner::with_threads(1).run_trials(&classic_runner, seed, &trials);
-        aggregate_metrics(&results)
-    });
     Baseline {
         seed,
         workload,
@@ -198,7 +176,6 @@ pub fn measure(seed: u64, workload: Workload, thread_counts: &[usize]) -> Baseli
         degraded_trials,
         traffic,
         metrics,
-        classic_metrics,
     }
 }
 
@@ -218,7 +195,7 @@ fn equal_outcomes(a: &[Result<DmwRun, DmwError>], b: &[Result<DmwRun, DmwError>]
         })
 }
 
-/// The per-phase rows of the `phases` breakdown (schema v2+): every phase that
+/// The per-phase rows of the `phases` breakdown: every phase that
 /// recorded messages, bytes or dwell ticks, in deterministic (sorted)
 /// phase-label order, with the three counters summed over all agents.
 fn phase_breakdown(metrics: &MetricsSnapshot) -> Vec<(&'static str, u64, u64, u64)> {
@@ -244,8 +221,8 @@ fn phase_breakdown(metrics: &MetricsSnapshot) -> Vec<(&'static str, u64, u64, u6
         .collect()
 }
 
-/// The recovery counters of one endpoint mode, in the order the v4
-/// `before`/`after` blocks serialize them.
+/// The recovery counters, in the order the `recovery` block serializes
+/// them.
 pub const RECOVERY_COUNTERS: &[&str] = &[
     "retransmissions",
     "repair_payloads",
@@ -261,30 +238,17 @@ pub const RECOVERY_COUNTERS: &[&str] = &[
     "recovery_rounds",
 ];
 
-/// Serializes one arm of the v4 recovery comparison as a JSON object
-/// (with `indent` leading spaces inside it).
-fn recovery_arm(metrics: &MetricsSnapshot, indent: usize) -> String {
-    let pad = " ".repeat(indent);
-    let rows: Vec<String> = RECOVERY_COUNTERS
-        .iter()
-        .map(|name| format!("{pad}  \"{name}\": {}", metrics.counter_total(name)))
-        .collect();
-    format!("{{\n{}\n{pad}}}", rows.join(",\n"))
-}
-
 impl Baseline {
-    /// Serializes to the `dmw-bench-batch/v4` JSON schema (see
-    /// `docs/benchmarks.md`): v2's per-phase `phases` breakdown (plus
-    /// the `control` row for recovery traffic), v3's workload `chaos`
-    /// flag and `degraded_trials` count, and the v4 `recovery` object —
-    /// a `before` (classic v3 endpoints, `null` for honest workloads)
-    /// vs `after` (adaptive endpoints) comparison of the
+    /// Serializes to the `dmw-bench-batch/v5` JSON schema (see
+    /// `docs/benchmarks.md`): the per-phase `phases` breakdown (with
+    /// the `control` row for recovery traffic), the workload `chaos`
+    /// flag, the `degraded_trials` count, and the `recovery` object of
     /// reliable-delivery and graceful-degradation counters aggregated
     /// over the whole batch.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str("  \"schema\": \"dmw-bench-batch/v4\",\n");
+        out.push_str("  \"schema\": \"dmw-bench-batch/v5\",\n");
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
         out.push_str("  \"workload\": {\n");
         let experiment = if self.workload.chaos {
@@ -328,17 +292,12 @@ impl Baseline {
             self.degraded_trials
         ));
         out.push_str("  \"recovery\": {\n");
-        match &self.classic_metrics {
-            Some(classic) => {
-                out.push_str(&format!("    \"before\": {},\n", recovery_arm(classic, 4)));
-            }
-            None => out.push_str("    \"before\": null,\n"),
-        }
-        out.push_str(&format!(
-            "    \"after\": {}\n",
-            recovery_arm(&self.metrics, 4)
-        ));
-        out.push_str("  },\n");
+        let recovery_rows: Vec<String> = RECOVERY_COUNTERS
+            .iter()
+            .map(|name| format!("    \"{name}\": {}", self.metrics.counter_total(name)))
+            .collect();
+        out.push_str(&recovery_rows.join(",\n"));
+        out.push_str("\n  },\n");
         out.push_str("  \"aggregate_traffic\": {\n");
         out.push_str(&format!(
             "    \"messages\": {},\n",
@@ -420,20 +379,15 @@ pub fn run(seed: u64) -> Report {
     let recovery_rows: Vec<Vec<String>> = RECOVERY_COUNTERS
         .iter()
         .map(|name| {
-            let before = baseline
-                .classic_metrics
-                .as_ref()
-                .map_or_else(|| "-".to_string(), |m| m.counter_total(name).to_string());
             vec![
                 (*name).to_string(),
-                before,
                 baseline.metrics.counter_total(name).to_string(),
             ]
         })
         .collect();
     report.table(
-        "recovery overhead, classic fixed-backoff (before) vs adaptive (after) endpoints",
-        &["counter", "before (classic)", "after (adaptive)"],
+        "recovery overhead, aggregated over the whole batch",
+        &["counter", "total"],
         recovery_rows,
     );
     let phase_rows: Vec<Vec<String>> = phase_breakdown(&baseline.metrics)
@@ -497,25 +451,13 @@ mod tests {
         assert_eq!(baseline.degraded_trials, 1);
         assert!(baseline.metrics.counter_total("retransmissions") > 0);
         assert_eq!(baseline.metrics.counter_total("degraded_runs"), 1);
-        // The classic replay exists for chaos workloads, repairs the
-        // same trials (same degradations), and spends strictly more
-        // recovery traffic than the adaptive endpoints.
-        let classic = baseline.classic_metrics.as_ref().expect("before arm");
-        assert_eq!(classic.counter_total("degraded_runs"), 1);
-        assert!(
-            classic.counter_total("retransmissions")
-                > baseline.metrics.counter_total("retransmissions")
-        );
-        assert!(
-            classic.counter_total("duplicate_deliveries")
-                >= baseline.metrics.counter_total("duplicate_deliveries")
-        );
-        assert_eq!(classic.counter_total("rtt_samples"), 0);
         assert!(baseline.metrics.counter_total("rtt_samples") > 0);
     }
 
     #[test]
     fn json_has_the_v4_shape() {
+        // The id predates schema v5 and is kept stable across schema
+        // bumps; the needles below pin the current (v5) shape.
         let workload = Workload {
             agents: 4,
             faults: 0,
@@ -525,7 +467,7 @@ mod tests {
         };
         let json = measure(6, workload, &[1, 2]).to_json();
         for needle in [
-            "\"schema\": \"dmw-bench-batch/v4\"",
+            "\"schema\": \"dmw-bench-batch/v5\"",
             "\"experiment\": \"honest-trial-sweep\"",
             "\"trials\": 3",
             "\"chaos\": false",
@@ -535,8 +477,6 @@ mod tests {
             "\"available_parallelism\"",
             "\"degraded_trials\": 0",
             "\"recovery\": {",
-            "\"before\": null",
-            "\"after\": {",
             "\"retransmissions\": 0",
             "\"suppressed_retransmits\": 0",
             "\"nacks_sent\": 0",
@@ -551,6 +491,8 @@ mod tests {
 
     #[test]
     fn chaos_json_carries_both_recovery_arms() {
+        // Recovery shows up twice in a chaos baseline: the `recovery`
+        // counter block and the `control` row of the phase table.
         let workload = Workload {
             agents: 4,
             faults: 0,
@@ -558,10 +500,16 @@ mod tests {
             trials: 2,
             chaos: true,
         };
-        let json = measure(8, workload, &[1]).to_json();
-        assert!(json.contains("\"before\": {"), "classic arm missing");
-        assert!(json.contains("\"after\": {"), "adaptive arm missing");
-        assert!(!json.contains("\"before\": null"));
+        let baseline = measure(8, workload, &[1]);
+        let json = baseline.to_json();
+        for name in RECOVERY_COUNTERS {
+            let total = baseline.metrics.counter_total(name);
+            assert!(
+                json.contains(&format!("    \"{name}\": {total}")),
+                "recovery counter {name} = {total} missing in {json}"
+            );
+        }
+        assert!(baseline.metrics.counter_total("retransmissions") > 0);
         assert!(
             json.contains("\"control\": { \"messages\": "),
             "recovery control traffic gets its own phase row"

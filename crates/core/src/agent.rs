@@ -162,9 +162,6 @@ pub struct DmwAgent {
     pub(crate) faulty: Vec<bool>,
     /// My computed payment claim (bid units), present once Done.
     pub(crate) claim: Option<Vec<u64>>,
-    /// Threads the Phase III.1 share-verification batch fans over
-    /// (`1` = sequential, the default).
-    pub(crate) verify_width: usize,
     /// Current phase of the typed state machine.
     pub(crate) phase: Phase,
     /// First tick whose poll counts toward the current phase's dwell
@@ -246,7 +243,6 @@ impl DmwAgent {
             alive: vec![false; n],
             faulty: vec![false; n],
             claim: None,
-            verify_width: 1,
             phase: Phase::Bidding,
             phase_entered: 0,
             auto_now: 0,
@@ -254,16 +250,6 @@ impl DmwAgent {
             acted_phase: Phase::Bidding.label(),
             metrics: MetricsSnapshot::default(),
         }
-    }
-
-    /// Sets how many threads the Phase III.1 share-verification batch
-    /// fans over. Width never changes what is detected — see
-    /// [`dmw_crypto::commitments::verify_shares_batch`] — only how fast;
-    /// `1` (the default) keeps verification on the agent's own thread.
-    #[must_use]
-    pub fn with_verify_width(mut self, width: usize) -> Self {
-        self.verify_width = width.max(1);
-        self
     }
 
     /// Sets how many polls a phase may wait for message completeness

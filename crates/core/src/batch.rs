@@ -14,10 +14,7 @@
 //!   `batch_determinism` integration test pins this down for widths 1, 2
 //!   and 8);
 //! * results are returned **in submission order**, regardless of which
-//!   worker computed which trial and in what order trials finished;
-//! * within a trial, [`crate::runner::DmwRunner::with_verify_threads`] can
-//!   additionally fan the Phase III.1 share-verification work
-//!   ([`dmw_crypto::commitments::verify_shares_batch`]) across the pool.
+//!   worker computed which trial and in what order trials finished.
 //!
 //! [`BatchRunner::run_trials`] submits protocol trials against a fixed
 //! [`DmwRunner`]; the generic [`BatchRunner::map`] / [`BatchRunner::execute`]

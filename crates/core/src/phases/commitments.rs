@@ -55,11 +55,8 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
         return;
     }
     // Verify every live sender's bundle (III.1, eqs (7)–(9)). The
-    // (task, sender) checks are independent, so they are submitted as
-    // one batch and fanned over `verify_width` threads; the batch
-    // reports the first failure in the same row-major (task, sender)
-    // order the sequential loop scanned, so detection is
-    // width-invariant.
+    // (task, sender) checks are submitted as one batch, which reports
+    // the first failure in row-major (task, sender) order.
     let group = *agent.config.group();
     let my_alpha = agent.config.pseudonym(agent.me);
     let (bad_sender, submitted) = {
@@ -79,7 +76,7 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
             }
         }
         let submitted = items.len() as u64;
-        let bad = verify_shares_batch(&group, my_alpha, &items, agent.verify_width)
+        let bad = verify_shares_batch(&group, my_alpha, &items)
             .err()
             .map(|failure| {
                 *senders

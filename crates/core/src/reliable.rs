@@ -13,8 +13,8 @@
 //! signal the runner's exclusion vote consumes (see
 //! `docs/recovery.md`).
 //!
-//! The default **adaptive** endpoint keeps recovery traffic
-//! proportional to actual loss, with six cooperating mechanisms:
+//! The endpoint keeps recovery traffic proportional to actual loss,
+//! with six cooperating mechanisms:
 //!
 //! 1. **Per-link RTT estimation** ([`RttEstimator`]): every clean ack
 //!    round-trip (first transmission, never retransmitted — Karn's
@@ -22,8 +22,8 @@
 //!    the retransmit timeout becomes `srtt + 4·rttvar`, clamped to
 //!    `[MIN_RTO, base_timeout]`. The clamp ceiling is what keeps
 //!    [`RetryPolicy::worst_case_repair`] valid unchanged: the adaptive
-//!    timeout only ever *shortens* the schedule, so the classic
-//!    `base_timeout · 2^budget` window still dominates every adaptive
+//!    timeout only ever *shortens* the schedule, so the
+//!    `base_timeout · 2^budget` window still dominates every
 //!    repair and the runner's auto-scaled patience/round budgets (and
 //!    the event engine's `next_timer` horizon) need no re-derivation.
 //! 2. **Selective acknowledgment**: standalone [`Body::Ack`]s carry up
@@ -52,16 +52,11 @@
 //!    any payload whose retransmission is already due on that link —
 //!    the merged envelope replaces a send that was leaving anyway, so
 //!    only the payload copies count as recovery overhead.
-//! 6. **Ack echo**: adaptive standalone acks ship two back-to-back
+//! 6. **Ack echo**: standalone acks ship two back-to-back
 //!    copies. Consecutive enqueue slots can never both be multiples of
 //!    a periodic drop period `k ≥ 2`, so a deterministic loss schedule
 //!    cannot silently eat an acknowledgment and convert delivered data
 //!    into timer-driven duplicate storms.
-//!
-//! [`ReliableEndpoint::classic`] switches a link back to the v3
-//! fixed-backoff behaviour (per-payload [`Body::Sealed`]
-//! retransmissions, cumulative acks only) — the "before" arm of the
-//! bench's recovery comparison.
 //!
 //! Everything here is driven by logical scheduler ticks and iterates in
 //! peer-index order, so recovery behaviour is bit-replayable.
@@ -94,16 +89,16 @@ pub const SACK_MAX_RANGES: usize = 4;
 ///
 /// Attempt `k` (0-based, `k < budget`) of an unacked message fires
 /// `rto << k` ticks after the previous transmission, where `rto` is the
-/// link's adaptive timeout (classic links pin `rto = base_timeout`).
-/// The adaptive `rto` never exceeds `base_timeout`, so the whole repair
-/// window spans at most `base_timeout · 2^budget` ticks before the
-/// sender gives up and suspects the peer. The *final* attempt ships two
-/// back-to-back copies of the envelope: consecutive enqueue slots can
-/// never both sit on a `drop_every(k)` schedule (no two consecutive
-/// integers are both multiples of `k ≥ 2`), so a periodic loss plan
-/// that happens to stay phase-locked with the doubling cadence — every
-/// earlier attempt landing on a dropped slot — still cannot kill the
-/// last one.
+/// link's adaptive timeout (`base_timeout` until the link has an RTT
+/// sample). The adaptive `rto` never exceeds `base_timeout`, so the
+/// whole repair window spans at most `base_timeout · 2^budget` ticks
+/// before the sender gives up and suspects the peer. The *final*
+/// attempt ships two back-to-back copies of the envelope: consecutive
+/// enqueue slots can never both sit on a `drop_every(k)` schedule (no
+/// two consecutive integers are both multiples of `k ≥ 2`), so a
+/// periodic loss plan that happens to stay phase-locked with the
+/// doubling cadence — every earlier attempt landing on a dropped slot —
+/// still cannot kill the last one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Ticks before the first retransmission on a link with no RTT
@@ -129,7 +124,7 @@ impl RetryPolicy {
     /// `base_timeout` wait plus the doubling backoffs
     /// `base_timeout · (1 + 2 + … + 2^{budget−1})`). The adaptive RTT
     /// timeout is clamped to `base_timeout` from above, so this bound
-    /// holds for both endpoint modes: a phase waiting out this window
+    /// holds on every link: a phase waiting out this window
     /// plus delivery latency is guaranteed to have seen every
     /// repairable message, which is how the runner scales agent
     /// patience in recovery mode.
@@ -139,7 +134,7 @@ impl RetryPolicy {
     }
 }
 
-/// Deterministic per-link round-trip estimator in the classic
+/// Deterministic per-link round-trip estimator in the standard
 /// fixed-point TCP form (RFC 6298 shifts): `srtt` is kept ×8 and
 /// `rttvar` ×4, updated as `srtt += (rtt − srtt)/8` and
 /// `rttvar += (|rtt − srtt| − rttvar)/4`, everything in integer
@@ -178,9 +173,10 @@ impl RttEstimator {
 
     /// The retransmit timeout: `srtt + 4·rttvar`, clamped to
     /// `[MIN_RTO, ceiling]`. With no samples yet it *is* the ceiling —
-    /// a link that has never completed a round-trip behaves exactly
-    /// like the classic fixed-backoff schedule, which is what keeps
-    /// no-ack suspicion timelines identical across endpoint modes.
+    /// a link that has never completed a round-trip follows the fixed
+    /// `base_timeout << attempts` backoff, so a peer that never acks is
+    /// suspected exactly [`RetryPolicy::worst_case_repair`] ticks after
+    /// the first transmission.
     pub fn rto(&self, ceiling: u64) -> u64 {
         if self.samples == 0 {
             ceiling
@@ -261,9 +257,9 @@ impl ReliableLink {
     /// Two-tick repair gather window, armed once the link has measured
     /// a round trip: a due repair waits two extra ticks so losses from
     /// adjacent rounds (and early-retransmit riders) coalesce into
-    /// the same envelope. Links with no samples keep the exact classic
-    /// emission schedule, so the no-sample endpoint still behaves like
-    /// the fixed-backoff v3 layer tick for tick.
+    /// the same envelope. Links with no samples emit as soon as a
+    /// repair falls due, so the no-ack suspicion timeline stays the
+    /// fixed [`RetryPolicy::worst_case_repair`] window.
     fn emission_delay(&self) -> u64 {
         if self.rtt.samples() > 0 {
             2
@@ -284,15 +280,11 @@ pub struct ReliableEndpoint {
     /// `suspected[p]`: the retry budget toward `p` is exhausted; no
     /// further protocol traffic is sent to `p`.
     suspected: Vec<bool>,
-    /// `true` (the default) enables RTT-adaptive timeouts, selective
-    /// acks, the nack fast path and coalesced repair; `false` pins the
-    /// v3 fixed-backoff per-payload behaviour.
-    adaptive: bool,
     metrics: MetricsSnapshot,
 }
 
 impl ReliableEndpoint {
-    /// Creates the adaptive endpoint for agent `me` of `n`.
+    /// Creates the endpoint for agent `me` of `n`.
     pub fn new(me: usize, n: usize, policy: RetryPolicy) -> Self {
         ReliableEndpoint {
             me,
@@ -300,18 +292,8 @@ impl ReliableEndpoint {
             policy,
             links: (0..n).map(|_| ReliableLink::default()).collect(),
             suspected: vec![false; n],
-            adaptive: true,
             metrics: MetricsSnapshot::default(),
         }
-    }
-
-    /// Switches the endpoint to the classic v3 recovery behaviour:
-    /// fixed `base_timeout << attempts` backoff, cumulative acks only,
-    /// per-payload retransmission. The baseline arm of the bench's
-    /// before/after recovery comparison.
-    pub fn classic(mut self) -> Self {
-        self.adaptive = false;
-        self
     }
 
     /// Which peers this endpoint has given up on.
@@ -342,14 +324,15 @@ impl ReliableEndpoint {
     /// control traffic: the minimum `next_retry` over unacked envelopes
     /// on non-suspected links (retransmission or, once the budget is
     /// spent, the suspicion that clears the link), each shifted by the
-    /// link's one-tick gather window and floored by any pending
-    /// nack-triggered fast retransmission, or `Some(0)` — "immediately"
-    /// — when a standalone ack or a gap nack is owed (the scheduler
-    /// clamps to the current tick). `None` when the endpoint is settled toward
-    /// every peer: ticking it before `next_timer()` is then provably a
-    /// no-op, which is what lets the event-driven scheduler register
-    /// retransmission timers as future events instead of rediscovering
-    /// them by polling (see `docs/scheduler.md`).
+    /// link's two-tick gather window (once it has an RTT sample) and
+    /// floored by any pending nack-triggered fast retransmission, or
+    /// `Some(0)` — "immediately" — when a standalone ack or a gap nack
+    /// is owed (the scheduler clamps to the current tick). `None` when
+    /// the endpoint is settled toward every peer: ticking it before
+    /// `next_timer()` is then provably a no-op, which is what lets the
+    /// event-driven scheduler register retransmission timers as future
+    /// events instead of rediscovering them by polling (see
+    /// `docs/scheduler.md`).
     pub fn next_timer(&self) -> Option<u64> {
         // Owed acks and nacks flush on the very next tick, even toward
         // suspected peers.
@@ -426,22 +409,17 @@ impl ReliableEndpoint {
             self.metrics.incr(key, 1);
             return;
         }
-        let adaptive = self.adaptive;
         let link = &mut self.links[to];
         link.next_seq += 1;
         let seq = link.next_seq;
         // The envelope carries the cumulative ack — but while a gap
-        // holds arrivals in the reorder buffer, the adaptive endpoint
-        // keeps the standalone ack owed so its selective ranges (which
-        // a sealed envelope cannot carry) still reach the peer.
-        if !adaptive || link.reorder.is_empty() {
+        // holds arrivals in the reorder buffer, the standalone ack stays
+        // owed so its selective ranges (which a sealed envelope cannot
+        // carry) still reach the peer.
+        if link.reorder.is_empty() {
             link.owe_ack = false;
         }
-        let rto = if adaptive {
-            link.rtt.rto(self.policy.base_timeout)
-        } else {
-            self.policy.base_timeout
-        };
+        let rto = link.rtt.rto(self.policy.base_timeout);
         link.unacked.push(PendingMsg {
             seq,
             body: body.clone(),
@@ -461,29 +439,27 @@ impl ReliableEndpoint {
         // two-copy anti-resonance echo and the suspicion handoff (L8:
         // the ride gate below is the same per-message budget).
         let mut due: Vec<(u64, Body)> = Vec::new();
-        if adaptive {
-            let budget = self.policy.budget;
-            for pending in link.unacked.iter_mut() {
-                if pending.seq == seq {
-                    continue;
-                }
-                let overdue = pending.next_retry <= now;
-                let fast_due = pending.fast_retx.is_some();
-                if !overdue && !fast_due {
-                    continue;
-                }
-                if overdue && pending.attempts + 1 >= budget {
-                    continue;
-                }
-                if overdue {
-                    pending.next_retry = now + (rto << pending.attempts);
-                    pending.attempts += 1;
-                } else {
-                    pending.next_retry = now + (rto << pending.attempts);
-                }
-                pending.fast_retx = None;
-                due.push((pending.seq, pending.body.clone()));
+        let budget = self.policy.budget;
+        for pending in link.unacked.iter_mut() {
+            if pending.seq == seq {
+                continue;
             }
+            let overdue = pending.next_retry <= now;
+            let fast_due = pending.fast_retx.is_some();
+            if !overdue && !fast_due {
+                continue;
+            }
+            if overdue && pending.attempts + 1 >= budget {
+                continue;
+            }
+            if overdue {
+                pending.next_retry = now + (rto << pending.attempts);
+                pending.attempts += 1;
+            } else {
+                pending.next_retry = now + (rto << pending.attempts);
+            }
+            pending.fast_retx = None;
+            due.push((pending.seq, pending.body.clone()));
         }
         if due.is_empty() {
             wire.push((
@@ -518,11 +494,11 @@ impl ReliableEndpoint {
 
     /// Unseals one tick's arrivals: applies piggybacked, standalone and
     /// selective acks, deduplicates, buffers out-of-order envelopes
-    /// (scheduling a gap nack on the adaptive endpoint), honours repair
-    /// envelopes and nack requests, and returns the in-order protocol
-    /// messages the agent should see. `now` is the current scheduler
-    /// tick, closing ack round-trips for the RTT estimator. Non-sealed
-    /// protocol bodies pass through untouched (they cannot occur in
+    /// (scheduling a gap nack), honours repair envelopes and nack
+    /// requests, and returns the in-order protocol messages the agent
+    /// should see. `now` is the current scheduler tick, closing ack
+    /// round-trips for the RTT estimator. Non-sealed protocol bodies
+    /// pass through untouched (they cannot occur in
     /// recovery mode, but the contract stays total).
     pub fn process_inbound(
         &mut self,
@@ -635,9 +611,6 @@ impl ReliableEndpoint {
     /// that gap start was already requested (the monotone watermark
     /// that bounds nack storms to one request per gap).
     fn schedule_gap_nack(&mut self, from: usize) {
-        if !self.adaptive {
-            return;
-        }
         let link = &mut self.links[from];
         let Some(&buffered) = link.reorder.keys().next_back() else {
             return;
@@ -656,7 +629,6 @@ impl ReliableEndpoint {
     /// the peer holds them buffered, so re-sending them would only
     /// manufacture duplicates).
     fn apply_ack(&mut self, from: usize, ack: u64, sack: &[(u64, u64)], now: u64) {
-        let adaptive = self.adaptive;
         let link = &mut self.links[from];
         let mut samples = 0u64;
         let mut suppressed = 0u64;
@@ -667,7 +639,7 @@ impl ReliableEndpoint {
                 // retry budget (no timer or nack retransmission) yield
                 // an unambiguous round-trip.
                 let spent_budget = pending.attempts > 0 || pending.nack_retx > 0;
-                if adaptive && !spent_budget {
+                if !spent_budget {
                     link.rtt.observe(now.saturating_sub(pending.sent_at));
                     samples += 1;
                 }
@@ -697,8 +669,7 @@ impl ReliableEndpoint {
 
     /// Advances the retransmit timers one tick and flushes owed control
     /// traffic. Returns what to transmit: coalesced [`Body::Repair`]
-    /// envelopes for overdue or nack-requested messages (adaptive) or
-    /// per-payload [`Body::Sealed`] retransmissions (classic), gap
+    /// envelopes for overdue or nack-requested messages, gap
     /// [`Body::Nack`]s, standalone [`Body::Ack`]s for peers with
     /// nothing outbound to piggyback on, and a fire-and-forget
     /// [`Body::SuspectDead`] broadcast when a peer's budget exhausts
@@ -710,13 +681,9 @@ impl ReliableEndpoint {
             if peer == self.me {
                 continue;
             }
-            // Both sweeps bound every retransmission by `budget` (L8).
+            // The sweep bounds every retransmission by `budget` (L8).
             if !self.suspected[peer] {
-                if self.adaptive {
-                    self.tick_adaptive(now, phase, peer, budget, &mut out);
-                } else {
-                    self.tick_classic(now, phase, peer, budget, &mut out);
-                }
+                self.repair_sweep(now, phase, peer, budget, &mut out);
             }
             // Owed nacks and acks flush even toward suspected peers:
             // neither is ever acked back, so each costs one message and
@@ -732,18 +699,13 @@ impl ReliableEndpoint {
             let link = &mut self.links[peer];
             if link.owe_ack {
                 link.owe_ack = false;
-                let sack = if self.adaptive {
-                    sack_ranges(&link.reorder)
-                } else {
-                    Vec::new()
-                };
-                // Adaptive ack echo: two back-to-back copies occupy
-                // consecutive enqueue slots, which a periodic drop
-                // schedule can never both claim — so acknowledgments
-                // survive the deterministic loss plans that would
-                // otherwise convert delivered data into timeout-driven
-                // duplicate storms.
-                let copies = if self.adaptive { 2 } else { 1 };
+                let sack = sack_ranges(&link.reorder);
+                // Ack echo: two back-to-back copies occupy consecutive
+                // enqueue slots, which a periodic drop schedule can
+                // never both claim — so acknowledgments survive the
+                // deterministic loss plans that would otherwise convert
+                // delivered data into timeout-driven duplicate storms.
+                let copies = 2;
                 let ranges = sack.len() as u64;
                 for _ in 0..copies {
                     out.push((
@@ -769,11 +731,11 @@ impl ReliableEndpoint {
         out
     }
 
-    /// The adaptive retransmit sweep for one peer: overdue and
-    /// nack-requested messages coalesce into a single [`Body::Repair`]
-    /// envelope, so one loss event costs one wire transmission however
-    /// many payloads it claimed.
-    fn tick_adaptive(
+    /// The retransmit sweep for one peer: overdue and nack-requested
+    /// messages coalesce into a single [`Body::Repair`] envelope, so one
+    /// loss event costs one wire transmission however many payloads it
+    /// claimed.
+    fn repair_sweep(
         &mut self,
         now: u64,
         phase: &'static str,
@@ -855,8 +817,10 @@ impl ReliableEndpoint {
             out.push((Recipient::Broadcast, Body::SuspectDead { peer }));
         } else if !items.is_empty() {
             // The final budgeted attempt ships two back-to-back copies
-            // of the repair envelope — the same anti-resonance echo the
-            // classic sweep applies per payload.
+            // of the repair envelope: consecutive enqueue slots can
+            // never both be multiples of a drop period `k ≥ 2`, so a
+            // periodic loss schedule phase-locked with the doubling
+            // backoff cannot kill every attempt.
             let copies: u64 = if final_attempt { 2 } else { 1 };
             let payloads = items.len() as u64;
             if link.reorder.is_empty() {
@@ -881,66 +845,6 @@ impl ReliableEndpoint {
                 .agent(self.me as u32)
                 .peer(peer as u32);
             self.metrics.incr(key, copies * payloads);
-        }
-    }
-
-    /// The classic v3 sweep for one peer: each overdue payload is
-    /// re-sealed and retransmitted individually on the fixed
-    /// `base_timeout << attempts` backoff.
-    fn tick_classic(
-        &mut self,
-        now: u64,
-        phase: &'static str,
-        peer: usize,
-        budget: u32,
-        out: &mut Vec<(Recipient, Body)>,
-    ) {
-        let mut exhausted = false;
-        let link = &mut self.links[peer];
-        // Budget-bounded retransmit sweep: every pending message
-        // retries at most `budget` times (L8).
-        for pending in &mut link.unacked {
-            if pending.next_retry > now {
-                continue;
-            }
-            if pending.attempts >= budget {
-                exhausted = true;
-                break;
-            }
-            // The final budgeted attempt ships two back-to-back copies:
-            // consecutive enqueue slots can never both be multiples of
-            // a drop period `k ≥ 2`, so a periodic loss schedule
-            // phase-locked with the doubling backoff cannot kill every
-            // attempt.
-            let copies = if pending.attempts + 1 >= budget { 2 } else { 1 };
-            for _ in 0..copies {
-                out.push((
-                    Recipient::Unicast(NodeId(peer)),
-                    Body::Sealed {
-                        seq: pending.seq,
-                        ack: link.recv_cum,
-                        inner: Box::new(pending.body.clone()),
-                    },
-                ));
-            }
-            link.owe_ack = false;
-            pending.next_retry = now + (self.policy.base_timeout << pending.attempts);
-            pending.attempts += 1;
-            let key = Key::named("retransmissions")
-                .phase(phase)
-                .agent(self.me as u32)
-                .peer(peer as u32);
-            self.metrics.incr(key, copies);
-        }
-        if exhausted {
-            self.suspected[peer] = true;
-            self.links[peer].unacked.clear();
-            let key = Key::named("suspect_dead")
-                .phase(phase)
-                .agent(self.me as u32)
-                .peer(peer as u32);
-            self.metrics.incr(key, 1);
-            out.push((Recipient::Broadcast, Body::SuspectDead { peer }));
         }
     }
 }
@@ -1086,9 +990,8 @@ mod tests {
             vec![(Recipient::Unicast(NodeId(1)), ack_body(0))],
         );
         // No acks ever arrive, so the link has no RTT samples and the
-        // adaptive timeout equals base_timeout — the suspicion timeline
-        // is identical to the classic schedule: attempt 0 fires at tick
-        // 2, the final attempt at tick 4 ships two back-to-back repair
+        // adaptive timeout equals base_timeout — the fixed backoff
+        // schedule: attempt 0 fires at tick 2, the final attempt at tick 4 ships two back-to-back repair
         // copies (the anti-resonance echo), then the budget is
         // exhausted at the next overdue tick — worst_case_repair() =
         // 2·2² = 8.
@@ -1122,42 +1025,6 @@ mod tests {
         let wire = ep.seal_outgoing(15, "resolution", vec![(Recipient::Broadcast, ack_body(1))]);
         assert!(wire.is_empty());
         assert_eq!(ep.metrics().counter_total("suppressed_sends"), 1);
-    }
-
-    #[test]
-    fn classic_mode_reproduces_the_v3_per_payload_schedule() {
-        let policy = RetryPolicy {
-            base_timeout: 2,
-            budget: 2,
-        };
-        let mut ep = ReliableEndpoint::new(0, 2, policy).classic();
-        let _ = ep.seal_outgoing(
-            0,
-            "bidding",
-            vec![(Recipient::Unicast(NodeId(1)), ack_body(0))],
-        );
-        let mut retransmits = 0;
-        let mut suspected_at = None;
-        for now in 1..=20 {
-            for (_, body) in ep.tick(now, "commitments") {
-                match body {
-                    Body::Sealed { seq: 1, .. } => retransmits += 1,
-                    Body::SuspectDead { peer } => {
-                        assert_eq!(peer, 1);
-                        suspected_at.get_or_insert(now);
-                    }
-                    other => panic!("unexpected {}", other.kind()),
-                }
-            }
-        }
-        assert_eq!(retransmits, 3, "1 + the doubled final attempt");
-        assert_eq!(suspected_at, Some(policy.worst_case_repair()));
-        assert_eq!(ep.metrics().counter_total("retransmissions"), 3);
-        assert_eq!(
-            ep.metrics().counter_total("repair_payloads"),
-            0,
-            "classic mode never coalesces"
-        );
     }
 
     #[test]
@@ -1207,7 +1074,7 @@ mod tests {
     #[test]
     fn rtt_estimator_tracks_samples_and_clamps_the_timeout() {
         let mut est = RttEstimator::default();
-        assert_eq!(est.rto(8), 8, "no samples: the ceiling (classic base)");
+        assert_eq!(est.rto(8), 8, "no samples: the ceiling (base_timeout)");
         est.observe(2);
         // First sample: srtt = 2, rttvar = 1 → rto = 2 + 4·1 = 6.
         assert_eq!(est.rto(8), 6);

@@ -182,11 +182,9 @@ pub struct DmwRunner {
     config: DmwConfig,
     policy: VerificationPolicy,
     batching: bool,
-    verify_threads: usize,
     round_budget: u64,
     patience: u64,
     recovery: Option<RetryPolicy>,
-    classic_recovery: bool,
     engine: Engine,
 }
 
@@ -198,11 +196,9 @@ impl DmwRunner {
             config,
             policy: VerificationPolicy::Rotation,
             batching: false,
-            verify_threads: 1,
             round_budget: PROTOCOL_ROUNDS,
             patience: 1,
             recovery: None,
-            classic_recovery: false,
             engine: Engine::default(),
         }
     }
@@ -230,20 +226,6 @@ impl DmwRunner {
     /// `ablation-batch` experiment measures both.
     pub fn with_batching(mut self, batching: bool) -> Self {
         self.batching = batching;
-        self
-    }
-
-    /// Fans each agent's Phase III.1 share-verification batch over
-    /// `threads` workers (`1` = sequential, the default). Detection is
-    /// width-invariant — see
-    /// [`dmw_crypto::commitments::verify_shares_batch`] — so this is a
-    /// pure throughput knob for large `m · n` runs. When trials already
-    /// saturate the machine through [`crate::batch::BatchRunner`], leave
-    /// this at `1`: nested fan-out cannot create parallelism the trial
-    /// level is using.
-    #[must_use]
-    pub fn with_verify_threads(mut self, threads: usize) -> Self {
-        self.verify_threads = threads.max(1);
         self
     }
 
@@ -289,20 +271,6 @@ impl DmwRunner {
     #[must_use]
     pub fn with_recovery_policy(mut self, policy: RetryPolicy) -> Self {
         self.recovery = Some(policy);
-        self
-    }
-
-    /// Pins the reliable endpoints to the classic v3 recovery
-    /// behaviour — fixed `base_timeout << attempts` backoff, cumulative
-    /// acks only, per-payload retransmission — instead of the default
-    /// adaptive mode (RTT-derived timeouts, selective acks, nack fast
-    /// path, coalesced repair; see [`crate::reliable`]). Both modes
-    /// repair to the identical outcome; this knob exists so the bench
-    /// can measure the recovery-overhead difference
-    /// (`dmw-bench-batch/v4`'s before/after recovery block).
-    #[must_use]
-    pub fn with_classic_recovery(mut self, classic: bool) -> Self {
-        self.classic_recovery = classic;
         self
     }
 
@@ -433,14 +401,7 @@ impl DmwRunner {
         let seed: u64 = rng.gen();
         let mut endpoints: Vec<ReliableEndpoint> = match self.recovery {
             Some(policy) => (0..n)
-                .map(|i| {
-                    let endpoint = ReliableEndpoint::new(i, n, policy);
-                    if self.classic_recovery {
-                        endpoint.classic()
-                    } else {
-                        endpoint
-                    }
-                })
+                .map(|i| ReliableEndpoint::new(i, n, policy))
                 .collect(),
             None => Vec::new(),
         };
@@ -457,7 +418,6 @@ impl DmwRunner {
                     self.policy,
                     seed,
                 )
-                .with_verify_width(self.verify_threads)
                 .with_patience(patience)
             })
             .collect();
@@ -783,7 +743,6 @@ impl DmwRunner {
         let sub_runner = DmwRunner::new(sub_config)
             .with_policy(self.policy)
             .with_batching(self.batching)
-            .with_verify_threads(self.verify_threads)
             .with_engine(self.engine);
         let sub_run = sub_runner.run(
             &sub_bids,
@@ -1164,46 +1123,6 @@ mod tests {
             run.abort_reason(),
             Some(AbortReason::InvalidLambdaPsi { publisher: 2 })
         ));
-    }
-
-    #[test]
-    fn verify_threads_do_not_change_the_outcome() {
-        // The Phase III.1 fan-out is a pure throughput knob: the full run
-        // artifact (result, traffic, trace) is width-invariant.
-        let (runner, mut rng) = setup(6, 1, 18);
-        let bids = ExecutionTimes::from_rows(vec![
-            vec![2, 3, 1],
-            vec![1, 3, 3],
-            vec![3, 1, 2],
-            vec![2, 2, 3],
-            vec![3, 3, 1],
-            vec![4, 2, 2],
-        ])
-        .unwrap();
-        let sequential = runner.run_honest(&bids, &mut rng).unwrap();
-        let parallel = runner
-            .clone()
-            .with_verify_threads(4)
-            .run_honest(&bids, &mut rng)
-            .unwrap();
-        // Different RNG draws (the two calls advance the same rng), so
-        // compare against a replay with identical draws instead.
-        let mut replay_rng = rand::rngs::StdRng::seed_from_u64(181);
-        let mut wide_rng = rand::rngs::StdRng::seed_from_u64(181);
-        let replay = runner.run_honest(&bids, &mut replay_rng).unwrap();
-        let wide = runner
-            .clone()
-            .with_verify_threads(8)
-            .run_honest(&bids, &mut wide_rng)
-            .unwrap();
-        assert_eq!(replay.result, wide.result);
-        assert_eq!(replay.network, wide.network);
-        assert_eq!(replay.trace, wide.trace);
-        // And both unseeded runs still complete identically in schedule.
-        assert_eq!(
-            sequential.completed().unwrap().schedule,
-            parallel.completed().unwrap().schedule
-        );
     }
 
     #[test]

@@ -209,19 +209,12 @@ pub struct ShareBatchFailure {
 }
 
 /// Verifies a batch of `(commitments, bundle)` pairs at one evaluation
-/// point `alpha`, fanning the per-item work of equations (7)–(9) across
-/// `width` threads.
+/// point `alpha` against equations (7)–(9), in submission order.
 ///
-/// Phase III.1 is embarrassingly parallel: each received bundle is checked
-/// against its sender's commitments independently, across both tasks and
-/// senders. Whatever the width, the result is **bit-identical** to calling
-/// [`verify_shares`] in a sequential loop over `items`: every item is
-/// verified by a pure function of its inputs, and a failure reports the
-/// first failing item in submission order.
-///
-/// `width <= 1` short-circuits to the sequential loop (and keeps its
-/// early-exit behavior); parallel verification always checks the whole
-/// batch before scanning for the first failure.
+/// Phase III.1 checks every received bundle against its sender's
+/// commitments, across both tasks and senders. The result is the one a
+/// sequential loop of [`verify_shares`] over `items` gives: the first
+/// failing item in submission order, found without checking the rest.
 ///
 /// # Errors
 ///
@@ -232,39 +225,13 @@ pub fn verify_shares_batch(
     group: &SchnorrGroup,
     alpha: u64,
     items: &[(&Commitments, ShareBundle)],
-    width: usize,
 ) -> Result<(), ShareBatchFailure> {
-    if width <= 1 || items.len() <= 1 {
-        for (index, (commitments, bundle)) in items.iter().enumerate() {
-            if let Err(error) = verify_shares(group, commitments, alpha, bundle) {
-                return Err(ShareBatchFailure { index, error });
-            }
+    for (index, (commitments, bundle)) in items.iter().enumerate() {
+        if let Err(error) = verify_shares(group, commitments, alpha, bundle) {
+            return Err(ShareBatchFailure { index, error });
         }
-        return Ok(());
     }
-    let results: Vec<Result<(), CryptoError>> =
-        match rayon::ThreadPoolBuilder::new().num_threads(width).build() {
-            Ok(pool) => pool.install(|| {
-                use rayon::prelude::*;
-                items
-                    .par_iter()
-                    .map(|(commitments, bundle)| verify_shares(group, commitments, alpha, bundle))
-                    .collect()
-            }),
-            // A pool that cannot be built degrades to sequential verification.
-            Err(_) => items
-                .iter()
-                .map(|(commitments, bundle)| verify_shares(group, commitments, alpha, bundle))
-                .collect(),
-        };
-    match results
-        .into_iter()
-        .enumerate()
-        .find_map(|(index, result)| result.err().map(|error| ShareBatchFailure { index, error }))
-    {
-        Some(failure) => Err(failure),
-        None => Ok(()),
-    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -421,20 +388,16 @@ mod tests {
             .collect();
         let items: Vec<(&Commitments, crate::polynomials::ShareBundle)> =
             committed.iter().map(|(c, b)| (c, *b)).collect();
-        for width in [1, 2, 8] {
-            assert!(verify_shares_batch(&group, alpha, &items, width).is_ok());
-        }
-        // Corrupt two items; every width must report the *first* one.
+        assert!(verify_shares_batch(&group, alpha, &items).is_ok());
+        // Corrupt two items; the batch must report the *first* one.
         let mut corrupted = items.clone();
         corrupted[3].1.e = zq.add(corrupted[3].1.e, 1);
         corrupted[9].1.f = zq.add(corrupted[9].1.f, 1);
-        for width in [1, 2, 8] {
-            let failure = verify_shares_batch(&group, alpha, &corrupted, width).unwrap_err();
-            assert_eq!(failure.index, 3, "width {width}");
-            assert!(matches!(
-                failure.error,
-                CryptoError::ShareVerificationFailed { .. }
-            ));
-        }
+        let failure = verify_shares_batch(&group, alpha, &corrupted).unwrap_err();
+        assert_eq!(failure.index, 3);
+        assert!(matches!(
+            failure.error,
+            CryptoError::ShareVerificationFailed { .. }
+        ));
     }
 }

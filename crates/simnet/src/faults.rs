@@ -218,7 +218,10 @@ impl FaultPlan {
     ///
     /// Panics if either node is out of range.
     pub fn drop_link(mut self, from: NodeId, to: NodeId) -> Self {
-        assert!(from.0 < self.crashes.len() && to.0 < self.crashes.len());
+        assert!(
+            from.0 < self.crashes.len() && to.0 < self.crashes.len(),
+            "node out of range"
+        );
         self.dropped_links.insert((from.0, to.0));
         self
     }
@@ -351,7 +354,10 @@ impl FaultPlan {
     ///
     /// Panics if either node is out of range.
     pub fn delay_link(mut self, from: NodeId, to: NodeId, rounds: u64) -> Self {
-        assert!(from.0 < self.crashes.len() && to.0 < self.crashes.len());
+        assert!(
+            from.0 < self.crashes.len() && to.0 < self.crashes.len(),
+            "node out of range"
+        );
         if let Some(entry) = self
             .link_delays
             .iter_mut()
@@ -390,375 +396,6 @@ impl FaultPlan {
             .filter(|c| matches!(c, Some(r) if *r <= round))
             .count()
     }
-
-    /// Serializes the plan as canonical single-line JSON: fixed field
-    /// order, dropped links sorted, integers only. The serde derives in
-    /// this workspace are offline marker stubs (see `vendor/serde`), so
-    /// this hand-rolled form — the same approach `dmw-obs` takes for
-    /// `MetricsSnapshot::to_json` — is the operative wire format for
-    /// fault plans. Equal plans always serialize to identical bytes.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"crashes\":[");
-        for (i, c) in self.crashes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            match c {
-                Some(r) => out.push_str(&r.to_string()),
-                None => out.push_str("null"),
-            }
-        }
-        out.push_str("],\"dropped_links\":[");
-        // BTreeSet iterates in sorted order, which is exactly the
-        // canonical-JSON order this format requires.
-        for (i, (f, t)) in self.dropped_links.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{f},{t}]"));
-        }
-        out.push_str("],\"drop_every\":");
-        match self.drop_every {
-            Some(k) => out.push_str(&k.to_string()),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"link_delays\":[");
-        for (i, (f, t, d)) in self.link_delays.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{f},{t},{d}]"));
-        }
-        out.push_str("],\"drop_prob\":");
-        match self.drop_prob {
-            Some((ppm, seed)) => out.push_str(&format!("[{ppm},{seed}]")),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"transient_windows\":[");
-        for (i, w) in self.transient_windows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{},{},{},{}]", w.from, w.to, w.start, w.end));
-        }
-        out.push_str("],\"link_flaps\":[");
-        for (i, f) in self.link_flaps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{},{},{},{}]", f.from, f.to, f.up, f.down));
-        }
-        out.push_str("],\"ack_drop_every\":");
-        match self.ack_drop_every {
-            Some(k) => out.push_str(&k.to_string()),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"reorder_every\":");
-        match self.reorder_every {
-            Some(k) => out.push_str(&k.to_string()),
-            None => out.push_str("null"),
-        }
-        out.push('}');
-        out
-    }
-
-    /// Parses a plan from [`FaultPlan::to_json`]'s format, validating
-    /// every builder invariant (node ranges, non-zero periods, window
-    /// ordering and overlap) so a hand-edited plan cannot smuggle in a
-    /// state the builders would have rejected. The three chaos-matrix
-    /// fields (`drop_prob`, `transient_windows`, `link_flaps`) may be
-    /// omitted — plans recorded before they existed parse with those
-    /// fields defaulted. Unknown keys are an error.
-    pub fn from_json(text: &str) -> Result<FaultPlan, String> {
-        let mut cur = json::Cursor::new(text);
-        let mut plan = FaultPlan::default();
-        cur.expect(b'{')?;
-        if !cur.eat(b'}') {
-            loop {
-                let key = cur.string()?;
-                cur.expect(b':')?;
-                match key.as_str() {
-                    "crashes" => plan.crashes = cur.array(json::Cursor::opt_u64)?,
-                    "dropped_links" => {
-                        for pair in cur.array(|c| c.fixed_tuple(2))? {
-                            plan.dropped_links
-                                .insert((json::index(pair[0])?, json::index(pair[1])?));
-                        }
-                    }
-                    "drop_every" => plan.drop_every = cur.opt_u64()?,
-                    "link_delays" => {
-                        for t in cur.array(|c| c.fixed_tuple(3))? {
-                            plan.link_delays
-                                .push((json::index(t[0])?, json::index(t[1])?, t[2]));
-                        }
-                    }
-                    "drop_prob" => {
-                        plan.drop_prob = cur.opt_tuple(2)?.map(|t| (t[0], t[1]));
-                    }
-                    "transient_windows" => {
-                        for t in cur.array(|c| c.fixed_tuple(4))? {
-                            plan.transient_windows.push(TransientWindow {
-                                from: json::index(t[0])?,
-                                to: json::index(t[1])?,
-                                start: t[2],
-                                end: t[3],
-                            });
-                        }
-                    }
-                    "link_flaps" => {
-                        for t in cur.array(|c| c.fixed_tuple(4))? {
-                            plan.link_flaps.push(LinkFlap {
-                                from: json::index(t[0])?,
-                                to: json::index(t[1])?,
-                                up: t[2],
-                                down: t[3],
-                            });
-                        }
-                    }
-                    "ack_drop_every" => plan.ack_drop_every = cur.opt_u64()?,
-                    "reorder_every" => plan.reorder_every = cur.opt_u64()?,
-                    other => return Err(format!("unknown key {other:?}")),
-                }
-                if cur.eat(b'}') {
-                    break;
-                }
-                cur.expect(b',')?;
-            }
-        }
-        cur.end()?;
-        plan.validate()?;
-        Ok(plan)
-    }
-
-    /// Re-checks every invariant the builder methods assert, as a
-    /// `Result` — the safe boundary for plans arriving from
-    /// [`FaultPlan::from_json`] rather than the typed builders.
-    fn validate(&self) -> Result<(), String> {
-        let n = self.crashes.len();
-        let node_ok = |i: usize| -> Result<(), String> {
-            if i < n {
-                Ok(())
-            } else {
-                Err(format!("node {i} out of range for {n} nodes"))
-            }
-        };
-        for (f, t) in &self.dropped_links {
-            node_ok(*f)?;
-            node_ok(*t)?;
-        }
-        if self.drop_every == Some(0) {
-            return Err("drop period must be positive".into());
-        }
-        if self.ack_drop_every == Some(0) {
-            return Err("ack-drop period must be positive".into());
-        }
-        if self.reorder_every == Some(0) {
-            return Err("reorder period must be positive".into());
-        }
-        for (f, t, _) in &self.link_delays {
-            node_ok(*f)?;
-            node_ok(*t)?;
-        }
-        if let Some((ppm, _)) = self.drop_prob {
-            if ppm > PPM {
-                return Err(format!("drop probability {ppm} ppm exceeds 1.0"));
-            }
-        }
-        for (i, w) in self.transient_windows.iter().enumerate() {
-            node_ok(w.from)?;
-            node_ok(w.to)?;
-            if w.start >= w.end {
-                return Err(format!(
-                    "transient window {}..{} must satisfy start < end",
-                    w.start, w.end
-                ));
-            }
-            for other in self.transient_windows.iter().take(i) {
-                if other.from == w.from
-                    && other.to == w.to
-                    && w.end > other.start
-                    && other.end > w.start
-                {
-                    return Err(format!(
-                        "transient window {}..{} overlaps {}..{} on link {} → {}",
-                        w.start, w.end, other.start, other.end, w.from, w.to
-                    ));
-                }
-            }
-        }
-        for f in &self.link_flaps {
-            node_ok(f.from)?;
-            node_ok(f.to)?;
-            if f.up == 0 || f.down == 0 {
-                return Err("flap phases must both be positive".into());
-            }
-        }
-        Ok(())
-    }
-}
-
-/// The minimal strict JSON reader behind [`FaultPlan::from_json`]: bare
-/// unsigned integers, `null`, arrays, and string keys — exactly the
-/// grammar [`FaultPlan::to_json`] emits, with whitespace tolerated.
-mod json {
-    /// Converts a parsed `u64` into a node index.
-    pub(super) fn index(v: u64) -> Result<usize, String> {
-        usize::try_from(v).map_err(|_| format!("node id {v} does not fit in usize"))
-    }
-
-    pub(super) struct Cursor<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Cursor<'a> {
-        pub(super) fn new(text: &'a str) -> Self {
-            Cursor {
-                bytes: text.as_bytes(),
-                pos: 0,
-            }
-        }
-
-        fn skip_ws(&mut self) {
-            while self
-                .bytes
-                .get(self.pos)
-                .is_some_and(|b| b.is_ascii_whitespace())
-            {
-                self.pos += 1;
-            }
-        }
-
-        fn peek(&mut self) -> Option<u8> {
-            self.skip_ws();
-            self.bytes.get(self.pos).copied()
-        }
-
-        pub(super) fn expect(&mut self, want: u8) -> Result<(), String> {
-            match self.peek() {
-                Some(b) if b == want => {
-                    self.pos += 1;
-                    Ok(())
-                }
-                found => Err(format!(
-                    "expected {:?} at byte {}, found {:?}",
-                    want as char,
-                    self.pos,
-                    found.map(|b| b as char)
-                )),
-            }
-        }
-
-        pub(super) fn eat(&mut self, want: u8) -> bool {
-            if self.peek() == Some(want) {
-                self.pos += 1;
-                true
-            } else {
-                false
-            }
-        }
-
-        fn keyword(&mut self, word: &str) -> bool {
-            self.skip_ws();
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                true
-            } else {
-                false
-            }
-        }
-
-        pub(super) fn u64(&mut self) -> Result<u64, String> {
-            self.skip_ws();
-            let start = self.pos;
-            while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-                self.pos += 1;
-            }
-            if start == self.pos {
-                return Err(format!("expected a number at byte {start}"));
-            }
-            std::str::from_utf8(&self.bytes[start..self.pos])
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| format!("number out of range at byte {start}"))
-        }
-
-        pub(super) fn opt_u64(&mut self) -> Result<Option<u64>, String> {
-            if self.keyword("null") {
-                Ok(None)
-            } else {
-                self.u64().map(Some)
-            }
-        }
-
-        /// A double-quoted key; the grammar never needs escapes.
-        pub(super) fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let start = self.pos;
-            while self
-                .bytes
-                .get(self.pos)
-                .is_some_and(|b| *b != b'"' && *b != b'\\')
-            {
-                self.pos += 1;
-            }
-            if self.bytes.get(self.pos) != Some(&b'"') {
-                return Err(format!("unterminated string at byte {start}"));
-            }
-            let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                .map_err(|_| "non-UTF-8 string".to_string())?
-                .to_string();
-            self.pos += 1;
-            Ok(s)
-        }
-
-        pub(super) fn array<T>(
-            &mut self,
-            mut elem: impl FnMut(&mut Self) -> Result<T, String>,
-        ) -> Result<Vec<T>, String> {
-            self.expect(b'[')?;
-            let mut out = Vec::new();
-            if self.eat(b']') {
-                return Ok(out);
-            }
-            loop {
-                out.push(elem(self)?);
-                if self.eat(b']') {
-                    return Ok(out);
-                }
-                self.expect(b',')?;
-            }
-        }
-
-        /// A `[u64; arity]` array, e.g. `[from,to,start,end]`.
-        pub(super) fn fixed_tuple(&mut self, arity: usize) -> Result<Vec<u64>, String> {
-            let vals = self.array(Self::u64)?;
-            if vals.len() == arity {
-                Ok(vals)
-            } else {
-                Err(format!("expected {arity} elements, found {}", vals.len()))
-            }
-        }
-
-        /// `null` or a `[u64; arity]` array.
-        pub(super) fn opt_tuple(&mut self, arity: usize) -> Result<Option<Vec<u64>>, String> {
-            if self.keyword("null") {
-                Ok(None)
-            } else {
-                self.fixed_tuple(arity).map(Some)
-            }
-        }
-
-        /// Asserts nothing but whitespace remains.
-        pub(super) fn end(&mut self) -> Result<(), String> {
-            self.skip_ws();
-            if self.pos == self.bytes.len() {
-                Ok(())
-            } else {
-                Err(format!("trailing bytes at {}", self.pos))
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -788,6 +425,24 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_crash_panics() {
         let _ = FaultPlan::none(2).crash_at(NodeId(5), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "node out of range")]
+    fn out_of_range_dropped_link_panics() {
+        let _ = FaultPlan::none(2).drop_link(NodeId(0), NodeId(7));
+    }
+
+    #[test]
+    #[should_panic(expected = "node out of range")]
+    fn out_of_range_delayed_link_panics() {
+        let _ = FaultPlan::none(2).delay_link(NodeId(7), NodeId(0), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "node out of range")]
+    fn out_of_range_transient_window_panics() {
+        let _ = FaultPlan::none(2).drop_link_between(NodeId(0), NodeId(7), 1, 3);
     }
 
     #[test]
@@ -941,54 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_a_fully_loaded_plan() {
-        let plan = FaultPlan::none(4)
-            .crash_at(NodeId(3), 7)
-            .drop_link(NodeId(0), NodeId(2))
-            .drop_link(NodeId(2), NodeId(1))
-            .drop_every(5)
-            .delay_link(NodeId(1), NodeId(2), 3)
-            .drop_prob(0.125, 0xFEED)
-            .drop_link_between(NodeId(0), NodeId(1), 2, 6)
-            .flap_link(NodeId(2), NodeId(3), 2, 2)
-            .drop_acks_every(4)
-            .reorder_every(9);
-        let json = plan.to_json();
-        let back = FaultPlan::from_json(&json).expect("deserialize");
-        assert_eq!(plan, back, "round trip must be lossless");
-        assert_eq!(json, back.to_json(), "canonical form is stable");
-    }
-
-    #[test]
-    fn json_round_trips_the_empty_plan() {
-        let plan = FaultPlan::none(2);
-        let back = FaultPlan::from_json(&plan.to_json()).expect("deserialize");
-        assert_eq!(plan, back);
-    }
-
-    #[test]
-    fn json_accepts_plans_without_the_new_fields() {
-        // A plan serialized before the chaos-matrix fields existed must
-        // still parse, with the missing fields defaulted.
-        let legacy = r#"{
-            "crashes": [null, 2],
-            "dropped_links": [[0, 1]],
-            "drop_every": 3,
-            "link_delays": [[1, 0, 4]]
-        }"#;
-        let plan = FaultPlan::from_json(legacy).expect("legacy plan");
-        assert!(plan.is_crashed(NodeId(1), 2));
-        assert!(plan.is_link_dropped(NodeId(0), NodeId(1)));
-        assert!(plan.is_periodically_dropped(3));
-        assert_eq!(plan.link_delay(NodeId(1), NodeId(0)), Some(4));
-        assert!(!plan.is_probabilistically_dropped(1));
-        assert!(!plan.is_transiently_dropped(NodeId(0), NodeId(1), 0));
-        assert!(!plan.is_flapped_down(NodeId(0), NodeId(1), 0));
-        assert!(!plan.is_ack_path_dropped(1));
-        assert!(!plan.is_reordered(1));
-    }
-
-    #[test]
     fn ack_path_and_reorder_schedules_are_periodic() {
         let plan = FaultPlan::none(2).drop_acks_every(3).reorder_every(2);
         assert!(!plan.is_ack_path_dropped(1));
@@ -1012,50 +619,5 @@ mod tests {
     #[should_panic(expected = "reorder period must be positive")]
     fn reorder_every_zero_panics() {
         let _ = FaultPlan::none(2).reorder_every(0);
-    }
-
-    #[test]
-    fn json_rejects_invalid_plans() {
-        for (case, text) in [
-            ("unknown key", r#"{"crashes":[null],"bogus":1}"#),
-            ("trailing bytes", r#"{"crashes":[null]} x"#),
-            (
-                "zero drop period",
-                r#"{"crashes":[null,null],"drop_every":0}"#,
-            ),
-            (
-                "out-of-range link",
-                r#"{"crashes":[null,null],"dropped_links":[[0,7]]}"#,
-            ),
-            (
-                "empty transient window",
-                r#"{"crashes":[null,null],"transient_windows":[[0,1,5,5]]}"#,
-            ),
-            (
-                "overlapping transient windows",
-                r#"{"crashes":[null,null],"transient_windows":[[0,1,2,5],[0,1,4,8]]}"#,
-            ),
-            (
-                "zero flap phase",
-                r#"{"crashes":[null,null],"link_flaps":[[0,1,2,0]]}"#,
-            ),
-            (
-                "drop probability above 1",
-                r#"{"crashes":[null,null],"drop_prob":[2000000,0]}"#,
-            ),
-            (
-                "zero ack-drop period",
-                r#"{"crashes":[null,null],"ack_drop_every":0}"#,
-            ),
-            (
-                "zero reorder period",
-                r#"{"crashes":[null,null],"reorder_every":0}"#,
-            ),
-        ] {
-            assert!(
-                FaultPlan::from_json(text).is_err(),
-                "{case}: parser must reject {text}"
-            );
-        }
     }
 }

@@ -80,26 +80,3 @@ fn misbehaving_and_faulty_batches_are_bit_identical_across_thread_counts() {
         assert_identical(&reference, &results, *width);
     }
 }
-
-#[test]
-fn parallel_share_verification_matches_the_sequential_verdict() {
-    // The same seeded replay at verification width 8 and width 1 must
-    // agree on everything observable, including abort verdicts.
-    let mut r = rng(SEED + 2);
-    let cfg = config(6, 1, &mut r);
-    let bids = random_bids(&cfg, 2, &mut r);
-    let mut behaviors = vec![Behavior::Suggested; 6];
-    behaviors[3] = Behavior::TamperedCommitments;
-
-    let sequential = DmwRunner::new(cfg.clone())
-        .with_verify_threads(1)
-        .run(&bids, &behaviors, FaultPlan::none(6), &mut rng(SEED + 3))
-        .expect("valid run");
-    let parallel = DmwRunner::new(cfg)
-        .with_verify_threads(8)
-        .run(&bids, &behaviors, FaultPlan::none(6), &mut rng(SEED + 3))
-        .expect("valid run");
-    assert_eq!(sequential.result, parallel.result);
-    assert_eq!(sequential.network, parallel.network);
-    assert_eq!(sequential.trace, parallel.trace);
-}

@@ -4,8 +4,7 @@
 //! [`dmw_simnet::NetworkStats`], the trace, the metrics snapshot — must
 //! be *bit-identical* except for the `events_processed` gauge that
 //! counts executed ticks. The sweep crosses honest, chaos and recovery
-//! (crash/degradation) runs with verify widths 1/2/8 on the synchronous
-//! transport, adds a jittered-delay run where `next_due` does real work,
+//! (crash/degradation) runs on the synchronous transport, adds a jittered-delay run where `next_due` does real work,
 //! and pins that the event engine actually skips idle ticks when a long
 //! retransmission backoff dominates the run (`docs/scheduler.md`).
 
@@ -17,7 +16,6 @@ use dmw_simnet::{DelayProfile, DelayTransport, FaultPlan, NodeId};
 use integration_tests::{config, random_bids, rng};
 
 const SEED: u64 = 20260807;
-const WIDTHS: [usize; 3] = [1, 2, 8];
 
 /// The fault schedules the parity sweep crosses: a clean run, the chaos
 /// matrix (periodic drops, seeded probabilistic loss, a transient
@@ -68,26 +66,22 @@ fn assert_parity(case: &str, event: &DmwRun, polling: &DmwRun) {
 #[test]
 fn lockstep_runs_are_bit_identical_between_engines() {
     for (case, faults) in plans(6) {
-        for width in WIDTHS {
-            let mut r = rng(SEED);
-            let cfg = config(6, 1, &mut r);
-            let bids = random_bids(&cfg, 3, &mut r);
-            let behaviors = vec![Behavior::Suggested; 6];
-            let runner = DmwRunner::new(cfg)
-                .with_recovery()
-                .with_verify_threads(width);
+        let mut r = rng(SEED);
+        let cfg = config(6, 1, &mut r);
+        let bids = random_bids(&cfg, 3, &mut r);
+        let behaviors = vec![Behavior::Suggested; 6];
+        let runner = DmwRunner::new(cfg).with_recovery();
 
-            let event = runner
-                .clone()
-                .with_engine(Engine::Event)
-                .run(&bids, &behaviors, faults.clone(), &mut rng(SEED + 1))
-                .expect("valid event run");
-            let polling = runner
-                .with_engine(Engine::Polling)
-                .run(&bids, &behaviors, faults.clone(), &mut rng(SEED + 1))
-                .expect("valid polling run");
-            assert_parity(&format!("{case}/w{width}/lockstep"), &event, &polling);
-        }
+        let event = runner
+            .clone()
+            .with_engine(Engine::Event)
+            .run(&bids, &behaviors, faults.clone(), &mut rng(SEED + 1))
+            .expect("valid event run");
+        let polling = runner
+            .with_engine(Engine::Polling)
+            .run(&bids, &behaviors, faults, &mut rng(SEED + 1))
+            .expect("valid polling run");
+        assert_parity(&format!("{case}/lockstep"), &event, &polling);
     }
 }
 
