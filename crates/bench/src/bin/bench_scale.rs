@@ -7,7 +7,7 @@
 //! all-crashed scheduler-saturation ("silence") run at *every* point,
 //! cross-checking the event engine against the poll-every-tick oracle
 //! (backoff up to the oracle ceiling; silence always), and emitting
-//! the `dmw-bench-scale/v1` JSON baseline (see `docs/benchmarks.md`
+//! the `dmw-bench-scale/v2` JSON baseline (see `docs/benchmarks.md`
 //! and `docs/scheduler.md`):
 //!
 //! ```text
@@ -118,16 +118,19 @@ fn main() {
         options.protocol_ceiling,
     );
     for point in &baseline.points {
-        let protocol = match (&point.honest, &point.backoff) {
-            (Some(honest), Some(backoff)) => {
+        let protocol = match (&point.honest, &point.honest_cost, &point.backoff) {
+            (Some(honest), Some(cost), Some(backoff)) => {
                 let oracle = match point.backoff_polling_wall_secs {
                     Some(secs) => format!("{secs:.3}s polling"),
                     None => "oracle skipped".to_owned(),
                 };
                 format!(
-                    "honest {:>8.3}s ({} ticks); backoff {:>8.3}s ({} of {} ticks active, {})",
+                    "honest {:>8.3}s ({} ticks, {} muls/agent = {:.3} mn² log p); \
+                     backoff {:>8.3}s ({} of {} ticks active, {})",
                     honest.wall_secs,
                     honest.run_ticks,
+                    cost.muls_per_agent,
+                    cost.ratio,
                     backoff.wall_secs,
                     backoff.events_processed,
                     backoff.run_ticks,

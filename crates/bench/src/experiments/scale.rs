@@ -8,8 +8,10 @@
 //! * **honest** — a clean run, the paper's six synchronous rounds: all
 //!   work, no dead air, so the event engine processes every tick and
 //!   the point measures pure per-tick protocol cost (crypto dominates;
-//!   the per-run work grows like `m·n³`–`m·n⁴` because the encoding
-//!   degree σ equals `n`);
+//!   the per-run work grows like `m·n³` because the encoding degree σ
+//!   equals `n`). The point also records the per-agent modular
+//!   multiplications and their ratio to Theorem 12's `m·n²·log₂ p`,
+//!   which stays flat in `n` while the bound holds;
 //! * **backoff** — recovery mode with a deep retry budget and one
 //!   mid-protocol crash: the run's length is the retransmission
 //!   backoff horizon (`base·2^budget` ticks of mostly idle waiting),
@@ -37,7 +39,7 @@
 //! the cheap silence workload is oracle-checked at *every* point, so
 //! the committed baseline proves bit parity through `n = 1024`.
 //!
-//! [`ScaleBaseline::to_json`] emits the `dmw-bench-scale/v1` schema
+//! [`ScaleBaseline::to_json`] emits the `dmw-bench-scale/v2` schema
 //! documented in `docs/benchmarks.md`.
 
 use super::{config, rng};
@@ -45,6 +47,7 @@ use dmw::reliable::RetryPolicy;
 use dmw::runner::{DmwRun, DmwRunner, Engine};
 use dmw::Behavior;
 use dmw_mechanism::ExecutionTimes;
+use dmw_modmath::ops;
 use dmw_obs::Key;
 use dmw_simnet::{FaultPlan, NodeId};
 use std::time::Instant;
@@ -114,6 +117,19 @@ pub struct WorkloadTiming {
     pub bytes: u64,
 }
 
+/// Per-agent computation of the honest workload, set against
+/// Theorem 12's `O(m·n²·log p)` bound. Deterministic.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AgentCost {
+    /// Modular multiplications per agent per run, counted by
+    /// `dmw_modmath::ops` (an inversion priced as one multiplication, as
+    /// in Table 1).
+    pub muls_per_agent: u64,
+    /// `muls_per_agent / (m·n²·log₂ p)`: flat in `n` while the code
+    /// stays within Theorem 12.
+    pub ratio: f64,
+}
+
 /// One measured sweep point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScalePoint {
@@ -122,6 +138,9 @@ pub struct ScalePoint {
     /// The clean six-round workload under the event engine — `None`
     /// above the protocol ceiling.
     pub honest: Option<WorkloadTiming>,
+    /// The honest workload's per-agent computation — `None` above the
+    /// protocol ceiling.
+    pub honest_cost: Option<AgentCost>,
     /// The crash-plus-deep-backoff recovery workload under the event
     /// engine — `None` above the protocol ceiling.
     pub backoff: Option<WorkloadTiming>,
@@ -227,7 +246,7 @@ pub fn measure_scale(
                 (runs, started.elapsed().as_secs_f64())
             };
 
-            let (honest, backoff, backoff_polling_wall_secs, backoff_identical) =
+            let (honest, honest_cost, backoff, backoff_polling_wall_secs, backoff_identical) =
                 if n <= protocol_ceiling {
                     let bids: Vec<ExecutionTimes> = (0..shape.trials)
                         .map(|_| super::random_bids(&cfg, shape.tasks, &mut r))
@@ -241,8 +260,16 @@ pub fn measure_scale(
                     let backoff_runner =
                         DmwRunner::new(cfg.clone()).with_recovery_policy(BACKOFF_POLICY);
 
+                    let before = ops::current_ops();
                     let (honest_runs, honest_wall) =
                         run_all(&honest_runner, &bids, &FaultPlan::none(n));
+                    let muls = ops::current_ops().since(&before).mul_equivalents();
+                    let muls_per_agent = muls / (n * shape.trials) as u64;
+                    let bound = (shape.tasks * n * n) as f64 * f64::from(cfg.group().zp().bits());
+                    let honest_cost = AgentCost {
+                        muls_per_agent,
+                        ratio: muls_per_agent as f64 / bound,
+                    };
                     let (event_runs, event_wall) = run_all(&backoff_runner, &bids, &crash);
 
                     let (polling_wall, identical) = if n <= oracle_ceiling {
@@ -257,12 +284,13 @@ pub fn measure_scale(
                     };
                     (
                         Some(timing(&honest_runs, honest_wall)),
+                        Some(honest_cost),
                         Some(timing(&event_runs, event_wall)),
                         polling_wall,
                         identical,
                     )
                 } else {
-                    (None, None, None, true)
+                    (None, None, None, None, true)
                 };
 
             // Silence: every node crashed before it can deliver a single
@@ -287,6 +315,7 @@ pub fn measure_scale(
             ScalePoint {
                 shape,
                 honest,
+                honest_cost,
                 backoff,
                 backoff_polling_wall_secs,
                 silence: timing(&silence_runs, silence_wall),
@@ -310,12 +339,12 @@ impl ScaleBaseline {
         self.points.iter().all(|p| p.bit_identical)
     }
 
-    /// Serializes to the `dmw-bench-scale/v1` JSON schema (see
+    /// Serializes to the `dmw-bench-scale/v2` JSON schema (see
     /// `docs/benchmarks.md`).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str("  \"schema\": \"dmw-bench-scale/v1\",\n");
+        out.push_str("  \"schema\": \"dmw-bench-scale/v2\",\n");
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
         out.push_str(&format!(
             "  \"protocol_ceiling\": {},\n",
@@ -344,15 +373,25 @@ impl ScaleBaseline {
 
 /// One point of the schema's `points` array.
 fn point_json(point: &ScalePoint) -> String {
-    let workload = |w: &WorkloadTiming| {
+    let workload = |w: &WorkloadTiming, extra: &str| {
         format!(
             "{{ \"wall_secs\": {:.6}, \"run_ticks\": {}, \"events_processed\": {}, \
-             \"messages\": {}, \"bytes\": {} }}",
+             \"messages\": {}, \"bytes\": {}{extra} }}",
             w.wall_secs, w.run_ticks, w.events_processed, w.messages, w.bytes
         )
     };
-    let optional = |w: &Option<WorkloadTiming>| match w {
-        Some(w) => workload(w),
+    let honest = match (&point.honest, &point.honest_cost) {
+        (Some(w), Some(cost)) => workload(
+            w,
+            &format!(
+                ", \"muls_per_agent\": {}, \"muls_per_mn2_log2p\": {:.4}",
+                cost.muls_per_agent, cost.ratio
+            ),
+        ),
+        _ => "null".to_owned(),
+    };
+    let backoff = match &point.backoff {
+        Some(w) => workload(w, ""),
         None => "null".to_owned(),
     };
     let oracle = match point.backoff_polling_wall_secs {
@@ -368,10 +407,10 @@ fn point_json(point: &ScalePoint) -> String {
         point.shape.agents,
         point.shape.tasks,
         point.shape.trials,
-        optional(&point.honest),
-        optional(&point.backoff),
+        honest,
+        backoff,
         oracle,
-        workload(&point.silence),
+        workload(&point.silence, ""),
         point.silence_polling_wall_secs,
         point.bit_identical
     )
@@ -406,6 +445,9 @@ mod tests {
             backoff.run_ticks
         );
         assert!(honest.messages > 0);
+        let cost = point.honest_cost.expect("below the protocol ceiling");
+        assert!(cost.muls_per_agent > 0);
+        assert!(cost.ratio > 0.0);
     }
 
     #[test]
@@ -420,6 +462,7 @@ mod tests {
         let baseline = measure_scale(6, &shapes, 0, 0);
         let point = &baseline.points[0];
         assert_eq!(point.honest, None);
+        assert_eq!(point.honest_cost, None);
         assert_eq!(point.backoff, None);
         assert_eq!(point.backoff_polling_wall_secs, None);
         assert!(point.bit_identical, "silence runs are oracle-checked");
@@ -458,7 +501,7 @@ mod tests {
     }
 
     #[test]
-    fn json_has_the_v1_shape() {
+    fn json_has_the_v2_shape() {
         let shapes = [ScaleShape {
             agents: 8,
             tasks: 2,
@@ -466,7 +509,7 @@ mod tests {
         }];
         let json = measure_scale(5, &shapes, 8, 8).to_json();
         for needle in [
-            "\"schema\": \"dmw-bench-scale/v1\"",
+            "\"schema\": \"dmw-bench-scale/v2\"",
             "\"protocol_ceiling\": 8",
             "\"oracle_ceiling\": 8",
             "\"points\": [",
@@ -477,6 +520,8 @@ mod tests {
             "\"silence_polling_wall_secs\": ",
             "\"run_ticks\": ",
             "\"events_processed\": ",
+            "\"muls_per_agent\": ",
+            "\"muls_per_mn2_log2p\": ",
             "\"bit_identical\": true",
             "\"bit_identical_vs_polling_oracle\": true",
         ] {

@@ -26,9 +26,8 @@
 //!   only when the agents' claims agree (Phase IV);
 //! * [`runner`] — drives `n` agents over the simulated network, collects
 //!   the outcome, traffic statistics and a message trace (Fig. 2);
-//! * [`batch`] — fans *independent* trials (and, inside a trial, the
-//!   share-verification work) across a thread pool with per-trial seeded
-//!   RNG streams, bit-identical to sequential execution;
+//! * [`batch`] — fans *independent* trials across a thread pool with
+//!   per-trial seeded RNG streams, bit-identical to sequential execution;
 //! * [`collusion`] — coalition attacks against losing bids, measuring the
 //!   privacy threshold of Theorem 10;
 //! * [`audit`] — faithfulness / strong-voluntary-participation experiment

@@ -94,7 +94,10 @@ pub struct ResolvedPrice {
 /// from `w_max`) and for each candidate `d` tests whether
 /// `Π_{k=1}^{d+1} Λ_k^{ρ_k} = 1`, where `ρ_k` are the Lagrange-at-zero
 /// coefficients mod `q` of the first `d + 1` pseudonyms. The first success
-/// gives `deg E` and hence the minimum bid `y* = σ − deg E`.
+/// gives `deg E` and hence the minimum bid `y* = σ − deg E`. One
+/// [`lagrange::ZeroCoefficients`] is extended across the scan, so the
+/// coefficients of all candidates together cost `O(n²)` multiplications
+/// and at most `n` inversions.
 ///
 /// # Errors
 ///
@@ -118,15 +121,18 @@ pub fn resolve_min_bid(
     }
     let zq = group.zq();
     let zp = group.zp();
+    let mut rho = lagrange::ZeroCoefficients::new();
     for degree in encoding.candidate_degrees() {
         let s = degree + 1;
         let (Some(alpha_head), Some(lambda_head)) = (alphas.get(..s), lambdas.get(..s)) else {
             break;
         };
-        let rho = lagrange::zero_coefficients(&zq, alpha_head)
-            .map_err(|_| CryptoError::ResolutionFailed)?;
+        for &alpha in alpha_head.get(rho.len()..).unwrap_or_default() {
+            rho.push(&zq, alpha)
+                .map_err(|_| CryptoError::ResolutionFailed)?;
+        }
         let mut product = 1u64;
-        for (&lam, &r) in lambda_head.iter().zip(&rho) {
+        for (&lam, &r) in lambda_head.iter().zip(rho.coefficients()) {
             product = zp.mul(product, zp.pow(lam, r));
         }
         if product == 1 {
@@ -219,7 +225,9 @@ pub fn verify_f_disclosure(
 /// matching step III.3.
 ///
 /// `f_columns[ℓ]` holds agent `ℓ`'s disclosed `f_ℓ(α_k)` for the first
-/// [`BidEncoding::winner_points`] points in `alphas`.
+/// [`BidEncoding::winner_points`] points in `alphas`. The Lagrange-at-zero
+/// coefficients of those points are computed once; each column is then a
+/// dot product with them.
 ///
 /// # Errors
 ///
@@ -242,6 +250,14 @@ pub fn identify_winner(
         });
     }
     let zq = group.zq();
+    // Invalid points resolve no column, so the scan still checks every
+    // column's length and then ends in `NoWinner`.
+    let mut rho = lagrange::ZeroCoefficients::new();
+    let points_valid = alphas
+        .iter()
+        .take(needed)
+        .try_for_each(|&alpha| rho.push(&zq, alpha))
+        .is_ok();
     for (agent, column) in f_columns.iter().enumerate() {
         if column.len() < needed {
             return Err(CryptoError::LengthMismatch {
@@ -250,13 +266,7 @@ pub fn identify_winner(
                 expected: needed,
             });
         }
-        let shares: Vec<(u64, u64)> = alphas
-            .iter()
-            .copied()
-            .zip(column.iter().copied())
-            .take(needed)
-            .collect();
-        if let Ok(0) = lagrange::interpolate_at_zero(&zq, &shares) {
+        if points_valid && rho.at_zero(&zq, column.iter().copied()) == 0 {
             return Ok(agent);
         }
     }
@@ -373,6 +383,41 @@ mod tests {
     }
 
     #[test]
+    fn full_scan_resolution_inverts_at_most_once_per_point() {
+        let n = 64usize;
+        // Bid 1 is the minimum, so the scan runs through every candidate.
+        let bids: Vec<u64> = (0..n as u64).map(|i| 1 + (i * 7) % 62).collect();
+        let s = setup(&bids, 20);
+        let lambdas: Vec<u64> = s.pairs.iter().map(|p| p.lambda).collect();
+        let before = dmw_modmath::ops::current_ops();
+        let r = resolve_min_bid(&s.group, &s.encoding, &s.alphas, &lambdas).unwrap();
+        let cost = dmw_modmath::ops::current_ops().since(&before);
+        assert_eq!(r.bid, 1);
+        assert_eq!(r.points_used, n - 1, "full scan");
+        assert!(
+            cost.inv <= n as u64,
+            "{} inversions for one resolution at n = {n}",
+            cost.inv
+        );
+    }
+
+    #[test]
+    fn bad_point_beyond_the_resolving_prefix_raises_no_error() {
+        let s = setup(&[4, 4, 4, 4, 4, 4], 23);
+        let lambdas: Vec<u64> = s.pairs.iter().map(|p| p.lambda).collect();
+        let mut alphas = s.alphas.clone();
+        alphas[5] = 0;
+        let r = resolve_min_bid(&s.group, &s.encoding, &alphas, &lambdas).unwrap();
+        assert_eq!((r.bid, r.points_used), (4, 2));
+        // Inside the prefix the same point fails the resolution.
+        alphas[1] = 0;
+        assert!(matches!(
+            resolve_min_bid(&s.group, &s.encoding, &alphas, &lambdas),
+            Err(CryptoError::ResolutionFailed)
+        ));
+    }
+
+    #[test]
     fn resolution_length_mismatch_rejected() {
         let s = setup(&[1, 2, 2, 1], 10);
         let lambdas: Vec<u64> = s.pairs.iter().map(|p| p.lambda).take(2).collect();
@@ -470,6 +515,49 @@ mod tests {
             .collect();
         let winner = identify_winner(&s.group, &s.encoding, 1, &s.alphas, &f_columns).unwrap();
         assert_eq!(winner, 1, "smallest pseudonym among the tied bidders");
+    }
+
+    #[test]
+    fn winner_identification_inversions_do_not_grow_with_columns() {
+        let bids = [3u64, 2, 4, 3, 2, 1];
+        let s = setup(&bids, 21);
+        let zq = s.group.zq();
+        let f_columns: Vec<Vec<u64>> = s
+            .polys
+            .iter()
+            .map(|p| s.alphas.iter().map(|&a| p.f().eval(&zq, a)).collect())
+            .collect();
+        let inversions: Vec<u64> = (1..=f_columns.len())
+            .map(|columns| {
+                let before = dmw_modmath::ops::current_ops();
+                let verdict =
+                    identify_winner(&s.group, &s.encoding, 1, &s.alphas, &f_columns[..columns]);
+                let winner = (columns == f_columns.len()).then_some(5);
+                assert_eq!(verdict.ok(), winner, "{columns} columns");
+                dmw_modmath::ops::current_ops().since(&before).inv
+            })
+            .collect();
+        assert!(
+            inversions.iter().all(|&inv| inv == inversions[0]),
+            "inversions by column count: {inversions:?}"
+        );
+    }
+
+    #[test]
+    fn winner_identification_on_duplicate_points_finds_no_winner() {
+        let s = setup(&[3, 1, 2, 4, 2, 3], 22);
+        let zq = s.group.zq();
+        let f_columns: Vec<Vec<u64>> = s
+            .polys
+            .iter()
+            .map(|p| s.alphas.iter().map(|&a| p.f().eval(&zq, a)).collect())
+            .collect();
+        let mut alphas = s.alphas.clone();
+        alphas[1] = alphas[0];
+        assert!(matches!(
+            identify_winner(&s.group, &s.encoding, 1, &alphas, &f_columns),
+            Err(CryptoError::NoWinner)
+        ));
     }
 
     #[test]

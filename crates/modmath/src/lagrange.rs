@@ -25,7 +25,12 @@
 //! The *distributed* variant used by DMW operates in the exponent: each
 //! agent publishes `Λ_k = z1^{E(α_k)}` and anyone checks
 //! `Π Λ_k^{ρ_k} = 1` (equation (12)). [`zero_coefficients`] computes the
-//! `ρ_k` for that check.
+//! `ρ_k` of one whole point set in `Θ(s²)`; it is the reference.
+//! A degree scan tests one growing prefix of points after another, so
+//! equation (12) — and [`resolve_zero_degree`] /
+//! [`resolve_zero_degree_among`] here — instead extend one
+//! [`ZeroCoefficients`] builder a point at a time, in `O(s)`
+//! multiplications and a single inversion per added point.
 
 use crate::error::ModMathError;
 use crate::field::PrimeField;
@@ -73,6 +78,134 @@ pub fn zero_coefficients(field: &PrimeField, points: &[u64]) -> Result<Vec<u64>,
         coeffs.push(field.div(num, den)?);
     }
     Ok(coeffs)
+}
+
+/// The Lagrange-at-zero coefficients of a growing point set, extended one
+/// point at a time: the incremental form of [`zero_coefficients`].
+///
+/// Adding a point `a` to `s` points rescales every old coefficient by
+/// `a / (a − α_k)` and appends `ρ_new = (−1)^s · Π_k α_k / Π_k (a − α_k)`.
+/// The `s` differences are inverted together (Montgomery's batch trick),
+/// so a push costs one inversion and `O(s)` multiplications, and a scan
+/// over every prefix of `n` points costs `O(n²)` multiplications and
+/// `n − 1` inversions rather than `O(n³)` and `O(n²)`. The coefficients
+/// are the same field elements [`zero_coefficients`] returns for the
+/// same prefix.
+///
+/// # Example
+/// ```
+/// use dmw_modmath::{lagrange, PrimeField};
+///
+/// let f = PrimeField::new(1031)?;
+/// let points = [3, 7, 11];
+/// let mut rho = lagrange::ZeroCoefficients::new();
+/// for s in 1..=points.len() {
+///     rho.push(&f, points[s - 1])?;
+///     assert_eq!(rho.coefficients(), lagrange::zero_coefficients(&f, &points[..s])?);
+/// }
+/// # Ok::<(), dmw_modmath::ModMathError>(())
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ZeroCoefficients {
+    points: Vec<u64>,
+    coeffs: Vec<u64>,
+    /// `Π_k α_k` over `points`.
+    product: u64,
+}
+
+impl Default for ZeroCoefficients {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl ZeroCoefficients {
+    /// An empty point set.
+    pub fn new() -> Self {
+        ZeroCoefficients {
+            points: Vec::new(),
+            coeffs: Vec::new(),
+            product: 1,
+        }
+    }
+
+    /// `ρ_k` for every point added so far, in the order they were added.
+    pub fn coefficients(&self) -> &[u64] {
+        &self.coeffs
+    }
+
+    /// Number of points added so far.
+    pub fn len(&self) -> usize {
+        self.points.len()
+    }
+
+    /// `true` before the first point is added.
+    pub fn is_empty(&self) -> bool {
+        self.points.is_empty()
+    }
+
+    /// Adds the point `a` and updates every coefficient.
+    ///
+    /// # Errors
+    ///
+    /// The point checks of [`zero_coefficients`], applied to `a` alone;
+    /// on error the builder is left unchanged.
+    /// * [`ModMathError::OutOfRange`] if `a` is zero or not reduced.
+    /// * [`ModMathError::DuplicatePoint`] if `a` was already added.
+    pub fn push(&mut self, field: &PrimeField, a: u64) -> Result<(), ModMathError> {
+        if a == 0 || !field.contains(a) {
+            return Err(ModMathError::OutOfRange {
+                value: a,
+                modulus: field.modulus(),
+            });
+        }
+        if self.points.contains(&a) {
+            return Err(ModMathError::DuplicatePoint { point: a });
+        }
+        if self.points.is_empty() {
+            // The empty product: ρ = 1, no inversion needed.
+            self.points.push(a);
+            self.coeffs.push(1);
+            self.product = a;
+            return Ok(());
+        }
+        // prefix[k] = Π_{i<k} (a − α_i); `running` ends as the full product.
+        let mut prefix = Vec::with_capacity(self.points.len());
+        let mut running = 1u64;
+        for &ak in &self.points {
+            prefix.push(running);
+            running = field.mul(running, field.sub(a, ak));
+        }
+        // `running` is a product of differences of distinct points, hence
+        // nonzero; propagate rather than panic anyway.
+        let inv_all = field.inv(running)?;
+        let fresh = field.mul(self.product, inv_all);
+        let fresh = if self.points.len().is_multiple_of(2) {
+            fresh
+        } else {
+            field.neg(fresh)
+        };
+        // Walk back with `scaled = a / Π_{i≤k} (a − α_i)`, so that
+        // `scaled · prefix[k] = a / (a − α_k)`.
+        let mut scaled = field.mul(a, inv_all);
+        for ((rho, &ak), &before) in self.coeffs.iter_mut().zip(&self.points).zip(&prefix).rev() {
+            *rho = field.mul(*rho, field.mul(scaled, before));
+            scaled = field.mul(scaled, field.sub(a, ak));
+        }
+        self.coeffs.push(fresh);
+        self.points.push(a);
+        self.product = field.mul(self.product, a);
+        Ok(())
+    }
+
+    /// Interpolates `f(0) = Σ_k ρ_k · f(α_k)` from the values `f(α_k)` at
+    /// the points added so far, in order (extra values are ignored).
+    pub fn at_zero(&self, field: &PrimeField, values: impl IntoIterator<Item = u64>) -> u64 {
+        self.coeffs
+            .iter()
+            .zip(values)
+            .fold(0, |acc, (&rho, v)| field.add(acc, field.mul(v, rho)))
+    }
 }
 
 /// Interpolates `f(0)` from shares `(α_k, f(α_k))` using the basis-polynomial
@@ -192,9 +325,10 @@ pub fn interpolate_at_zero_steps(
 /// # Ok::<(), dmw_modmath::ModMathError>(())
 /// ```
 pub fn resolve_zero_degree(field: &PrimeField, shares: &[(u64, u64)]) -> Option<usize> {
+    let mut rho = ZeroCoefficients::new();
     for s in 1..=shares.len() {
         let prefix = shares.get(..s)?;
-        match interpolate_at_zero(field, prefix) {
+        match prefix_at_zero(field, &mut rho, prefix) {
             Ok(0) => return Some(s - 1),
             Ok(_) => continue,
             Err(_) => return None,
@@ -212,14 +346,31 @@ pub fn resolve_zero_degree_among(
     shares: &[(u64, u64)],
     candidates: &[usize],
 ) -> Option<usize> {
+    let mut rho = ZeroCoefficients::new();
     for &d in candidates {
-        let s = d + 1;
-        let prefix = shares.get(..s)?;
-        if let Ok(0) = interpolate_at_zero(field, prefix) {
+        let prefix = shares.get(..d + 1)?;
+        if let Ok(0) = prefix_at_zero(field, &mut rho, prefix) {
             return Some(d);
         }
     }
     None
+}
+
+/// Interpolates `prefix` at zero, extending `rho` (built over a shorter
+/// prefix of the same shares) to cover it.
+fn prefix_at_zero(
+    field: &PrimeField,
+    rho: &mut ZeroCoefficients,
+    prefix: &[(u64, u64)],
+) -> Result<u64, ModMathError> {
+    if prefix.len() < rho.len() {
+        // Candidates out of ascending order: start the prefix over.
+        *rho = ZeroCoefficients::new();
+    }
+    for &(a, _) in prefix.get(rho.len()..).unwrap_or_default() {
+        rho.push(field, a)?;
+    }
+    Ok(rho.at_zero(field, prefix.iter().map(|&(_, v)| v)))
 }
 
 #[cfg(test)]
@@ -343,6 +494,8 @@ mod tests {
         // Candidate set without the true degree fails cleanly... w.h.p. the
         // wrong candidates do not accidentally resolve.
         assert_eq!(resolve_zero_degree_among(&f, &shares, &[3, 4]), None);
+        // Out-of-order candidates are each still tested on their own prefix.
+        assert_eq!(resolve_zero_degree_among(&f, &shares, &[4, 3, 5]), Some(5));
         // Not enough shares for any candidate.
         assert_eq!(resolve_zero_degree_among(&f, &shares[..3], &[5]), None);
     }
@@ -354,7 +507,68 @@ mod tests {
         assert_eq!(resolve_zero_degree(&f, &shares), None);
     }
 
+    #[test]
+    fn builder_push_costs_one_inversion_and_linear_muls() {
+        let f = PrimeField::new(1_000_003).unwrap();
+        let mut rho = ZeroCoefficients::new();
+        for a in 1..=40u64 {
+            let before = crate::ops::current_ops();
+            rho.push(&f, a).unwrap();
+            let cost = crate::ops::current_ops().since(&before);
+            let s = a - 1; // points already present
+            assert_eq!(cost.inv, u64::from(s > 0), "push {a}");
+            assert!(cost.mul <= 4 * s + 3, "push {a}: {} muls", cost.mul);
+        }
+    }
+
     proptest! {
+        #[test]
+        fn builder_matches_zero_coefficients_on_every_prefix(
+            seed in 0u64..5000,
+            len in 1usize..16,
+            at in 0usize..16,
+            earlier in 0usize..16,
+            bad in 0u8..4,
+        ) {
+            let f = field();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut points = f.rand_distinct_nonzero(len, &mut rng);
+            // Insert at most one bad point, at index `at`.
+            let at = at % (len + 1);
+            let injected = match bad {
+                0 => None,
+                1 => Some((at, 0)),
+                2 => Some((at, f.modulus() + seed % 7)),
+                _ => {
+                    // A duplicate of an earlier point.
+                    let at = at.max(1);
+                    Some((at, points[earlier % at]))
+                }
+            };
+            if let Some((at, point)) = injected {
+                points.insert(at, point);
+            }
+            let mut rho = ZeroCoefficients::new();
+            for s in 1..=points.len() {
+                let reference = zero_coefficients(&f, &points[..s]);
+                let before = rho.clone();
+                match rho.push(&f, points[s - 1]) {
+                    Ok(()) => {
+                        prop_assert_eq!(Ok(rho.coefficients().to_vec()), reference);
+                    }
+                    Err(e) => {
+                        prop_assert_eq!(Err(e), reference);
+                        prop_assert_eq!(injected.map(|(at, _)| at), Some(s - 1));
+                        prop_assert_eq!(&rho, &before, "a failed push changes nothing");
+                        break;
+                    }
+                }
+            }
+            if injected.is_none() {
+                prop_assert_eq!(rho.len(), points.len());
+            }
+        }
+
         #[test]
         fn random_polynomials_resolve(
             d in 1usize..10,
