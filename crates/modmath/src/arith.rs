@@ -1,9 +1,15 @@
 //! Primitive modular operations on `u64` operands.
 //!
-//! All functions assume an odd modulus `m > 1` and operands already reduced
-//! into `[0, m)`; the [`crate::field::PrimeField`] wrapper enforces those
-//! preconditions and should be preferred in protocol code. Intermediates use
-//! `u128`, so any modulus up to 63 bits is safe.
+//! All functions assume a modulus `m > 1` and operands already reduced
+//! into `[0, m)`. Intermediates use `u128`, so any `u64` modulus is safe.
+//!
+//! This is the naive reference arithmetic: a multiplication is one `u128`
+//! product and one `u128 %`. Protocol code goes through
+//! [`crate::field::PrimeField`] and [`crate::multiexp`], whose Montgomery
+//! ladders are the fast path and record the same operation counts; their
+//! tests compare against the functions here. Moduli that are not prime,
+//! such as the even modulus of `pow_mod`'s example, use this module
+//! directly.
 //!
 //! Every multiplication and inversion is recorded in the thread-local
 //! [`crate::ops`] counters; this instrumentation is how the reproduction

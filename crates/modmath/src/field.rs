@@ -3,13 +3,27 @@
 //! Protocol code manipulates two fields: `Z_q` (exponents, polynomial
 //! coefficients, shares) and the order-`q` subgroup of `Z_p*` (commitments
 //! and published values). `PrimeField` gives both a validated, ergonomic
-//! surface over [`crate::arith`]. Elements are plain `u64` values already
+//! surface. Elements are plain `u64` values already
 //! reduced into `[0, p)`; the newtype lives at the field level rather than
 //! the element level so that values can flow through messages and
 //! serialization without carrying the modulus along.
+//!
+//! # Montgomery form
+//!
+//! [`PrimeField::mul`], [`PrimeField::pow`], [`crate::Poly::eval`] and the
+//! ladders of [`crate::multiexp`] multiply in Montgomery form (P. L.
+//! Montgomery, "Modular multiplication without trial division", Math.
+//! Comp. 1985) with `R = 2⁶⁴`: a residue `x` is represented by
+//! `x·R mod p`, and the product of two representatives is reduced with
+//! three 64-bit multiplications and no division. Each operation converts
+//! its operands in once and its result out once, so every value that
+//! leaves the field is a canonical residue in `[0, p)`. [`crate::arith`]
+//! keeps the plain `u128 %` arithmetic as the reference the tests compare
+//! against.
 
 use crate::arith;
 use crate::error::ModMathError;
+use crate::ops;
 use crate::prime::is_prime;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -28,6 +42,21 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PrimeField {
     modulus: u64,
+    /// `p⁻¹ mod 2⁶⁴`, the Montgomery reduction constant.
+    p_inv: u64,
+    /// `R² mod p`, which maps a residue into Montgomery form.
+    r2: u64,
+}
+
+/// Splits the full 128-bit product `a · b` into its `(high, low)` words.
+#[inline]
+fn wide_mul(a: u64, b: u64) -> (u64, u64) {
+    let t = u128::from(a) * u128::from(b);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "intended: `t >> 64` is below 2⁶⁴ and `t as u64` keeps the low word"
+    )]
+    ((t >> 64) as u64, t as u64)
 }
 
 impl PrimeField {
@@ -41,7 +70,7 @@ impl PrimeField {
         if p < 3 || !is_prime(p) {
             return Err(ModMathError::NotPrime { modulus: p });
         }
-        Ok(PrimeField { modulus: p })
+        Ok(Self::from_validated_modulus(p))
     }
 
     /// Rebuilds a field whose modulus was already validated by [`Self::new`]
@@ -49,7 +78,71 @@ impl PrimeField {
     /// primality re-check so reconstruction is infallible.
     pub(crate) fn from_validated_modulus(p: u64) -> Self {
         debug_assert!(p >= 3 && is_prime(p));
-        PrimeField { modulus: p }
+        // Newton's iteration for p⁻¹ mod 2⁶⁴: an odd p is its own inverse
+        // mod 2³, and each step doubles the number of correct low bits.
+        let mut p_inv = p;
+        for _ in 0..5 {
+            p_inv = p_inv.wrapping_mul(2u64.wrapping_sub(p.wrapping_mul(p_inv)));
+        }
+        let p128 = u128::from(p);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "in range: a residue mod p is below p < 2⁶⁴"
+        )]
+        let r2 = ((u128::MAX % p128 + 1) % p128) as u64;
+        PrimeField {
+            modulus: p,
+            p_inv,
+            r2,
+        }
+    }
+
+    /// Montgomery reduction: returns `t · R⁻¹ mod p` for
+    /// `t = hi·2⁶⁴ + lo < p·2⁶⁴`, as a canonical residue.
+    ///
+    /// With `u = lo · p⁻¹ mod 2⁶⁴`, the low words of `t` and `u·p` agree,
+    /// so `(t − u·p) / 2⁶⁴ = hi − ⌊u·p / 2⁶⁴⌋` lies in `(−p, p)`. The
+    /// subtractive form needs no headroom above `p`, so it holds for every
+    /// odd 64-bit modulus.
+    #[inline]
+    fn redc(&self, hi: u64, lo: u64) -> u64 {
+        debug_assert!(hi < self.modulus);
+        let u = lo.wrapping_mul(self.p_inv);
+        let (up_hi, _) = wide_mul(u, self.modulus);
+        let (r, borrow) = hi.overflowing_sub(up_hi);
+        if borrow {
+            r.wrapping_add(self.modulus)
+        } else {
+            r
+        }
+    }
+
+    /// Returns `a · b · R⁻¹ mod p`; on two representatives that is the
+    /// representative of their product. Needs `a · b < p · 2⁶⁴`, which
+    /// holds whenever one operand is below `p`.
+    #[inline]
+    pub(crate) fn mont_mul(&self, a: u64, b: u64) -> u64 {
+        let (hi, lo) = wide_mul(a, b);
+        self.redc(hi, lo)
+    }
+
+    /// Maps `x` to the representative of `x mod p`, i.e. `x · R mod p`.
+    /// Any `u64` is accepted: `x · R² < p · 2⁶⁴` because `R² mod p < p`.
+    #[inline]
+    pub(crate) fn mont_in(&self, x: u64) -> u64 {
+        self.mont_mul(x, self.r2)
+    }
+
+    /// Maps a representative back to its canonical residue.
+    #[inline]
+    pub(crate) fn mont_out(&self, x: u64) -> u64 {
+        self.redc(0, x)
+    }
+
+    /// The representative of `1`, i.e. `R mod p`.
+    #[inline]
+    pub(crate) fn mont_one(&self) -> u64 {
+        self.redc(0, self.r2)
     }
 
     /// The field modulus `p`.
@@ -112,15 +205,42 @@ impl PrimeField {
     }
 
     /// Multiplies two field elements.
+    ///
+    /// Two Montgomery products, `(a·R)·b·R⁻¹ = a·b`; it records one
+    /// multiplication, like [`arith::mul_mod`].
     #[inline]
     pub fn mul(&self, a: u64, b: u64) -> u64 {
-        arith::mul_mod(a, b, self.modulus)
+        debug_assert!(a < self.modulus && b < self.modulus);
+        ops::record_mul();
+        self.mont_mul(self.mont_in(a), b)
     }
 
     /// Raises `base` to `exp`.
-    #[inline]
-    pub fn pow(&self, base: u64, exp: u64) -> u64 {
-        arith::pow_mod(base, exp, self.modulus)
+    ///
+    /// The same right-to-left binary ladder as [`arith::pow_mod`], run in
+    /// Montgomery form. It records the same counts: one `pow` and
+    /// `popcount(exp) + bits(exp) − 1` multiplications, tallied locally and
+    /// flushed once.
+    pub fn pow(&self, base: u64, mut exp: u64) -> u64 {
+        debug_assert!(base < self.modulus);
+        ops::record_pow();
+        if exp == 0 {
+            return 1;
+        }
+        ops::record_muls(u64::from(exp.count_ones() + (63 - exp.leading_zeros())));
+        let mut result = self.mont_one();
+        let mut acc = self.mont_in(base);
+        loop {
+            if exp & 1 == 1 {
+                result = self.mont_mul(result, acc);
+            }
+            exp >>= 1;
+            if exp == 0 {
+                break;
+            }
+            acc = self.mont_mul(acc, acc);
+        }
+        self.mont_out(result)
     }
 
     /// Computes the multiplicative inverse of `a`.
@@ -181,10 +301,61 @@ impl PrimeField {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::SeedableRng;
+    use std::sync::OnceLock;
+
+    /// The moduli the Montgomery paths are pinned on: two tiny primes, a
+    /// small field, a generated 48-bit group modulus, the largest 63-bit
+    /// prime and the largest 64-bit prime.
+    pub(crate) fn reference_fields() -> &'static [PrimeField] {
+        static FIELDS: OnceLock<Vec<PrimeField>> = OnceLock::new();
+        FIELDS.get_or_init(|| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(48);
+            let group = crate::SchnorrGroup::generate(48, 20, &mut rng).unwrap();
+            assert_eq!(group.zp().bits(), 48);
+            [
+                3,
+                7,
+                1031,
+                group.p(),
+                0x7FFF_FFFF_FFFF_FFE7,
+                0xFFFF_FFFF_FFFF_FFC5,
+            ]
+            .into_iter()
+            .map(|p| PrimeField::new(p).unwrap())
+            .collect()
+        })
+    }
+
+    #[test]
+    fn montgomery_constants_invert_the_modulus() {
+        for f in reference_fields() {
+            let p = f.modulus();
+            assert_eq!(p.wrapping_mul(f.p_inv), 1, "p = {p}");
+            let r = arith::pow_mod(2, 64, p);
+            assert_eq!(f.r2, arith::mul_mod(r, r, p), "p = {p}");
+            assert_eq!(f.mont_one(), r, "p = {p}");
+        }
+    }
+
+    #[test]
+    fn montgomery_round_trips_edge_residues() {
+        for f in reference_fields() {
+            let p = f.modulus();
+            for x in [0, 1, 2, p / 2, p - 2, p - 1] {
+                assert_eq!(f.mont_out(f.mont_in(x)), x, "p = {p}");
+                for y in [0, 1, 2, p / 2, p - 2, p - 1] {
+                    assert_eq!(f.mul(x, y), arith::mul_mod(x, y, p), "{x}·{y} mod {p}");
+                }
+                for e in [0, 1, 2, p - 2, p - 1, u64::MAX] {
+                    assert_eq!(f.pow(x, e), arith::pow_mod(x, e, p), "{x}^{e} mod {p}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn rejects_composite_and_even_moduli() {
@@ -252,6 +423,43 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn montgomery_mul_matches_reference(
+            a in proptest::num::u64::ANY,
+            b in proptest::num::u64::ANY,
+        ) {
+            for f in reference_fields() {
+                let p = f.modulus();
+                let (a, b) = (a % p, b % p);
+                crate::ops::reset_ops();
+                let fast = f.mul(a, b);
+                let fast_ops = crate::ops::take_ops();
+                let reference = arith::mul_mod(a, b, p);
+                prop_assert_eq!(fast, reference, "{}·{} mod {}", a, b, p);
+                prop_assert_eq!(fast_ops, crate::ops::take_ops());
+            }
+        }
+
+        #[test]
+        fn montgomery_pow_matches_reference(
+            a in proptest::num::u64::ANY,
+            e in proptest::num::u64::ANY,
+            bits in 0u32..64,
+        ) {
+            // Short exponents too, so every ladder length is exercised.
+            let e = e >> bits;
+            for f in reference_fields() {
+                let p = f.modulus();
+                let a = a % p;
+                crate::ops::reset_ops();
+                let fast = f.pow(a, e);
+                let fast_ops = crate::ops::take_ops();
+                let reference = arith::pow_mod(a, e, p);
+                prop_assert_eq!(fast, reference, "{}^{} mod {}", a, e, p);
+                prop_assert_eq!(fast_ops, crate::ops::take_ops());
+            }
+        }
+
         #[test]
         fn div_inverts_mul(a in 0u64..1031, b in 1u64..1031) {
             let f = PrimeField::new(1031).unwrap();

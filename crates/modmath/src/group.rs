@@ -38,16 +38,12 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SchnorrGroup {
-    p: u64,
-    q: u64,
     z1: u64,
     z2: u64,
-    /// Cached ambient field, so `zp()` costs nothing per call.
-    #[serde(skip, default)]
-    zp: Option<PrimeField>,
-    /// Cached exponent field.
-    #[serde(skip, default)]
-    zq: Option<PrimeField>,
+    /// The ambient field `Z_p`, with its Montgomery constants.
+    zp: PrimeField,
+    /// The exponent field `Z_q`.
+    zq: PrimeField,
 }
 
 impl SchnorrGroup {
@@ -182,26 +178,24 @@ impl SchnorrGroup {
         Ok(SchnorrGroup::assemble(p, q, z1, z2))
     }
 
-    /// Builds the struct with cached fields; inputs already validated.
+    /// Builds the struct with its two fields; inputs already validated.
     fn assemble(p: u64, q: u64, z1: u64, z2: u64) -> Self {
         SchnorrGroup {
-            p,
-            q,
             z1,
             z2,
-            zp: Some(PrimeField::from_validated_modulus(p)),
-            zq: Some(PrimeField::from_validated_modulus(q)),
+            zp: PrimeField::from_validated_modulus(p),
+            zq: PrimeField::from_validated_modulus(q),
         }
     }
 
     /// The group modulus `p`.
     pub fn p(&self) -> u64 {
-        self.p
+        self.zp.modulus()
     }
 
     /// The subgroup order `q`.
     pub fn q(&self) -> u64 {
-        self.q
+        self.zq.modulus()
     }
 
     /// The first generator `z1`.
@@ -216,16 +210,13 @@ impl SchnorrGroup {
 
     /// The ambient field `Z_p` in which group elements are multiplied.
     pub fn zp(&self) -> PrimeField {
-        // The Option is None only for deserialized values (serde skip).
         self.zp
-            .unwrap_or_else(|| PrimeField::from_validated_modulus(self.p))
     }
 
     /// The exponent field `Z_q` in which shares and Lagrange coefficients
     /// are computed.
     pub fn zq(&self) -> PrimeField {
         self.zq
-            .unwrap_or_else(|| PrimeField::from_validated_modulus(self.q))
     }
 
     /// Computes the double-base commitment `z1^a · z2^b (mod p)` — the shape

@@ -7,11 +7,16 @@
 //!
 //! * [`arith`] — primitive modular operations on `u64` values with `u128`
 //!   intermediates (multiplication, exponentiation by right-to-left binary
-//!   decomposition, inversion by the extended Euclidean algorithm);
+//!   decomposition, inversion by the extended Euclidean algorithm). Its
+//!   plain `u128 %` multiplication is the reference the fast paths are
+//!   tested against, and it serves moduli that are not fields;
 //! * [`prime`] — deterministic Miller–Rabin primality testing for `u64` and
 //!   random prime generation;
-//! * [`field`] — [`PrimeField`], a runtime-modulus prime field `Z_p` wrapping
-//!   the primitives with validation and operation counting;
+//! * [`field`] — [`PrimeField`], a runtime-modulus prime field `Z_p` with
+//!   validation and operation counting. Its multiplication and
+//!   exponentiation run in Montgomery form, the fast path;
+//! * [`multiexp`] — simultaneous multi-exponentiation, one Montgomery
+//!   ladder shared by several bases and, optionally, several products;
 //! * [`group`] — [`SchnorrGroup`], the order-`q` subgroup of `Z_p*`
 //!   (`q | p − 1`) with two independent generators `z1`, `z2` as required by
 //!   the paper's commitment scheme (Section 3, "Notation");

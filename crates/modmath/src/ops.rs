@@ -6,6 +6,14 @@
 //! operation executed by [`crate::arith`] so the reproduction harness can
 //! measure that bound empirically rather than assert it.
 //!
+//! [`crate::PrimeField`], [`crate::Poly::eval`] and [`crate::multiexp`]
+//! multiply in Montgomery form and record the same counts as the
+//! [`crate::arith`] reference: one `mul` per ladder or Horner step or
+//! field multiplication. Converting a value into
+//! or out of Montgomery form is a change of representation, not a step of
+//! the paper's cost model, and is not counted. Ladders tally their steps
+//! locally and flush the total once.
+//!
 //! Counters are thread-local: a simulation driving `n` agents on one thread
 //! measures the whole protocol; the per-agent figure is obtained by dividing
 //! by `n` (all agents perform symmetric work in DMW) or by running a single
@@ -90,6 +98,13 @@ pub(crate) fn record_mul() {
     MUL.with(|c| c.set(c.get().wrapping_add(1)));
 }
 
+/// Records `count` multiplications at once, for ladders that tally their
+/// steps locally and flush the total when they finish.
+#[inline]
+pub(crate) fn record_muls(count: u64) {
+    MUL.with(|c| c.set(c.get().wrapping_add(count)));
+}
+
 #[inline]
 pub(crate) fn record_add() {
     ADD.with(|c| c.set(c.get().wrapping_add(1)));
@@ -151,12 +166,22 @@ mod tests {
 
     #[test]
     fn pow_contributes_log_many_muls() {
+        const P: u64 = 0x7FFF_FFFF_FFFF_FFE7;
         reset_ops();
-        arith::pow_mod(3, (1 << 20) - 1, 0x7FFF_FFFF_FFFF_FFE7);
+        arith::pow_mod(3, (1 << 20) - 1, P);
         let snap = take_ops();
         assert_eq!(snap.pow, 1);
         // 20 one-bits -> 20 result muls + 19 squarings.
         assert_eq!(snap.mul, 39);
+        // The Montgomery ladder of `PrimeField::pow` records the same
+        // counts; its conversions in and out are not multiplications.
+        let field = crate::PrimeField::new(P).unwrap();
+        for exp in [0, 1, 2, 3, (1 << 20) - 1, 1 << 40, P - 1, u64::MAX] {
+            field.pow(3, exp);
+            let montgomery = take_ops();
+            arith::pow_mod(3, exp, P);
+            assert_eq!(montgomery, take_ops(), "exponent {exp}");
+        }
     }
 
     #[test]

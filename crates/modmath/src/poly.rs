@@ -17,6 +17,7 @@
 //! `e(x)·f(x)` whose coefficients `v_ℓ` are committed in equation (6).
 
 use crate::field::PrimeField;
+use crate::ops;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -110,11 +111,18 @@ impl Poly {
 
     /// Evaluates the polynomial at `x` by Horner's rule (`deg` multiplications
     /// and additions, as costed in the paper's Theorem 12).
+    ///
+    /// `x` is converted to Montgomery form once. The Montgomery product of
+    /// a canonical residue and a representative is the canonical product,
+    /// so each step costs one reduction, where [`PrimeField::mul`] needs
+    /// two. One multiplication and one addition are recorded per
+    /// coefficient.
     pub fn eval(&self, field: &PrimeField, x: u64) -> u64 {
-        let x = field.reduce(x);
+        let x = field.mont_in(x);
+        ops::record_muls(self.coeffs.len() as u64);
         let mut acc = 0u64;
         for &c in self.coeffs.iter().rev() {
-            acc = field.add(field.mul(acc, x), c);
+            acc = field.add(field.mont_mul(acc, x), c);
         }
         acc
     }
@@ -287,6 +295,25 @@ mod tests {
                 pa.mul(&f, &pb).eval(&f, x),
                 f.mul(pa.eval(&f, x), pb.eval(&f, x))
             );
+        }
+
+        #[test]
+        fn eval_matches_reference_horner_on_every_modulus(
+            raw in proptest::collection::vec(proptest::num::u64::ANY, 0..12),
+            x in proptest::num::u64::ANY,
+        ) {
+            for f in crate::field::tests::reference_fields() {
+                let m = f.modulus();
+                let p = Poly::from_coeffs(f, raw.iter().map(|c| c % m).collect());
+                crate::ops::reset_ops();
+                let fast = p.eval(f, x);
+                let fast_ops = crate::ops::take_ops();
+                let reference = (0..p.coeffs().len()).rev().fold(0, |acc, i| {
+                    crate::arith::add_mod(crate::arith::mul_mod(acc, x % m, m), p.coeff(i), m)
+                });
+                prop_assert_eq!(fast, reference, "modulus {}", m);
+                prop_assert_eq!(fast_ops, crate::ops::take_ops());
+            }
         }
 
         #[test]
