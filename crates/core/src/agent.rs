@@ -25,7 +25,7 @@
 //!   offers for Open Problem 11).
 //!
 //! **Rotation verification.** Verifying equation (11) for *every* publisher
-//! would cost each agent `Θ(n³ log p)` per task, exceeding the paper's
+//! would cost each agent `Θ(n³ + n² log p)` per task, exceeding the paper's
 //! `Θ(mn² log p)` bound (Table 1). Instead, each published value is
 //! checked by its `c + 1` cyclically-next live agents: with at most `c`
 //! faulty agents at least one designated verifier is honest, so every

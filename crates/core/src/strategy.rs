@@ -20,8 +20,10 @@ use std::fmt;
 /// How published values (`Λ/Ψ`, disclosures, excluded pairs) are
 /// verified.
 ///
-/// Full mutual verification costs each agent `Θ(mn³ log p)` — more than
-/// the paper's Table 1 budget; the rotation scheme checks each value with
+/// Full mutual verification costs each agent `Θ(m(n³ + n² log p))` —
+/// more than the paper's Table 1 budget (the `n³` term is plain
+/// multiplications: each check folds the `n` commitment vectors before one
+/// multi-exponentiation); the rotation scheme checks each value with
 /// `c + 1` designated verifiers (≥ 1 honest under ≤ `c` faults), keeping
 /// detection guaranteed at `Θ(mn² log p)`. The `table1-comp` experiment
 /// measures both; see DESIGN.md, "Rotation verification".
@@ -32,7 +34,7 @@ pub enum VerificationPolicy {
     #[default]
     Rotation,
     /// Every agent verifies every published value (belt-and-braces;
-    /// `Θ(mn³ log p)` per agent).
+    /// `Θ(m(n³ + n² log p))` per agent).
     Full,
 }
 

@@ -26,7 +26,7 @@
 use crate::encoding::BidEncoding;
 use crate::error::CryptoError;
 use crate::polynomials::{BidPolynomials, ShareBundle};
-use dmw_modmath::SchnorrGroup;
+use dmw_modmath::{multiexp, SchnorrGroup};
 use serde::{Deserialize, Serialize};
 
 /// The published commitment triple `(O, Q, R)` of one agent for one task
@@ -113,20 +113,12 @@ impl Commitments {
 
     /// Evaluates a commitment vector "in the exponent" at pseudonym
     /// `alpha`: `Π_ℓ vec_ℓ^{α^ℓ} (mod p)` with `α^ℓ` reduced mod `q`. This
-    /// is the right-hand side shape shared by equations (7)–(9) — the
-    /// protocol's hottest operation, computed by simultaneous
-    /// multi-exponentiation ([`dmw_modmath::multiexp`], ≈ 3× fewer
-    /// multiplications than one ladder per entry).
+    /// is the right-hand side shape shared by equations (7)–(9), computed
+    /// by simultaneous multi-exponentiation ([`dmw_modmath::multiexp`],
+    /// ≈ 3× fewer multiplications than one ladder per entry).
     fn eval_vector(group: &SchnorrGroup, vec: &[u64], alpha: u64) -> u64 {
-        let zp = group.zp();
-        let zq = group.zq();
-        let mut exps = Vec::with_capacity(vec.len());
-        let mut alpha_pow = 1u64; // alpha^0; loop raises it to alpha^l.
-        for _ in vec {
-            alpha_pow = zq.mul(alpha_pow, alpha);
-            exps.push(alpha_pow);
-        }
-        dmw_modmath::multiexp::multi_pow(&zp, vec, &exps)
+        let exps = alpha_powers(group, alpha, vec.len());
+        multiexp::multi_pow(&group.zp(), vec, &exps)
     }
 
     /// The public value `Γ = Π_ℓ Q_ℓ^{α^ℓ}` — equals
@@ -140,12 +132,19 @@ impl Commitments {
     pub fn phi(&self, group: &SchnorrGroup, alpha: u64) -> u64 {
         Self::eval_vector(group, &self.r, alpha)
     }
+}
 
-    /// The public value `Π_ℓ O_ℓ^{α^ℓ}` — equals
-    /// `z1^{e(α)·f(α)} · z2^{g(α)}` for honest commitments (equation (7)).
-    pub fn omicron(&self, group: &SchnorrGroup, alpha: u64) -> u64 {
-        Self::eval_vector(group, &self.o, alpha)
-    }
+/// The exponents `[α, α², …, α^len]` mod `q` at which a commitment vector
+/// is evaluated in equations (7)–(9), (11) and (13).
+pub(crate) fn alpha_powers(group: &SchnorrGroup, alpha: u64, len: usize) -> Vec<u64> {
+    let zq = group.zq();
+    let mut alpha_pow = 1u64; // alpha^0; each step raises it to alpha^l.
+    (0..len)
+        .map(|_| {
+            alpha_pow = zq.mul(alpha_pow, alpha);
+            alpha_pow
+        })
+        .collect()
 }
 
 /// Verifies a received share bundle against the sender's commitments —
@@ -180,19 +179,24 @@ pub fn verify_shares(
     bundle: &ShareBundle,
 ) -> Result<(), CryptoError> {
     let zq = group.zq();
+    // The three right-hand sides share the exponents α^ℓ: one ladder with
+    // three accumulators evaluates Π O_ℓ^{α^ℓ}, Γ and Φ together.
+    let exps = alpha_powers(group, alpha, commitments.o.len());
+    let [omicron, gamma, phi] = multiexp::joint_multi_pow(
+        &group.zp(),
+        [&commitments.o, &commitments.q, &commitments.r],
+        &exps,
+    );
     // (7): z1^{e(α)f(α)} z2^{g(α)} == Π O_ℓ^{α^ℓ}.
-    let lhs7 = group.commit(zq.mul(bundle.e, bundle.f), bundle.g);
-    if lhs7 != commitments.omicron(group, alpha) {
+    if group.commit(zq.mul(bundle.e, bundle.f), bundle.g) != omicron {
         return Err(CryptoError::ShareVerificationFailed { equation: 7 });
     }
     // (8): z1^{e(α)} z2^{h(α)} == Γ.
-    let lhs8 = group.commit(bundle.e, bundle.h);
-    if lhs8 != commitments.gamma(group, alpha) {
+    if group.commit(bundle.e, bundle.h) != gamma {
         return Err(CryptoError::ShareVerificationFailed { equation: 8 });
     }
     // (9): z1^{f(α)} z2^{h(α)} == Φ.
-    let lhs9 = group.commit(bundle.f, bundle.h);
-    if lhs9 != commitments.phi(group, alpha) {
+    if group.commit(bundle.f, bundle.h) != phi {
         return Err(CryptoError::ShareVerificationFailed { equation: 9 });
     }
     Ok(())
@@ -295,6 +299,52 @@ mod tests {
                 verify_shares(&group, &commitments, 11, &bundle).is_err(),
                 "tampered field {field} slipped through"
             );
+        }
+    }
+
+    #[test]
+    fn each_tamper_names_its_equation() {
+        let (group, encoding, mut rng) = setup();
+        let (zp, zq) = (group.zp(), group.zq());
+        let polys = BidPolynomials::generate(&group, &encoding, 3, &mut rng).unwrap();
+        let commitments = Commitments::commit(&group, &encoding, &polys);
+        let alpha = 17;
+        let honest = polys.share_for(&zq, alpha);
+        verify_shares(&group, &commitments, alpha, &honest).unwrap();
+        // A bundle field enters (7) unless it is h, which (7) does not use.
+        for (field, equation) in [('e', 7), ('f', 7), ('g', 7), ('h', 8)] {
+            let mut bundle = honest;
+            let share = match field {
+                'e' => &mut bundle.e,
+                'f' => &mut bundle.f,
+                'g' => &mut bundle.g,
+                _ => &mut bundle.h,
+            };
+            *share = zq.add(*share, 1);
+            assert_eq!(
+                verify_shares(&group, &commitments, alpha, &bundle),
+                Err(CryptoError::ShareVerificationFailed { equation }),
+                "tampered share {field}"
+            );
+        }
+        // A commitment entry fails exactly the equation of its vector.
+        for (vector, equation) in [(0, 7), (1, 8), (2, 9)] {
+            for index in [0, encoding.sigma() - 1] {
+                let mut vectors = [
+                    commitments.o().to_vec(),
+                    commitments.q().to_vec(),
+                    commitments.r().to_vec(),
+                ];
+                let entry = &mut vectors[vector][index];
+                *entry = zp.mul(*entry, group.z2());
+                let [o, q, r] = vectors;
+                let tampered = Commitments::from_parts(&encoding, o, q, r).unwrap();
+                assert_eq!(
+                    verify_shares(&group, &tampered, alpha, &honest),
+                    Err(CryptoError::ShareVerificationFailed { equation }),
+                    "tampered vector {vector}, entry {index}"
+                );
+            }
         }
     }
 

@@ -17,10 +17,10 @@
 //! `z1` has order `q`, so the product is 1 exactly when the plain Lagrange
 //! interpolation of `E` at zero vanishes mod `q`.
 
-use crate::commitments::Commitments;
+use crate::commitments::{alpha_powers, Commitments};
 use crate::encoding::BidEncoding;
 use crate::error::CryptoError;
-use dmw_modmath::{lagrange, SchnorrGroup};
+use dmw_modmath::{lagrange, multiexp, SchnorrGroup};
 use serde::{Deserialize, Serialize};
 
 /// A published `(Λ_i, Ψ_i)` pair (equation (10)).
@@ -62,18 +62,42 @@ pub fn verify_lambda_psi(
     pair: &LambdaPsi,
     excluded: Option<usize>,
 ) -> Result<(), CryptoError> {
-    let zp = group.zp();
-    let mut gamma_product = 1u64;
-    for (l, commitments) in all_commitments.iter().enumerate() {
-        if excluded == Some(l) {
-            continue;
-        }
-        gamma_product = zp.mul(gamma_product, commitments.gamma(group, alpha_i));
-    }
-    if gamma_product != zp.mul(pair.lambda, pair.psi) {
+    let included = all_commitments
+        .iter()
+        .enumerate()
+        .filter(|&(l, _)| excluded != Some(l))
+        .map(|(_, commitments)| commitments.q());
+    let gamma_product = product_in_exponent(group, included, alpha_i);
+    if gamma_product != group.zp().mul(pair.lambda, pair.psi) {
         return Err(CryptoError::LambdaPsiInvalid { agent });
     }
     Ok(())
+}
+
+/// Evaluates `Π_ℓ Π_j V_{ℓ,j}^{α^j}` over commitment vectors `V_ℓ` — the
+/// product of every `Γ_ℓ(α)` (equation (11)) or every `Φ_ℓ(α)`
+/// (equation (13)).
+///
+/// All the vectors share the exponents `α^j`, so the product is taken as
+/// `Π_j (Π_ℓ V_{ℓ,j})^{α^j}`: plain multiplications fold the vectors entry
+/// by entry, then one multi-exponentiation evaluates the folded vector, in
+/// place of one per vector. A missing entry of a shorter vector counts as
+/// `1`.
+fn product_in_exponent<'a>(
+    group: &SchnorrGroup,
+    vectors: impl IntoIterator<Item = &'a [u64]>,
+    alpha: u64,
+) -> u64 {
+    let zp = group.zp();
+    let mut folded: Vec<u64> = Vec::new();
+    for vector in vectors {
+        for (acc, &entry) in folded.iter_mut().zip(vector) {
+            *acc = zp.mul(*acc, entry);
+        }
+        folded.extend_from_slice(vector.get(folded.len()..).unwrap_or_default());
+    }
+    let exps = alpha_powers(group, alpha, folded.len());
+    multiexp::multi_pow(&zp, &folded, &exps)
 }
 
 /// The result of a first- or second-price resolution (equation (12)).
@@ -206,10 +230,8 @@ pub fn verify_f_disclosure(
     let zp = group.zp();
     let f_sum = disclosed_f.iter().fold(0u64, |acc, &v| zq.add(acc, v));
     let lhs = zp.mul(group.pow_z1(f_sum), psi_k);
-    let mut phi_product = 1u64;
-    for commitments in all_commitments {
-        phi_product = zp.mul(phi_product, commitments.phi(group, alpha_k));
-    }
+    let phi_product =
+        product_in_exponent(group, all_commitments.iter().map(Commitments::r), alpha_k);
     if lhs != phi_product {
         return Err(CryptoError::DisclosureInvalid { point: point_index });
     }
@@ -364,6 +386,123 @@ mod tests {
             verify_lambda_psi(&s.group, &s.commitments, 2, s.alphas[2], &bad, None),
             Err(CryptoError::LambdaPsiInvalid { agent: 2 })
         ));
+    }
+
+    /// Equation (11) evaluated the unfolded way: one `Γ` per commitment.
+    fn reference_lambda_psi_holds(
+        s: &Setup,
+        commitments: &[Commitments],
+        alpha: u64,
+        pair: &LambdaPsi,
+        excluded: Option<usize>,
+    ) -> bool {
+        let zp = s.group.zp();
+        let gammas = commitments
+            .iter()
+            .enumerate()
+            .filter(|&(l, _)| excluded != Some(l))
+            .fold(1, |acc, (_, c)| zp.mul(acc, c.gamma(&s.group, alpha)));
+        gammas == zp.mul(pair.lambda, pair.psi)
+    }
+
+    /// Equation (13) evaluated the unfolded way: one `Φ` per commitment.
+    fn reference_disclosure_holds(
+        s: &Setup,
+        commitments: &[Commitments],
+        alpha: u64,
+        disclosed: &[u64],
+        psi: u64,
+    ) -> bool {
+        let (zp, zq) = (s.group.zp(), s.group.zq());
+        let f_sum = disclosed.iter().fold(0, |acc, &v| zq.add(acc, v));
+        let phis = commitments
+            .iter()
+            .fold(1, |acc, c| zp.mul(acc, c.phi(&s.group, alpha)));
+        phis == zp.mul(s.group.pow_z1(f_sum), psi)
+    }
+
+    /// `s`'s commitments with entry `index` of one agent's `Q` or `R`
+    /// vector multiplied by `z1`.
+    fn tamper_vector(s: &Setup, agent: usize, index: usize, vector: char) -> Vec<Commitments> {
+        let zp = s.group.zp();
+        let mut out = s.commitments.clone();
+        let c = &out[agent];
+        let (mut q, mut r) = (c.q().to_vec(), c.r().to_vec());
+        let entry = if vector == 'q' {
+            &mut q[index]
+        } else {
+            &mut r[index]
+        };
+        *entry = zp.mul(*entry, s.group.z1());
+        out[agent] = Commitments::from_parts(&s.encoding, c.o().to_vec(), q, r).unwrap();
+        out
+    }
+
+    #[test]
+    fn folded_lambda_psi_check_matches_per_commitment_gammas() {
+        let s = setup(&[3, 1, 2, 4, 2, 3], 24);
+        let zq = s.group.zq();
+        let n = s.alphas.len();
+        let tampered_q = tamper_vector(&s, 2, 1, 'q');
+        let mut accepted = 0;
+        for i in 0..n {
+            let alpha = s.alphas[i];
+            let mut bad_pair = s.pairs[i];
+            bad_pair.psi = s.group.zp().mul(bad_pair.psi, s.group.z2());
+            for excluded in std::iter::once(None).chain((0..n).map(Some)) {
+                // The pair a verifier sees after the excluded agent's shares
+                // were divided out (step III.4), or the published pair.
+                let pair = match excluded {
+                    None => s.pairs[i],
+                    Some(w) => {
+                        let e = s.polys[w].e().eval(&zq, alpha);
+                        let h = s.polys[w].h().eval(&zq, alpha);
+                        exclude_winner(&s.group, &s.pairs[i], e, h).unwrap()
+                    }
+                };
+                for (commitments, pair) in [
+                    (&s.commitments, &pair),
+                    (&s.commitments, &bad_pair),
+                    (&tampered_q, &pair),
+                ] {
+                    let folded =
+                        verify_lambda_psi(&s.group, commitments, i, alpha, pair, excluded).is_ok();
+                    let reference =
+                        reference_lambda_psi_holds(&s, commitments, alpha, pair, excluded);
+                    assert_eq!(folded, reference, "agent {i}, excluded {excluded:?}");
+                    accepted += usize::from(folded);
+                }
+            }
+        }
+        // Honest pairs pass with and without exclusion; the tampered Q
+        // passes only where agent 2 is excluded.
+        assert_eq!(accepted, n * (n + 1) + n);
+    }
+
+    #[test]
+    fn folded_disclosure_check_matches_per_commitment_phis() {
+        let s = setup(&[3, 1, 2, 4, 2, 3], 25);
+        let zq = s.group.zq();
+        let tampered_r = tamper_vector(&s, 4, 0, 'r');
+        let mut accepted = 0;
+        for (k, &alpha) in s.alphas.iter().enumerate() {
+            let honest: Vec<u64> = s.polys.iter().map(|p| p.f().eval(&zq, alpha)).collect();
+            let mut tampered = honest.clone();
+            tampered[1] = zq.add(tampered[1], 1);
+            for (commitments, disclosed) in [
+                (&s.commitments, &honest),
+                (&s.commitments, &tampered),
+                (&tampered_r, &honest),
+            ] {
+                let psi = s.pairs[k].psi;
+                let folded =
+                    verify_f_disclosure(&s.group, commitments, k, alpha, disclosed, psi).is_ok();
+                let reference = reference_disclosure_holds(&s, commitments, alpha, disclosed, psi);
+                assert_eq!(folded, reference, "point {k}");
+                accepted += usize::from(folded);
+            }
+        }
+        assert_eq!(accepted, s.alphas.len(), "only the honest disclosures pass");
     }
 
     #[test]
