@@ -529,6 +529,83 @@ mod tests {
         }
     }
 
+    /// The integer after `"key": ` in `text`.
+    fn json_u64(text: &str, key: &str) -> u64 {
+        let needle = format!("\"{key}\": ");
+        let start = text
+            .find(&needle)
+            .unwrap_or_else(|| panic!("no {key} in {text}"))
+            + needle.len();
+        let digits: String = text[start..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits
+            .parse()
+            .unwrap_or_else(|_| panic!("{key} is not an integer in {text}"))
+    }
+
+    /// The one-line `"name": { … }` object inside `text`.
+    fn json_object<'a>(text: &'a str, name: &str) -> &'a str {
+        let start = text
+            .find(&format!("\"{name}\": {{"))
+            .unwrap_or_else(|| panic!("no {name}"));
+        let end = start + text[start..].find('}').expect("objects close");
+        &text[start..end]
+    }
+
+    #[test]
+    fn committed_n8_point_reproduces_its_deterministic_fields() {
+        let committed = include_str!("../../../../BENCH_scale.json");
+        let shape = default_shapes()[0];
+        let point_start = committed
+            .find(&format!("\"agents\": {}, ", shape.agents))
+            .expect("the committed sweep has the first default point");
+        let point = &committed[point_start..];
+        assert_eq!(json_u64(point, "tasks"), shape.tasks as u64);
+        assert_eq!(json_u64(point, "trials"), shape.trials as u64);
+        let baseline = measure_scale(
+            json_u64(committed, "seed"),
+            &[shape],
+            usize::try_from(json_u64(committed, "oracle_ceiling")).unwrap(),
+            usize::try_from(json_u64(committed, "protocol_ceiling")).unwrap(),
+        );
+        let measured = &baseline.points[0];
+        let workloads = [
+            (
+                "honest",
+                measured.honest.expect("below the protocol ceiling"),
+            ),
+            (
+                "backoff",
+                measured.backoff.expect("below the protocol ceiling"),
+            ),
+            ("silence", measured.silence),
+        ];
+        for (name, timing) in workloads {
+            let object = json_object(point, name);
+            for (key, value) in [
+                ("run_ticks", timing.run_ticks),
+                ("events_processed", timing.events_processed),
+                ("messages", timing.messages),
+                ("bytes", timing.bytes),
+            ] {
+                assert_eq!(
+                    value,
+                    json_u64(object, key),
+                    "{name}.{key}; re-record BENCH_scale.json"
+                );
+            }
+        }
+        let cost = measured.honest_cost.expect("below the protocol ceiling");
+        assert_eq!(
+            cost.muls_per_agent,
+            json_u64(json_object(point, "honest"), "muls_per_agent"),
+            "honest.muls_per_agent; re-record BENCH_scale.json"
+        );
+        assert!(measured.bit_identical);
+    }
+
     #[test]
     fn default_shapes_sweep_to_1024_with_scaling_tasks() {
         let shapes = default_shapes();

@@ -25,13 +25,13 @@
 //!   offers for Open Problem 11).
 //!
 //! **Rotation verification.** Verifying equation (11) for *every* publisher
-//! would cost each agent `Θ(n³ + n² log p)` per task, exceeding the paper's
-//! `Θ(mn² log p)` bound (Table 1). Instead, each published value is
-//! checked by its `c + 1` cyclically-next live agents: with at most `c`
-//! faulty agents at least one designated verifier is honest, so every
-//! tampered value is still detected and aborted — at
-//! `Θ((c + 1)·n² log p) = Θ(n² log p)` per agent per task for constant
-//! `c`, matching Table 1 (see DESIGN.md).
+//! would cost each agent `n` multi-exponentiations per task and step, on
+//! top of one fold of the commitment vectors that all checks of the step
+//! share. Instead, each published value is checked by its `c + 1`
+//! cyclically-next live agents: with at most `c` faulty agents at least
+//! one designated verifier is honest, so every tampered value is still
+//! detected and aborted, with `c + 1` multi-exponentiations per task and
+//! step (see DESIGN.md).
 
 #![expect(
     clippy::indexing_slicing,
@@ -368,23 +368,28 @@ impl DmwAgent {
         (0..self.n()).filter(|&l| self.alive[l]).collect()
     }
 
-    /// Am I one of `publisher`'s `c + 1` designated rotation verifiers?
-    /// Designated verifiers are the cyclically-next live agents after the
-    /// publisher, so at most `c` faults leave at least one honest verifier.
-    pub(crate) fn is_designated_verifier(&self, publisher: usize) -> bool {
-        if self.policy == VerificationPolicy::Full {
-            return true;
-        }
-        let live = self.live_indices();
-        let Some(pos) = live.iter().position(|&l| l == publisher) else {
-            return false;
-        };
+    /// The publishers in `live` (other than me) whose rotation verifier I
+    /// am, ascending. Each publisher's `c + 1` designated verifiers are
+    /// the cyclically-next live agents after it, so at most `c` faults
+    /// leave at least one honest verifier; under
+    /// [`VerificationPolicy::Full`] I verify every other live publisher.
+    /// Callers pass [`Self::live_indices`], computed once per act.
+    pub(crate) fn designated_publishers(&self, live: &[usize]) -> Vec<usize> {
         let verifiers = (self.config.encoding().faults() + 1).min(live.len().max(1) - 1);
         live.iter()
-            .cycle()
-            .skip(pos + 1)
-            .take(verifiers)
-            .any(|&l| l == self.me)
+            .enumerate()
+            .filter(|&(pos, &publisher)| {
+                publisher != self.me
+                    && (self.policy == VerificationPolicy::Full
+                        || live
+                            .iter()
+                            .cycle()
+                            .skip(pos + 1)
+                            .take(verifiers)
+                            .any(|&l| l == self.me))
+            })
+            .map(|(_, &publisher)| publisher)
+            .collect()
     }
 
     /// Shared ingress: unpacks coalesced `Body::Batch` containers, honours
@@ -594,6 +599,39 @@ mod tests {
     fn bad_index_panics() {
         let cfg = config(4, 0, 3);
         let _ = DmwAgent::new(cfg, 9, vec![1], Behavior::Suggested, 42);
+    }
+
+    #[test]
+    fn each_live_publisher_has_its_c_plus_one_cyclic_successors_as_verifiers() {
+        let agent = |me: usize, policy| {
+            DmwAgent::with_policy(
+                config(6, 1, 7),
+                me,
+                vec![1],
+                Behavior::Suggested,
+                policy,
+                42,
+            )
+        };
+        let rotation = VerificationPolicy::Rotation;
+        // c = 1: agent 3 verifies the two live agents before it.
+        assert_eq!(
+            agent(3, rotation).designated_publishers(&[0, 1, 2, 3, 4, 5]),
+            [1, 2]
+        );
+        assert_eq!(
+            agent(0, rotation).designated_publishers(&[0, 1, 2, 3, 4, 5]),
+            [4, 5]
+        );
+        // A dropped agent leaves the cycle; never my own value.
+        assert_eq!(
+            agent(3, rotation).designated_publishers(&[0, 1, 3, 4]),
+            [0, 1]
+        );
+        assert_eq!(agent(3, rotation).designated_publishers(&[0, 3]), [0]);
+        assert!(agent(3, rotation).designated_publishers(&[3]).is_empty());
+        let full = agent(3, VerificationPolicy::Full);
+        assert_eq!(full.designated_publishers(&[0, 1, 3, 4]), [0, 1, 4]);
     }
 
     #[test]

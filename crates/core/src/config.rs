@@ -206,17 +206,17 @@ mod tests {
     #[test]
     fn from_parts_validates_pseudonyms() {
         let cfg = DmwConfig::generate(4, 0, &mut rng()).unwrap();
-        let group = *cfg.group();
+        let group = cfg.group();
         let encoding = *cfg.encoding();
         // Valid round-trip.
-        assert!(DmwConfig::from_parts(group, encoding, cfg.pseudonyms().to_vec()).is_ok());
+        assert!(DmwConfig::from_parts(group.clone(), encoding, cfg.pseudonyms().to_vec()).is_ok());
         // Wrong count.
-        assert!(DmwConfig::from_parts(group, encoding, vec![1, 2]).is_err());
+        assert!(DmwConfig::from_parts(group.clone(), encoding, vec![1, 2]).is_err());
         // Zero pseudonym.
-        assert!(DmwConfig::from_parts(group, encoding, vec![0, 2, 3, 4]).is_err());
+        assert!(DmwConfig::from_parts(group.clone(), encoding, vec![0, 2, 3, 4]).is_err());
         // Duplicate.
-        assert!(DmwConfig::from_parts(group, encoding, vec![2, 2, 3, 4]).is_err());
+        assert!(DmwConfig::from_parts(group.clone(), encoding, vec![2, 2, 3, 4]).is_err());
         // Out of range.
-        assert!(DmwConfig::from_parts(group, encoding, vec![1, 2, 3, group.q()]).is_err());
+        assert!(DmwConfig::from_parts(group.clone(), encoding, vec![1, 2, 3, group.q()]).is_err());
     }
 }

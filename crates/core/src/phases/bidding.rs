@@ -27,17 +27,17 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
     if matches!(agent.behavior, Behavior::Silent) {
         return;
     }
-    let group = *agent.config.group();
+    let group = agent.config.group();
     let encoding = *agent.config.encoding();
     let zq = group.zq();
     for task in 0..agent.m() {
-        let polys = BidPolynomials::generate(&group, &encoding, agent.bids[task], &mut agent.rng)
+        let polys = BidPolynomials::generate(group, &encoding, agent.bids[task], &mut agent.rng)
             .invariant("bids validated at construction");
         // Publish commitments (II.3); a tamperer keeps the honest copy
         // in its own state.
-        let honest = Commitments::commit(&group, &encoding, &polys);
+        let honest = Commitments::commit(group, &encoding, &polys);
         let published = match agent.behavior {
-            Behavior::TamperedCommitments => honest.clone().with_tampered_q(&group, 0),
+            Behavior::TamperedCommitments => honest.clone().with_tampered_q(group, 0),
             _ => honest.clone(),
         };
         let my_bundle = polys.share_for(&zq, agent.config.pseudonym(agent.me));

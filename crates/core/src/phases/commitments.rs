@@ -57,7 +57,7 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
     // Verify every live sender's bundle (III.1, eqs (7)–(9)). The
     // (task, sender) checks are submitted as one batch, which reports
     // the first failure in row-major (task, sender) order.
-    let group = *agent.config.group();
+    let group = agent.config.group();
     let my_alpha = agent.config.pseudonym(agent.me);
     let (bad_sender, submitted) = {
         let mut items = Vec::new();
@@ -76,7 +76,7 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
             }
         }
         let submitted = items.len() as u64;
-        let bad = verify_shares_batch(&group, my_alpha, &items)
+        let bad = verify_shares_batch(group, my_alpha, &items)
             .err()
             .map(|failure| {
                 *senders
@@ -106,7 +106,7 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
             .iter()
             .map(|&l| agent.tasks[task].bundles[l].invariant("alive").h)
             .collect();
-        let honest = compute_lambda_psi(&group, &e_shares, &h_shares);
+        let honest = compute_lambda_psi(group, &e_shares, &h_shares);
         agent.tasks[task].pairs[agent.me] = Some(honest);
         let mut pair = honest;
         if matches!(agent.behavior, Behavior::WrongLambda) {

@@ -13,8 +13,7 @@ use crate::agent::{DmwAgent, Invariant};
 use crate::error::AbortReason;
 use crate::messages::Body;
 use crate::strategy::Behavior;
-use dmw_crypto::resolution::{resolve_min_bid, verify_lambda_psi};
-use dmw_crypto::Commitments;
+use dmw_crypto::resolution::{resolve_min_bid, verify_lambda_psi, FoldedCommitments};
 use dmw_simnet::Recipient;
 
 /// Complete once a `Λ/Ψ` pair (with its participation mask) has arrived
@@ -53,7 +52,7 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
             }
         }
     }
-    let group = *agent.config.group();
+    let group = agent.config.group();
     let encoding = *agent.config.encoding();
     // Silent publishers become faulty (tolerated up to c in total).
     for l in agent.alive_indices() {
@@ -73,36 +72,32 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
     }
     // Rotation verification of eq (11): I check my designated
     // publishers; any honest verifier detecting tampering aborts the
-    // whole run.
+    // whole run. All checks of one task share one fold of the alive
+    // agents' Q vectors.
     let alive = agent.alive_indices();
-    for task in 0..agent.m() {
-        let commitments: Vec<Commitments> = alive
-            .iter()
-            .map(|&l| agent.tasks[task].commitments[l].clone().invariant("alive"))
-            .collect();
-        for &l in &agent.live_indices() {
-            if l == agent.me || !agent.is_designated_verifier(l) {
-                continue;
-            }
-            let pair = agent.tasks[task].pairs[l].invariant("live implies published");
-            if verify_lambda_psi(
-                &group,
-                &commitments,
-                l,
-                agent.config.pseudonym(l),
-                &pair,
-                None,
-            )
-            .is_err()
-            {
-                agent.abort(AbortReason::InvalidLambdaPsi { publisher: l }, out);
-                return;
+    let responsive = agent.live_indices();
+    let designated = agent.designated_publishers(&responsive);
+    if !designated.is_empty() {
+        for task in 0..agent.m() {
+            let state = &agent.tasks[task];
+            let folded_q = FoldedCommitments::q(
+                group,
+                alive
+                    .iter()
+                    .map(|&l| state.commitments[l].as_ref().invariant("alive")),
+            );
+            for &l in &designated {
+                let pair = state.pairs[l].invariant("live implies published");
+                if verify_lambda_psi(group, &folded_q, l, agent.config.pseudonym(l), &pair).is_err()
+                {
+                    agent.abort(AbortReason::InvalidLambdaPsi { publisher: l }, out);
+                    return;
+                }
             }
         }
     }
     // Resolve the first price per task from the responsive points
     // (eq (12)).
-    let responsive = agent.live_indices();
     let alphas: Vec<u64> = responsive
         .iter()
         .map(|&l| agent.config.pseudonym(l))
@@ -112,7 +107,7 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
             .iter()
             .map(|&l| agent.tasks[task].pairs[l].invariant("responsive").lambda)
             .collect();
-        match resolve_min_bid(&group, &encoding, &alphas, &lambdas) {
+        match resolve_min_bid(group, &encoding, &alphas, &lambdas) {
             Ok(price) => agent.tasks[task].first_price = Some(price.bid),
             Err(_) => {
                 agent.abort(AbortReason::Unresolvable, out);

@@ -13,8 +13,7 @@ use crate::agent::{AgentStatus, DmwAgent, Invariant};
 use crate::error::AbortReason;
 use crate::messages::Body;
 use crate::strategy::Behavior;
-use dmw_crypto::resolution::{resolve_min_bid, verify_lambda_psi};
-use dmw_crypto::Commitments;
+use dmw_crypto::resolution::{resolve_min_bid, verify_lambda_psi, FoldedCommitments};
 use dmw_simnet::Recipient;
 
 /// Complete once an excluded pair has arrived from every responsive
@@ -36,7 +35,7 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
     ) {
         return;
     }
-    let group = *agent.config.group();
+    let group = agent.config.group();
     let encoding = *agent.config.encoding();
     // Silent publishers become faulty.
     for l in agent.live_indices() {
@@ -55,49 +54,40 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
         return;
     }
     let alive = agent.alive_indices();
+    let responsive = agent.live_indices();
+    let designated = agent.designated_publishers(&responsive);
+    let alphas: Vec<u64> = responsive
+        .iter()
+        .map(|&l| agent.config.pseudonym(l))
+        .collect();
     for task in 0..agent.m() {
-        let winner = agent.tasks[task]
-            .winner
-            .invariant("identified by the winner-id phase");
-        let winner_pos_in_alive = alive
-            .iter()
-            .position(|&l| l == winner)
-            .invariant("winner is alive");
-        let commitments: Vec<Commitments> = alive
-            .iter()
-            .map(|&l| agent.tasks[task].commitments[l].clone().invariant("alive"))
-            .collect();
-        // Rotation verification of the post-exclusion eq (11).
-        for &l in &agent.live_indices() {
-            if l == agent.me || !agent.is_designated_verifier(l) {
-                continue;
-            }
-            let pair = agent.tasks[task].excluded[l].invariant("live implies published");
-            if verify_lambda_psi(
-                &group,
-                &commitments,
-                l,
-                agent.config.pseudonym(l),
-                &pair,
-                Some(winner_pos_in_alive),
-            )
-            .is_err()
-            {
-                agent.abort(AbortReason::InvalidExcluded { publisher: l }, out);
-                return;
+        let state = &agent.tasks[task];
+        let winner = state.winner.invariant("identified by the winner-id phase");
+        // Rotation verification of the post-exclusion eq (11), over one
+        // fold of the Q vectors of every alive agent but the winner.
+        if !designated.is_empty() {
+            let folded_q = FoldedCommitments::q(
+                group,
+                alive
+                    .iter()
+                    .filter(|&&l| l != winner)
+                    .map(|&l| state.commitments[l].as_ref().invariant("alive")),
+            );
+            for &l in &designated {
+                let pair = state.excluded[l].invariant("live implies published");
+                if verify_lambda_psi(group, &folded_q, l, agent.config.pseudonym(l), &pair).is_err()
+                {
+                    agent.abort(AbortReason::InvalidExcluded { publisher: l }, out);
+                    return;
+                }
             }
         }
         // Resolve the second price from the responsive excluded points.
-        let responsive = agent.live_indices();
-        let alphas: Vec<u64> = responsive
-            .iter()
-            .map(|&l| agent.config.pseudonym(l))
-            .collect();
         let lambdas: Vec<u64> = responsive
             .iter()
-            .map(|&l| agent.tasks[task].excluded[l].invariant("responsive").lambda)
+            .map(|&l| state.excluded[l].invariant("responsive").lambda)
             .collect();
-        match resolve_min_bid(&group, &encoding, &alphas, &lambdas) {
+        match resolve_min_bid(group, &encoding, &alphas, &lambdas) {
             Ok(price) => agent.tasks[task].second_price = Some(price.bid),
             Err(_) => {
                 agent.abort(AbortReason::Unresolvable, out);

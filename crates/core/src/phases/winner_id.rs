@@ -14,9 +14,8 @@ use crate::error::AbortReason;
 use crate::messages::Body;
 use crate::strategy::Behavior;
 use dmw_crypto::resolution::{
-    exclude_winner, identify_winner, verify_claimed_f_point, verify_f_disclosure,
+    exclude_winner, identify_winner, verify_claimed_f_point, verify_f_disclosure, FoldedCommitments,
 };
-use dmw_crypto::Commitments;
 use dmw_simnet::Recipient;
 
 /// Complete once every designated discloser's `f`-column is in, for
@@ -40,27 +39,34 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
     ) {
         return;
     }
-    let group = *agent.config.group();
+    let group = agent.config.group();
     let encoding = *agent.config.encoding();
     let alive = agent.alive_indices();
+    let responsive = agent.live_indices();
+    let designated = agent.designated_publishers(&responsive);
     for task in 0..agent.m() {
-        let commitments: Vec<Commitments> = alive
-            .iter()
-            .map(|&l| agent.tasks[task].commitments[l].clone().invariant("alive"))
-            .collect();
-        // Rotation verification of eq (13).
-        for k in agent.live_indices() {
-            if k == agent.me || !agent.is_designated_verifier(k) {
-                continue;
-            }
-            let Some(f_values) = agent.tasks[task].disclosures[k].clone() else {
+        // Rotation verification of eq (13). The checks of one task share
+        // one fold of the alive agents' R vectors, built at the first
+        // designated disclosure.
+        let state = &agent.tasks[task];
+        let mut folded_r = None;
+        for &k in &designated {
+            let Some(f_values) = state.disclosures[k].as_ref() else {
                 continue;
             };
+            let folded_r = folded_r.get_or_insert_with(|| {
+                FoldedCommitments::r(
+                    group,
+                    alive
+                        .iter()
+                        .map(|&l| state.commitments[l].as_ref().invariant("alive")),
+                )
+            });
             let live_values: Vec<u64> = alive.iter().map(|&l| f_values[l]).collect();
-            let psi_k = agent.tasks[task].pairs[k].invariant("responsive").psi;
+            let psi_k = state.pairs[k].invariant("responsive").psi;
             if verify_f_disclosure(
-                &group,
-                &commitments,
+                group,
+                folded_r,
                 k,
                 agent.config.pseudonym(k),
                 &live_values,
@@ -78,9 +84,9 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
             .first_price
             .invariant("resolved by the resolution phase");
         let needed = encoding.winner_points(first_price);
-        let valid_disclosers: Vec<usize> = agent
-            .live_indices()
-            .into_iter()
+        let valid_disclosers: Vec<usize> = responsive
+            .iter()
+            .copied()
             .filter(|&k| agent.tasks[task].disclosures[k].is_some())
             .take(needed)
             .collect();
@@ -102,7 +108,7 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
                         .collect()
                 })
                 .collect();
-            match identify_winner(&group, &encoding, first_price, &points, &f_columns) {
+            match identify_winner(group, &encoding, first_price, &points, &f_columns) {
                 Ok(pos) => alive[pos],
                 Err(_) => {
                     agent.abort(AbortReason::NoWinner, out);
@@ -125,7 +131,7 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
         let my_pair =
             agent.tasks[task].pairs[agent.me].invariant("I published in the commitments phase");
         let winner_bundle = agent.tasks[task].bundles[winner].invariant("winner is alive");
-        let honest = exclude_winner(&group, &my_pair, winner_bundle.e, winner_bundle.h)
+        let honest = exclude_winner(group, &my_pair, winner_bundle.e, winner_bundle.h)
             .invariant("honest pairs divide cleanly");
         agent.tasks[task].excluded[agent.me] = Some(honest);
         let mut pair = honest;
@@ -154,7 +160,7 @@ fn identify_from_claims(
     first_price: u64,
     disclosers: &[usize],
 ) -> Result<usize, AbortReason> {
-    let group = *agent.config.group();
+    let group = agent.config.group();
     let encoding = *agent.config.encoding();
     let mut any_claim = false;
     for k in agent.live_indices() {
@@ -186,13 +192,13 @@ fn identify_from_claims(
             }
             seen[l] = true;
             let alpha = agent.config.pseudonym(l);
-            if verify_claimed_f_point(&group, commitments, l, alpha, f, h).is_err() {
+            if verify_claimed_f_point(group, commitments, l, alpha, f, h).is_err() {
                 return Err(AbortReason::InvalidDisclosure { discloser: k });
             }
             alphas.push(alpha);
             column.push(f);
         }
-        if identify_winner(&group, &encoding, first_price, &alphas, &[column]).is_ok() {
+        if identify_winner(group, &encoding, first_price, &alphas, &[column]).is_ok() {
             return Ok(k);
         }
     }

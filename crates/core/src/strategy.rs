@@ -20,12 +20,12 @@ use std::fmt;
 /// How published values (`Λ/Ψ`, disclosures, excluded pairs) are
 /// verified.
 ///
-/// Full mutual verification costs each agent `Θ(m(n³ + n² log p))` —
-/// more than the paper's Table 1 budget (the `n³` term is plain
-/// multiplications: each check folds the `n` commitment vectors before one
-/// multi-exponentiation); the rotation scheme checks each value with
-/// `c + 1` designated verifiers (≥ 1 honest under ≤ `c` faults), keeping
-/// detection guaranteed at `Θ(mn² log p)`. The `table1-comp` experiment
+/// Each protocol step folds the `n` commitment vectors once, and every
+/// check evaluates the fold with one multi-exponentiation. Full mutual
+/// verification runs `n` checks per task and step, `Θ(mn² log p)` per
+/// agent with a larger constant than the rotation scheme, which checks
+/// each value with `c + 1` designated verifiers (≥ 1 honest under ≤ `c`
+/// faults) and keeps detection guaranteed. The `table1-comp` experiment
 /// measures both; see DESIGN.md, "Rotation verification".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum VerificationPolicy {
@@ -34,7 +34,7 @@ pub enum VerificationPolicy {
     #[default]
     Rotation,
     /// Every agent verifies every published value (belt-and-braces;
-    /// `Θ(m(n³ + n² log p))` per agent).
+    /// `n` checks per task and step instead of `c + 1`).
     Full,
 }
 

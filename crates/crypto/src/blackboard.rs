@@ -17,7 +17,7 @@ use crate::error::CryptoError;
 use crate::polynomials::BidPolynomials;
 use crate::resolution::{
     compute_lambda_psi, exclude_winner, identify_winner, resolve_min_bid, verify_f_disclosure,
-    verify_lambda_psi, LambdaPsi,
+    verify_lambda_psi, FoldedCommitments, LambdaPsi,
 };
 use dmw_modmath::SchnorrGroup;
 use rand::Rng;
@@ -101,8 +101,9 @@ pub fn honest_auction<R: Rng + ?Sized>(
             compute_lambda_psi(group, &e_shares, &h_shares)
         })
         .collect();
+    let folded_q = FoldedCommitments::q(group, &commitments);
     for (i, (pair, &alpha)) in pairs.iter().zip(&alphas).enumerate() {
-        verify_lambda_psi(group, &commitments, i, alpha, pair, None)?;
+        verify_lambda_psi(group, &folded_q, i, alpha, pair)?;
     }
 
     // First-price resolution (equation (12)).
@@ -113,9 +114,10 @@ pub fn honest_auction<R: Rng + ?Sized>(
     // identification (equation (14)).
     let needed = encoding.winner_points(first.bid);
     let disclosed_alphas: Vec<u64> = alphas.iter().copied().take(needed).collect();
+    let folded_r = FoldedCommitments::r(group, &commitments);
     for (k, (&alpha, pair)) in disclosed_alphas.iter().zip(&pairs).enumerate() {
         let disclosed: Vec<u64> = polys.iter().map(|p| p.f().eval(&zq, alpha)).collect();
-        verify_f_disclosure(group, &commitments, k, alpha, &disclosed, pair.psi)?;
+        verify_f_disclosure(group, &folded_r, k, alpha, &disclosed, pair.psi)?;
     }
     let f_columns: Vec<Vec<u64>> = polys
         .iter()
@@ -141,8 +143,14 @@ pub fn honest_auction<R: Rng + ?Sized>(
             exclude_winner(group, pair, e_star, h_star)
         })
         .collect::<Result<_, _>>()?;
+    let others = commitments
+        .iter()
+        .enumerate()
+        .filter(|&(l, _)| l != winner)
+        .map(|(_, c)| c);
+    let folded_q = FoldedCommitments::q(group, others);
     for (i, (pair, &alpha)) in excluded.iter().zip(&alphas).enumerate() {
-        verify_lambda_psi(group, &commitments, i, alpha, pair, Some(winner))?;
+        verify_lambda_psi(group, &folded_q, i, alpha, pair)?;
     }
     let lambdas2: Vec<u64> = excluded.iter().map(|p| p.lambda).collect();
     let second = resolve_min_bid(group, encoding, &alphas, &lambdas2)?;

@@ -20,7 +20,7 @@
 use crate::commitments::{alpha_powers, Commitments};
 use crate::encoding::BidEncoding;
 use crate::error::CryptoError;
-use dmw_modmath::{lagrange, multiexp, SchnorrGroup};
+use dmw_modmath::{lagrange, multiexp, FixedBase, SchnorrGroup};
 use serde::{Deserialize, Serialize};
 
 /// A published `(Λ_i, Ψ_i)` pair (equation (10)).
@@ -45,59 +45,85 @@ pub fn compute_lambda_psi(group: &SchnorrGroup, e_shares: &[u64], h_shares: &[u6
     }
 }
 
-/// Verifies a published `(Λ_i, Ψ_i)` against the public commitments —
-/// equation (11): `Π_{ℓ ∉ excluded} Γ_{i,ℓ} = Λ_i · Ψ_i`.
+/// The entry-wise product `Π_ℓ V_ℓ` of several agents' commitment vectors
+/// — the `Q` vectors for equation (11), the `R` vectors for equation (13).
 ///
-/// With `excluded = Some(w)` this is the *second-price* variant used after
-/// the winner `w`'s polynomial has been divided out (step III.4).
+/// Every check at one protocol step multiplies the same vectors, and
+/// `Π_ℓ Π_j V_{ℓ,j}^{α^j} = Π_j (Π_ℓ V_{ℓ,j})^{α^j}` for every `α`. So the
+/// vectors are folded once per step (`(n − 1)·σ` plain multiplications)
+/// and each check evaluates the folded vector with one
+/// multi-exponentiation. A missing entry of a shorter vector counts as
+/// `1`. Folding every agent but the winner gives the second-price variant
+/// of equation (11) (step III.4).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FoldedCommitments {
+    entries: Vec<u64>,
+    vectors: usize,
+}
+
+impl FoldedCommitments {
+    /// Folds the `Q` vectors of `commitments` (equation (11)).
+    pub fn q<'a>(
+        group: &SchnorrGroup,
+        commitments: impl IntoIterator<Item = &'a Commitments>,
+    ) -> Self {
+        Self::fold(group, commitments.into_iter().map(Commitments::q))
+    }
+
+    /// Folds the `R` vectors of `commitments` (equation (13)).
+    pub fn r<'a>(
+        group: &SchnorrGroup,
+        commitments: impl IntoIterator<Item = &'a Commitments>,
+    ) -> Self {
+        Self::fold(group, commitments.into_iter().map(Commitments::r))
+    }
+
+    fn fold<'a>(group: &SchnorrGroup, vectors: impl Iterator<Item = &'a [u64]>) -> Self {
+        let zp = group.zp();
+        let mut entries: Vec<u64> = Vec::new();
+        let mut count = 0;
+        for vector in vectors {
+            for (acc, &entry) in entries.iter_mut().zip(vector) {
+                *acc = zp.mul(*acc, entry);
+            }
+            entries.extend_from_slice(vector.get(entries.len()..).unwrap_or_default());
+            count += 1;
+        }
+        FoldedCommitments {
+            entries,
+            vectors: count,
+        }
+    }
+
+    /// `Π_j (Π_ℓ V_{ℓ,j})^{α^j}`: the product of every folded vector's
+    /// `Γ_ℓ(α)` or `Φ_ℓ(α)`.
+    fn eval(&self, group: &SchnorrGroup, alpha: u64) -> u64 {
+        let exps = alpha_powers(group, alpha, self.entries.len());
+        multiexp::multi_pow(&group.zp(), &self.entries, &exps)
+    }
+}
+
+/// Verifies a published `(Λ_i, Ψ_i)` against the public commitments —
+/// equation (11): `Π_ℓ Γ_{i,ℓ} = Λ_i · Ψ_i`, the product over the agents
+/// whose `Q` vectors `folded_q` holds.
+///
+/// Folding every agent but the winner `w` gives the *second-price* variant
+/// used after `w`'s polynomial has been divided out (step III.4).
 ///
 /// # Errors
 ///
 /// Returns [`CryptoError::LambdaPsiInvalid`] when the identity fails.
 pub fn verify_lambda_psi(
     group: &SchnorrGroup,
-    all_commitments: &[Commitments],
+    folded_q: &FoldedCommitments,
     agent: usize,
     alpha_i: u64,
     pair: &LambdaPsi,
-    excluded: Option<usize>,
 ) -> Result<(), CryptoError> {
-    let included = all_commitments
-        .iter()
-        .enumerate()
-        .filter(|&(l, _)| excluded != Some(l))
-        .map(|(_, commitments)| commitments.q());
-    let gamma_product = product_in_exponent(group, included, alpha_i);
-    if gamma_product != group.zp().mul(pair.lambda, pair.psi) {
+    if folded_q.eval(group, alpha_i) != group.zp().mul(pair.lambda, pair.psi) {
         return Err(CryptoError::LambdaPsiInvalid { agent });
     }
     Ok(())
-}
-
-/// Evaluates `Π_ℓ Π_j V_{ℓ,j}^{α^j}` over commitment vectors `V_ℓ` — the
-/// product of every `Γ_ℓ(α)` (equation (11)) or every `Φ_ℓ(α)`
-/// (equation (13)).
-///
-/// All the vectors share the exponents `α^j`, so the product is taken as
-/// `Π_j (Π_ℓ V_{ℓ,j})^{α^j}`: plain multiplications fold the vectors entry
-/// by entry, then one multi-exponentiation evaluates the folded vector, in
-/// place of one per vector. A missing entry of a shorter vector counts as
-/// `1`.
-fn product_in_exponent<'a>(
-    group: &SchnorrGroup,
-    vectors: impl IntoIterator<Item = &'a [u64]>,
-    alpha: u64,
-) -> u64 {
-    let zp = group.zp();
-    let mut folded: Vec<u64> = Vec::new();
-    for vector in vectors {
-        for (acc, &entry) in folded.iter_mut().zip(vector) {
-            *acc = zp.mul(*acc, entry);
-        }
-        folded.extend_from_slice(vector.get(folded.len()..).unwrap_or_default());
-    }
-    let exps = alpha_powers(group, alpha, folded.len());
-    multiexp::multi_pow(&zp, &folded, &exps)
 }
 
 /// The result of a first- or second-price resolution (equation (12)).
@@ -121,7 +147,11 @@ pub struct ResolvedPrice {
 /// gives `deg E` and hence the minimum bid `y* = σ − deg E`. One
 /// [`lagrange::ZeroCoefficients`] is extended across the scan, so the
 /// coefficients of all candidates together cost `O(n²)` multiplications
-/// and at most `n` inversions.
+/// and at most `n` inversions. Each `Λ_k` gets a [`FixedBase`] table when
+/// the prefix first reaches it, and every later candidate raises it by a
+/// fresh `ρ_k` through that table: one shared accumulator per candidate,
+/// one multiplication per non-zero window digit of each `ρ_k`, and no
+/// squarings.
 ///
 /// # Errors
 ///
@@ -146,6 +176,7 @@ pub fn resolve_min_bid(
     let zq = group.zq();
     let zp = group.zp();
     let mut rho = lagrange::ZeroCoefficients::new();
+    let mut tables: Vec<FixedBase> = Vec::with_capacity(lambdas.len());
     for degree in encoding.candidate_degrees() {
         let s = degree + 1;
         let (Some(alpha_head), Some(lambda_head)) = (alphas.get(..s), lambdas.get(..s)) else {
@@ -155,11 +186,11 @@ pub fn resolve_min_bid(
             rho.push(&zq, alpha)
                 .map_err(|_| CryptoError::ResolutionFailed)?;
         }
-        let mut product = 1u64;
-        for (&lam, &r) in lambda_head.iter().zip(rho.coefficients()) {
-            product = zp.mul(product, zp.pow(lam, r));
+        for &lambda in lambda_head.get(tables.len()..).unwrap_or_default() {
+            tables.push(FixedBase::new(&zp, lambda, &zq));
         }
-        if product == 1 {
+        let terms = tables.iter().zip(rho.coefficients().iter().copied());
+        if FixedBase::product(&zp, terms) == 1 {
             let bid = encoding
                 .bid_of_degree(degree)
                 .ok_or(CryptoError::ResolutionFailed)?;
@@ -202,37 +233,39 @@ pub fn verify_claimed_f_point(
 }
 
 /// Verifies a round of disclosed `f`-shares at one point — equation (13):
-/// `z1^{F(α_k)} · Ψ_k = Π_ℓ Φ_{k,ℓ}` with `F(α_k) = Σ_ℓ f_ℓ(α_k)`.
+/// `z1^{F(α_k)} · Ψ_k = Π_ℓ Φ_{k,ℓ}` with `F(α_k) = Σ_ℓ f_ℓ(α_k)`, the
+/// product over the agents whose `R` vectors `folded_r` holds.
 ///
 /// `disclosed_f[ℓ]` is agent `ℓ`'s `f_ℓ(α_k)` as disclosed by the agent
-/// holding point `α_k`; `psi_k` is that agent's published `Ψ_k`.
+/// holding point `α_k`, one per folded vector; `psi_k` is that agent's
+/// published `Ψ_k`.
 ///
 /// # Errors
 ///
-/// Returns [`CryptoError::DisclosureInvalid`] when the aggregate identity
-/// fails (some disclosed value was tampered with).
+/// * [`CryptoError::LengthMismatch`] unless there is one disclosed value
+///   per folded vector;
+/// * [`CryptoError::DisclosureInvalid`] when the aggregate identity fails
+///   (some disclosed value was tampered with).
 pub fn verify_f_disclosure(
     group: &SchnorrGroup,
-    all_commitments: &[Commitments],
+    folded_r: &FoldedCommitments,
     point_index: usize,
     alpha_k: u64,
     disclosed_f: &[u64],
     psi_k: u64,
 ) -> Result<(), CryptoError> {
-    if disclosed_f.len() != all_commitments.len() {
+    if disclosed_f.len() != folded_r.vectors {
         return Err(CryptoError::LengthMismatch {
             what: "disclosed f-share vector",
             got: disclosed_f.len(),
-            expected: all_commitments.len(),
+            expected: folded_r.vectors,
         });
     }
     let zq = group.zq();
     let zp = group.zp();
     let f_sum = disclosed_f.iter().fold(0u64, |acc, &v| zq.add(acc, v));
     let lhs = zp.mul(group.pow_z1(f_sum), psi_k);
-    let phi_product =
-        product_in_exponent(group, all_commitments.iter().map(Commitments::r), alpha_k);
-    if lhs != phi_product {
+    if lhs != folded_r.eval(group, alpha_k) {
         return Err(CryptoError::DisclosureInvalid { point: point_index });
     }
     Ok(())
@@ -368,11 +401,26 @@ mod tests {
         }
     }
 
+    /// The `Q` vectors of every agent in `commitments` but `excluded`.
+    fn fold_q(
+        s: &Setup,
+        commitments: &[Commitments],
+        excluded: Option<usize>,
+    ) -> FoldedCommitments {
+        let included = commitments
+            .iter()
+            .enumerate()
+            .filter(|&(l, _)| excluded != Some(l))
+            .map(|(_, c)| c);
+        FoldedCommitments::q(&s.group, included)
+    }
+
     #[test]
     fn published_pairs_pass_equation_11() {
         let s = setup(&[3, 1, 2, 4, 2, 3], 7);
+        let folded = fold_q(&s, &s.commitments, None);
         for (i, pair) in s.pairs.iter().enumerate() {
-            verify_lambda_psi(&s.group, &s.commitments, i, s.alphas[i], pair, None)
+            verify_lambda_psi(&s.group, &folded, i, s.alphas[i], pair)
                 .unwrap_or_else(|e| panic!("agent {i}: {e}"));
         }
     }
@@ -383,7 +431,13 @@ mod tests {
         let mut bad = s.pairs[2];
         bad.lambda = s.group.zp().mul(bad.lambda, s.group.z1());
         assert!(matches!(
-            verify_lambda_psi(&s.group, &s.commitments, 2, s.alphas[2], &bad, None),
+            verify_lambda_psi(
+                &s.group,
+                &fold_q(&s, &s.commitments, None),
+                2,
+                s.alphas[2],
+                &bad
+            ),
             Err(CryptoError::LambdaPsiInvalid { agent: 2 })
         ));
     }
@@ -465,8 +519,8 @@ mod tests {
                     (&s.commitments, &bad_pair),
                     (&tampered_q, &pair),
                 ] {
-                    let folded =
-                        verify_lambda_psi(&s.group, commitments, i, alpha, pair, excluded).is_ok();
+                    let folded_q = fold_q(&s, commitments, excluded);
+                    let folded = verify_lambda_psi(&s.group, &folded_q, i, alpha, pair).is_ok();
                     let reference =
                         reference_lambda_psi_holds(&s, commitments, alpha, pair, excluded);
                     assert_eq!(folded, reference, "agent {i}, excluded {excluded:?}");
@@ -484,19 +538,21 @@ mod tests {
         let s = setup(&[3, 1, 2, 4, 2, 3], 25);
         let zq = s.group.zq();
         let tampered_r = tamper_vector(&s, 4, 0, 'r');
+        let honest_r = FoldedCommitments::r(&s.group, &s.commitments);
+        let tampered_folded_r = FoldedCommitments::r(&s.group, &tampered_r);
         let mut accepted = 0;
         for (k, &alpha) in s.alphas.iter().enumerate() {
             let honest: Vec<u64> = s.polys.iter().map(|p| p.f().eval(&zq, alpha)).collect();
             let mut tampered = honest.clone();
             tampered[1] = zq.add(tampered[1], 1);
-            for (commitments, disclosed) in [
-                (&s.commitments, &honest),
-                (&s.commitments, &tampered),
-                (&tampered_r, &honest),
+            for (commitments, folded_r, disclosed) in [
+                (&s.commitments, &honest_r, &honest),
+                (&s.commitments, &honest_r, &tampered),
+                (&tampered_r, &tampered_folded_r, &honest),
             ] {
                 let psi = s.pairs[k].psi;
                 let folded =
-                    verify_f_disclosure(&s.group, commitments, k, alpha, disclosed, psi).is_ok();
+                    verify_f_disclosure(&s.group, folded_r, k, alpha, disclosed, psi).is_ok();
                 let reference = reference_disclosure_holds(&s, commitments, alpha, disclosed, psi);
                 assert_eq!(folded, reference, "point {k}");
                 accepted += usize::from(folded);
@@ -556,6 +612,76 @@ mod tests {
         ));
     }
 
+    /// Equation (12) the pre-table way: the prefix's coefficients from
+    /// scratch and one plain `zp.pow` per term. A `Λ ≥ p` is taken mod `p`,
+    /// as the Montgomery ladder does with an unreduced base.
+    fn reference_min_bid(
+        group: &SchnorrGroup,
+        encoding: &BidEncoding,
+        alphas: &[u64],
+        lambdas: &[u64],
+    ) -> Result<ResolvedPrice, CryptoError> {
+        let (zp, zq) = (group.zp(), group.zq());
+        for degree in encoding.candidate_degrees() {
+            let s = degree + 1;
+            if s > alphas.len() {
+                break;
+            }
+            let rho = lagrange::zero_coefficients(&zq, &alphas[..s])
+                .map_err(|_| CryptoError::ResolutionFailed)?;
+            let product = lambdas[..s]
+                .iter()
+                .zip(&rho)
+                .fold(1, |acc, (&lam, &r)| zp.mul(acc, zp.pow(zp.reduce(lam), r)));
+            if product == 1 {
+                let bid = encoding.bid_of_degree(degree).unwrap();
+                return Ok(ResolvedPrice {
+                    bid,
+                    degree,
+                    points_used: s,
+                });
+            }
+        }
+        Err(CryptoError::ResolutionFailed)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+        #[test]
+        fn table_scan_matches_per_term_pow_reference(
+            seed in 0u64..10_000,
+            n in 3usize..9,
+            lambda_case in 0usize..5,
+            alpha_case in 0usize..3,
+            at in 0usize..9,
+        ) {
+            use rand::Rng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let w_max = (n - 2) as u64;
+            let bids: Vec<u64> = (0..n).map(|_| rng.gen_range(1..=w_max)).collect();
+            let s = setup(&bids, seed);
+            let (p, at) = (s.group.p(), at % n);
+            let mut lambdas: Vec<u64> = s.pairs.iter().map(|pair| pair.lambda).collect();
+            match lambda_case {
+                0 => {}
+                // Garbage: every Λ an unrelated subgroup element.
+                1 => lambdas.iter_mut().for_each(|l| *l = s.group.pow_z1(rng.gen())),
+                2 => lambdas[at] = 0,
+                3 => lambdas[at] += p,
+                _ => lambdas[at] = u64::MAX - rng.gen_range(0..16u64),
+            }
+            let mut alphas = s.alphas.clone();
+            match alpha_case {
+                0 => {}
+                1 => alphas[at] = 0,
+                _ => alphas[at] = alphas[(at + 1) % n],
+            }
+            let fast = resolve_min_bid(&s.group, &s.encoding, &alphas, &lambdas);
+            let reference = reference_min_bid(&s.group, &s.encoding, &alphas, &lambdas);
+            proptest::prop_assert_eq!(fast, reference, "bids {:?}", bids);
+        }
+    }
+
     #[test]
     fn resolution_length_mismatch_rejected() {
         let s = setup(&[1, 2, 2, 1], 10);
@@ -586,9 +712,10 @@ mod tests {
             .iter()
             .map(|p| p.f().eval(&zq, s.alphas[k]))
             .collect();
+        let folded_r = FoldedCommitments::r(&s.group, &s.commitments);
         verify_f_disclosure(
             &s.group,
-            &s.commitments,
+            &folded_r,
             k,
             s.alphas[k],
             &disclosed,
@@ -600,13 +727,29 @@ mod tests {
         assert!(matches!(
             verify_f_disclosure(
                 &s.group,
-                &s.commitments,
+                &folded_r,
                 k,
                 s.alphas[k],
                 &tampered,
                 s.pairs[k].psi
             ),
             Err(CryptoError::DisclosureInvalid { point: 0 })
+        ));
+        // One disclosed value per folded vector.
+        assert!(matches!(
+            verify_f_disclosure(
+                &s.group,
+                &folded_r,
+                k,
+                s.alphas[k],
+                &tampered[1..],
+                s.pairs[k].psi
+            ),
+            Err(CryptoError::LengthMismatch {
+                got: 5,
+                expected: 6,
+                ..
+            })
         ));
     }
 
@@ -731,9 +874,9 @@ mod tests {
             })
             .collect();
         // Excluded pairs still verify equation (11) without the winner.
+        let folded = fold_q(&s, &s.commitments, Some(winner));
         for (i, pair) in excluded.iter().enumerate() {
-            verify_lambda_psi(&s.group, &s.commitments, i, s.alphas[i], pair, Some(winner))
-                .unwrap();
+            verify_lambda_psi(&s.group, &folded, i, s.alphas[i], pair).unwrap();
         }
         let lambdas: Vec<u64> = excluded.iter().map(|p| p.lambda).collect();
         let r = resolve_min_bid(&s.group, &s.encoding, &s.alphas, &lambdas).unwrap();

@@ -17,11 +17,17 @@
 
 use crate::error::ModMathError;
 use crate::field::PrimeField;
+use crate::fixed_base::FixedBase;
 use crate::prime::{is_prime, random_prime};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Public parameters `(p, q, z1, z2)` of the order-`q` subgroup of `Z_p*`.
+///
+/// The group also keeps a [`FixedBase`] table for each generator, built
+/// once, through which [`SchnorrGroup::commit`], [`SchnorrGroup::pow_z1`]
+/// and [`SchnorrGroup::pow_z2`] run. It serializes as the tuple
+/// `(p, q, z1, z2)` and is validated and rebuilt on deserialization.
 ///
 /// # Example
 /// ```
@@ -36,7 +42,8 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(group.zp().pow(group.z2(), group.q()), 1);
 /// # Ok::<(), dmw_modmath::ModMathError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(into = "(u64, u64, u64, u64)", try_from = "(u64, u64, u64, u64)")]
 pub struct SchnorrGroup {
     z1: u64,
     z2: u64,
@@ -44,6 +51,23 @@ pub struct SchnorrGroup {
     zp: PrimeField,
     /// The exponent field `Z_q`.
     zq: PrimeField,
+    /// Window tables of `z1` and `z2`.
+    z1_table: FixedBase,
+    z2_table: FixedBase,
+}
+
+impl From<SchnorrGroup> for (u64, u64, u64, u64) {
+    fn from(group: SchnorrGroup) -> Self {
+        (group.p(), group.q(), group.z1, group.z2)
+    }
+}
+
+impl TryFrom<(u64, u64, u64, u64)> for SchnorrGroup {
+    type Error = ModMathError;
+
+    fn try_from((p, q, z1, z2): (u64, u64, u64, u64)) -> Result<Self, ModMathError> {
+        SchnorrGroup::from_parts(p, q, z1, z2)
+    }
 }
 
 impl SchnorrGroup {
@@ -178,13 +202,18 @@ impl SchnorrGroup {
         Ok(SchnorrGroup::assemble(p, q, z1, z2))
     }
 
-    /// Builds the struct with its two fields; inputs already validated.
+    /// Builds the struct with its two fields and the generators' tables;
+    /// inputs already validated.
     fn assemble(p: u64, q: u64, z1: u64, z2: u64) -> Self {
+        let zp = PrimeField::from_validated_modulus(p);
+        let zq = PrimeField::from_validated_modulus(q);
         SchnorrGroup {
             z1,
             z2,
-            zp: PrimeField::from_validated_modulus(p),
-            zq: PrimeField::from_validated_modulus(q),
+            zp,
+            zq,
+            z1_table: FixedBase::new(&zp, z1, &zq),
+            z2_table: FixedBase::new(&zp, z2, &zq),
         }
     }
 
@@ -222,6 +251,9 @@ impl SchnorrGroup {
     /// Computes the double-base commitment `z1^a · z2^b (mod p)` — the shape
     /// of every commitment entry in the paper's equation (6).
     ///
+    /// One product over the two generator tables; exponents are reduced
+    /// mod `q`, which is exact because both generators have order `q`.
+    ///
     /// # Example
     /// ```
     /// # use dmw_modmath::SchnorrGroup;
@@ -234,18 +266,17 @@ impl SchnorrGroup {
     /// # Ok::<(), dmw_modmath::ModMathError>(())
     /// ```
     pub fn commit(&self, a: u64, b: u64) -> u64 {
-        let zp = self.zp();
-        zp.mul(zp.pow(self.z1, a), zp.pow(self.z2, b))
+        FixedBase::product(&self.zp, [(&self.z1_table, a), (&self.z2_table, b)])
     }
 
-    /// `z1^a (mod p)`.
+    /// `z1^a (mod p)`, through `z1`'s table.
     pub fn pow_z1(&self, a: u64) -> u64 {
-        self.zp().pow(self.z1, a)
+        self.z1_table.pow(&self.zp, a)
     }
 
-    /// `z2^b (mod p)`.
+    /// `z2^b (mod p)`, through `z2`'s table.
     pub fn pow_z2(&self, b: u64) -> u64 {
-        self.zp().pow(self.z2, b)
+        self.z2_table.pow(&self.zp, b)
     }
 }
 
@@ -344,5 +375,29 @@ mod tests {
         let g = SchnorrGroup::generate(40, 16, &mut rng()).unwrap();
         // z1^(q+5) == z1^5 because z1 has order q.
         assert_eq!(g.pow_z1(g.q() + 5), g.pow_z1(5));
+    }
+
+    #[test]
+    fn tables_match_plain_pow_for_exponents_at_and_above_q() {
+        let g = SchnorrGroup::generate(48, 24, &mut rng()).unwrap();
+        let (zp, q) = (g.zp(), g.q());
+        let exps = [0, 1, 15, 16, q - 1, q, q + 1, 2 * q + 7, u64::MAX];
+        for &a in &exps {
+            assert_eq!(g.pow_z1(a), zp.pow(g.z1(), a), "z1^{a}");
+            assert_eq!(g.pow_z2(a), zp.pow(g.z2(), a), "z2^{a}");
+            for &b in &exps {
+                let plain = zp.mul(zp.pow(g.z1(), a), zp.pow(g.z2(), b));
+                assert_eq!(g.commit(a, b), plain, "commit({a}, {b})");
+            }
+        }
+    }
+
+    #[test]
+    fn serialized_parameters_rebuild_the_group() {
+        let g = SchnorrGroup::generate(32, 12, &mut rng()).unwrap();
+        let parts: (u64, u64, u64, u64) = g.clone().into();
+        assert_eq!(parts, (g.p(), g.q(), g.z1(), g.z2()));
+        assert_eq!(SchnorrGroup::try_from(parts).unwrap(), g);
+        assert!(SchnorrGroup::try_from((g.p(), g.q(), g.z1(), g.z1())).is_err());
     }
 }

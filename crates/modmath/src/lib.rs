@@ -17,6 +17,10 @@
 //!   exponentiation run in Montgomery form, the fast path;
 //! * [`multiexp`] — simultaneous multi-exponentiation, one Montgomery
 //!   ladder shared by several bases and, optionally, several products;
+//! * [`fixed_base`] — fixed-base exponentiation: a base raised many times
+//!   pays once for a table of windowed powers, after which an exponent
+//!   costs one multiplication per non-zero window digit and no squarings
+//!   (the generators `z1`, `z2` and the published `Λ_k` of equation (12));
 //! * [`group`] — [`SchnorrGroup`], the order-`q` subgroup of `Z_p*`
 //!   (`q | p − 1`) with two independent generators `z1`, `z2` as required by
 //!   the paper's commitment scheme (Section 3, "Notation");
@@ -67,6 +71,7 @@
 pub mod arith;
 pub mod error;
 pub mod field;
+pub mod fixed_base;
 pub mod group;
 pub mod lagrange;
 pub mod multiexp;
@@ -76,6 +81,7 @@ pub mod prime;
 
 pub use error::ModMathError;
 pub use field::PrimeField;
+pub use fixed_base::FixedBase;
 pub use group::SchnorrGroup;
 pub use ops::{reset_ops, take_ops, OpsSnapshot};
 pub use poly::Poly;

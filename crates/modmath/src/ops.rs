@@ -14,6 +14,14 @@
 //! the paper's cost model, and is not counted. Ladders tally their steps
 //! locally and flush the total once.
 //!
+//! A [`crate::fixed_base::FixedBase`] table is counted the same way: its
+//! build records one `mul` per Montgomery product, i.e.
+//! `⌈bits(q − 1) / W⌉ · (2^W − 1) − 1` for the window width `W`; each
+//! exponent evaluated through a table records one `pow` and one `mul` per
+//! non-zero `W`-bit digit of the exponent (reduced mod `q`), and no
+//! squarings. A product over several tables shares one accumulator, so
+//! `z1^a · z2^b` records two `pow`s and no combining multiplication.
+//!
 //! Counters are thread-local: a simulation driving `n` agents on one thread
 //! measures the whole protocol; the per-agent figure is obtained by dividing
 //! by `n` (all agents perform symmetric work in DMW) or by running a single
@@ -118,6 +126,13 @@ pub(crate) fn record_inv() {
 #[inline]
 pub(crate) fn record_pow() {
     POW.with(|c| c.set(c.get().wrapping_add(1)));
+}
+
+/// Records `count` exponentiations at once, for products over several
+/// fixed-base tables.
+#[inline]
+pub(crate) fn record_pows(count: u64) {
+    POW.with(|c| c.set(c.get().wrapping_add(count)));
 }
 
 /// Resets this thread's counters to zero.
