@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dmw_crypto::commitments::{verify_shares, Commitments};
-use dmw_crypto::polynomials::BidPolynomials;
+use dmw_crypto::polynomials::{BidPolynomials, SecretBid};
 use dmw_crypto::resolution::{compute_lambda_psi, resolve_min_bid};
 use dmw_crypto::BidEncoding;
 use dmw_modmath::{lagrange, Poly, SchnorrGroup};
@@ -48,11 +48,11 @@ fn bench_protocol_primitives(c: &mut Criterion) {
         let encoding = BidEncoding::new(n, 1).unwrap();
         let zq = group.zq();
         let alphas = zq.rand_distinct_nonzero(n, &mut r);
-        let bid = 1u64;
+        let bid = SecretBid::new(1);
         bench.bench_with_input(BenchmarkId::new("bid_polynomials", n), &n, |b, _| {
-            b.iter(|| BidPolynomials::generate(&group, &encoding, bid, &mut r).unwrap())
+            b.iter(|| BidPolynomials::generate(&group, &encoding, &bid, &mut r).unwrap())
         });
-        let polys = BidPolynomials::generate(&group, &encoding, bid, &mut r).unwrap();
+        let polys = BidPolynomials::generate(&group, &encoding, &bid, &mut r).unwrap();
         bench.bench_with_input(BenchmarkId::new("commitments", n), &n, |b, _| {
             b.iter(|| Commitments::commit(&group, &encoding, &polys))
         });
@@ -65,14 +65,15 @@ fn bench_protocol_primitives(c: &mut Criterion) {
         let all: Vec<BidPolynomials> = (0..n)
             .map(|i| {
                 let b = 1 + (i as u64 % encoding.w_max());
-                BidPolynomials::generate(&group, &encoding, b, &mut r).unwrap()
+                BidPolynomials::generate(&group, &encoding, &SecretBid::new(b), &mut r).unwrap()
             })
             .collect();
         let lambdas: Vec<u64> = alphas
             .iter()
             .map(|&a| {
-                let e: Vec<u64> = all.iter().map(|p| p.e().eval(&zq, a)).collect();
-                let h: Vec<u64> = all.iter().map(|p| p.h().eval(&zq, a)).collect();
+                let shares: Vec<_> = all.iter().map(|p| p.share_for(&zq, a)).collect();
+                let e: Vec<u64> = shares.iter().map(|s| s.e).collect();
+                let h: Vec<u64> = shares.iter().map(|s| s.h).collect();
                 compute_lambda_psi(&group, &e, &h).lambda
             })
             .collect();

@@ -7,15 +7,15 @@
 use super::{config, rng};
 use crate::table::Report;
 use dmw::collusion::{pool_and_attack, predicted_exposure_threshold, AttackOutcome};
-use dmw_crypto::polynomials::BidPolynomials;
+use dmw_crypto::polynomials::{BidPolynomials, SecretBid};
 
 /// Sweeps coalition sizes until the bid is exposed; returns the smallest
 /// exposing size.
 pub fn measured_threshold(cfg: &dmw::DmwConfig, bid: u64, seed: u64) -> Option<usize> {
     let mut r = rng(seed);
     let zq = cfg.group().zq();
-    let polys =
-        BidPolynomials::generate(cfg.group(), cfg.encoding(), bid, &mut r).expect("valid bid");
+    let polys = BidPolynomials::generate(cfg.group(), cfg.encoding(), &SecretBid::new(bid), &mut r)
+        .expect("valid bid");
     for size in 1..=cfg.agents() {
         let pooled: Vec<(u64, _)> = (0..size)
             .map(|k| {

@@ -47,7 +47,7 @@ use crate::error::AbortReason;
 use crate::messages::Body;
 use crate::phases::{self, Phase};
 use crate::strategy::{Behavior, VerificationPolicy};
-use dmw_crypto::polynomials::{BidPolynomials, ShareBundle};
+use dmw_crypto::polynomials::{BidPolynomials, SecretBid, ShareBundle};
 use dmw_crypto::resolution::LambdaPsi;
 use dmw_crypto::Commitments;
 use dmw_obs::{Key, MetricsSink, MetricsSnapshot};
@@ -152,7 +152,9 @@ pub struct DmwAgent {
     pub(crate) me: usize,
     pub(crate) behavior: Behavior,
     pub(crate) policy: VerificationPolicy,
-    pub(crate) bids: Vec<u64>,
+    /// My per-task bids, sealed: only `BidPolynomials::generate` reads
+    /// them.
+    pub(crate) bids: Vec<SecretBid>,
     pub(crate) rng: StdRng,
     pub(crate) status: AgentStatus,
     pub(crate) tasks: Vec<TaskState>,
@@ -236,7 +238,7 @@ impl DmwAgent {
             me,
             behavior,
             policy,
-            bids,
+            bids: bids.into_iter().map(SecretBid::new).collect(),
             rng: StdRng::seed_from_u64(crate::config::agent_seed(seed, me)),
             status: AgentStatus::Running,
             tasks: (0..m).map(|_| TaskState::new(n)).collect(),
@@ -668,6 +670,22 @@ mod tests {
         // each.
         assert_eq!(shares, 8);
         assert_eq!(commits, 2);
+    }
+
+    #[test]
+    fn debug_output_shows_neither_bids_nor_polynomials() {
+        let cfg = config(5, 1, 5);
+        let mut agent = DmwAgent::new(cfg, 0, vec![1, 3], Behavior::Suggested, 42);
+        let _ = agent.poll(vec![]);
+        assert_eq!(agent.phase(), Phase::Commitments);
+        let shown = format!("{agent:?}");
+        // `Poly`'s own `Debug` prints `Poly { coeffs: [..] }`.
+        assert!(!shown.contains("coeffs"), "{shown}");
+        assert!(shown.contains("bids: [SecretBid { .. }, SecretBid { .. }]"));
+        assert_eq!(
+            shown.matches("polys: Some(BidPolynomials { .. })").count(),
+            2
+        );
     }
 
     #[test]

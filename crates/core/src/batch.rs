@@ -320,7 +320,7 @@ mod tests {
             rng.gen::<u64>()
         });
         assert_eq!(draws, replay);
-        let distinct: std::collections::HashSet<_> = draws.iter().collect();
+        let distinct: std::collections::BTreeSet<_> = draws.iter().collect();
         assert_eq!(distinct.len(), draws.len(), "streams must not collide");
     }
 }

@@ -623,7 +623,7 @@ impl Body {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmw_crypto::polynomials::BidPolynomials;
+    use dmw_crypto::polynomials::{BidPolynomials, SecretBid};
     use dmw_modmath::SchnorrGroup;
     use rand::SeedableRng;
 
@@ -631,7 +631,8 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(55);
         let group = SchnorrGroup::generate(40, 16, &mut rng).unwrap();
         let encoding = BidEncoding::new(5, 1).unwrap();
-        let polys = BidPolynomials::generate(&group, &encoding, 2, &mut rng).unwrap();
+        let polys =
+            BidPolynomials::generate(&group, &encoding, &SecretBid::new(2), &mut rng).unwrap();
         let commitments = Commitments::commit(&group, &encoding, &polys);
         let bodies = vec![
             Body::Shares {

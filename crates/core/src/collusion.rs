@@ -99,7 +99,7 @@ pub fn e_channel_threshold(config: &DmwConfig, bid: u64) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmw_crypto::polynomials::BidPolynomials;
+    use dmw_crypto::polynomials::{BidPolynomials, SecretBid};
     use rand::SeedableRng;
 
     fn setup(n: usize, c: usize) -> (DmwConfig, rand::rngs::StdRng) {
@@ -127,8 +127,13 @@ mod tests {
     fn coalition_at_threshold_exposes_the_bid() {
         let (config, mut rng) = setup(8, 2);
         for bid in config.encoding().bid_set() {
-            let polys =
-                BidPolynomials::generate(config.group(), config.encoding(), bid, &mut rng).unwrap();
+            let polys = BidPolynomials::generate(
+                config.group(),
+                config.encoding(),
+                &SecretBid::new(bid),
+                &mut rng,
+            )
+            .unwrap();
             let threshold = predicted_exposure_threshold(&config, bid).unwrap();
             let members: Vec<usize> = (0..threshold).collect();
             let outcome = pool_and_attack(&config, &bundles_for(&config, &polys, &members));
@@ -140,8 +145,13 @@ mod tests {
     fn coalition_below_threshold_learns_nothing() {
         let (config, mut rng) = setup(8, 2);
         for bid in config.encoding().bid_set() {
-            let polys =
-                BidPolynomials::generate(config.group(), config.encoding(), bid, &mut rng).unwrap();
+            let polys = BidPolynomials::generate(
+                config.group(),
+                config.encoding(),
+                &SecretBid::new(bid),
+                &mut rng,
+            )
+            .unwrap();
             let threshold = predicted_exposure_threshold(&config, bid).unwrap();
             let members: Vec<usize> = (0..threshold - 1).collect();
             // With one fewer share, resolution cannot succeed at the true

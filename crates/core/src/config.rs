@@ -96,9 +96,7 @@ impl DmwConfig {
                 ),
             });
         }
-        // HashSet is safe here (dmw-lint L10): membership probes only,
-        // never iterated.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for &a in &pseudonyms {
             if a == 0 || a >= group.q() || !seen.insert(a) {
                 return Err(DmwError::Config {
@@ -189,7 +187,7 @@ mod tests {
         assert_eq!(cfg.pseudonyms().len(), 6);
         assert_eq!(cfg.encoding().faults(), 1);
         // Pseudonyms are distinct non-zero residues of Z_q.
-        let set: std::collections::HashSet<_> = cfg.pseudonyms().iter().collect();
+        let set: std::collections::BTreeSet<_> = cfg.pseudonyms().iter().collect();
         assert_eq!(set.len(), 6);
         assert!(cfg
             .pseudonyms()

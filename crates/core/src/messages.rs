@@ -8,6 +8,147 @@
 //! Every variant reports its approximate wire size via
 //! [`dmw_simnet::Payload`]; the byte counters feed the communication-cost
 //! experiment.
+//!
+//! # Secrets cannot become messages
+//!
+//! A raw bid lives in a [`SecretBid`](dmw_crypto::SecretBid) and the
+//! secret polynomials in a [`BidPolynomials`](dmw_crypto::BidPolynomials);
+//! neither implements `Serialize`, and only `dmw-crypto` can read either.
+//! What reaches a [`Body`] is an evaluation: a share bundle, a disclosed
+//! `f`-share, a claim point. This compiles, and every block after it
+//! changes one line of it and must not compile (their setup is this
+//! block's, hidden):
+//!
+//! ```
+//! use dmw::messages::Body;
+//! use dmw_crypto::{BidEncoding, BidPolynomials, SecretBid, ShareBundle};
+//! use dmw_modmath::SchnorrGroup;
+//! use rand::SeedableRng;
+//!
+//! fn wire<T: serde::Serialize>(_: &T) {}
+//! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+//! let group = SchnorrGroup::generate(40, 16, &mut rng)?;
+//! let encoding = BidEncoding::new(5, 1)?;
+//! let bid = SecretBid::new(2);
+//! let polys = BidPolynomials::generate(&group, &encoding, &bid, &mut rng)?;
+//! let zq = group.zq();
+//! let bundle: ShareBundle = polys.share_for(&zq, 7);
+//! let (f, _h) = polys.claim_point(&zq, 7);
+//! let shares = Body::Shares { task: 0, bundle };
+//! let disclose = Body::Disclose { task: 0, f_values: vec![f] };
+//! assert!(!shares.encode().is_empty() && !disclose.encode().is_empty());
+//! wire(&bundle);
+//! assert!(bid.is(2));
+//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! ```
+//!
+//! A bid in a share bundle:
+//!
+//! ```compile_fail,E0308
+//! # use dmw::messages::Body;
+//! # use dmw_crypto::{BidEncoding, BidPolynomials, SecretBid, ShareBundle};
+//! # use dmw_modmath::SchnorrGroup;
+//! # use rand::SeedableRng;
+//! # fn wire<T: serde::Serialize>(_: &T) {}
+//! # let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+//! # let group = SchnorrGroup::generate(40, 16, &mut rng)?;
+//! # let encoding = BidEncoding::new(5, 1)?;
+//! # let bid = SecretBid::new(2);
+//! # let polys = BidPolynomials::generate(&group, &encoding, &bid, &mut rng)?;
+//! # let zq = group.zq();
+//! let bundle = ShareBundle { e: bid, ..polys.share_for(&zq, 7) };
+//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! ```
+//!
+//! Secret coefficients in a disclosure, on their way to the codec:
+//!
+//! ```compile_fail,E0624
+//! # use dmw::messages::Body;
+//! # use dmw_crypto::{BidEncoding, BidPolynomials, SecretBid, ShareBundle};
+//! # use dmw_modmath::SchnorrGroup;
+//! # use rand::SeedableRng;
+//! # fn wire<T: serde::Serialize>(_: &T) {}
+//! # let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+//! # let group = SchnorrGroup::generate(40, 16, &mut rng)?;
+//! # let encoding = BidEncoding::new(5, 1)?;
+//! # let bid = SecretBid::new(2);
+//! # let polys = BidPolynomials::generate(&group, &encoding, &bid, &mut rng)?;
+//! # let zq = group.zq();
+//! let leak = Body::Disclose { task: 0, f_values: polys.f().coeffs().to_vec() }.encode();
+//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! ```
+//!
+//! A bid converted back to a number:
+//!
+//! ```compile_fail,E0277
+//! # use dmw::messages::Body;
+//! # use dmw_crypto::{BidEncoding, BidPolynomials, SecretBid, ShareBundle};
+//! # use dmw_modmath::SchnorrGroup;
+//! # use rand::SeedableRng;
+//! # fn wire<T: serde::Serialize>(_: &T) {}
+//! # let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+//! # let group = SchnorrGroup::generate(40, 16, &mut rng)?;
+//! # let encoding = BidEncoding::new(5, 1)?;
+//! # let bid = SecretBid::new(2);
+//! # let polys = BidPolynomials::generate(&group, &encoding, &bid, &mut rng)?;
+//! # let zq = group.zq();
+//! let raw = u64::from(bid);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! ```
+//!
+//! A bid unwrapped:
+//!
+//! ```compile_fail,E0616
+//! # use dmw::messages::Body;
+//! # use dmw_crypto::{BidEncoding, BidPolynomials, SecretBid, ShareBundle};
+//! # use dmw_modmath::SchnorrGroup;
+//! # use rand::SeedableRng;
+//! # fn wire<T: serde::Serialize>(_: &T) {}
+//! # let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+//! # let group = SchnorrGroup::generate(40, 16, &mut rng)?;
+//! # let encoding = BidEncoding::new(5, 1)?;
+//! # let bid = SecretBid::new(2);
+//! # let polys = BidPolynomials::generate(&group, &encoding, &bid, &mut rng)?;
+//! # let zq = group.zq();
+//! let raw = bid.0;
+//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! ```
+//!
+//! A polynomial where serialization is required:
+//!
+//! ```compile_fail,E0277
+//! # use dmw::messages::Body;
+//! # use dmw_crypto::{BidEncoding, BidPolynomials, SecretBid, ShareBundle};
+//! # use dmw_modmath::SchnorrGroup;
+//! # use rand::SeedableRng;
+//! # fn wire<T: serde::Serialize>(_: &T) {}
+//! # let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+//! # let group = SchnorrGroup::generate(40, 16, &mut rng)?;
+//! # let encoding = BidEncoding::new(5, 1)?;
+//! # let bid = SecretBid::new(2);
+//! # let polys = BidPolynomials::generate(&group, &encoding, &bid, &mut rng)?;
+//! # let zq = group.zq();
+//! wire(&dmw_modmath::Poly::zero());
+//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! ```
+//!
+//! A bid where serialization is required:
+//!
+//! ```compile_fail,E0277
+//! # use dmw::messages::Body;
+//! # use dmw_crypto::{BidEncoding, BidPolynomials, SecretBid, ShareBundle};
+//! # use dmw_modmath::SchnorrGroup;
+//! # use rand::SeedableRng;
+//! # fn wire<T: serde::Serialize>(_: &T) {}
+//! # let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+//! # let group = SchnorrGroup::generate(40, 16, &mut rng)?;
+//! # let encoding = BidEncoding::new(5, 1)?;
+//! # let bid = SecretBid::new(2);
+//! # let polys = BidPolynomials::generate(&group, &encoding, &bid, &mut rng)?;
+//! # let zq = group.zq();
+//! wire(&bid);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! ```
 
 use crate::error::AbortReason;
 use dmw_crypto::polynomials::ShareBundle;

@@ -31,7 +31,7 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
     let encoding = *agent.config.encoding();
     let zq = group.zq();
     for task in 0..agent.m() {
-        let polys = BidPolynomials::generate(group, &encoding, agent.bids[task], &mut agent.rng)
+        let polys = BidPolynomials::generate(group, &encoding, &agent.bids[task], &mut agent.rng)
             .invariant("bids validated at construction");
         // Publish commitments (II.3); a tamperer keeps the honest copy
         // in its own state.

@@ -152,7 +152,7 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
         } else {
             continue;
         }
-        if agent.bids[task] != first_price {
+        if !agent.bids[task].is(first_price) {
             continue;
         }
         let Some(polys) = &agent.tasks[task].polys else {
@@ -163,7 +163,8 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
             .filter(|l| !live.contains(l))
             .map(|l| {
                 let alpha = agent.config.pseudonym(l);
-                (l, polys.f().eval(&zq, alpha), polys.h().eval(&zq, alpha))
+                let (f, h) = polys.claim_point(&zq, alpha);
+                (l, f, h)
             })
             .collect();
         agent.tasks[task].claims[agent.me] = Some(points.clone());

@@ -1030,7 +1030,7 @@ mod tests {
         let bids = ExecutionTimes::from_rows(vec![vec![2], vec![1], vec![3], vec![2]]).unwrap();
         let run = runner.run_honest(&bids, &mut rng).unwrap();
         assert!(run.is_completed());
-        let kinds: std::collections::HashSet<&str> = run.trace.iter().map(|e| e.kind).collect();
+        let kinds: std::collections::BTreeSet<&str> = run.trace.iter().map(|e| e.kind).collect();
         for phase in crate::trace::PHASE_ORDER {
             assert!(kinds.contains(phase), "missing phase {phase}");
         }

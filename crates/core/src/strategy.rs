@@ -157,7 +157,7 @@ mod tests {
     #[test]
     fn labels_are_distinct() {
         let all = Behavior::catalogue(5, 0);
-        let labels: std::collections::HashSet<_> = all.iter().map(|b| b.label()).collect();
+        let labels: std::collections::BTreeSet<_> = all.iter().map(|b| b.label()).collect();
         assert_eq!(labels.len(), all.len());
         assert_eq!(Behavior::Suggested.to_string(), "suggested");
     }

@@ -14,7 +14,7 @@
 use crate::commitments::{verify_shares, Commitments};
 use crate::encoding::BidEncoding;
 use crate::error::CryptoError;
-use crate::polynomials::BidPolynomials;
+use crate::polynomials::{BidPolynomials, SecretBid};
 use crate::resolution::{
     compute_lambda_psi, exclude_winner, identify_winner, resolve_min_bid, verify_f_disclosure,
     verify_lambda_psi, FoldedCommitments, LambdaPsi,
@@ -74,7 +74,7 @@ pub fn honest_auction<R: Rng + ?Sized>(
     // Phase II.1: every agent samples its polynomial quadruple.
     let polys: Vec<BidPolynomials> = bids
         .iter()
-        .map(|&b| BidPolynomials::generate(group, encoding, b, rng))
+        .map(|&b| BidPolynomials::generate(group, encoding, &SecretBid::new(b), rng))
         .collect::<Result<_, _>>()?;
 
     // Phase II.2–II.3: shares and commitments.

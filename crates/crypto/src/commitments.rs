@@ -158,14 +158,14 @@ pub(crate) fn alpha_powers(group: &SchnorrGroup, alpha: u64, len: usize) -> Vec<
 ///
 /// # Example
 /// ```
-/// use dmw_crypto::{BidEncoding, BidPolynomials, Commitments, commitments::verify_shares};
+/// use dmw_crypto::{BidEncoding, BidPolynomials, Commitments, SecretBid, commitments::verify_shares};
 /// use dmw_modmath::SchnorrGroup;
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 /// let group = SchnorrGroup::generate(40, 16, &mut rng)?;
 /// let encoding = BidEncoding::new(5, 1)?;
-/// let polys = BidPolynomials::generate(&group, &encoding, 2, &mut rng)?;
+/// let polys = BidPolynomials::generate(&group, &encoding, &SecretBid::new(2), &mut rng)?;
 /// let commitments = Commitments::commit(&group, &encoding, &polys);
 /// let alpha = 7;
 /// let bundle = polys.share_for(&group.zq(), alpha);
@@ -241,6 +241,7 @@ pub fn verify_shares_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::polynomials::SecretBid;
     use rand::SeedableRng;
 
     fn setup() -> (SchnorrGroup, BidEncoding, rand::rngs::StdRng) {
@@ -255,7 +256,8 @@ mod tests {
         let (group, encoding, mut rng) = setup();
         let zq = group.zq();
         for bid in encoding.bid_set() {
-            let polys = BidPolynomials::generate(&group, &encoding, bid, &mut rng).unwrap();
+            let polys = BidPolynomials::generate(&group, &encoding, &SecretBid::new(bid), &mut rng)
+                .unwrap();
             let commitments = Commitments::commit(&group, &encoding, &polys);
             let alphas = zq.rand_distinct_nonzero(encoding.agents(), &mut rng);
             for &alpha in &alphas {
@@ -270,7 +272,8 @@ mod tests {
     fn corrupted_e_share_fails_equation_7_or_8() {
         let (group, encoding, mut rng) = setup();
         let zq = group.zq();
-        let polys = BidPolynomials::generate(&group, &encoding, 2, &mut rng).unwrap();
+        let polys =
+            BidPolynomials::generate(&group, &encoding, &SecretBid::new(2), &mut rng).unwrap();
         let commitments = Commitments::commit(&group, &encoding, &polys);
         let mut bundle = polys.share_for(&zq, 9);
         bundle.e = zq.add(bundle.e, 1);
@@ -285,7 +288,8 @@ mod tests {
     fn corrupted_f_g_h_shares_are_each_detected() {
         let (group, encoding, mut rng) = setup();
         let zq = group.zq();
-        let polys = BidPolynomials::generate(&group, &encoding, 3, &mut rng).unwrap();
+        let polys =
+            BidPolynomials::generate(&group, &encoding, &SecretBid::new(3), &mut rng).unwrap();
         let commitments = Commitments::commit(&group, &encoding, &polys);
         let honest = polys.share_for(&zq, 11);
         for field in 0..3 {
@@ -306,7 +310,8 @@ mod tests {
     fn each_tamper_names_its_equation() {
         let (group, encoding, mut rng) = setup();
         let (zp, zq) = (group.zp(), group.zq());
-        let polys = BidPolynomials::generate(&group, &encoding, 3, &mut rng).unwrap();
+        let polys =
+            BidPolynomials::generate(&group, &encoding, &SecretBid::new(3), &mut rng).unwrap();
         let commitments = Commitments::commit(&group, &encoding, &polys);
         let alpha = 17;
         let honest = polys.share_for(&zq, alpha);
@@ -352,7 +357,8 @@ mod tests {
     fn shares_at_wrong_point_fail() {
         let (group, encoding, mut rng) = setup();
         let zq = group.zq();
-        let polys = BidPolynomials::generate(&group, &encoding, 2, &mut rng).unwrap();
+        let polys =
+            BidPolynomials::generate(&group, &encoding, &SecretBid::new(2), &mut rng).unwrap();
         let commitments = Commitments::commit(&group, &encoding, &polys);
         let bundle = polys.share_for(&zq, 9);
         assert!(verify_shares(&group, &commitments, 10, &bundle).is_err());
@@ -362,7 +368,8 @@ mod tests {
     fn tampered_commitments_fail() {
         let (group, encoding, mut rng) = setup();
         let zq = group.zq();
-        let polys = BidPolynomials::generate(&group, &encoding, 2, &mut rng).unwrap();
+        let polys =
+            BidPolynomials::generate(&group, &encoding, &SecretBid::new(2), &mut rng).unwrap();
         let commitments = Commitments::commit(&group, &encoding, &polys).with_tampered_q(&group, 0);
         let bundle = polys.share_for(&zq, 9);
         assert!(matches!(
@@ -378,9 +385,13 @@ mod tests {
         // is unchanged.
         let (group, encoding, mut rng) = setup();
         let zq = group.zq();
-        let polys = BidPolynomials::generate(&group, &encoding, 2, &mut rng).unwrap();
+        let polys =
+            BidPolynomials::generate(&group, &encoding, &SecretBid::new(2), &mut rng).unwrap();
         let commitments = Commitments::commit(&group, &encoding, &polys);
-        let substituted = polys.clone().with_substituted_e(&zq, polys.tau(), &mut rng);
+        let substituted =
+            polys
+                .clone()
+                .with_substituted_e(&zq, encoding.degree_of_bid(2).unwrap(), &mut rng);
         let bundle = substituted.share_for(&zq, 5);
         let err = verify_shares(&group, &commitments, 5, &bundle).unwrap_err();
         assert!(matches!(err, CryptoError::ShareVerificationFailed { .. }));
@@ -389,7 +400,8 @@ mod tests {
     #[test]
     fn from_parts_validates_lengths() {
         let (group, encoding, mut rng) = setup();
-        let polys = BidPolynomials::generate(&group, &encoding, 1, &mut rng).unwrap();
+        let polys =
+            BidPolynomials::generate(&group, &encoding, &SecretBid::new(1), &mut rng).unwrap();
         let c = Commitments::commit(&group, &encoding, &polys);
         let rebuilt =
             Commitments::from_parts(&encoding, c.o().to_vec(), c.q().to_vec(), c.r().to_vec())
@@ -408,7 +420,8 @@ mod tests {
         // rely on.
         let (group, encoding, mut rng) = setup();
         let zq = group.zq();
-        let polys = BidPolynomials::generate(&group, &encoding, 3, &mut rng).unwrap();
+        let polys =
+            BidPolynomials::generate(&group, &encoding, &SecretBid::new(3), &mut rng).unwrap();
         let commitments = Commitments::commit(&group, &encoding, &polys);
         let alpha = 13;
         let bundle = polys.share_for(&zq, alpha);
@@ -429,8 +442,13 @@ mod tests {
         let alpha = 9;
         let committed: Vec<(Commitments, crate::polynomials::ShareBundle)> = (0..12)
             .map(|i| {
-                let polys =
-                    BidPolynomials::generate(&group, &encoding, 1 + i % 3, &mut rng).unwrap();
+                let polys = BidPolynomials::generate(
+                    &group,
+                    &encoding,
+                    &SecretBid::new(1 + i % 3),
+                    &mut rng,
+                )
+                .unwrap();
                 let commitments = Commitments::commit(&group, &encoding, &polys);
                 let bundle = polys.share_for(&zq, alpha);
                 (commitments, bundle)

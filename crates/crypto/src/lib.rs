@@ -79,4 +79,4 @@ pub mod resolution;
 pub use commitments::Commitments;
 pub use encoding::BidEncoding;
 pub use error::CryptoError;
-pub use polynomials::{BidPolynomials, ShareBundle};
+pub use polynomials::{BidPolynomials, SecretBid, ShareBundle};

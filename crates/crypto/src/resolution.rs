@@ -355,7 +355,7 @@ pub fn exclude_winner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::polynomials::BidPolynomials;
+    use crate::polynomials::{BidPolynomials, SecretBid};
     use rand::SeedableRng;
 
     struct Setup {
@@ -377,7 +377,9 @@ mod tests {
         let alphas = zq.rand_distinct_nonzero(n, &mut rng);
         let polys: Vec<BidPolynomials> = bids
             .iter()
-            .map(|&b| BidPolynomials::generate(&group, &encoding, b, &mut rng).unwrap())
+            .map(|&b| {
+                BidPolynomials::generate(&group, &encoding, &SecretBid::new(b), &mut rng).unwrap()
+            })
             .collect();
         let commitments: Vec<Commitments> = polys
             .iter()

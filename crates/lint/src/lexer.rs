@@ -13,8 +13,7 @@
 //! * char literals vs. lifetimes (`'a'` vs. `'a`);
 //! * numeric literals including type suffixes (`4u64`, `0x1f`, `1_000`).
 //!
-//! Comments are returned separately so the allowlist directives of
-//! [`crate::allow`] can be parsed from them.
+//! Comments produce no tokens.
 
 /// What a token is, as far as the rules care.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,26 +43,13 @@ pub struct Token {
     pub line: u32,
 }
 
-/// One comment (line or block) with the line it starts on. Block comments
-/// keep their full text; directives are only recognized in line comments.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Comment {
-    /// Comment text without the `//` / `/*` markers.
-    pub text: String,
-    /// 1-based line number of the comment's start.
-    pub line: u32,
-    /// True for `//…` comments (directives live only in these).
-    pub is_line: bool,
-}
-
-/// Lexes `src` into tokens and comments.
-pub fn lex(src: &str) -> (Vec<Token>, Vec<Comment>) {
+/// Lexes `src` into tokens.
+pub fn lex(src: &str) -> Vec<Token> {
     Lexer {
         chars: src.chars().collect(),
         pos: 0,
         line: 1,
         tokens: Vec::new(),
-        comments: Vec::new(),
     }
     .run()
 }
@@ -73,7 +59,6 @@ struct Lexer {
     pos: usize,
     line: u32,
     tokens: Vec<Token>,
-    comments: Vec<Comment>,
 }
 
 impl Lexer {
@@ -98,7 +83,7 @@ impl Lexer {
         });
     }
 
-    fn run(mut self) -> (Vec<Token>, Vec<Comment>) {
+    fn run(mut self) -> Vec<Token> {
         while let Some(c) = self.peek(0) {
             let line = self.line;
             match c {
@@ -118,34 +103,19 @@ impl Lexer {
                 }
             }
         }
-        (self.tokens, self.comments)
+        self.tokens
     }
 
     fn line_comment(&mut self) {
-        let line = self.line;
-        self.bump();
-        self.bump();
-        let mut text = String::new();
-        while let Some(c) = self.peek(0) {
-            if c == '\n' {
-                break;
-            }
-            text.push(c);
+        while self.peek(0).is_some_and(|c| c != '\n') {
             self.bump();
         }
-        self.comments.push(Comment {
-            text,
-            line,
-            is_line: true,
-        });
     }
 
     fn block_comment(&mut self) {
-        let line = self.line;
         self.bump();
         self.bump();
         let mut depth = 1usize;
-        let mut text = String::new();
         while depth > 0 {
             match (self.peek(0), self.peek(1)) {
                 (Some('/'), Some('*')) => {
@@ -158,18 +128,12 @@ impl Lexer {
                     self.bump();
                     self.bump();
                 }
-                (Some(c), _) => {
-                    text.push(c);
+                (Some(_), _) => {
                     self.bump();
                 }
                 (None, _) => break,
             }
         }
-        self.comments.push(Comment {
-            text,
-            line,
-            is_line: false,
-        });
     }
 
     /// Handles `r"…"`, `r#"…"#`, `b"…"`, `br#"…"#`, `b'x'`, `c"…"` and
@@ -335,7 +299,6 @@ mod tests {
 
     fn idents(src: &str) -> Vec<String> {
         lex(src)
-            .0
             .into_iter()
             .filter(|t| t.kind == TokenKind::Ident)
             .map(|t| t.text)
@@ -360,7 +323,7 @@ mod tests {
 
     #[test]
     fn lifetimes_are_not_char_literals() {
-        let (tokens, _) = lex("fn f<'a>(x: &'a str) -> char { 'b' }");
+        let tokens = lex("fn f<'a>(x: &'a str) -> char { 'b' }");
         let lifetimes: Vec<_> = tokens
             .iter()
             .filter(|t| t.kind == TokenKind::Lifetime)
@@ -378,13 +341,12 @@ mod tests {
 
     #[test]
     fn lines_are_tracked() {
-        let (tokens, comments) = lex("a\nb // note\nc");
+        let tokens = lex("a\nb // note\n/* two\nlines */ c");
         let line_of = |name: &str| tokens.iter().find(|t| t.text == name).unwrap().line;
         assert_eq!(line_of("a"), 1);
         assert_eq!(line_of("b"), 2);
-        assert_eq!(line_of("c"), 3);
-        assert_eq!(comments[0].line, 2);
-        assert_eq!(comments[0].text, " note");
+        assert_eq!(line_of("c"), 4);
+        assert_eq!(tokens.len(), 3, "comments produce no tokens");
     }
 
     #[test]
@@ -395,7 +357,7 @@ mod tests {
 
     #[test]
     fn numeric_suffixes_and_ranges_lex_cleanly() {
-        let (tokens, _) = lex("0..n, 4u64, 0x1f, 1_000, 2.5");
+        let tokens = lex("0..n, 4u64, 0x1f, 1_000, 2.5");
         let puncts: Vec<char> = tokens
             .iter()
             .filter_map(|t| match t.kind {

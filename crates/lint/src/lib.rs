@@ -1,41 +1,33 @@
 //! `dmw-lint` — workspace-wide protocol-invariant static analysis.
 //!
-//! The DMW protocol's safety rests on a handful of code-level invariants
-//! that neither the type system nor clippy can express: no raw machine
-//! arithmetic on field residues, no round-number dispatch in the phase
-//! modules, no unbudgeted retry loops in the reliability sublayer, no
-//! secret reaching a serialization sink, no hash-order iteration in the
-//! deterministic crates, and no phase transition the spec does not
-//! declare. This crate enforces them in two layers:
+//! The DMW protocol's safety rests on a handful of code-level invariants.
+//! Most are compiler-checked: clippy lints with their levels set in
+//! source cover panic paths (L1), wildcard arms (L3), ambient entropy
+//! (L4), truncating casts (L5), the wall clock (L7) and hash-order
+//! iteration (L10); the secret types of `dmw-crypto` keep raw bids and
+//! secret polynomials off the wire (L9). Those rule numbers are unused
+//! here. This crate checks the four that neither the type system nor
+//! clippy can express:
 //!
 //! * **lexical** — a small Rust lexer ([`lexer`]) and three token-pattern
-//!   rules, L2, L6 and L8 ([`rules`]), scoped to the modules where they
-//!   are unambiguous;
-//! * **flow-sensitive** — a token-tree parser ([`parse`]) feeding the
-//!   L9 secrecy-taint and L10 determinism-order passes ([`flow`],
-//!   configured by the checked-in `lint.toml`, see [`config`]) and the
-//!   L11 phase-graph conformance check ([`phase_graph`], against
-//!   `docs/phase_graph.toml`).
+//!   rules ([`rules`]): no raw machine arithmetic on field residues (L2),
+//!   no round-number dispatch in the phase modules (L6) and no
+//!   unbudgeted retry loops in the reliability sublayer (L8), each
+//!   scoped to the modules where its pattern is unambiguous;
+//! * **phase graph** — L11 ([`phase_graph`]): the `Phase` transitions
+//!   under `crates/core/src/phases/` must match the spec
+//!   `docs/phase_graph.toml`.
 //!
-//! The invariants clippy does express — no panic paths (L1), no wildcard
-//! arms (L3), no ambient entropy (L4), no truncating, wrapping or
-//! sign-losing casts (L5), no wall clock (L7) — are clippy lints with
-//! their levels set in source, so those rule numbers are unused here.
-//!
-//! A justified-allowlist escape hatch ([`allow`]) covers the waivable
-//! rules; findings render as human diagnostics or as a stable JSON
+//! No rule is waivable: a finding is fixed, or for L11 the spec is
+//! edited. Findings render as human diagnostics or as a stable JSON
 //! report ([`report`]). See `docs/static_analysis.md` for the rule
 //! catalogue and rationale.
 //!
 //! Entry points: [`lint_source`] for one file (used by the fixture
-//! tests), [`lint_workspace`] for the tree walk plus the crate-level
-//! passes (used by the CLI and the tier-1 integration test).
+//! tests), [`lint_workspace`] for the tree walk plus L11 (used by the
+//! CLI and the tier-1 integration test).
 
-pub mod allow;
-pub mod config;
-pub mod flow;
 pub mod lexer;
-pub mod parse;
 pub mod phase_graph;
 pub mod report;
 pub mod rules;
@@ -45,7 +37,6 @@ pub mod toml_lite;
 #[path = "../tests/support/clippy.rs"]
 mod clippy_probe;
 
-pub use config::LintConfig;
 pub use rules::Finding;
 
 use std::fs;
@@ -57,6 +48,12 @@ use std::path::{Path, PathBuf};
 /// fixtures.
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures"];
 
+/// The L11 spec, workspace-relative.
+const PHASE_GRAPH_SPEC: &str = "docs/phase_graph.toml";
+
+/// Where the `Phase` state machine lives, workspace-relative.
+const PHASES_DIR: &str = "crates/core/src/phases/";
+
 /// A rule pass: tokens in, findings out.
 type Rule = fn(&[lexer::Token]) -> Vec<Finding>;
 
@@ -65,7 +62,7 @@ fn rules_for_path(path: &str) -> Vec<Rule> {
     let mut out: Vec<Rule> = Vec::new();
     // The typed phase state machine: the protocol equations moved here
     // from agent.rs, and its round-independence is what L6 protects.
-    let in_phases = path.starts_with("crates/core/src/phases/");
+    let in_phases = path.starts_with(PHASES_DIR);
     let agent = path == "crates/core/src/agent.rs";
 
     // codec.rs is excluded from L2: byte/bit packing legitimately uses
@@ -91,49 +88,15 @@ fn rules_for_path(path: &str) -> Vec<Rule> {
     out
 }
 
-/// Lints one file's source as if it lived at `path` (workspace-relative),
-/// under the embedded `lint.toml` and without the crate-level L9 sink
-/// summaries. Returns surviving findings, including allowlist-misuse
-/// findings.
+/// Lints one file's source as if it lived at `path` (workspace-relative)
+/// with the lexical rules scoped to that path. Returns the findings
+/// sorted by line.
 pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
-    lint_source_with(
-        path,
-        source,
-        LintConfig::embedded(),
-        &flow::SinkSummaries::new(),
-    )
-}
-
-/// [`lint_source`] with an explicit configuration and the sink-like
-/// function summaries derived by the crate-level pass
-/// ([`flow::sink_summaries`]).
-pub fn lint_source_with(
-    path: &str,
-    source: &str,
-    cfg: &LintConfig,
-    extra_sinks: &flow::SinkSummaries,
-) -> Vec<Finding> {
-    let (tokens, comments) = lexer::lex(source);
-    let tokens = rules::strip_test_regions(&tokens);
-    let mut findings = Vec::new();
-    for rule in rules_for_path(path) {
-        findings.extend(rule(&tokens));
-    }
-    let in_l9 = LintConfig::in_scope(&cfg.l9_scope, path);
-    let in_l10 = LintConfig::in_scope(&cfg.l10_scope, path);
-    if in_l9 || in_l10 {
-        let parsed = parse::parse(&tokens);
-        if in_l9 {
-            findings.extend(flow::l9(&tokens, &parsed, cfg, extra_sinks));
-        }
-        if in_l10 {
-            findings.extend(flow::l10(&tokens, &parsed));
-        }
-    }
-    let mut parse_errors = Vec::new();
-    let directives = allow::parse_directives(&comments, &mut parse_errors);
-    let mut out = allow::apply(&directives, findings);
-    out.extend(parse_errors);
+    let tokens = rules::strip_test_regions(&lexer::lex(source));
+    let mut out: Vec<Finding> = rules_for_path(path)
+        .into_iter()
+        .flat_map(|rule| rule(&tokens))
+        .collect();
     out.sort_by_key(|f| (f.line, f.rule));
     out
 }
@@ -157,63 +120,35 @@ impl std::fmt::Display for FileFinding {
     }
 }
 
-/// Lints every `.rs` file under `root` (skipping `SKIP_DIRS`), sorted
-/// by path then line, plus the crate-level passes: L9 sink
-/// summarization across the in-scope crates and the L11 phase-graph
-/// conformance check. A `lint.toml` at `root` overrides the embedded
-/// configuration; a malformed one is a hard error.
+/// Lints every `.rs` file under `root` (skipping `SKIP_DIRS`), plus the
+/// L11 phase-graph conformance check against `docs/phase_graph.toml`.
+/// Findings are sorted by path, then line.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<FileFinding>> {
-    let cfg = match fs::read_to_string(root.join("lint.toml")) {
-        Ok(src) => {
-            LintConfig::parse(&src).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
-        }
-        Err(_) => LintConfig::embedded().clone(),
-    };
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files)?;
     files.sort();
-    let mut sources = Vec::new();
+    let mut out = Vec::new();
+    let mut phase_files = Vec::new();
     for rel in files {
         let source = fs::read_to_string(root.join(&rel))?;
-        let rel_str = rel
+        let path = rel
             .to_str()
             .map(|s| s.replace('\\', "/"))
             .unwrap_or_default();
-        sources.push((rel_str, source));
-    }
-
-    // Crate-level L9: derive sink-like functions across every in-scope
-    // file, so taint is caught one call away from the literal sink.
-    let parsed_in_scope: Vec<(parse::ParsedFile, Vec<lexer::Token>)> = sources
-        .iter()
-        .filter(|(path, _)| LintConfig::in_scope(&cfg.l9_scope, path))
-        .map(|(_, src)| {
-            let (tokens, _) = lexer::lex(src);
-            let tokens = rules::strip_test_regions(&tokens);
-            (parse::parse(&tokens), tokens)
-        })
-        .collect();
-    let extra_sinks = flow::sink_summaries(&parsed_in_scope, &cfg);
-
-    let mut out = Vec::new();
-    for (rel_str, source) in &sources {
-        for finding in lint_source_with(rel_str, source, &cfg, &extra_sinks) {
+        for finding in lint_source(&path, &source) {
             out.push(FileFinding {
-                path: rel_str.clone(),
+                path: path.clone(),
                 finding,
             });
         }
+        if path.starts_with(PHASES_DIR) {
+            phase_files.push((path, source));
+        }
     }
 
-    // Crate-level L11: the phase graph against its spec.
-    let spec_src = fs::read_to_string(root.join(&cfg.l11_spec)).ok();
-    let phase_files: Vec<(String, String)> = sources
-        .iter()
-        .filter(|(path, _)| path.starts_with("crates/core/src/phases/"))
-        .cloned()
-        .collect();
+    let spec_src = fs::read_to_string(root.join(PHASE_GRAPH_SPEC)).ok();
     out.extend(phase_graph::check_sources(
-        &cfg.l11_spec,
+        PHASE_GRAPH_SPEC,
         spec_src.as_deref(),
         &phase_files,
     ));
@@ -273,9 +208,10 @@ mod tests {
 
     #[test]
     fn l4_applies_everywhere() {
-        // L4's `SystemTime` ban is clippy's `disallowed_types`: denied in
-        // every workspace member through `[workspace.lints]`, and listed
-        // in both clippy.toml files (root and bench harness).
+        // L4's `SystemTime` ban and L10's hash-collection ban are
+        // clippy's `disallowed_types`: denied in every workspace member
+        // through `[workspace.lints]`, and listed in both clippy.toml
+        // files (root and bench harness).
         let root = clippy_probe::root_conf();
         let read =
             |rel: &str| fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"));
@@ -293,7 +229,14 @@ mod tests {
             );
         }
         for conf in ["clippy.toml", "crates/bench/clippy.toml"] {
-            assert!(read(conf).contains("\"std::time::SystemTime\""), "{conf}");
+            let listed = read(conf);
+            for ty in [
+                "std::time::SystemTime",
+                "std::collections::HashMap",
+                "std::collections::HashSet",
+            ] {
+                assert!(listed.contains(&format!("\"{ty}\"")), "{conf}: {ty}");
+            }
         }
     }
 

@@ -59,9 +59,8 @@ fn main() -> ExitCode {
                  ROOT defaults to the workspace root found by walking up from\n\
                  the current directory to the first Cargo.toml containing\n\
                  `[workspace]`. `--format json` emits the stable report schema\n\
-                 (`dmw-lint-report/v1`); `--out` writes it to a file instead of\n\
-                 stdout. Rules and allowlist conventions are documented in\n\
-                 docs/static_analysis.md."
+                 (`dmw-lint-report/v2`); `--out` writes it to a file instead of\n\
+                 stdout. The rules are documented in docs/static_analysis.md."
             );
             return ExitCode::SUCCESS;
         }

@@ -19,7 +19,7 @@
 //! exists to catch.
 
 use crate::lexer::{lex, Token, TokenKind};
-use crate::rules::{strip_test_regions, Finding};
+use crate::rules::{matching, strip_test_regions, Finding};
 use crate::toml_lite;
 use crate::FileFinding;
 use std::collections::{BTreeMap, BTreeSet};
@@ -115,6 +115,45 @@ pub fn extract_edges(tokens: &[Token]) -> Vec<CodeEdge> {
     out
 }
 
+/// The line and variant names of the `enum Phase` in one token stream:
+/// the first identifier of each top-level comma-separated segment of its
+/// body, with attributes and variant payloads skipped.
+pub(crate) fn phase_enum(tokens: &[Token]) -> Option<(u32, Vec<String>)> {
+    let at = tokens.windows(2).position(|w| {
+        w[0].kind == TokenKind::Ident
+            && w[0].text == "enum"
+            && w[1].kind == TokenKind::Ident
+            && w[1].text == "Phase"
+    })?;
+    let open = (at + 2..tokens.len()).find(|&k| tokens[k].kind == TokenKind::Punct('{'))?;
+    let close = matching(tokens, open, '{', '}')?;
+    let mut variants = Vec::new();
+    let mut expecting_name = true;
+    let mut i = open + 1;
+    while i < close {
+        match tokens[i].kind {
+            TokenKind::Punct('#') => {
+                i = matching(tokens, i + 1, '[', ']').map_or(close, |c| c + 1);
+            }
+            TokenKind::Punct(c @ ('(' | '{')) => {
+                let end = if c == '(' { ')' } else { '}' };
+                i = matching(tokens, i, c, end).map_or(close, |c| c + 1);
+            }
+            TokenKind::Punct(',') => {
+                expecting_name = true;
+                i += 1;
+            }
+            TokenKind::Ident if expecting_name => {
+                variants.push(tokens[i].text.clone());
+                expecting_name = false;
+                i += 1;
+            }
+            _ => i += 1,
+        }
+    }
+    Some((tokens[at].line, variants))
+}
+
 /// Runs the full conformance check over in-memory sources: the spec text
 /// and every `(path, source)` under `phases/`. Separated from the disk
 /// walk so fixture tests can inject drifted copies of either side.
@@ -154,18 +193,14 @@ pub fn check_sources(
     let mut variants: Option<(String, u32, Vec<String>)> = None; // (path, line, names)
     let mut code_edges: BTreeMap<(String, String), (String, u32)> = BTreeMap::new();
     for (path, src) in phase_files {
-        let (tokens, _) = lex(src);
-        let tokens = strip_test_regions(&tokens);
+        let tokens = strip_test_regions(&lex(src));
         for e in extract_edges(&tokens) {
             code_edges
                 .entry((e.from, e.to))
                 .or_insert_with(|| (path.clone(), e.line));
         }
-        let parsed = crate::parse::parse(&tokens);
-        for en in &parsed.enums {
-            if en.name == "Phase" {
-                variants = Some((path.clone(), en.line, en.variants.clone()));
-            }
+        if let Some((line, names)) = phase_enum(&tokens) {
+            variants = Some((path.clone(), line, names));
         }
     }
     let Some((enum_path, enum_line, variants)) = variants else {
@@ -348,6 +383,26 @@ edges = [
         assert!(out
             .iter()
             .any(|f| f.finding.message.contains("unreachable")));
+    }
+
+    #[test]
+    fn phase_variants_skip_attributes_and_payloads() {
+        let tokens = lex(
+            "pub enum Other { X }\n#[derive(Debug)] pub enum Phase { Bidding, \
+             #[doc = \"c\"] Commitments { n: usize }, Resolution(u64), Claimed }",
+        );
+        assert_eq!(
+            phase_enum(&tokens),
+            Some((
+                2,
+                vec![
+                    "Bidding".to_owned(),
+                    "Commitments".to_owned(),
+                    "Resolution".to_owned(),
+                    "Claimed".to_owned()
+                ]
+            ))
+        );
     }
 
     #[test]

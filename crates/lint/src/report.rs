@@ -118,20 +118,20 @@ mod tests {
     #[test]
     fn findings_serialize_with_escapes_and_counts() {
         let json = to_json(&[
-            finding("a.rs", "L9", 3, "secret `bid` reaches \"sink\""),
-            finding("a.rs", "L9", 9, "x"),
-            finding("b.rs", "L10", 1, "y\nz"),
+            finding("a.rs", "L2", 3, "raw `%` on \"residues\""),
+            finding("a.rs", "L2", 9, "x"),
+            finding("b.rs", "L11", 1, "y\nz"),
         ]);
-        assert!(json.contains("\"L9\": 2"));
-        assert!(json.contains("\"L10\": 1"));
-        assert!(json.contains("\\\"sink\\\""));
+        assert!(json.contains("\"L2\": 2"));
+        assert!(json.contains("\"L11\": 1"));
+        assert!(json.contains("\\\"residues\\\""));
         assert!(json.contains("y\\nz"));
         assert!(json.contains("\"total\": 3"));
     }
 
     #[test]
     fn output_is_deterministic() {
-        let f = vec![finding("a.rs", "L10", 1, "m")];
+        let f = vec![finding("a.rs", "L8", 1, "m")];
         assert_eq!(to_json(&f), to_json(&f));
     }
 }

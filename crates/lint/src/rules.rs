@@ -18,9 +18,7 @@ use crate::lexer::{Token, TokenKind};
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule identifier (`L2`, `L6`, `L8`–`L11`, or `allowlist` for
-    /// directive misuse); an allow directive names it to suppress the
-    /// finding.
+    /// Rule identifier: `L2`, `L6`, `L8` or `L11`.
     pub rule: &'static str,
     /// 1-based source line.
     pub line: u32,
@@ -93,14 +91,16 @@ pub fn strip_test_regions(tokens: &[Token]) -> Vec<Token> {
         .collect()
 }
 
-/// Index of the token matching `open` at `start` (which must hold `open`).
-fn matching(tokens: &[Token], start: usize, open: char, close: char) -> Option<usize> {
+/// Index of the token matching `open` at `start` (which must hold
+/// `open`); `None` when the file is truncated or `start` holds a stray
+/// `close`.
+pub(crate) fn matching(tokens: &[Token], start: usize, open: char, close: char) -> Option<usize> {
     let mut depth = 0usize;
     for (i, t) in tokens.iter().enumerate().skip(start) {
         if t.kind == TokenKind::Punct(open) {
             depth += 1;
         } else if t.kind == TokenKind::Punct(close) {
-            depth -= 1;
+            depth = depth.checked_sub(1)?;
             if depth == 0 {
                 return Some(i);
             }
@@ -429,7 +429,7 @@ mod tests {
     use crate::lexer::lex;
 
     fn run(rule: fn(&[Token]) -> Vec<Finding>, src: &str) -> Vec<Finding> {
-        let (tokens, _) = lex(src);
+        let tokens = lex(src);
         rule(&strip_test_regions(&tokens))
     }
 

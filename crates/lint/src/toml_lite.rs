@@ -1,10 +1,9 @@
 //! A minimal TOML subset reader for the lint's own config files.
 //!
-//! The build environment is offline (no `toml` crate), and the two files
-//! this lint reads — `lint.toml` and `docs/phase_graph.toml` — need only
-//! a tiny grammar: `[table]` headers, `key = "string"` and
-//! `key = ["a", "b", …]` entries (arrays may span lines), comments and
-//! blanks. Anything outside that subset is a hard parse error, not a
+//! The build environment is offline (no `toml` crate), and the file this
+//! lint reads — `docs/phase_graph.toml` — needs only a tiny grammar:
+//! `[table]` headers, `key = "string"` and `key = ["a", "b", …]` entries
+//! (arrays may span lines), comments and blanks. Anything outside that subset is a hard parse error, not a
 //! silent skip: a config typo must fail the lint run, never relax it.
 
 use std::collections::BTreeMap;
@@ -180,16 +179,16 @@ mod tests {
     fn tables_strings_and_arrays_parse() {
         let doc = parse(
             "top = \"a\"\n\
-             [l9]\n\
+             [spec]\n\
              # comment\n\
              scope = [\"crates/core/src/\", \"crates/crypto/src/\"]\n\
-             name = \"taint\" # trailing\n",
+             name = \"graph\" # trailing\n",
         )
         .unwrap();
         assert_eq!(doc.str("", "top"), Some("a"));
-        assert_eq!(doc.str("l9", "name"), Some("taint"));
-        assert_eq!(doc.list("l9", "scope").unwrap().len(), 2);
-        assert!(doc.has_table("l9"));
+        assert_eq!(doc.str("spec", "name"), Some("graph"));
+        assert_eq!(doc.list("spec", "scope").unwrap().len(), 2);
+        assert!(doc.has_table("spec"));
         assert!(!doc.has_table("l12"));
     }
 

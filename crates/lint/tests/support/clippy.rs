@@ -1,8 +1,8 @@
 //! Test support: runs `clippy-driver` over one source text at chosen
 //! lint levels and returns what it reports as `(line, lint)` pairs.
 //!
-//! Rules L1, L3, L4, L5 and L7 are clippy lints whose levels are set in
-//! source (see `docs/static_analysis.md`). These helpers pin each mapping
+//! Rules L1, L3, L4, L5, L7 and L10 are clippy lints whose levels are
+//! set in source (see `docs/static_analysis.md`). These helpers pin each mapping
 //! at exactly those levels, under the `clippy.toml` of the crate in
 //! question, and [`levels_in_source`] reads the levels back out of the
 //! crate roots so the tests can check that the source still sets them.
@@ -36,7 +36,8 @@ pub const L5: &[&str] = &[
     "-Dclippy::cast_sign_loss",
 ];
 
-/// L7: the crate-root level of `core`, `simnet`, `crypto` and `obs`.
+/// L7 and L10: the crate-root level of `core`, `simnet`, `crypto` and
+/// `obs`.
 pub const L7: &[&str] = &["-Fclippy::disallowed_types"];
 
 /// The workspace level of `disallowed_types` (root `Cargo.toml`), which
@@ -44,9 +45,17 @@ pub const L7: &[&str] = &["-Fclippy::disallowed_types"];
 pub const WORKSPACE_L4: &[&str] = &["-Dclippy::disallowed_types"];
 
 /// The workspace root, whose `clippy.toml` governs every crate but the
-/// bench harness and `vendor/`.
+/// bench harness and `vendor/`: the nearest ancestor of the including
+/// crate whose `Cargo.toml` declares the `[workspace]`.
 pub fn root_conf() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .find(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|manifest| manifest.contains("[workspace]"))
+        })
+        .expect("the including crate lives inside the workspace")
+        .to_path_buf()
 }
 
 /// The bench harness's own `clippy.toml` directory.

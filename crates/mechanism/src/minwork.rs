@@ -187,7 +187,7 @@ mod tests {
         let bids = ExecutionTimes::from_rows(vec![vec![4], vec![4], vec![9]]).unwrap();
         let mechanism = MinWork::new(TieBreak::Random);
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let mut winners = std::collections::HashSet::new();
+        let mut winners = std::collections::BTreeSet::new();
         for _ in 0..64 {
             let outcome = mechanism.run_with_rng(&bids, &mut rng).unwrap();
             let w = outcome.schedule.agent_of(TaskId(0)).unwrap();

@@ -227,7 +227,7 @@ mod tests {
             .sum();
         assert_eq!(total, 4);
         // All columns distinct.
-        let set: std::collections::HashSet<_> = assignment.iter().collect();
+        let set: std::collections::BTreeSet<_> = assignment.iter().collect();
         assert_eq!(set.len(), 3);
     }
 

@@ -289,7 +289,7 @@ impl PrimeField {
             self.modulus
         );
         let mut out = Vec::with_capacity(count);
-        let mut seen = std::collections::HashSet::with_capacity(count);
+        let mut seen = std::collections::BTreeSet::new();
         while out.len() < count {
             let v = self.rand_nonzero(rng);
             if seen.insert(v) {
@@ -409,7 +409,7 @@ pub(crate) mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let xs = f.rand_distinct_nonzero(100, &mut rng);
         assert_eq!(xs.len(), 100);
-        let set: std::collections::HashSet<_> = xs.iter().copied().collect();
+        let set: std::collections::BTreeSet<_> = xs.iter().copied().collect();
         assert_eq!(set.len(), 100);
         assert!(xs.iter().all(|&x| x != 0 && x < 1031));
     }

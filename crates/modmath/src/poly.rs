@@ -19,7 +19,6 @@
 use crate::field::PrimeField;
 use crate::ops;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A dense polynomial `c_0 + c_1·x + … + c_d·x^d` over a prime field.
 ///
@@ -37,7 +36,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.eval(&f, 10), (2 * 10 + 3 * 100) % 101);
 /// # Ok::<(), dmw_modmath::ModMathError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Poly {
     coeffs: Vec<u64>,
 }

@@ -15,7 +15,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Message destination: one peer or everyone else.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Recipient {
     /// A single peer over the private channel.
     Unicast(NodeId),

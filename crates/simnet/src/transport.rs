@@ -19,7 +19,7 @@ use crate::faults::FaultPlan;
 use crate::network::{Delivered, NodeId, Payload, Recipient};
 use crate::stats::NetworkStats;
 use dmw_obs::MetricsSnapshot;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A message-delivery substrate for `n` protocol agents.
 ///
@@ -120,17 +120,16 @@ pub trait Transport<M: Payload + Clone> {
 /// recipient with several gets them folded through `merge` (the protocol
 /// passes its `Body::Batch` constructor). Grouping is indexed by a
 /// recipient → slot map, so a tick with `r` outgoing messages costs
-/// `O(r)` instead of the quadratic scan a per-message linear `find`
-/// would.
+/// `O(r log r)` instead of the quadratic scan a per-message linear
+/// `find` would.
 pub fn coalesce<M>(
     outgoing: Vec<(Recipient, M)>,
     mut merge: impl FnMut(Vec<M>) -> M,
 ) -> Vec<(Recipient, M)> {
     let mut groups: Vec<(Recipient, Vec<M>)> = Vec::new();
-    // HashMap is safe here (dmw-lint L10): `slots` is only ever probed
-    // by key, never iterated — output order comes from `groups`, which
-    // preserves first-occurrence order.
-    let mut slots: HashMap<Recipient, usize> = HashMap::new();
+    // `slots` is only probed by key; output order comes from `groups`,
+    // which preserves first-occurrence order.
+    let mut slots: BTreeMap<Recipient, usize> = BTreeMap::new();
     for (recipient, payload) in outgoing {
         match slots.get(&recipient) {
             Some(&slot) => groups[slot].1.push(payload),

@@ -10,7 +10,7 @@
 
 use dmw::collusion::{pool_and_attack, predicted_exposure_threshold, AttackOutcome};
 use dmw::config::DmwConfig;
-use dmw_crypto::polynomials::BidPolynomials;
+use dmw_crypto::polynomials::{BidPolynomials, SecretBid};
 use dmw_examples::{print_table, section};
 use rand::SeedableRng;
 
@@ -30,7 +30,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for bid in config.encoding().bid_set() {
         // The target constructs its bid polynomials; coalition members pool
         // the shares the target sent them.
-        let polys = BidPolynomials::generate(config.group(), config.encoding(), bid, &mut rng)?;
+        let polys = BidPolynomials::generate(
+            config.group(),
+            config.encoding(),
+            &SecretBid::new(bid),
+            &mut rng,
+        )?;
         let mut measured = None;
         for size in 1..n {
             let pooled: Vec<(u64, _)> = (0..size)

@@ -9,13 +9,14 @@
 #      in source and outrank these CLI flags: `#![deny]`/`#![forbid]` at
 #      the crate roots of modmath, crypto, core, simnet and obs, and
 #      `#[deny]`/`#[forbid]` on the protocol-critical `pub mod` lines of
-#      crates/core/src/lib.rs (rules L1, L3, L5, L7); `disallowed_types`
-#      is `deny` in [workspace.lints] (L4), configured by clippy.toml
+#      crates/core/src/lib.rs (rules L1, L3, L5, L7, and L10 in the
+#      deterministic crates); `disallowed_types` is `deny` in
+#      [workspace.lints] (L4, L10), configured by clippy.toml
 #   3. cargo doc                  -- rustdoc warnings (broken intra-doc
 #      links, missing docs) are errors
 #   4. dmw-lint                   -- protocol-invariant rules L2, L6,
-#      L8-L11 (lexical L2, L6, L8 plus flow-sensitive L9 secrecy-taint,
-#      L10 determinism-order and L11 phase-graph conformance), then the
+#      L8 and L11 (lexical L2 raw residue arithmetic, L6 round dispatch,
+#      L8 unbudgeted retries, plus L11 phase-graph conformance), then the
 #      stable JSON report is regenerated and compared against the
 #      committed docs/lint_report.json -- a stale report fails the gate
 #   5. cargo build -p dmw-examples --bins

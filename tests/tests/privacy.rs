@@ -5,13 +5,14 @@
 use dmw::collusion::{
     e_channel_threshold, pool_and_attack, predicted_exposure_threshold, AttackOutcome,
 };
-use dmw_crypto::polynomials::BidPolynomials;
+use dmw_crypto::polynomials::{BidPolynomials, SecretBid};
 use integration_tests::{config, rng};
 
 fn measured_threshold(cfg: &dmw::DmwConfig, bid: u64, seed: u64) -> Option<usize> {
     let mut r = rng(seed);
     let zq = cfg.group().zq();
-    let polys = BidPolynomials::generate(cfg.group(), cfg.encoding(), bid, &mut r).unwrap();
+    let polys = BidPolynomials::generate(cfg.group(), cfg.encoding(), &SecretBid::new(bid), &mut r)
+        .unwrap();
     for size in 1..=cfg.agents() {
         let pooled: Vec<(u64, _)> = (0..size)
             .map(|k| {
@@ -89,7 +90,13 @@ fn losing_bids_stay_hidden_during_an_actual_protocol_run() {
     // (threshold is min(n-c-y, y+c)+1 = min(4, 4)+1 = 5 > c = 2).
     let target_bid = 2u64;
     let zq = cfg.group().zq();
-    let polys = BidPolynomials::generate(cfg.group(), cfg.encoding(), target_bid, &mut r).unwrap();
+    let polys = BidPolynomials::generate(
+        cfg.group(),
+        cfg.encoding(),
+        &SecretBid::new(target_bid),
+        &mut r,
+    )
+    .unwrap();
     let pooled: Vec<(u64, _)> = (0..c)
         .map(|k| {
             let alpha = cfg.pseudonym(k);
@@ -100,7 +107,8 @@ fn losing_bids_stay_hidden_during_an_actual_protocol_run() {
 }
 
 // ---------------------------------------------------------------------
-// Runtime counterpart of dmw-lint rule L9: sweep an actual transcript.
+// Runtime counterpart of the secret types (`SecretBid`,
+// `BidPolynomials`): sweep an actual transcript.
 // ---------------------------------------------------------------------
 
 mod transcript_sweep {

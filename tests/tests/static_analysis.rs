@@ -1,12 +1,22 @@
 //! Tier-1 enforcement of the protocol invariants: `cargo test` fails if
-//! any workspace source violates a dmw-lint rule (L2, L6, L8–L11) or a
-//! clippy lint at the level set in source (L1, L3, L4, L5, L7; see
+//! any workspace source violates a dmw-lint rule (L2, L6, L8, L11) or a
+//! clippy lint at the level set in source (L1, L3, L4, L5, L7, L10; see
 //! `docs/static_analysis.md`), so a violation cannot merge even when the
 //! `scripts/check.sh` gate is skipped. Alongside the clean-workspace
-//! assertions, this suite pins the *other* direction: an injected
-//! violation per flow-sensitive family (L9, L10, L11) must fail, and the
-//! committed JSON report must match the workspace byte for byte.
+//! assertions, this suite pins the *other* direction: an injected hash
+//! iteration (L10) and an undeclared transition (L11) must fail, and the
+//! committed JSON report must match the workspace byte for byte. L9 is
+//! the type system's: the `compile_fail` doctests of `dmw::messages` pin
+//! that a raw bid or secret polynomial cannot reach a message.
 
+#[expect(
+    dead_code,
+    reason = "shared with dmw-lint's tests; this suite needs only the probe and two levels"
+)]
+#[path = "../../crates/lint/tests/support/clippy.rs"]
+mod clippy_probe;
+
+use clippy_probe::{bench_conf, clippy, root_conf, L7, WORKSPACE_L4};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -76,28 +86,21 @@ fn workspace_passes_clippy_at_the_levels_set_in_source() {
 }
 
 #[test]
-fn an_injected_l9_violation_fails() {
-    let findings = dmw_lint::lint_source(
-        "crates/core/src/injected.rs",
-        "fn leak(bid: u64, task: usize) -> Body { \
-         Body::Disclose { task, f_values: vec![bid] } }",
-    );
-    assert!(
-        findings.iter().any(|f| f.rule == "L9"),
-        "a raw bid reaching a sink constructor must be denied: {findings:?}"
-    );
-}
-
-#[test]
 fn an_injected_l10_violation_fails() {
-    let findings = dmw_lint::lint_source(
-        "crates/core/src/injected.rs",
-        "fn f(m: &HashMap<u64, u64>) -> u64 { m.values().sum() }",
-    );
-    assert!(
-        findings.iter().any(|f| f.rule == "L10"),
-        "HashMap iteration in a deterministic crate must be denied: {findings:?}"
-    );
+    // Hash iteration order is unspecified: clippy's `disallowed_types`
+    // rejects the collection itself, at the deterministic crates'
+    // `forbid` under the root clippy.toml and at the workspace `deny`
+    // under the bench harness's.
+    let source = "use std::collections::HashMap;\n\
+                  pub fn f(m: &HashMap<u64, u64>) -> u64 { m.values().sum() }\n";
+    let expected = [(1, "disallowed_types"), (2, "disallowed_types")]
+        .map(|(line, lint)| (line, lint.to_owned()))
+        .to_vec();
+    assert_eq!(clippy(source, L7, &root_conf()), expected);
+    assert_eq!(clippy(source, WORKSPACE_L4, &bench_conf()), expected);
+    // The ordered map stays legal.
+    let ordered = source.replace("HashMap", "BTreeMap");
+    assert!(clippy(&ordered, L7, &root_conf()).is_empty());
 }
 
 #[test]

@@ -58,7 +58,7 @@ fn per_phase_counts_match_the_closed_forms() {
     let c = 1usize;
     let run = honest_run(n, c, m, 3002);
     let outcome = run.completed().unwrap();
-    let hist: std::collections::HashMap<&str, usize> =
+    let hist: std::collections::BTreeMap<&str, usize> =
         kind_histogram(&run.trace).into_iter().collect();
     // Bidding: every agent sends a bundle to each of the n-1 peers, per
     // task, and one commitment broadcast per task.
@@ -86,7 +86,7 @@ fn network_point_to_point_totals_are_exact() {
     let n = 5usize;
     let m = 2usize;
     let run = honest_run(n, 1, m, 3003);
-    let hist: std::collections::HashMap<&str, usize> =
+    let hist: std::collections::BTreeMap<&str, usize> =
         kind_histogram(&run.trace).into_iter().collect();
     let broadcast_events: usize = hist
         .iter()
