@@ -1,9 +1,10 @@
 //! Criterion micro-benchmarks for the cryptographic primitives behind
 //! Table 1: share generation, commitment computation, share verification
-//! (equations (7)–(9)) and degree resolution (equation (12)).
+//! (equations (7)–(9)), one item at a time and as Phase III.1's lockstep
+//! batch, and degree resolution (equation (12)).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dmw_crypto::commitments::{verify_shares, Commitments};
+use dmw_crypto::commitments::{verify_shares, verify_shares_batch, Commitments};
 use dmw_crypto::polynomials::{BidPolynomials, SecretBid};
 use dmw_crypto::resolution::{compute_lambda_psi, resolve_min_bid};
 use dmw_crypto::BidEncoding;
@@ -84,9 +85,44 @@ fn bench_protocol_primitives(c: &mut Criterion) {
     bench.finish();
 }
 
+/// Phase III.1 at one verifier: the `m·(n − 1)` received bundles (eqs.
+/// (7)–(9), `3·m·(n − 1)` products at the verifier's `α^ℓ`) checked as one
+/// lockstep batch, and one `verify_shares` call per bundle. `m` is the
+/// task count of the perfbench workload with that `n`.
+fn bench_share_batch(c: &mut Criterion) {
+    let mut bench = c.benchmark_group("share-batch");
+    for (n, m) in [(8usize, 4usize), (32, 4), (64, 2)] {
+        let mut r = rng();
+        let group = SchnorrGroup::generate(48, 24, &mut r).unwrap();
+        let encoding = BidEncoding::new(n, 1).unwrap();
+        let zq = group.zq();
+        let alpha = zq.rand_nonzero(&mut r);
+        let received: Vec<_> = (0..m * (n - 1))
+            .map(|i| {
+                let bid = SecretBid::new(1 + (i as u64 % encoding.w_max()));
+                let polys = BidPolynomials::generate(&group, &encoding, &bid, &mut r).unwrap();
+                let bundle = polys.share_for(&zq, alpha);
+                (Commitments::commit(&group, &encoding, &polys), bundle)
+            })
+            .collect();
+        let items: Vec<_> = received.iter().map(|(c, b)| (c, *b)).collect();
+        bench.bench_with_input(BenchmarkId::new("verify_shares_batch", n), &n, |b, _| {
+            b.iter(|| verify_shares_batch(&group, alpha, &items).unwrap())
+        });
+        bench.bench_with_input(BenchmarkId::new("verify_shares_each", n), &n, |b, _| {
+            b.iter(|| {
+                for (commitments, bundle) in &items {
+                    verify_shares(&group, commitments, alpha, bundle).unwrap();
+                }
+            })
+        });
+    }
+    bench.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_polynomials, bench_protocol_primitives
+    targets = bench_polynomials, bench_protocol_primitives, bench_share_batch
 }
 criterion_main!(benches);

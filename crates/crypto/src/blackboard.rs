@@ -11,7 +11,7 @@
 //! * an executable specification that mirrors the paper's protocol listing
 //!   step by step.
 
-use crate::commitments::{verify_shares, Commitments};
+use crate::commitments::{verify_shares_batch, Commitments};
 use crate::encoding::BidEncoding;
 use crate::error::CryptoError;
 use crate::polynomials::{BidPolynomials, SecretBid};
@@ -84,12 +84,14 @@ pub fn honest_auction<R: Rng + ?Sized>(
         .collect();
 
     // Phase III.1: every agent verifies every received bundle (every
-    // receiver checks every sender, itself included).
+    // receiver checks every sender, itself included) as one batch.
     for &alpha in &alphas {
-        for (poly, comm) in polys.iter().zip(&commitments) {
-            let bundle = poly.share_for(&zq, alpha);
-            verify_shares(group, comm, alpha, &bundle)?;
-        }
+        let received: Vec<_> = polys
+            .iter()
+            .zip(&commitments)
+            .map(|(poly, comm)| (comm, poly.share_for(&zq, alpha)))
+            .collect();
+        verify_shares_batch(group, alpha, &received).map_err(|failure| failure.error)?;
     }
 
     // Phase III.2: publish and validate lambda/psi.

@@ -26,7 +26,8 @@
 use crate::encoding::BidEncoding;
 use crate::error::CryptoError;
 use crate::polynomials::{BidPolynomials, ShareBundle};
-use dmw_modmath::{multiexp, SchnorrGroup};
+use dmw_modmath::multiexp::{self, ExponentPlan};
+use dmw_modmath::SchnorrGroup;
 use serde::{Deserialize, Serialize};
 
 /// The published commitment triple `(O, Q, R)` of one agent for one task
@@ -111,11 +112,12 @@ impl Commitments {
         self
     }
 
-    /// Evaluates a commitment vector "in the exponent" at pseudonym
-    /// `alpha`: `Π_ℓ vec_ℓ^{α^ℓ} (mod p)` with `α^ℓ` reduced mod `q`. This
-    /// is the right-hand side shape shared by equations (7)–(9), computed
-    /// by simultaneous multi-exponentiation ([`dmw_modmath::multiexp`],
-    /// ≈ 3× fewer multiplications than one ladder per entry).
+    /// Evaluates one commitment vector "in the exponent" at pseudonym
+    /// `alpha`: `Π_ℓ vec_ℓ^{α^ℓ} (mod p)` with `α^ℓ` reduced mod `q`, the
+    /// right-hand side shape of equations (7)–(9). Computed by one
+    /// simultaneous multi-exponentiation ([`dmw_modmath::multiexp::multi_pow`],
+    /// ≈ 3× fewer multiplications than one ladder per entry); Phase III.1
+    /// evaluates many vectors at once in [`verify_shares_batch`] instead.
     fn eval_vector(group: &SchnorrGroup, vec: &[u64], alpha: u64) -> u64 {
         let exps = alpha_powers(group, alpha, vec.len());
         multiexp::multi_pow(&group.zp(), vec, &exps)
@@ -148,7 +150,8 @@ pub(crate) fn alpha_powers(group: &SchnorrGroup, alpha: u64, len: usize) -> Vec<
 }
 
 /// Verifies a received share bundle against the sender's commitments —
-/// Phase III.1, equations (7), (8) and (9), in that order.
+/// Phase III.1, equations (7), (8) and (9), in that order. This is
+/// [`verify_shares_batch`] on a one-item batch.
 ///
 /// # Errors
 ///
@@ -178,28 +181,7 @@ pub fn verify_shares(
     alpha: u64,
     bundle: &ShareBundle,
 ) -> Result<(), CryptoError> {
-    let zq = group.zq();
-    // The three right-hand sides share the exponents α^ℓ: one ladder with
-    // three accumulators evaluates Π O_ℓ^{α^ℓ}, Γ and Φ together.
-    let exps = alpha_powers(group, alpha, commitments.o.len());
-    let [omicron, gamma, phi] = multiexp::joint_multi_pow(
-        &group.zp(),
-        [&commitments.o, &commitments.q, &commitments.r],
-        &exps,
-    );
-    // (7): z1^{e(α)f(α)} z2^{g(α)} == Π O_ℓ^{α^ℓ}.
-    if group.commit(zq.mul(bundle.e, bundle.f), bundle.g) != omicron {
-        return Err(CryptoError::ShareVerificationFailed { equation: 7 });
-    }
-    // (8): z1^{e(α)} z2^{h(α)} == Γ.
-    if group.commit(bundle.e, bundle.h) != gamma {
-        return Err(CryptoError::ShareVerificationFailed { equation: 8 });
-    }
-    // (9): z1^{f(α)} z2^{h(α)} == Φ.
-    if group.commit(bundle.f, bundle.h) != phi {
-        return Err(CryptoError::ShareVerificationFailed { equation: 9 });
-    }
-    Ok(())
+    verify_shares_batch(group, alpha, &[(commitments, *bundle)]).map_err(|failure| failure.error)
 }
 
 /// A failure inside [`verify_shares_batch`]: which batch item failed, and
@@ -216,9 +198,19 @@ pub struct ShareBatchFailure {
 /// point `alpha` against equations (7)–(9), in submission order.
 ///
 /// Phase III.1 checks every received bundle against its sender's
-/// commitments, across both tasks and senders. The result is the one a
-/// sequential loop of [`verify_shares`] over `items` gives: the first
-/// failing item in submission order, found without checking the rest.
+/// commitments, across both tasks and senders, and every right-hand side
+/// is a product at the same exponents `α^ℓ`. So the batch derives one
+/// [`ExponentPlan`] from those exponents and runs it on the `O`, `Q` and
+/// `R` vectors of every item at once, `3 · items.len()` columns in
+/// lockstep. Then it compares each item's left-hand sides in order.
+/// An item whose vectors are shorter than the longest in the batch uses
+/// the matching prefix of the exponents.
+///
+/// The verdict is the one a sequential loop over `items` gives, checking
+/// (7), (8), (9) per item: the first failing item in submission order,
+/// naming its first failing equation. Every item's right-hand sides are
+/// computed before that verdict, so a failing batch costs as much as a
+/// passing one.
 ///
 /// # Errors
 ///
@@ -230,9 +222,29 @@ pub fn verify_shares_batch(
     alpha: u64,
     items: &[(&Commitments, ShareBundle)],
 ) -> Result<(), ShareBatchFailure> {
-    for (index, (commitments, bundle)) in items.iter().enumerate() {
-        if let Err(error) = verify_shares(group, commitments, alpha, bundle) {
-            return Err(ShareBatchFailure { index, error });
+    let zq = group.zq();
+    let sigma = items.iter().map(|(c, _)| c.o.len()).max().unwrap_or(0);
+    let plan = ExponentPlan::new(&alpha_powers(group, alpha, sigma));
+    let columns: Vec<&[u64]> = items
+        .iter()
+        .flat_map(|(c, _)| [c.o(), c.q(), c.r()])
+        .collect();
+    let products = plan.pow_columns(&group.zp(), &columns);
+    for (index, ((_, bundle), rhs)) in items.iter().zip(products.chunks_exact(3)).enumerate() {
+        // (7): z1^{e(α)f(α)} z2^{g(α)} == Π O_ℓ^{α^ℓ};
+        // (8): z1^{e(α)} z2^{h(α)} == Γ; (9): z1^{f(α)} z2^{h(α)} == Φ.
+        let sides = [
+            (7, zq.mul(bundle.e, bundle.f), bundle.g),
+            (8, bundle.e, bundle.h),
+            (9, bundle.f, bundle.h),
+        ];
+        for ((equation, z1_exp, z2_exp), &rhs) in sides.into_iter().zip(rhs) {
+            if group.commit(z1_exp, z2_exp) != rhs {
+                return Err(ShareBatchFailure {
+                    index,
+                    error: CryptoError::ShareVerificationFailed { equation },
+                });
+            }
         }
     }
     Ok(())
@@ -242,7 +254,7 @@ pub fn verify_shares_batch(
 mod tests {
     use super::*;
     use crate::polynomials::SecretBid;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn setup() -> (SchnorrGroup, BidEncoding, rand::rngs::StdRng) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(4242);
@@ -462,10 +474,139 @@ mod tests {
         corrupted[3].1.e = zq.add(corrupted[3].1.e, 1);
         corrupted[9].1.f = zq.add(corrupted[9].1.f, 1);
         let failure = verify_shares_batch(&group, alpha, &corrupted).unwrap_err();
-        assert_eq!(failure.index, 3);
-        assert!(matches!(
-            failure.error,
-            CryptoError::ShareVerificationFailed { .. }
-        ));
+        // A tampered e share enters (7) first.
+        assert_eq!(
+            failure,
+            ShareBatchFailure {
+                index: 3,
+                error: CryptoError::ShareVerificationFailed { equation: 7 },
+            }
+        );
+        assert_eq!(sequential_verdict(&group, alpha, &corrupted), Err((3, 7)));
+    }
+
+    /// The verdict of a sequential loop that computes every right-hand
+    /// side with its own `multi_pow` and checks (7), (8), (9) in order.
+    fn sequential_verdict(
+        group: &SchnorrGroup,
+        alpha: u64,
+        items: &[(&Commitments, ShareBundle)],
+    ) -> Result<(), (usize, u8)> {
+        let (zp, zq) = (group.zp(), group.zq());
+        for (index, (commitments, b)) in items.iter().enumerate() {
+            let exps = alpha_powers(group, alpha, commitments.o().len());
+            let rhs = [commitments.o(), commitments.q(), commitments.r()]
+                .map(|vector| multiexp::multi_pow(&zp, vector, &exps));
+            let lhs = [
+                group.commit(zq.mul(b.e, b.f), b.g),
+                group.commit(b.e, b.h),
+                group.commit(b.f, b.h),
+            ];
+            for ((equation, l), r) in [7, 8, 9].into_iter().zip(lhs).zip(rhs) {
+                if l != r {
+                    return Err((index, equation));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn batch_verdict(
+        group: &SchnorrGroup,
+        alpha: u64,
+        items: &[(&Commitments, ShareBundle)],
+    ) -> Result<(), (usize, u8)> {
+        verify_shares_batch(group, alpha, items).map_err(|failure| match failure.error {
+            CryptoError::ShareVerificationFailed { equation } => (failure.index, equation),
+            other => panic!("unexpected error {other}"),
+        })
+    }
+
+    #[test]
+    fn empty_and_one_item_batches_match_the_single_check() {
+        let (group, encoding, mut rng) = setup();
+        let zq = group.zq();
+        assert_eq!(verify_shares_batch(&group, 9, &[]), Ok(()));
+        let polys =
+            BidPolynomials::generate(&group, &encoding, &SecretBid::new(2), &mut rng).unwrap();
+        let commitments = Commitments::commit(&group, &encoding, &polys);
+        let honest = polys.share_for(&zq, 9);
+        let mut tampered = honest;
+        tampered.h = zq.add(tampered.h, 1);
+        for bundle in [honest, tampered] {
+            let single = verify_shares(&group, &commitments, 9, &bundle);
+            let batch = verify_shares_batch(&group, 9, &[(&commitments, bundle)]);
+            assert_eq!(batch.map_err(|failure| failure.error), single);
+            assert_eq!(
+                batch_verdict(&group, 9, &[(&commitments, bundle)]),
+                sequential_verdict(&group, 9, &[(&commitments, bundle)])
+            );
+        }
+        assert_eq!(
+            verify_shares(&group, &commitments, 9, &tampered),
+            Err(CryptoError::ShareVerificationFailed { equation: 8 })
+        );
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn batch_verdict_matches_a_sequential_multi_pow_loop(
+            seed in 0u64..10_000,
+            count in 1usize..10,
+            corruptions in 0usize..4,
+        ) {
+            let (group, _, _) = setup();
+            let (zp, zq) = (group.zp(), group.zq());
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            // Two encodings, so a batch can mix vector lengths σ.
+            let encodings = [BidEncoding::new(6, 1).unwrap(), BidEncoding::new(3, 1).unwrap()];
+            let alpha = zq.rand_nonzero(&mut rng);
+            let mut committed: Vec<(Commitments, ShareBundle)> = (0..count)
+                .map(|_| {
+                    let encoding = &encodings[rng.gen_range(0..2usize)];
+                    let bid = rng.gen_range(1..=encoding.w_max());
+                    let polys =
+                        BidPolynomials::generate(&group, encoding, &SecretBid::new(bid), &mut rng)
+                            .unwrap();
+                    (
+                        Commitments::commit(&group, encoding, &polys),
+                        polys.share_for(&zq, alpha),
+                    )
+                })
+                .collect();
+            // Corrupt random items: one bundle field, or one O/Q/R entry.
+            for _ in 0..corruptions {
+                let (commitments, bundle) = &mut committed[rng.gen_range(0..count)];
+                let sigma = commitments.o.len();
+                match rng.gen_range(0..7usize) {
+                    0 => bundle.e = zq.add(bundle.e, 1),
+                    1 => bundle.f = zq.add(bundle.f, 1),
+                    2 => bundle.g = zq.add(bundle.g, 1),
+                    3 => bundle.h = zq.add(bundle.h, 1),
+                    vector => {
+                        let entries = match vector {
+                            4 => &mut commitments.o,
+                            5 => &mut commitments.q,
+                            _ => &mut commitments.r,
+                        };
+                        let entry = &mut entries[rng.gen_range(0..sigma)];
+                        *entry = zp.mul(*entry, group.z2());
+                    }
+                }
+            }
+            let items: Vec<(&Commitments, ShareBundle)> =
+                committed.iter().map(|(c, b)| (c, *b)).collect();
+            let expected = sequential_verdict(&group, alpha, &items);
+            proptest::prop_assert_eq!(batch_verdict(&group, alpha, &items), expected);
+            for (index, (commitments, bundle)) in items.iter().enumerate() {
+                let single = verify_shares(&group, commitments, alpha, bundle)
+                    .map_err(|error| (index, error));
+                let reference = sequential_verdict(&group, alpha, &[(commitments, *bundle)])
+                    .map_err(|(_, equation)| {
+                        (index, CryptoError::ShareVerificationFailed { equation })
+                    });
+                proptest::prop_assert_eq!(single, reference);
+            }
+        }
     }
 }

@@ -14,6 +14,9 @@
 //! the paper's cost model, and is not counted. Ladders tally their steps
 //! locally and flush the total once.
 //!
+//! A [`crate::multiexp::ExponentPlan`] records its chain's multiplications
+//! once per evaluated column, i.e. `muls() · W` for `W` columns.
+//!
 //! A [`crate::fixed_base::FixedBase`] table is counted the same way: its
 //! build records one `mul` per Montgomery product, i.e.
 //! `⌈bits(q − 1) / W⌉ · (2^W − 1) − 1` for the window width `W`; each
