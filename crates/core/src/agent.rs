@@ -42,6 +42,7 @@
          `.get()` plumbing would bury the protocol equations."
 )]
 
+use crate::clock::PhaseClock;
 use crate::config::DmwConfig;
 use crate::error::AbortReason;
 use crate::messages::Body;
@@ -166,21 +167,9 @@ pub struct DmwAgent {
     pub(crate) claim: Option<Vec<u64>>,
     /// Current phase of the typed state machine.
     pub(crate) phase: Phase,
-    /// First tick whose poll counts toward the current phase's dwell
-    /// and patience accounting: `0` at construction, `act_tick + 1`
-    /// after each act. Keeping the *entry tick* instead of a per-poll
-    /// counter is what lets the event-driven scheduler skip idle ticks
-    /// without disturbing patience arithmetic — a poll at tick `now`
-    /// has waited `now + 1 − phase_entered` ticks whether or not the
-    /// ticks in between were ever polled (see `docs/scheduler.md`).
-    pub(crate) phase_entered: u64,
-    /// Clock for the tick-free [`DmwAgent::poll`] convenience wrapper;
-    /// advanced past `now` by every [`DmwAgent::poll_at`].
-    auto_now: u64,
-    /// Ticks a phase may wait for message completeness before acting on
-    /// whatever arrived. `1` (the default) acts at the first poll after
-    /// entering a phase — the classic lockstep schedule.
-    pub(crate) patience: u64,
+    /// The current phase's entry tick and patience. Private to this
+    /// module, so the phases cannot dispatch on time (rule L6).
+    clock: PhaseClock,
     /// Label of the phase that most recently acted (trace annotation).
     pub(crate) acted_phase: &'static str,
     /// Per-agent protocol metrics: phase dwell ticks, patience
@@ -246,9 +235,7 @@ impl DmwAgent {
             faulty: vec![false; n],
             claim: None,
             phase: Phase::Bidding,
-            phase_entered: 0,
-            auto_now: 0,
-            patience: 1,
+            clock: PhaseClock::new(1),
             acted_phase: Phase::Bidding.label(),
             metrics: MetricsSnapshot::default(),
         }
@@ -261,7 +248,7 @@ impl DmwAgent {
     /// patience to cover their worst-case latency.
     #[must_use]
     pub fn with_patience(mut self, patience: u64) -> Self {
-        self.patience = patience.max(1);
+        self.clock = PhaseClock::new(patience);
         self
     }
 
@@ -489,7 +476,7 @@ impl DmwAgent {
     /// Exactly [`DmwAgent::poll_at`] on the agent's own clock — the
     /// convenience form for drivers that poll every tick.
     pub fn poll(&mut self, inbox: Vec<Delivered<Body>>) -> Vec<(Recipient, Body)> {
-        let now = self.auto_now;
+        let now = self.clock.next_poll();
         self.poll_at(now, inbox)
     }
 
@@ -507,7 +494,7 @@ impl DmwAgent {
     /// poll-every-tick schedule. Ticks must be non-decreasing across
     /// calls, with at most one call per tick.
     pub fn poll_at(&mut self, now: u64, inbox: Vec<Delivered<Body>>) -> Vec<(Recipient, Body)> {
-        self.auto_now = now + 1;
+        self.clock.poll(now);
         let mut out = Vec::new();
         if !self.ingest(inbox) {
             return out;
@@ -515,17 +502,13 @@ impl DmwAgent {
         if self.phase == Phase::Claimed {
             return out;
         }
-        // How long the current phase has waited, counting this tick —
-        // identical to a counter incremented once per tick by a
-        // poll-every-tick scheduler.
-        let waited = now + 1 - self.phase_entered;
         let ready = phases::ready(self);
-        if ready || waited >= self.patience {
+        if ready || self.clock.expired(now) {
             self.acted_phase = self.phase.label();
             let dwell = Key::named("phase_dwell_ticks")
                 .phase(self.acted_phase)
                 .agent(self.metric_agent());
-            self.metrics.incr(dwell, waited);
+            self.metrics.incr(dwell, self.clock.waited(now));
             if !ready {
                 // Acting because the budget ran out, not because the
                 // phase's expected messages were complete.
@@ -536,7 +519,7 @@ impl DmwAgent {
             }
             phases::act(self, &mut out);
             self.phase = self.phase.next();
-            self.phase_entered = now + 1;
+            self.clock.enter(now);
         }
         out
     }
@@ -559,11 +542,7 @@ impl DmwAgent {
         if self.is_terminal() || self.phase == Phase::Claimed {
             return None;
         }
-        if phases::ready(self) {
-            Some(self.phase_entered)
-        } else {
-            Some(self.phase_entered + self.patience - 1)
-        }
+        Some(self.clock.wake(phases::ready(self)))
     }
 }
 
@@ -750,5 +729,29 @@ mod tests {
             "patience exhausted, acted on the empty view"
         );
         assert!(!out.is_empty());
+    }
+
+    #[test]
+    fn a_tick_before_the_phase_entry_waits_zero_ticks() {
+        // Bidding acts at tick 5, so Commitments begins at tick 6. A poll
+        // at tick 3 has waited no tick of it: no act, no expiry, no dwell.
+        let cfg = config(5, 1, 8);
+        let mut agent = DmwAgent::new(cfg, 0, vec![1], Behavior::Suggested, 42);
+        assert!(!agent.poll_at(5, vec![]).is_empty());
+        assert_eq!(agent.phase(), Phase::Commitments);
+        assert!(agent.poll_at(3, vec![]).is_empty());
+        assert_eq!(agent.phase(), Phase::Commitments, "patience not expired");
+        assert_eq!(agent.metrics().counter_total("patience_expired"), 0);
+        assert_eq!(agent.metrics().counter_total("phase_dwell_ticks"), 6);
+    }
+
+    #[test]
+    fn an_unbounded_patience_wakes_at_the_end_of_time() {
+        let cfg = config(5, 1, 8);
+        let mut agent =
+            DmwAgent::new(cfg, 0, vec![1], Behavior::Suggested, 42).with_patience(u64::MAX);
+        let _ = agent.poll_at(0, vec![]);
+        assert_eq!(agent.phase(), Phase::Commitments);
+        assert_eq!(agent.next_wake(), Some(u64::MAX));
     }
 }

@@ -144,7 +144,7 @@ impl DmwConfig {
 /// Derives one agent's private RNG seed from the run seed by SplitMix64
 /// constant mixing. This is deliberate *machine* arithmetic on an opaque
 /// bit pattern — not field arithmetic — so it lives here, outside the
-/// protocol modules that dmw-lint holds to the `dmw_modmath` API.
+/// protocol modules that clippy holds to the `dmw_modmath` API (L2).
 pub(crate) fn agent_seed(run_seed: u64, me: usize) -> u64 {
     run_seed ^ (me as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }

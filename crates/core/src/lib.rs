@@ -70,7 +70,11 @@
 // panic there is a remote crash: no panic paths outside test code (the
 // root clippy.toml exempts tests). The codec and the runner must also
 // name every protocol variant, so a new message fails to compile at
-// each dispatch site; `forbid` keeps that unwaivable. See
+// each dispatch site; `forbid` keeps that unwaivable. The agent, its
+// phases, the payment check and the runner handle residues, so machine
+// arithmetic is denied there as in the crypto crate (L2); tick
+// arithmetic goes through `clock`, and byte or payment sums carry an
+// `#[expect]` whose reason names the quantity. See
 // docs/static_analysis.md.
 #[deny(
     clippy::unwrap_used,
@@ -81,9 +85,17 @@
     clippy::unimplemented,
     clippy::indexing_slicing
 )]
+#[deny(
+    clippy::integer_division_remainder_used,
+    clippy::arithmetic_side_effects,
+    clippy::disallowed_methods,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 pub mod agent;
 pub mod audit;
 pub mod batch;
+pub(crate) mod clock;
 #[deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -113,6 +125,13 @@ pub mod obedient;
     clippy::unimplemented,
     clippy::indexing_slicing
 )]
+#[deny(
+    clippy::integer_division_remainder_used,
+    clippy::arithmetic_side_effects,
+    clippy::disallowed_methods,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 pub mod payment;
 #[deny(
     clippy::unwrap_used,
@@ -122,6 +141,13 @@ pub mod payment;
     clippy::todo,
     clippy::unimplemented,
     clippy::indexing_slicing
+)]
+#[deny(
+    clippy::integer_division_remainder_used,
+    clippy::arithmetic_side_effects,
+    clippy::disallowed_methods,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
 )]
 pub mod phases;
 pub mod related_distributed;
@@ -139,6 +165,13 @@ pub mod repeated;
 #[forbid(
     clippy::wildcard_enum_match_arm,
     clippy::match_wildcard_for_single_variants
+)]
+#[deny(
+    clippy::integer_division_remainder_used,
+    clippy::arithmetic_side_effects,
+    clippy::disallowed_methods,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
 )]
 pub mod runner;
 pub mod strategy;

@@ -99,12 +99,18 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
     let mut payments = vec![0u64; agent.n()];
     for task in 0..agent.m() {
         let winner = agent.tasks[task].winner.invariant("identified");
-        payments[winner] += agent.tasks[task].second_price.invariant("resolved");
+        #[expect(clippy::arithmetic_side_effects, reason = "payments in bid units")]
+        {
+            payments[winner] += agent.tasks[task].second_price.invariant("resolved");
+        }
     }
     agent.claim = Some(payments.clone());
     let mut claimed = payments;
     if let Behavior::InflatedPaymentClaim { delta } = agent.behavior {
-        claimed[agent.me] += delta;
+        #[expect(clippy::arithmetic_side_effects, reason = "a payment in bid units")]
+        {
+            claimed[agent.me] += delta;
+        }
         agent.claim = Some(claimed.clone());
     }
     out.push((

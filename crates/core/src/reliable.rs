@@ -64,13 +64,15 @@
 use crate::messages::Body;
 use dmw_obs::{Key, MetricsSink, MetricsSnapshot};
 use dmw_simnet::{Delivered, NodeId, Recipient};
+use retry::{Fire, Retry};
 use std::collections::BTreeMap;
 
 /// Default first-retransmit timeout in scheduler ticks.
 pub const RETRY_BASE_TIMEOUT: u64 = 4;
 
-/// Default bound on retransmit attempts per message. Every retransmit
-/// loop in this module is bounded by this budget (lint rule L8).
+/// Default bound on retransmit attempts per message. Every resend in
+/// this module goes through a `Retry`, whose methods check this
+/// budget (rule L8).
 pub const RETRY_BUDGET: u32 = 5;
 
 /// Floor on the adaptive retransmit timeout: one round out, one round
@@ -209,20 +211,134 @@ impl RttEstimator {
 #[derive(Debug, Clone)]
 struct PendingMsg {
     seq: u64,
-    body: Body,
     /// Tick of the original transmission, for RTT sampling.
     sent_at: u64,
-    /// Tick at which the next retransmission fires.
-    next_retry: u64,
-    /// Timer-driven retransmissions performed so far.
-    attempts: u32,
-    /// Nack-triggered fast retransmissions performed so far — bounded
-    /// by the same policy budget as the timer path.
-    nack_retx: u32,
-    /// Set by an inbound [`Body::Nack`] covering this sequence number:
-    /// the tick the request landed. The repair goes out once the link's
-    /// emission delay passes instead of waiting out the timer.
-    fast_retx: Option<u64>,
+    /// The payload and its retransmission budget: the only way to
+    /// resend it.
+    retry: Retry,
+}
+
+/// Budgeted retransmission (rule L8). A [`Retry`] holds an unacked
+/// payload with its timer and counters, all private to this module, so
+/// the rest of `reliable.rs` can resend only through a method that
+/// checks the budget first.
+mod retry {
+    use crate::messages::Body;
+
+    /// What a due resend did.
+    #[derive(Debug)]
+    pub(super) enum Fire {
+        /// A resend within the budget.
+        Fired(Body),
+        /// The last timer retransmission the budget allows.
+        Final(Body),
+        /// The timer lapsed with the budget spent: the peer is to be
+        /// suspected, and nothing is resent.
+        Exhausted,
+    }
+
+    #[derive(Debug, Clone)]
+    pub(super) struct Retry {
+        body: Body,
+        /// The policy budget: timer retransmissions, and separately
+        /// nack requests, per payload.
+        budget: u32,
+        /// Tick at which the next timer-driven retransmission fires.
+        next_retry: u64,
+        /// Timer-driven retransmissions so far.
+        attempts: u32,
+        /// Nack requests granted so far, under the same budget.
+        nack_retx: u32,
+        /// The tick a granted nack request landed; the repair goes out
+        /// once the link's emission delay passes.
+        fast_retx: Option<u64>,
+    }
+
+    impl Retry {
+        /// A payload first sent at `now`, due again `rto` ticks later,
+        /// resent at most `budget` times by its timer.
+        pub(super) fn new(body: Body, budget: u32, now: u64, rto: u64) -> Self {
+            Retry {
+                body,
+                budget,
+                next_retry: now.saturating_add(rto),
+                attempts: 0,
+                nack_retx: 0,
+                fast_retx: None,
+            }
+        }
+
+        /// The tick this payload next falls due: its timer, or an
+        /// earlier nack request.
+        pub(super) fn due(&self) -> u64 {
+            self.fast_retx
+                .map_or(self.next_retry, |at| at.min(self.next_retry))
+        }
+
+        /// `true` once a resend was granted: Karn's rule then takes no
+        /// RTT sample from this payload's ack.
+        pub(super) fn spent(&self) -> bool {
+            self.attempts > 0 || self.nack_retx > 0
+        }
+
+        /// Fires the timer if it lapsed `delay` ticks ago, or answers a
+        /// nack request that old; a timer fire burns one of the budget's
+        /// attempts. `None` when nothing is due, and, unless
+        /// `last`, when the timer fire would be the final attempt: that
+        /// one stays with the sweep, which echoes it and suspects the
+        /// peer after it.
+        pub(super) fn fire(&mut self, now: u64, delay: u64, rto: u64, last: bool) -> Option<Fire> {
+            let overdue = self.next_retry.saturating_add(delay) <= now;
+            let fast_due = self
+                .fast_retx
+                .is_some_and(|at| at.saturating_add(delay) <= now);
+            let is_final = overdue && self.attempts.saturating_add(1) >= self.budget;
+            if (!overdue && !fast_due) || (is_final && !last) {
+                return None;
+            }
+            if overdue && self.attempts >= self.budget {
+                return Some(Fire::Exhausted);
+            }
+            self.rearm(now, rto);
+            if overdue {
+                self.attempts += 1;
+            }
+            let body = self.body.clone();
+            Some(if is_final {
+                Fire::Final(body)
+            } else {
+                Fire::Fired(body)
+            })
+        }
+
+        /// Marks the payload nack-requested at `now`, unless it already
+        /// answered a budget of nacks (the timer then takes over).
+        pub(super) fn nack(&mut self, now: u64) {
+            if self.nack_retx < self.budget {
+                self.nack_retx += 1;
+                self.fast_retx = Some(now);
+            }
+        }
+
+        /// Rides along with a repair envelope that leaves anyway: burns
+        /// no attempt, but a payload whose budget is spent stays
+        /// grounded.
+        pub(super) fn ride(&mut self, now: u64, rto: u64) -> Option<Body> {
+            if self.attempts >= self.budget {
+                return None;
+            }
+            self.rearm(now, rto);
+            Some(self.body.clone())
+        }
+
+        /// Restarts the timer with the backoff of the attempts so far;
+        /// the resend answers any nack request.
+        fn rearm(&mut self, now: u64, rto: u64) {
+            let backoff = 1u64.checked_shl(self.attempts).unwrap_or(u64::MAX);
+            self.next_retry = now.saturating_add(rto.saturating_mul(backoff));
+            self.fast_retx = None;
+        }
+    }
 }
 
 /// Reliability state of one directed peer link.
@@ -352,13 +468,9 @@ impl ReliableEndpoint {
             .filter(|(peer, _)| !self.suspected[*peer])
             .flat_map(|(_, link)| {
                 let delay = link.emission_delay();
-                link.unacked.iter().map(move |pending| {
-                    let due = match pending.fast_retx {
-                        Some(at) => at.min(pending.next_retry),
-                        None => pending.next_retry,
-                    };
-                    due + delay
-                })
+                link.unacked
+                    .iter()
+                    .map(move |pending| pending.retry.due().saturating_add(delay))
             })
             .min()
     }
@@ -422,12 +534,8 @@ impl ReliableEndpoint {
         let rto = link.rtt.rto(self.policy.base_timeout);
         link.unacked.push(PendingMsg {
             seq,
-            body: body.clone(),
             sent_at: now,
-            next_retry: now + rto,
-            attempts: 0,
-            nack_retx: 0,
-            fast_retx: None,
+            retry: Retry::new(body.clone(), self.policy.budget, now, rto),
         });
         // Repair-on-seal: a fresh envelope to this peer is going on the
         // wire regardless, so any payload whose retransmission is
@@ -436,30 +544,17 @@ impl ReliableEndpoint {
         // tick's sweep. Bookkeeping matches the sweep exactly — timer
         // rides burn an attempt, nack rides don't — except the final
         // budgeted attempt, which stays with the sweep so it keeps its
-        // two-copy anti-resonance echo and the suspicion handoff (L8:
-        // the ride gate below is the same per-message budget).
+        // two-copy anti-resonance echo and the suspicion handoff.
         let mut due: Vec<(u64, Body)> = Vec::new();
-        let budget = self.policy.budget;
         for pending in link.unacked.iter_mut() {
             if pending.seq == seq {
                 continue;
             }
-            let overdue = pending.next_retry <= now;
-            let fast_due = pending.fast_retx.is_some();
-            if !overdue && !fast_due {
-                continue;
+            if let Some(Fire::Fired(body) | Fire::Final(body)) =
+                pending.retry.fire(now, 0, rto, false)
+            {
+                due.push((pending.seq, body));
             }
-            if overdue && pending.attempts + 1 >= budget {
-                continue;
-            }
-            if overdue {
-                pending.next_retry = now + (rto << pending.attempts);
-                pending.attempts += 1;
-            } else {
-                pending.next_retry = now + (rto << pending.attempts);
-            }
-            pending.fast_retx = None;
-            due.push((pending.seq, pending.body.clone()));
         }
         if due.is_empty() {
             wire.push((
@@ -527,16 +622,14 @@ impl ReliableEndpoint {
                     self.apply_ack(from, ack, &sack, now);
                 }
                 Body::Nack { lo, hi } => {
-                    let budget = self.policy.budget;
                     let link = &mut self.links[from];
                     // Nack-triggered fast retransmissions respect the
-                    // same per-message budget as the timer path (L8):
-                    // a nack beyond the budget is ignored and the
+                    // same per-message budget as the timer path: a nack
+                    // beyond the budget is ignored and the
                     // timer/suspicion machinery takes over.
                     for pending in &mut link.unacked {
-                        if (lo..=hi).contains(&pending.seq) && pending.nack_retx < budget {
-                            pending.nack_retx += 1;
-                            pending.fast_retx = Some(now);
+                        if (lo..=hi).contains(&pending.seq) {
+                            pending.retry.nack(now);
                         }
                     }
                 }
@@ -638,8 +731,7 @@ impl ReliableEndpoint {
                 // Karn's rule: only messages that spent none of their
                 // retry budget (no timer or nack retransmission) yield
                 // an unambiguous round-trip.
-                let spent_budget = pending.attempts > 0 || pending.nack_retx > 0;
-                if !spent_budget {
+                if !pending.retry.spent() {
                     link.rtt.observe(now.saturating_sub(pending.sent_at));
                     samples += 1;
                 }
@@ -675,15 +767,13 @@ impl ReliableEndpoint {
     /// [`Body::SuspectDead`] broadcast when a peer's budget exhausts
     /// this tick.
     pub fn tick(&mut self, now: u64, phase: &'static str) -> Vec<(Recipient, Body)> {
-        let budget = self.policy.budget;
         let mut out = Vec::new();
         for peer in 0..self.n {
             if peer == self.me {
                 continue;
             }
-            // The sweep bounds every retransmission by `budget` (L8).
             if !self.suspected[peer] {
-                self.repair_sweep(now, phase, peer, budget, &mut out);
+                self.repair_sweep(now, phase, peer, &mut out);
             }
             // Owed nacks and acks flush even toward suspected peers:
             // neither is ever acked back, so each costs one message and
@@ -740,7 +830,6 @@ impl ReliableEndpoint {
         now: u64,
         phase: &'static str,
         peer: usize,
-        budget: u32,
         out: &mut Vec<(Recipient, Body)>,
     ) {
         let link = &mut self.links[peer];
@@ -753,56 +842,44 @@ impl ReliableEndpoint {
         // Budget-bounded retransmit sweep: every pending message
         // retries at most `budget` times on the timer path, and the
         // nack fast path neither burns nor evades that budget — it
-        // resends without advancing `attempts`, but marked messages
-        // were already capped at `budget` nack retransmissions when the
-        // nack arrived (L8).
+        // resends without burning an attempt, but marked messages were
+        // already capped at `budget` nack retransmissions when the nack
+        // arrived.
         let mut riders: Vec<usize> = Vec::new();
         for (slot, pending) in link.unacked.iter_mut().enumerate() {
-            let overdue = pending.next_retry + delay <= now;
-            let fast_due = pending.fast_retx.is_some_and(|at| at + delay <= now);
-            if !overdue && !fast_due {
-                // Early-retransmit rider: the peer has had a full ack
-                // round-trip for this payload and stayed silent — if a
-                // repair envelope goes out anyway, ride along for free
-                // instead of waiting to become a solo envelope later.
-                if now >= pending.sent_at + ack_horizon {
-                    riders.push(slot);
+            match pending.retry.fire(now, delay, rto, true) {
+                None => {
+                    // Early-retransmit rider: the peer has had a full
+                    // ack round-trip for this payload and stayed silent
+                    // — if a repair envelope goes out anyway, ride along
+                    // for free instead of waiting to become a solo
+                    // envelope later.
+                    if now >= pending.sent_at.saturating_add(ack_horizon) {
+                        riders.push(slot);
+                    }
                 }
-                continue;
-            }
-            if overdue && pending.attempts >= budget {
-                exhausted = true;
-                break;
-            }
-            if overdue {
-                if pending.attempts + 1 >= budget {
+                Some(Fire::Exhausted) => {
+                    exhausted = true;
+                    break;
+                }
+                Some(Fire::Final(body)) => {
                     final_attempt = true;
+                    items.push((pending.seq, body));
                 }
-                pending.next_retry = now + (rto << pending.attempts);
-                pending.attempts += 1;
-            } else {
-                // Fast path: reschedule the timer without burning an
-                // attempt — the repair below is already on the wire.
-                pending.next_retry = now + (rto << pending.attempts);
+                Some(Fire::Fired(body)) => items.push((pending.seq, body)),
             }
-            pending.fast_retx = None;
-            items.push((pending.seq, pending.body.clone()));
         }
         if !exhausted && !items.is_empty() {
             // Riders join an envelope that was being emitted anyway;
             // like the nack fast path they neither burn nor evade the
-            // attempt budget (L8) — their own timer keeps its schedule,
-            // and a message that already spent its budget stays grounded.
+            // attempt budget — their own timer keeps its schedule, and
+            // a message that already spent its budget stays grounded.
+            // The ride answers any pending nack request too.
             for slot in riders {
                 let pending = &mut link.unacked[slot];
-                if pending.attempts >= budget {
-                    continue;
+                if let Some(body) = pending.retry.ride(now, rto) {
+                    items.push((pending.seq, body));
                 }
-                pending.next_retry = now + (rto << pending.attempts);
-                // The ride answers any pending nack request too — an
-                // armed fast retransmit would only duplicate it.
-                pending.fast_retx = None;
-                items.push((pending.seq, pending.body.clone()));
             }
             items.sort_by_key(|(seq, _)| *seq);
         }

@@ -21,6 +21,7 @@
 //! give messages time to arrive.
 
 use crate::agent::{AgentStatus, DmwAgent};
+use crate::clock;
 use crate::config::DmwConfig;
 use crate::error::{AbortReason, DmwError};
 use crate::messages::Body;
@@ -384,9 +385,9 @@ impl DmwRunner {
         // for the repaired schedule; explicit settings act as floors.
         let (patience, round_budget) = match self.recovery {
             Some(policy) => {
-                let horizon = policy.worst_case_repair() + 2;
+                let horizon = clock::later(policy.worst_case_repair(), 2);
                 let patience = self.patience.max(horizon);
-                (patience, self.round_budget.max(patience * 8))
+                (patience, self.round_budget.max(clock::spans(patience, 8)))
             }
             None => (self.patience, self.round_budget),
         };
@@ -439,8 +440,8 @@ impl DmwRunner {
                 &mut trace,
                 &mut sched_metrics,
             );
-            ticks_processed += 1;
-            round += 1;
+            ticks_processed = clock::later(ticks_processed, 1);
+            round = clock::later(round, 1);
             if round >= round_budget {
                 break;
             }
@@ -887,9 +888,11 @@ fn run_tick<T: Transport<Body>>(
                 messages = messages.task(task as u32);
             }
             sched_metrics.incr(messages, copies);
+            #[expect(clippy::arithmetic_side_effects, reason = "wire bytes")]
+            let bytes = copies * body.size_bytes() as u64;
             sched_metrics.incr(
                 Key::named("phase_bytes").phase(phase).agent(i as u32),
-                copies * body.size_bytes() as u64,
+                bytes,
             );
         }
         match endpoints.get_mut(i) {
@@ -916,9 +919,11 @@ fn run_tick<T: Transport<Body>>(
                             .agent(i as u32),
                         copies,
                     );
+                    #[expect(clippy::arithmetic_side_effects, reason = "wire bytes")]
+                    let bytes = copies * body.size_bytes() as u64;
                     sched_metrics.incr(
                         Key::named("phase_bytes").phase("control").agent(i as u32),
-                        copies * body.size_bytes() as u64,
+                        bytes,
                     );
                     match recipient {
                         Recipient::Unicast(to) => transport.send(NodeId(i), to, body),
@@ -958,7 +963,9 @@ pub fn utilities(run: &DmwRun, truth: &ExecutionTimes) -> Vec<i128> {
                     .map(|t| truth.time(AgentId(i), t))
                     .sum();
                 let payment = outcome.payments.get(i).copied().unwrap_or(0);
-                payment as i128 - load as i128
+                #[expect(clippy::arithmetic_side_effects, reason = "utility in bid units")]
+                let utility = payment as i128 - load as i128;
+                utility
             })
             .collect(),
     }
@@ -975,17 +982,23 @@ mod tests {
         (DmwRunner::new(config), rng)
     }
 
-    #[test]
-    fn honest_run_matches_centralized_minwork() {
-        let (runner, mut rng) = setup(5, 1, 11);
-        let bids = ExecutionTimes::from_rows(vec![
+    /// Five agents, two tasks: agent 1 wins task 0 and agent 2 task 1,
+    /// each at first price 1 and second price 2.
+    fn five_agent_bids() -> ExecutionTimes {
+        ExecutionTimes::from_rows(vec![
             vec![2, 3],
             vec![1, 3],
             vec![3, 1],
             vec![2, 2],
             vec![3, 3],
         ])
-        .unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn honest_run_matches_centralized_minwork() {
+        let (runner, mut rng) = setup(5, 1, 11);
+        let bids = five_agent_bids();
         let run = runner.run_honest(&bids, &mut rng).unwrap();
         let outcome = run.completed().unwrap();
         // Task 0: winner agent 1 (bid 1), second price 2.
@@ -1081,14 +1094,7 @@ mod tests {
     #[test]
     fn full_verification_policy_reproduces_the_outcome() {
         let (runner, mut rng) = setup(5, 1, 16);
-        let bids = ExecutionTimes::from_rows(vec![
-            vec![2, 3],
-            vec![1, 3],
-            vec![3, 1],
-            vec![2, 2],
-            vec![3, 3],
-        ])
-        .unwrap();
+        let bids = five_agent_bids();
         let rotation = runner.run_honest(&bids, &mut rng).unwrap();
         let full = runner
             .clone()
@@ -1131,14 +1137,7 @@ mod tests {
         // (every 3rd transmission), and 10% seeded probabilistic loss —
         // the ack/retransmit sublayer must repair both chaos schedules
         // to the identical allocation and payments, without an abort.
-        let bids = ExecutionTimes::from_rows(vec![
-            vec![2, 3],
-            vec![1, 3],
-            vec![3, 1],
-            vec![2, 2],
-            vec![3, 3],
-        ])
-        .unwrap();
+        let bids = five_agent_bids();
         let outcome_under = |faults: FaultPlan| {
             let (runner, mut rng) = setup(5, 1, 11);
             let run = runner
@@ -1166,19 +1165,47 @@ mod tests {
         assert!(baseline.metrics.counter_total("acks_sent") > 0);
     }
 
+    /// A lossless recovery run of the five-agent instance above under
+    /// `runner`.
+    fn recovery_outcome(runner: impl FnOnce(DmwRunner) -> DmwRunner) -> CompletedOutcome {
+        let (base, mut rng) = setup(5, 1, 11);
+        let run = runner(base)
+            .run_honest(&five_agent_bids(), &mut rng)
+            .unwrap();
+        run.completed().expect("a lossless run completes").clone()
+    }
+
+    #[test]
+    fn an_unbounded_patience_saturates_the_round_budget() {
+        // The round budget is eight patience spans; at u64::MAX that
+        // product saturates instead of overflowing.
+        assert_eq!(
+            recovery_outcome(|r| r.with_recovery().with_patience(u64::MAX)),
+            recovery_outcome(DmwRunner::with_recovery)
+        );
+    }
+
+    #[test]
+    fn a_saturated_repair_horizon_saturates_the_patience() {
+        // 2^33 · 2^32 saturates `worst_case_repair` to u64::MAX; the two
+        // ticks of delivery slack on top of it saturate too.
+        let policy = RetryPolicy {
+            base_timeout: 1 << 33,
+            budget: 32,
+        };
+        assert_eq!(policy.worst_case_repair(), u64::MAX);
+        assert_eq!(
+            recovery_outcome(|r| r.with_recovery_policy(policy)),
+            recovery_outcome(DmwRunner::with_recovery)
+        );
+    }
+
     #[test]
     fn early_crash_degrades_without_a_reauction() {
         // Crashing before bidding keeps the crashed agent's bid out of
         // the auctions entirely: the survivors still exclude it, but
         // nothing needs re-running.
-        let bids = ExecutionTimes::from_rows(vec![
-            vec![2, 3],
-            vec![1, 3],
-            vec![3, 1],
-            vec![2, 2],
-            vec![3, 3],
-        ])
-        .unwrap();
+        let bids = five_agent_bids();
         let (runner, mut rng) = setup(5, 1, 11);
         let faults = FaultPlan::none(5).crash_at(NodeId(1), 0);
         let run = runner
@@ -1202,14 +1229,7 @@ mod tests {
         // Agent 1 wins task 0 (bid 1), then crashes after the auction
         // resolves: the survivors exclude it and re-auction its task
         // among themselves at the surviving second price.
-        let bids = ExecutionTimes::from_rows(vec![
-            vec![2, 3],
-            vec![1, 3],
-            vec![3, 1],
-            vec![2, 2],
-            vec![3, 3],
-        ])
-        .unwrap();
+        let bids = five_agent_bids();
         let (runner, mut rng) = setup(5, 1, 11);
         let faults = FaultPlan::none(5).crash_at(NodeId(1), 4);
         let run = runner
@@ -1244,14 +1264,7 @@ mod tests {
 
     #[test]
     fn crashes_beyond_threshold_stay_aborted() {
-        let bids = ExecutionTimes::from_rows(vec![
-            vec![2, 3],
-            vec![1, 3],
-            vec![3, 1],
-            vec![2, 2],
-            vec![3, 3],
-        ])
-        .unwrap();
+        let bids = five_agent_bids();
         let (runner, mut rng) = setup(5, 1, 11);
         let faults = FaultPlan::none(5)
             .crash_at(NodeId(1), 0)

@@ -220,6 +220,7 @@ mod tests {
         ) {
             prop_assume!(n >= c + 3);
             let g = group(seed);
+            #[expect(clippy::disallowed_methods, reason = "an RNG seed, not a residue")]
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed.wrapping_add(1));
             let encoding = BidEncoding::new(n, c).unwrap();
             let w_max = encoding.w_max();

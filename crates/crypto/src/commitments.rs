@@ -452,15 +452,14 @@ mod tests {
         let (group, encoding, mut rng) = setup();
         let zq = group.zq();
         let alpha = 9;
-        let committed: Vec<(Commitments, crate::polynomials::ShareBundle)> = (0..12)
-            .map(|i| {
-                let polys = BidPolynomials::generate(
-                    &group,
-                    &encoding,
-                    &SecretBid::new(1 + i % 3),
-                    &mut rng,
-                )
-                .unwrap();
+        let committed: Vec<(Commitments, crate::polynomials::ShareBundle)> = [1, 2, 3]
+            .into_iter()
+            .cycle()
+            .take(12)
+            .map(|bid| {
+                let polys =
+                    BidPolynomials::generate(&group, &encoding, &SecretBid::new(bid), &mut rng)
+                        .unwrap();
                 let commitments = Commitments::commit(&group, &encoding, &polys);
                 let bundle = polys.share_for(&zq, alpha);
                 (commitments, bundle)

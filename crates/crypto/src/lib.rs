@@ -65,6 +65,18 @@
     clippy::cast_possible_wrap,
     clippy::cast_sign_loss
 )]
+// No machine arithmetic on residues (L2): no `/` or `%`, no raw `+ - *`
+// on anything but a `usize` index, and none of the u64 `pow`/
+// `wrapping_*`/`checked_*`/… methods listed in clippy.toml. Field values
+// go through `dmw_modmath`. A waiver is an `#[expect]` whose reason names
+// the quantity, never an `#[allow]`.
+#![deny(
+    clippy::integer_division_remainder_used,
+    clippy::arithmetic_side_effects,
+    clippy::disallowed_methods,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 // No wall-clock reads (clippy.toml's `disallowed-types`): `forbid`, so
 // no `#[allow]` can waive it.
 #![forbid(clippy::disallowed_types)]

@@ -583,6 +583,10 @@ mod tests {
     fn full_scan_resolution_inverts_at_most_once_per_point() {
         let n = 64usize;
         // Bid 1 is the minimum, so the scan runs through every candidate.
+        #[expect(
+            clippy::integer_division_remainder_used,
+            reason = "a permutation of the bids 1..=62, not residues"
+        )]
         let bids: Vec<u64> = (0..n as u64).map(|i| 1 + (i * 7) % 62).collect();
         let s = setup(&bids, 20);
         let lambdas: Vec<u64> = s.pairs.iter().map(|p| p.lambda).collect();
@@ -662,8 +666,13 @@ mod tests {
             let w_max = (n - 2) as u64;
             let bids: Vec<u64> = (0..n).map(|_| rng.gen_range(1..=w_max)).collect();
             let s = setup(&bids, seed);
+            #[expect(clippy::integer_division_remainder_used, reason = "an agent index")]
             let (p, at) = (s.group.p(), at % n);
             let mut lambdas: Vec<u64> = s.pairs.iter().map(|pair| pair.lambda).collect();
+            #[expect(
+                clippy::arithmetic_side_effects,
+                reason = "builds the unreduced Λ + p and near-2^64 inputs under test"
+            )]
             match lambda_case {
                 0 => {}
                 // Garbage: every Λ an unrelated subgroup element.
@@ -673,6 +682,7 @@ mod tests {
                 _ => lambdas[at] = u64::MAX - rng.gen_range(0..16u64),
             }
             let mut alphas = s.alphas.clone();
+            #[expect(clippy::integer_division_remainder_used, reason = "an agent index")]
             match alpha_case {
                 0 => {}
                 1 => alphas[at] = 0,

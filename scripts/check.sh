@@ -9,37 +9,32 @@
 #      in source and outrank these CLI flags: `#![deny]`/`#![forbid]` at
 #      the crate roots of modmath, crypto, core, simnet and obs, and
 #      `#[deny]`/`#[forbid]` on the protocol-critical `pub mod` lines of
-#      crates/core/src/lib.rs (rules L1, L3, L5, L7, and L10 in the
+#      crates/core/src/lib.rs (rules L1, L2, L3, L5, L7, and L10 in the
 #      deterministic crates); `disallowed_types` is `deny` in
 #      [workspace.lints] (L4, L10), configured by clippy.toml
 #   3. cargo doc                  -- rustdoc warnings (broken intra-doc
 #      links, missing docs) are errors
-#   4. dmw-lint                   -- protocol-invariant rules L2, L6,
-#      L8 and L11 (lexical L2 raw residue arithmetic, L6 round dispatch,
-#      L8 unbudgeted retries, plus L11 phase-graph conformance), then the
-#      stable JSON report is regenerated and compared against the
-#      committed docs/lint_report.json -- a stale report fails the gate
-#   5. cargo build -p dmw-examples --bins
+#   4. cargo build -p dmw-examples --bins
 #                                 -- the example binaries ([[bin]] targets
 #      with autobins off, so plain `cargo build`/`cargo test` skip them)
-#   6. perfbench build            -- the benchmark package has its own
+#   5. perfbench build            -- the benchmark package has its own
 #      `[workspace]`, so root `cargo build`/`cargo test` never compile it;
 #      building it here (into .bench_build, as perfbench/run.py does)
 #      catches a protocol-crate API change that would break the benchmark
-#   7. fault-matrix smoke         -- the chaos determinism suite (reliable
+#   6. fault-matrix smoke         -- the chaos determinism suite (reliable
 #      delivery + graceful degradation over the seeded fault matrix),
 #      isolated so a recovery regression is named before the full suite
-#   8. cargo test                 -- full workspace suite (which re-runs
-#      dmw-lint, and clippy over all targets at the levels set in
-#      source, as integration tests, so CI cannot skip them)
-#   9. bench_batch --smoke        -- the batch engine end-to-end on a tiny
+#   7. cargo test                 -- full workspace suite (which re-runs
+#      clippy over all targets at the levels set in source as an
+#      integration test, so CI cannot skip it)
+#   8. bench_batch --smoke        -- the batch engine end-to-end on a tiny
 #      instance, exiting non-zero if thread counts disagree or the
 #      adaptive recovery layer exceeds its retransmission/duplicate
 #      ceilings (the recovery-regression gate)
-#  10. bench_scale --smoke        -- the event-driven scheduler's n-sweep
+#   9. bench_scale --smoke        -- the event-driven scheduler's n-sweep
 #      harness end-to-end on the smallest point, exiting non-zero if the
 #      event engine and the polling oracle disagree bit-for-bit
-#  11. reproduce drift            -- regenerates the full report and the
+#  10. reproduce drift            -- regenerates the full report and the
 #      metrics snapshot under the (default) event engine and compares
 #      byte-for-byte against the committed docs/reproduce_output.md and
 #      docs/reproduce_metrics.json -- scheduler drift fails the gate
@@ -61,18 +56,6 @@ cargo clippy --workspace --quiet -- \
 
 echo "==> cargo doc (no-deps, -D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --quiet --no-deps
-
-echo "==> dmw-lint"
-cargo run --quiet -p dmw-lint
-
-echo "==> dmw-lint --format json (report drift)"
-mkdir -p target
-cargo run --quiet -p dmw-lint -- --format json --out target/lint_report.json
-if ! cmp -s target/lint_report.json docs/lint_report.json; then
-    echo "docs/lint_report.json is stale; regenerate with:" >&2
-    echo "  cargo run -p dmw-lint -- --format json --out docs/lint_report.json" >&2
-    exit 1
-fi
 
 echo "==> cargo build -p dmw-examples --bins"
 cargo build --quiet -p dmw-examples --bins
