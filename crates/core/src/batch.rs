@@ -1,5 +1,5 @@
-//! The batch-execution engine: fans independent protocol trials across a
-//! thread pool with deterministic per-trial RNG streams.
+//! The batch-execution engine: fans independent protocol trials across
+//! scoped worker threads with deterministic per-trial RNG streams.
 //!
 //! Both the paper's mechanism and its evaluation are embarrassingly
 //! parallel: DMW sells each of the `m` tasks in an *independent*
@@ -57,7 +57,8 @@ use dmw_obs::MetricsSnapshot;
 use dmw_simnet::FaultPlan;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Folds the metrics snapshots of every successful run in a batch into
 /// one aggregate (counters add, gauges max, histogram buckets add) —
@@ -108,13 +109,12 @@ impl TrialSpec {
     }
 }
 
-/// Fans independent jobs across a configurable thread pool, with
-/// deterministic seeding and submission-order results.
+/// Fans independent jobs across a configurable number of worker threads,
+/// with deterministic seeding and submission-order results.
 ///
 /// See the [module docs](self) for the determinism contract.
 #[derive(Debug)]
 pub struct BatchRunner {
-    pool: rayon::ThreadPool,
     threads: usize,
 }
 
@@ -131,20 +131,14 @@ impl BatchRunner {
     }
 
     /// A batch runner over exactly `threads` workers; `0` means "all
-    /// available hardware parallelism".
-    ///
-    /// # Panics
-    ///
-    /// Panics if the underlying thread pool cannot be built — that only
-    /// happens when the host refuses to spawn threads, which no caller
-    /// can meaningfully handle.
+    /// available hardware parallelism" (one worker if the host cannot
+    /// tell).
     pub fn with_threads(threads: usize) -> Self {
-        let pool = match rayon::ThreadPoolBuilder::new().num_threads(threads).build() {
-            Ok(pool) => pool,
-            Err(e) => panic!("batch thread pool: {e}"),
+        let threads = match threads {
+            0 => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+            n => n,
         };
-        let threads = pool.current_num_threads();
-        BatchRunner { pool, threads }
+        BatchRunner { threads }
     }
 
     /// The worker-thread count.
@@ -152,24 +146,56 @@ impl BatchRunner {
         self.threads
     }
 
-    /// Runs `f(index, &job)` for every job, fanning across the pool, and
-    /// returns the results in submission order.
+    /// Runs `f(index, &job)` for every job, fanning across the workers,
+    /// and returns the results in submission order.
     ///
     /// This is the deterministic-order parallel-map primitive everything
     /// else builds on: `f` receives the job's submission index, so any
-    /// seeding derived from it is independent of thread scheduling.
+    /// seeding derived from it is independent of thread scheduling. The
+    /// width is `threads().min(jobs.len())`; at width 1 the jobs run in a
+    /// plain loop on the calling thread. Otherwise each worker takes the
+    /// next unclaimed index from a shared cursor, and the `(index,
+    /// result)` pairs are sorted back into submission order.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a job's panic on the calling thread once every worker
+    /// has stopped, and panics if the host refuses to spawn a thread.
     pub fn map<T, R, F>(&self, jobs: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(usize, &T) -> R + Send + Sync,
     {
-        self.pool.install(|| {
-            jobs.par_iter()
-                .enumerate()
-                .map(|(i, job)| f(i, job))
+        let width = self.threads.min(jobs.len());
+        if width <= 1 {
+            return jobs.iter().enumerate().map(|(i, job)| f(i, job)).collect();
+        }
+        let cursor = AtomicUsize::new(0);
+        let mut done: Vec<(usize, R)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..width)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut local = Vec::new();
+                        loop {
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            let Some(job) = jobs.get(i) else { break };
+                            local.push((i, f(i, job)));
+                        }
+                        local
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|worker| match worker.join() {
+                    Ok(local) => local,
+                    Err(payload) => std::panic::resume_unwind(payload),
+                })
                 .collect()
-        })
+        });
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, r)| r).collect()
     }
 
     /// Like [`BatchRunner::map`], additionally handing `f` a private RNG
@@ -186,7 +212,7 @@ impl BatchRunner {
         })
     }
 
-    /// Runs every trial through `runner`, fanning across the pool.
+    /// Runs every trial through `runner`, fanning across the workers.
     ///
     /// Trial `i` draws from a private stream seeded by
     /// [`trial_seed`]`(batch_seed, i)`; the returned runs are in
@@ -305,6 +331,51 @@ mod tests {
         let results = BatchRunner::with_threads(2).run_trials(&runner, 3, &trials);
         assert!(results[0].as_ref().unwrap().is_completed());
         assert!(results[1].as_ref().unwrap().abort_reason().is_some());
+    }
+
+    #[test]
+    fn map_returns_results_in_submission_order() {
+        let jobs: Vec<u64> = (0..500).collect();
+        // Every seventh job naps, so no one worker drains the cursor
+        // alone and the workers' batches interleave.
+        let doubled = BatchRunner::with_threads(8).map(&jobs, |_, &x| {
+            if x % 7 == 0 {
+                std::thread::sleep(std::time::Duration::from_micros(100));
+            }
+            x * 2
+        });
+        assert_eq!(doubled, (0..500).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn map_passes_true_indices() {
+        let jobs = vec!["a"; 97];
+        let indices = BatchRunner::with_threads(3).map(&jobs, |i, _| i);
+        assert_eq!(indices, (0..97).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn zero_threads_resolves_to_at_least_one_worker() {
+        assert!(BatchRunner::with_threads(0).threads() >= 1);
+        assert_eq!(BatchRunner::with_threads(5).threads(), 5);
+    }
+
+    #[test]
+    fn a_panicking_job_reaches_the_caller() {
+        let engine = BatchRunner::with_threads(4);
+        let jobs: Vec<u64> = (0..64).collect();
+        let result = std::panic::catch_unwind(|| {
+            engine.map(&jobs, |_, &x| {
+                assert!(x != 13, "boom");
+                x
+            })
+        });
+        let payload = result.expect_err("the job's panic must propagate");
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        assert_eq!(message, Some("boom"));
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!   only when the agents' claims agree (Phase IV);
 //! * [`runner`] — drives `n` agents over the simulated network, collects
 //!   the outcome, traffic statistics and a message trace (Fig. 2);
-//! * [`batch`] — fans *independent* trials across a thread pool with
+//! * [`batch`] — fans *independent* trials across worker threads with
 //!   per-trial seeded RNG streams, bit-identical to sequential execution;
 //! * [`collusion`] — coalition attacks against losing bids, measuring the
 //!   privacy threshold of Theorem 10;

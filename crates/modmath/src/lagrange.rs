@@ -16,19 +16,15 @@
 //! > "Deliberate clarifications"). The `false-positive` experiment measures
 //! > the `≈ 1/q` accidental-success probability.
 //!
-//! Two evaluation strategies are provided and tested equal:
-//! * [`interpolate_at_zero`] — the textbook basis-polynomial formula of
-//!   Definition 11 / equation (2);
-//! * [`interpolate_at_zero_steps`] — the paper's three-step `Θ(s²)`
-//!   algorithm (`ψ_k`, `φ(0)`, `Σ ψ_k / α_k`) from \[14\].
+//! [`interpolate_at_zero`] is the textbook basis-polynomial formula of
+//! Definition 11 / equation (2).
 //!
 //! The *distributed* variant used by DMW operates in the exponent: each
 //! agent publishes `Λ_k = z1^{E(α_k)}` and anyone checks
 //! `Π Λ_k^{ρ_k} = 1` (equation (12)). [`zero_coefficients`] computes the
 //! `ρ_k` of one whole point set in `Θ(s²)`; it is the reference.
 //! A degree scan tests one growing prefix of points after another, so
-//! equation (12) — and [`resolve_zero_degree`] /
-//! [`resolve_zero_degree_among`] here — instead extend one
+//! equation (12) — and [`resolve_zero_degree`] here — instead extend one
 //! [`ZeroCoefficients`] builder a point at a time, in `O(s)`
 //! multiplications and a single inversion per added point.
 
@@ -236,66 +232,6 @@ pub fn interpolate_at_zero(field: &PrimeField, shares: &[(u64, u64)]) -> Result<
     Ok(acc)
 }
 
-/// The paper's three-step `Θ(s²)` algorithm for `f^(s)(0)` (Section 2.4,
-/// citing \[14\]):
-///
-/// 1. `ψ_k = f(α_k) / Π_{i≠k}(α_i − α_k)`
-/// 2. `φ(0) = Π_k α_k`
-/// 3. `f^(s)(0) = φ(0) · Σ_k ψ_k / α_k`
-///
-/// Produces exactly the same value as [`interpolate_at_zero`]; kept separate
-/// (and tested equal) because the paper's complexity analysis refers to this
-/// formulation.
-///
-/// # Errors
-///
-/// Same conditions as [`interpolate_at_zero`].
-pub fn interpolate_at_zero_steps(
-    field: &PrimeField,
-    shares: &[(u64, u64)],
-) -> Result<u64, ModMathError> {
-    if shares.is_empty() {
-        return Err(ModMathError::EmptyInterpolation);
-    }
-    let points: Vec<u64> = shares.iter().map(|&(a, _)| a).collect();
-    for (i, &a) in points.iter().enumerate() {
-        if a == 0 || !field.contains(a) {
-            return Err(ModMathError::OutOfRange {
-                value: a,
-                modulus: field.modulus(),
-            });
-        }
-        if points.get(i + 1..).is_some_and(|tail| tail.contains(&a)) {
-            return Err(ModMathError::DuplicatePoint { point: a });
-        }
-    }
-    // Step 1: psi_k.
-    let mut psi = Vec::with_capacity(shares.len());
-    for (k, &(ak, vk)) in shares.iter().enumerate() {
-        let mut den = 1u64;
-        for (i, &ai) in points.iter().enumerate() {
-            if i == k {
-                continue;
-            }
-            den = field.mul(den, field.sub(ai, ak));
-        }
-        // Distinct validated points make `den` nonzero.
-        psi.push(field.div(vk, den)?);
-    }
-    // Step 2: phi(0) = prod alpha_k.
-    let mut phi = 1u64;
-    for &a in &points {
-        phi = field.mul(phi, a);
-    }
-    // Step 3: phi(0) * sum psi_k / alpha_k.
-    let mut sum = 0u64;
-    for (&(ak, _), &pk) in shares.iter().zip(&psi) {
-        // Points were validated nonzero above.
-        sum = field.add(sum, field.div(pk, ak)?);
-    }
-    Ok(field.mul(phi, sum))
-}
-
 /// Resolves the degree of a zero-constant-term polynomial from its shares:
 /// returns the smallest `s − 1` such that the `s`-share interpolation at
 /// zero vanishes, scanning `s = 1, 2, …`. Returns `None` if no prefix of the
@@ -337,25 +273,6 @@ pub fn resolve_zero_degree(field: &PrimeField, shares: &[(u64, u64)]) -> Option<
     None
 }
 
-/// Like [`resolve_zero_degree`], but only tests the candidate degrees in
-/// `candidates` (ascending): the protocol restricts bids to the discrete set
-/// `W`, so only degrees `σ − w, w ∈ W` can occur (equation (12) scans
-/// exactly that set).
-pub fn resolve_zero_degree_among(
-    field: &PrimeField,
-    shares: &[(u64, u64)],
-    candidates: &[usize],
-) -> Option<usize> {
-    let mut rho = ZeroCoefficients::new();
-    for &d in candidates {
-        let prefix = shares.get(..d + 1)?;
-        if let Ok(0) = prefix_at_zero(field, &mut rho, prefix) {
-            return Some(d);
-        }
-    }
-    None
-}
-
 /// Interpolates `prefix` at zero, extending `rho` (built over a shorter
 /// prefix of the same shares) to cover it.
 fn prefix_at_zero(
@@ -363,10 +280,6 @@ fn prefix_at_zero(
     rho: &mut ZeroCoefficients,
     prefix: &[(u64, u64)],
 ) -> Result<u64, ModMathError> {
-    if prefix.len() < rho.len() {
-        // Candidates out of ascending order: start the prefix over.
-        *rho = ZeroCoefficients::new();
-    }
     for &(a, _) in prefix.get(rho.len()..).unwrap_or_default() {
         rho.push(field, a)?;
     }
@@ -440,23 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn steps_algorithm_matches_textbook_formula() {
-        let f = field();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        for d in 1..=8 {
-            let p = Poly::random_zero_constant(&f, d, &mut rng);
-            for s in 1..=10u64 {
-                let shares = shares_of(&p, &f, s);
-                assert_eq!(
-                    interpolate_at_zero(&f, &shares).unwrap(),
-                    interpolate_at_zero_steps(&f, &shares).unwrap(),
-                    "d={d} s={s}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn resolve_finds_exact_degree() {
         let f = field();
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
@@ -481,23 +377,6 @@ mod tests {
         let p = Poly::random_zero_constant(&f, 6, &mut rng);
         assert_eq!(resolve_zero_degree(&f, &shares_of(&p, &f, 6)), None);
         assert_eq!(resolve_zero_degree(&f, &shares_of(&p, &f, 7)), Some(6));
-    }
-
-    #[test]
-    fn resolve_among_candidates_skips_impossible_degrees() {
-        let f = field();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
-        let p = Poly::random_zero_constant(&f, 5, &mut rng);
-        let shares = shares_of(&p, &f, 10);
-        // Candidate set {3, 5, 7} (degrees sigma - w for w in W).
-        assert_eq!(resolve_zero_degree_among(&f, &shares, &[3, 5, 7]), Some(5));
-        // Candidate set without the true degree fails cleanly... w.h.p. the
-        // wrong candidates do not accidentally resolve.
-        assert_eq!(resolve_zero_degree_among(&f, &shares, &[3, 4]), None);
-        // Out-of-order candidates are each still tested on their own prefix.
-        assert_eq!(resolve_zero_degree_among(&f, &shares, &[4, 3, 5]), Some(5));
-        // Not enough shares for any candidate.
-        assert_eq!(resolve_zero_degree_among(&f, &shares[..3], &[5]), None);
     }
 
     #[test]

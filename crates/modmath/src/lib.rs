@@ -29,8 +29,7 @@
 //! * [`poly`] — dense polynomials over `Z_q`, including the zero-constant-term
 //!   random polynomials in which DMW encodes bids (Section 3, Phase II);
 //! * [`lagrange`] — Lagrange interpolation at zero and the polynomial degree
-//!   resolution procedure of Section 2.4, both the textbook formula and the
-//!   paper's three-step algorithm \[14\];
+//!   resolution procedure of Section 2.4;
 //! * [`ops`] — thread-local operation counters used to regenerate the
 //!   computational-cost row of the paper's Table 1.
 //!

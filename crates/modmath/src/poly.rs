@@ -160,12 +160,6 @@ impl Poly {
         }
         Poly::from_coeffs(field, coeffs)
     }
-
-    /// Evaluates the polynomial at many points, producing the share vector
-    /// an agent sends out in Phase II.2.
-    pub fn eval_many(&self, field: &PrimeField, xs: &[u64]) -> Vec<u64> {
-        xs.iter().map(|&x| self.eval(field, x)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -312,19 +306,6 @@ mod tests {
                 });
                 prop_assert_eq!(fast, reference, "modulus {}", m);
                 prop_assert_eq!(fast_ops, crate::ops::take_ops());
-            }
-        }
-
-        #[test]
-        fn eval_many_matches_eval(
-            a in proptest::collection::vec(0u64..1031, 0..8),
-            xs in proptest::collection::vec(0u64..1031, 0..8),
-        ) {
-            let f = field();
-            let p = Poly::from_coeffs(&f, a);
-            let many = p.eval_many(&f, &xs);
-            for (x, v) in xs.iter().zip(&many) {
-                prop_assert_eq!(p.eval(&f, *x), *v);
             }
         }
     }

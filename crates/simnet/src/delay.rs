@@ -69,7 +69,7 @@ impl DelayProfile {
 
 /// Why a transmission is lost. Variant order is the
 /// checking precedence of [`classify_loss`] (sender crash before
-/// recipient crash, then permanent link drop, transient partition, flap,
+/// recipient crash, then permanent link drop, transient partition,
 /// ack-path, periodic schedule, and seeded probabilistic loss last).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DropCause {
@@ -81,8 +81,6 @@ enum DropCause {
     Link,
     /// A transient-partition window covered the send round.
     Transient,
-    /// The link's flap schedule was in its dead phase at the send round.
-    Flapping,
     /// The asymmetric ack-path schedule claimed this control
     /// transmission (data on the same link is untouched).
     AckPath,
@@ -99,7 +97,6 @@ impl DropCause {
             DropCause::RecipientCrashed => "drop_recipient_crashed",
             DropCause::Link => "drop_link",
             DropCause::Transient => "drop_transient",
-            DropCause::Flapping => "drop_flapping",
             DropCause::AckPath => "drop_ack_path",
             DropCause::Periodic => "drop_periodic",
             DropCause::Probabilistic => "drop_probabilistic",
@@ -112,10 +109,10 @@ impl DropCause {
 /// periodic and probabilistic drop schedules to logical messages rather
 /// than delivery order — the transport-invariance contract of
 /// [`FaultPlan::is_periodically_dropped`] and
-/// [`FaultPlan::is_probabilistically_dropped`]. The round-keyed
-/// schedules (transient windows, flaps) are evaluated against
-/// `sent_round` for the same reason: a message is lost iff the link was
-/// down when it was *sent*, however long it then spends in flight.
+/// [`FaultPlan::is_probabilistically_dropped`]. Transient windows are
+/// evaluated against `sent_round` for the same reason: a message is lost
+/// iff the link was down when it was *sent*, however long it then spends
+/// in flight.
 /// `control_seq` is `Some` with the transmission's 1-based position in
 /// the *control-only* enqueue order when the payload reported
 /// [`Payload::is_control`]; the asymmetric ack-path schedule counts
@@ -138,8 +135,6 @@ fn classify_loss(
         Some(DropCause::Link)
     } else if faults.is_transiently_dropped(from, to, sent_round) {
         Some(DropCause::Transient)
-    } else if faults.is_flapped_down(from, to, sent_round) {
-        Some(DropCause::Flapping)
     } else if control_seq.is_some_and(|k| faults.is_ack_path_dropped(k)) {
         Some(DropCause::AckPath)
     } else if faults.is_periodically_dropped(seq) {
@@ -203,7 +198,7 @@ struct Held<M> {
 /// A message is lost, in this order of attribution, when its sender was
 /// crashed at the tick it was sent, its recipient is crashed at the tick
 /// before it lands, the directed link is dropped, a transient partition
-/// or a link flap covered the send round, the ack-path schedule claims a
+/// covered the send round, the ack-path schedule claims a
 /// control transmission, or the periodic or seeded probabilistic
 /// schedule claims the transmission. Each loss is counted under its
 /// `drop_*` metric. The reorder schedule ([`FaultPlan::reorder_every`])
@@ -338,12 +333,36 @@ impl<M: Payload + Clone> DelayTransport<M> {
         });
     }
 
-    /// Enqueues a private point-to-point message.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is out of range or `from == to`.
-    pub fn send(&mut self, from: NodeId, to: NodeId, payload: M) {
+    /// Seeded Fisher–Yates over each recipient's slice of this tick's
+    /// arrivals. Only positions belonging to the same recipient swap, so
+    /// cross-recipient structure is untouched.
+    fn shuffle_per_recipient(&self, arrivals: &mut [Held<M>], seed: u64) {
+        for node in 0..self.n {
+            let slots: Vec<usize> = arrivals
+                .iter()
+                .enumerate()
+                .filter(|(_, msg)| msg.to.0 == node)
+                .map(|(i, _)| i)
+                .collect();
+            if slots.len() < 2 {
+                continue;
+            }
+            let mut state = splitmix64(seed ^ (self.round << 20) ^ node as u64);
+            for i in (1..slots.len()).rev() {
+                state = splitmix64(state);
+                let j = (state % (i as u64 + 1)) as usize;
+                arrivals.swap(slots[i], slots[j]);
+            }
+        }
+    }
+}
+
+impl<M: Payload + Clone> Transport<M> for DelayTransport<M> {
+    fn nodes(&self) -> usize {
+        self.n
+    }
+
+    fn send(&mut self, from: NodeId, to: NodeId, payload: M) {
         assert!(from.0 < self.n && to.0 < self.n, "node out of range");
         assert_ne!(from, to, "self-sends are local state, not messages");
         let bytes = payload.size_bytes() as u64;
@@ -351,13 +370,8 @@ impl<M: Payload + Clone> DelayTransport<M> {
         self.enqueue(from, to, false, bytes, control, || payload);
     }
 
-    /// Publishes a message to every other node — `n − 1` point-to-point
-    /// transmissions, each with its own delay draw.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is out of range.
-    pub fn broadcast(&mut self, from: NodeId, payload: M) {
+    /// `n − 1` point-to-point transmissions, each with its own delay draw.
+    fn broadcast(&mut self, from: NodeId, payload: M) {
         assert!(from.0 < self.n, "node out of range");
         self.stats.broadcasts += 1;
         let bytes = payload.size_bytes() as u64;
@@ -370,10 +384,15 @@ impl<M: Payload + Clone> DelayTransport<M> {
         }
     }
 
+    fn take_inbox(&mut self, node: NodeId) -> Vec<Delivered<M>> {
+        assert!(node.0 < self.n, "node out of range");
+        self.inboxes[node.0].drain(..).collect()
+    }
+
     /// Advances one tick: messages whose due tick has arrived move into
     /// inboxes (in enqueue order, unless shuffled). Returns the number
     /// delivered.
-    pub fn step(&mut self) -> u64 {
+    fn step(&mut self) -> u64 {
         let next = self.round + 1;
         let mut arrivals = self.holding.remove(&next).unwrap_or_default();
         if let Some(seed) = self.shuffle_seed {
@@ -402,68 +421,23 @@ impl<M: Payload + Clone> DelayTransport<M> {
         delivered
     }
 
-    /// Seeded Fisher–Yates over each recipient's slice of this tick's
-    /// arrivals. Only positions belonging to the same recipient swap, so
-    /// cross-recipient structure is untouched.
-    fn shuffle_per_recipient(&self, arrivals: &mut [Held<M>], seed: u64) {
-        for node in 0..self.n {
-            let slots: Vec<usize> = arrivals
-                .iter()
-                .enumerate()
-                .filter(|(_, msg)| msg.to.0 == node)
-                .map(|(i, _)| i)
-                .collect();
-            if slots.len() < 2 {
-                continue;
-            }
-            let mut state = splitmix64(seed ^ (self.round << 20) ^ node as u64);
-            for i in (1..slots.len()).rev() {
-                state = splitmix64(state);
-                let j = (state % (i as u64 + 1)) as usize;
-                arrivals.swap(slots[i], slots[j]);
-            }
-        }
-    }
-
-    /// Drains and returns `node`'s inbox in arrival order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn take_inbox(&mut self, node: NodeId) -> Vec<Delivered<M>> {
-        assert!(node.0 < self.n, "node out of range");
-        self.inboxes[node.0].drain(..).collect()
-    }
-
-    /// The traffic counters.
-    pub fn stats(&self) -> &NetworkStats {
-        &self.stats
-    }
-
-    /// The transport-level metrics: per-link `link_messages` /
-    /// `link_bytes`, the `delay_ticks` histogram of drawn delivery
-    /// latencies (observed at enqueue) and per-cause `drop_*` counters.
-    pub fn metrics(&self) -> &MetricsSnapshot {
-        &self.metrics
-    }
-
-    /// The fault schedule.
-    pub fn faults(&self) -> &FaultPlan {
-        &self.faults
-    }
-
-    /// The current tick number.
-    pub fn round(&self) -> u64 {
+    fn round(&self) -> u64 {
         self.round
     }
 
-    /// Number of nodes.
-    pub fn nodes(&self) -> usize {
-        self.n
+    fn stats(&self) -> &NetworkStats {
+        &self.stats
     }
 
-    /// `true` when nothing is held in flight and every inbox is drained.
-    pub fn is_quiescent(&self) -> bool {
+    fn metrics(&self) -> &MetricsSnapshot {
+        &self.metrics
+    }
+
+    fn faults(&self) -> &FaultPlan {
+        &self.faults
+    }
+
+    fn is_quiescent(&self) -> bool {
         self.holding.is_empty() && self.inboxes.iter().all(VecDeque::is_empty)
     }
 
@@ -471,7 +445,7 @@ impl<M: Payload + Clone> DelayTransport<M> {
     /// scheduler tick: *now* while any inbox holds undrained
     /// deliveries, otherwise the earliest held message's due tick,
     /// `None` when quiescent.
-    pub fn next_due(&self) -> Option<u64> {
+    fn next_due(&self) -> Option<u64> {
         if self.inboxes.iter().any(|q| !q.is_empty()) {
             return Some(self.round);
         }
@@ -479,12 +453,12 @@ impl<M: Payload + Clone> DelayTransport<M> {
     }
 
     /// Fast-forwards to tick `target` exactly as repeated
-    /// [`DelayTransport::step`] calls would. Stretches with no due
+    /// [`Transport::step`] calls would. Stretches with no due
     /// arrivals collapse into a constant-time round/statistics jump;
     /// every round on which something falls due runs a real `step`, so
     /// delivery order, the round-seeded inbox shuffle and the
     /// loss-attribution chain are all bit-identical to stepping.
-    pub fn advance_to(&mut self, target: u64) -> u64 {
+    fn advance_to(&mut self, target: u64) -> u64 {
         let mut delivered = 0;
         while self.round < target {
             match self.holding.keys().next() {
@@ -508,56 +482,6 @@ impl<M: Payload + Clone> DelayTransport<M> {
             }
         }
         delivered
-    }
-}
-
-impl<M: Payload + Clone> Transport<M> for DelayTransport<M> {
-    fn nodes(&self) -> usize {
-        DelayTransport::nodes(self)
-    }
-
-    fn send(&mut self, from: NodeId, to: NodeId, payload: M) {
-        DelayTransport::send(self, from, to, payload);
-    }
-
-    fn broadcast(&mut self, from: NodeId, payload: M) {
-        DelayTransport::broadcast(self, from, payload);
-    }
-
-    fn take_inbox(&mut self, node: NodeId) -> Vec<Delivered<M>> {
-        DelayTransport::take_inbox(self, node)
-    }
-
-    fn step(&mut self) -> u64 {
-        DelayTransport::step(self)
-    }
-
-    fn round(&self) -> u64 {
-        DelayTransport::round(self)
-    }
-
-    fn stats(&self) -> &NetworkStats {
-        DelayTransport::stats(self)
-    }
-
-    fn metrics(&self) -> &MetricsSnapshot {
-        DelayTransport::metrics(self)
-    }
-
-    fn faults(&self) -> &FaultPlan {
-        DelayTransport::faults(self)
-    }
-
-    fn is_quiescent(&self) -> bool {
-        DelayTransport::is_quiescent(self)
-    }
-
-    fn next_due(&self) -> Option<u64> {
-        DelayTransport::next_due(self)
-    }
-
-    fn advance_to(&mut self, target: u64) -> u64 {
-        DelayTransport::advance_to(self, target)
     }
 }
 

@@ -42,16 +42,6 @@ struct TransientWindow {
     end: u64,
 }
 
-/// One flapping schedule: the directed link repeats `up` healthy rounds
-/// followed by `down` dead rounds, keyed on the send round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct LinkFlap {
-    from: usize,
-    to: usize,
-    up: u64,
-    down: u64,
-}
-
 /// A declarative fault schedule applied by the [`crate::Transport`]
 /// implementations.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -82,10 +72,6 @@ pub struct FaultPlan {
     /// older serialized plans.
     #[serde(default)]
     transient_windows: Vec<TransientWindow>,
-    /// Flapping schedules, keyed on the send round. Absent on older
-    /// serialized plans.
-    #[serde(default)]
-    link_flaps: Vec<LinkFlap>,
     /// Asymmetric ack-path loss: drop every `k`-th *control*
     /// transmission (acks, nacks) while data traffic is untouched —
     /// the regime where selective acknowledgment has to earn its keep.
@@ -229,8 +215,7 @@ impl FaultPlan {
     /// Transient partition: drops every message *sent* on the directed
     /// link `from → to` during rounds `start..end` (half-open). Multiple
     /// windows per link are allowed but must not overlap — an
-    /// overlapping schedule is almost always a typo, and rejecting it
-    /// keeps [`FaultPlan::heal_at`] semantics unambiguous.
+    /// overlapping schedule is almost always a typo.
     ///
     /// # Panics
     ///
@@ -263,77 +248,12 @@ impl FaultPlan {
         self
     }
 
-    /// Heals the directed link `from → to` from `round` on: transient
-    /// windows starting at or after `round` are removed, and a window
-    /// straddling `round` is truncated to end there. Windows already
-    /// closed before `round` are untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is out of range.
-    pub fn heal_at(mut self, from: NodeId, to: NodeId, round: u64) -> Self {
-        assert!(
-            from.0 < self.crashes.len() && to.0 < self.crashes.len(),
-            "node out of range"
-        );
-        for w in &mut self.transient_windows {
-            if w.from == from.0 && w.to == to.0 && w.end > round {
-                w.end = round;
-            }
-        }
-        self.transient_windows
-            .retain(|w| !(w.from == from.0 && w.to == to.0 && w.start >= w.end));
-        self
-    }
-
     /// Is the directed link `from → to` transiently partitioned for
     /// messages sent at `round`?
     pub fn is_transiently_dropped(&self, from: NodeId, to: NodeId, round: u64) -> bool {
         self.transient_windows
             .iter()
             .any(|w| w.from == from.0 && w.to == to.0 && (w.start..w.end).contains(&round))
-    }
-
-    /// Link flapping: the directed link `from → to` repeats `up` healthy
-    /// rounds followed by `down` dead rounds, starting healthy at round
-    /// `0` and keyed on the send round. Scheduling the same link twice
-    /// keeps the later values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is out of range or `up == 0 || down == 0`
-    /// (a zero phase is either "always down" — use
-    /// [`FaultPlan::drop_link`] — or "never down" — omit the flap).
-    pub fn flap_link(mut self, from: NodeId, to: NodeId, up: u64, down: u64) -> Self {
-        assert!(
-            from.0 < self.crashes.len() && to.0 < self.crashes.len(),
-            "node out of range"
-        );
-        assert!(up > 0 && down > 0, "flap phases must both be positive");
-        if let Some(entry) = self
-            .link_flaps
-            .iter_mut()
-            .find(|f| f.from == from.0 && f.to == to.0)
-        {
-            entry.up = up;
-            entry.down = down;
-        } else {
-            self.link_flaps.push(LinkFlap {
-                from: from.0,
-                to: to.0,
-                up,
-                down,
-            });
-        }
-        self
-    }
-
-    /// Is the directed link `from → to` in the dead phase of its flap
-    /// schedule for messages sent at `round`?
-    pub fn is_flapped_down(&self, from: NodeId, to: NodeId, round: u64) -> bool {
-        self.link_flaps
-            .iter()
-            .any(|f| f.from == from.0 && f.to == to.0 && round % (f.up + f.down) >= f.up)
     }
 
     /// Is `node` crashed as of `round`?
@@ -541,58 +461,6 @@ mod tests {
     #[should_panic(expected = "start < end")]
     fn empty_transient_window_panics() {
         let _ = FaultPlan::none(3).drop_link_between(NodeId(0), NodeId(1), 5, 5);
-    }
-
-    #[test]
-    fn heal_at_truncates_and_removes_windows() {
-        let plan = FaultPlan::none(3)
-            .drop_link_between(NodeId(0), NodeId(1), 2, 8)
-            .drop_link_between(NodeId(0), NodeId(1), 10, 12)
-            .drop_link_between(NodeId(1), NodeId(0), 2, 8)
-            .heal_at(NodeId(0), NodeId(1), 5);
-        // Straddling window truncated to 2..5, later window removed.
-        assert!(plan.is_transiently_dropped(NodeId(0), NodeId(1), 4));
-        assert!(!plan.is_transiently_dropped(NodeId(0), NodeId(1), 5));
-        assert!(!plan.is_transiently_dropped(NodeId(0), NodeId(1), 11));
-        // Other direction untouched.
-        assert!(plan.is_transiently_dropped(NodeId(1), NodeId(0), 7));
-    }
-
-    #[test]
-    fn flapping_alternates_up_and_down_phases() {
-        let plan = FaultPlan::none(3).flap_link(NodeId(0), NodeId(1), 2, 3);
-        // Period 5: rounds 0,1 up; 2,3,4 down; repeating.
-        for round in [0u64, 1, 5, 6, 10] {
-            assert!(
-                !plan.is_flapped_down(NodeId(0), NodeId(1), round),
-                "round {round} should be up"
-            );
-        }
-        for round in [2u64, 3, 4, 7, 8, 9] {
-            assert!(
-                plan.is_flapped_down(NodeId(0), NodeId(1), round),
-                "round {round} should be down"
-            );
-        }
-        assert!(
-            !plan.is_flapped_down(NodeId(1), NodeId(0), 2),
-            "directional"
-        );
-    }
-
-    #[test]
-    fn flap_link_is_last_write_wins() {
-        let plan = FaultPlan::none(3)
-            .flap_link(NodeId(0), NodeId(1), 1, 1)
-            .flap_link(NodeId(0), NodeId(1), 3, 1);
-        assert!(!plan.is_flapped_down(NodeId(0), NodeId(1), 1));
-        assert!(plan.is_flapped_down(NodeId(0), NodeId(1), 3));
-    }
-
-    #[test]
-    #[should_panic(expected = "flap phases")]
-    fn zero_flap_phase_panics() {
-        let _ = FaultPlan::none(3).flap_link(NodeId(0), NodeId(1), 2, 0);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! # Example
 //!
 //! ```
-//! use dmw_simnet::{DelayTransport, NodeId};
+//! use dmw_simnet::{DelayTransport, NodeId, Transport};
 //!
 //! let mut net: DelayTransport<u64> = DelayTransport::new(3);
 //! net.send(NodeId(0), NodeId(1), 41);

@@ -69,7 +69,7 @@ pub struct Delivered<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DelayProfile, DelayTransport, FaultPlan};
+    use crate::{DelayProfile, DelayTransport, FaultPlan, Transport};
 
     #[test]
     fn unicast_delivers_next_round() {
