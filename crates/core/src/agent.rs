@@ -4,9 +4,9 @@
 //! auctions in lockstep (the auctions are "parallel and independent",
 //! Section 2.2). Protocol progress is a typed state machine — see
 //! [`crate::phases`] for the phase catalogue, transition table and the
-//! per-phase protocol logic. The scheduler [`DmwAgent::poll`]s each agent
-//! once per tick: every poll files the arrived messages through the
-//! shared ingress path, and the current phase *acts* (verifies, resolves,
+//! per-phase protocol logic. The scheduler calls [`DmwAgent::poll_at`] on
+//! each agent once per tick: every poll files the arrived messages through
+//! the shared ingress path, and the current phase *acts* (verifies, resolves,
 //! publishes) as soon as its expected messages are complete — or when the
 //! agent's patience budget expires, whichever comes first. Under the
 //! lockstep transport with the default patience of one tick, acts land on
@@ -263,7 +263,7 @@ impl DmwAgent {
     }
 
     /// Label of the phase that most recently acted — the trace annotation
-    /// for the messages the last [`DmwAgent::poll`] emitted.
+    /// for the messages the last [`DmwAgent::poll_at`] emitted.
     pub fn acted_phase(&self) -> &'static str {
         self.acted_phase
     }
@@ -471,15 +471,6 @@ impl DmwAgent {
         }
     }
 
-    /// Advances one scheduler tick without an explicit tick number: each
-    /// call is one tick after the previous one (starting at tick `0`).
-    /// Exactly [`DmwAgent::poll_at`] on the agent's own clock — the
-    /// convenience form for drivers that poll every tick.
-    pub fn poll(&mut self, inbox: Vec<Delivered<Body>>) -> Vec<(Recipient, Body)> {
-        let now = self.clock.next_poll();
-        self.poll_at(now, inbox)
-    }
-
     /// Runs the agent's scheduler activation for tick `now`. Consumes
     /// the tick's inbox through the shared ingress path; the current
     /// phase acts when its expected messages are complete
@@ -494,7 +485,6 @@ impl DmwAgent {
     /// poll-every-tick schedule. Ticks must be non-decreasing across
     /// calls, with at most one call per tick.
     pub fn poll_at(&mut self, now: u64, inbox: Vec<Delivered<Body>>) -> Vec<(Recipient, Body)> {
-        self.clock.poll(now);
         let mut out = Vec::new();
         if !self.ingest(inbox) {
             return out;
@@ -619,8 +609,8 @@ mod tests {
     fn silent_agent_emits_nothing_but_walks_the_phases() {
         let cfg = config(5, 1, 4);
         let mut agent = DmwAgent::new(cfg, 2, vec![1], Behavior::Silent, 42);
-        for _ in 0..6 {
-            assert!(agent.poll(vec![]).is_empty());
+        for now in 0..6 {
+            assert!(agent.poll_at(now, vec![]).is_empty());
         }
         assert_eq!(agent.phase(), Phase::Claimed);
         assert_eq!(
@@ -634,7 +624,7 @@ mod tests {
     fn bidding_phase_emits_shares_and_commitments() {
         let cfg = config(5, 1, 5);
         let mut agent = DmwAgent::new(cfg, 0, vec![1, 3], Behavior::Suggested, 42);
-        let out = agent.poll(vec![]);
+        let out = agent.poll_at(0, vec![]);
         assert_eq!(agent.acted_phase(), "bidding");
         assert_eq!(agent.phase(), Phase::Commitments);
         let shares = out
@@ -655,7 +645,7 @@ mod tests {
     fn debug_output_shows_neither_bids_nor_polynomials() {
         let cfg = config(5, 1, 5);
         let mut agent = DmwAgent::new(cfg, 0, vec![1, 3], Behavior::Suggested, 42);
-        let _ = agent.poll(vec![]);
+        let _ = agent.poll_at(0, vec![]);
         assert_eq!(agent.phase(), Phase::Commitments);
         let shown = format!("{agent:?}");
         // `Poly`'s own `Debug` prints `Poly { coeffs: [..] }`.
@@ -671,7 +661,7 @@ mod tests {
     fn peer_abort_is_honoured_at_any_phase() {
         let cfg = config(5, 1, 6);
         let mut agent = DmwAgent::new(cfg, 0, vec![1], Behavior::Suggested, 42);
-        let _ = agent.poll(vec![]);
+        let _ = agent.poll_at(0, vec![]);
         let abort = Delivered {
             from: NodeId(3),
             broadcast: true,
@@ -679,7 +669,7 @@ mod tests {
                 reason: AbortReason::Unresolvable,
             },
         };
-        let out = agent.poll(vec![abort]);
+        let out = agent.poll_at(1, vec![abort]);
         assert!(out.is_empty());
         assert!(agent.is_terminal());
         assert_eq!(
@@ -694,8 +684,8 @@ mod tests {
         // faults, far beyond any tolerated c.
         let cfg = config(5, 1, 7);
         let mut agent = DmwAgent::new(cfg, 0, vec![1], Behavior::Suggested, 42);
-        let _ = agent.poll(vec![]);
-        let out = agent.poll(vec![]);
+        let _ = agent.poll_at(0, vec![]);
+        let out = agent.poll_at(1, vec![]);
         assert!(matches!(
             agent.abort_reason(),
             Some(AbortReason::TooManyFaults {
@@ -715,12 +705,12 @@ mod tests {
         // two extra polls for stragglers before concluding TooManyFaults.
         let cfg = config(5, 1, 8);
         let mut agent = DmwAgent::new(cfg, 0, vec![1], Behavior::Suggested, 42).with_patience(3);
-        let _ = agent.poll(vec![]);
+        let _ = agent.poll_at(0, vec![]);
         assert_eq!(agent.phase(), Phase::Commitments);
-        assert!(agent.poll(vec![]).is_empty());
-        assert!(agent.poll(vec![]).is_empty());
+        assert!(agent.poll_at(1, vec![]).is_empty());
+        assert!(agent.poll_at(2, vec![]).is_empty());
         assert_eq!(agent.phase(), Phase::Commitments, "still waiting");
-        let out = agent.poll(vec![]);
+        let out = agent.poll_at(3, vec![]);
         assert!(
             matches!(
                 agent.abort_reason(),

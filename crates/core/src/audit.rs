@@ -17,10 +17,9 @@ use crate::strategy::Behavior;
 use dmw_mechanism::ExecutionTimes;
 use dmw_simnet::FaultPlan;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One row of the faithfulness experiment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaithfulnessRow {
     /// The deviation the deviator executed.
     pub behavior: &'static str,
@@ -79,7 +78,7 @@ pub fn faithfulness_table<R: Rng + ?Sized>(
 }
 
 /// One row of the strong-voluntary-participation experiment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VoluntaryRow {
     /// The deviation executed by the non-compliant agent.
     pub behavior: &'static str,

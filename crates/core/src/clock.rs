@@ -15,8 +15,6 @@ pub(crate) struct PhaseClock {
     /// scheduler skip idle ticks without disturbing patience arithmetic
     /// (see `docs/scheduler.md`).
     entered: u64,
-    /// The tick the tick-free `DmwAgent::poll` uses next.
-    next_poll: u64,
     /// Ticks a phase may wait for its inputs before acting on whatever
     /// arrived; at least `1`.
     patience: u64,
@@ -27,19 +25,8 @@ impl PhaseClock {
     pub(crate) fn new(patience: u64) -> Self {
         PhaseClock {
             entered: 0,
-            next_poll: 0,
             patience: patience.max(1),
         }
-    }
-
-    /// Records a poll at `now`.
-    pub(crate) fn poll(&mut self, now: u64) {
-        self.next_poll = later(now, 1);
-    }
-
-    /// The tick after the last poll.
-    pub(crate) fn next_poll(&self) -> u64 {
-        self.next_poll
     }
 
     /// Starts the next phase after an act at `now`.

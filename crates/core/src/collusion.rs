@@ -28,10 +28,9 @@
 use crate::config::DmwConfig;
 use dmw_crypto::polynomials::ShareBundle;
 use dmw_modmath::lagrange;
-use serde::{Deserialize, Serialize};
 
 /// The result of a share-pooling attack against one target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttackOutcome {
     /// The coalition recovered the target's bid.
     Exposed {

@@ -10,7 +10,6 @@ use crate::error::DmwError;
 use dmw_crypto::BidEncoding;
 use dmw_modmath::SchnorrGroup;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Default bit size of the group modulus `p` used by
 /// [`DmwConfig::generate`]. Large enough to make accidental resolutions
@@ -23,7 +22,7 @@ pub const DEFAULT_P_BITS: u32 = 48;
 pub const DEFAULT_Q_BITS: u32 = 24;
 
 /// The published parameters of one DMW deployment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DmwConfig {
     group: SchnorrGroup,
     encoding: BidEncoding,

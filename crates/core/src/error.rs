@@ -1,13 +1,12 @@
 //! Error and abort types for the DMW protocol.
 
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
 /// Why an agent aborted the protocol (Theorems 4 and 8 hinge on honest
 /// agents detecting these conditions and terminating, zeroing everyone's
 /// utility).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum AbortReason {
     /// A received share bundle failed equations (7)–(9) against the

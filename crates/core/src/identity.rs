@@ -19,14 +19,13 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// The confidential identity↔slot binding created at initialization.
 ///
 /// In a deployment each agent would learn only its own row; the tests and
 /// experiments play the global observer to *measure* what leaks.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PseudonymDirectory {
     /// `identities[slot]` = the real identity bound to pseudonym slot
     /// `slot`.

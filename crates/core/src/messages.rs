@@ -5,7 +5,7 @@
 //! `Λ/Ψ`, disclosures, excluded pairs, payment claims), implemented as
 //! broadcasts and hence as `n − 1` unicasts each (Theorem 11's cost model).
 //!
-//! Every variant reports its approximate wire size via
+//! Every variant reports its exact wire size via
 //! [`dmw_simnet::Payload`]; the byte counters feed the communication-cost
 //! experiment.
 //!
@@ -13,7 +13,7 @@
 //!
 //! A raw bid lives in a [`SecretBid`](dmw_crypto::SecretBid) and the
 //! secret polynomials in a [`BidPolynomials`](dmw_crypto::BidPolynomials);
-//! neither implements `Serialize`, and only `dmw-crypto` can read either.
+//! neither fits any [`Body`] field, and only `dmw-crypto` can read either.
 //! What reaches a [`Body`] is an evaluation: a share bundle, a disclosed
 //! `f`-share, a claim point. This compiles, and every block after it
 //! changes one line of it and must not compile (their setup is this
@@ -25,7 +25,6 @@
 //! use dmw_modmath::SchnorrGroup;
 //! use rand::SeedableRng;
 //!
-//! fn wire<T: serde::Serialize>(_: &T) {}
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let group = SchnorrGroup::generate(40, 16, &mut rng)?;
 //! let encoding = BidEncoding::new(5, 1)?;
@@ -37,7 +36,6 @@
 //! let shares = Body::Shares { task: 0, bundle };
 //! let disclose = Body::Disclose { task: 0, f_values: vec![f] };
 //! assert!(!shares.encode().is_empty() && !disclose.encode().is_empty());
-//! wire(&bundle);
 //! assert!(bid.is(2));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -49,7 +47,6 @@
 //! # use dmw_crypto::{BidEncoding, BidPolynomials, SecretBid, ShareBundle};
 //! # use dmw_modmath::SchnorrGroup;
 //! # use rand::SeedableRng;
-//! # fn wire<T: serde::Serialize>(_: &T) {}
 //! # let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! # let group = SchnorrGroup::generate(40, 16, &mut rng)?;
 //! # let encoding = BidEncoding::new(5, 1)?;
@@ -67,7 +64,6 @@
 //! # use dmw_crypto::{BidEncoding, BidPolynomials, SecretBid, ShareBundle};
 //! # use dmw_modmath::SchnorrGroup;
 //! # use rand::SeedableRng;
-//! # fn wire<T: serde::Serialize>(_: &T) {}
 //! # let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! # let group = SchnorrGroup::generate(40, 16, &mut rng)?;
 //! # let encoding = BidEncoding::new(5, 1)?;
@@ -85,7 +81,6 @@
 //! # use dmw_crypto::{BidEncoding, BidPolynomials, SecretBid, ShareBundle};
 //! # use dmw_modmath::SchnorrGroup;
 //! # use rand::SeedableRng;
-//! # fn wire<T: serde::Serialize>(_: &T) {}
 //! # let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! # let group = SchnorrGroup::generate(40, 16, &mut rng)?;
 //! # let encoding = BidEncoding::new(5, 1)?;
@@ -103,7 +98,6 @@
 //! # use dmw_crypto::{BidEncoding, BidPolynomials, SecretBid, ShareBundle};
 //! # use dmw_modmath::SchnorrGroup;
 //! # use rand::SeedableRng;
-//! # fn wire<T: serde::Serialize>(_: &T) {}
 //! # let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! # let group = SchnorrGroup::generate(40, 16, &mut rng)?;
 //! # let encoding = BidEncoding::new(5, 1)?;
@@ -114,39 +108,54 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! A polynomial where serialization is required:
+//! A polynomial in a disclosure:
 //!
-//! ```compile_fail,E0277
+//! ```compile_fail,E0308
 //! # use dmw::messages::Body;
 //! # use dmw_crypto::{BidEncoding, BidPolynomials, SecretBid, ShareBundle};
 //! # use dmw_modmath::SchnorrGroup;
 //! # use rand::SeedableRng;
-//! # fn wire<T: serde::Serialize>(_: &T) {}
 //! # let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! # let group = SchnorrGroup::generate(40, 16, &mut rng)?;
 //! # let encoding = BidEncoding::new(5, 1)?;
 //! # let bid = SecretBid::new(2);
 //! # let polys = BidPolynomials::generate(&group, &encoding, &bid, &mut rng)?;
 //! # let zq = group.zq();
-//! wire(&dmw_modmath::Poly::zero());
+//! let leak = Body::Disclose { task: 0, f_values: dmw_modmath::Poly::zero() };
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! A bid where serialization is required:
+//! A bid in a payment claim:
 //!
-//! ```compile_fail,E0277
+//! ```compile_fail,E0308
 //! # use dmw::messages::Body;
 //! # use dmw_crypto::{BidEncoding, BidPolynomials, SecretBid, ShareBundle};
 //! # use dmw_modmath::SchnorrGroup;
 //! # use rand::SeedableRng;
-//! # fn wire<T: serde::Serialize>(_: &T) {}
 //! # let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! # let group = SchnorrGroup::generate(40, 16, &mut rng)?;
 //! # let encoding = BidEncoding::new(5, 1)?;
 //! # let bid = SecretBid::new(2);
 //! # let polys = BidPolynomials::generate(&group, &encoding, &bid, &mut rng)?;
 //! # let zq = group.zq();
-//! wire(&bid);
+//! let leak = Body::PaymentClaim { payments: vec![bid] };
+//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! ```
+//!
+//! The secret polynomials as a share bundle:
+//!
+//! ```compile_fail,E0308
+//! # use dmw::messages::Body;
+//! # use dmw_crypto::{BidEncoding, BidPolynomials, SecretBid, ShareBundle};
+//! # use dmw_modmath::SchnorrGroup;
+//! # use rand::SeedableRng;
+//! # let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+//! # let group = SchnorrGroup::generate(40, 16, &mut rng)?;
+//! # let encoding = BidEncoding::new(5, 1)?;
+//! # let bid = SecretBid::new(2);
+//! # let polys = BidPolynomials::generate(&group, &encoding, &bid, &mut rng)?;
+//! # let zq = group.zq();
+//! let shares = Body::Shares { task: 0, bundle: polys };
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -155,11 +164,10 @@ use dmw_crypto::polynomials::ShareBundle;
 use dmw_crypto::resolution::LambdaPsi;
 use dmw_crypto::Commitments;
 use dmw_simnet::Payload;
-use serde::{Deserialize, Serialize};
 
 /// One protocol message. `task` fields index the parallel per-task
 /// auctions; payment claims cover all tasks at once.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Body {
     /// Phase II.2 (solid arrow): the private share bundle
     /// `(e_i(α_k), f_i(α_k), g_i(α_k), h_i(α_k))` for one task.

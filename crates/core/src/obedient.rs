@@ -19,10 +19,9 @@
 use crate::error::DmwError;
 use dmw_mechanism::{AgentId, ExecutionTimes, MinWork, Outcome, TieBreak};
 use dmw_simnet::{DelayTransport, NetworkStats, NodeId, Payload, Transport};
-use serde::{Deserialize, Serialize};
 
 /// Messages of the obedient protocol.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ObedientBody {
     /// An agent's plaintext bid row (one entry per task) — the leader
     /// learns everything.
@@ -50,7 +49,7 @@ impl Payload for ObedientBody {
 }
 
 /// How the leader behaves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LeaderBehavior {
     /// Computes MinWork honestly.
     #[default]

@@ -12,11 +12,10 @@
 //! With all agents honest, claims are identical and the rule degenerates
 //! to the paper's unanimity.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The outcome of settling payment claims.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Settlement {
     /// Per-agent payments in bid units (withheld entries are 0).
     pub payments: Vec<u64>,

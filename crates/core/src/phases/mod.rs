@@ -9,9 +9,9 @@
 //! * `act(&mut DmwAgent, &mut out)` — the phase's protocol logic:
 //!   verify, resolve, publish, and possibly abort.
 //!
-//! The agent's `poll` loop fires `act` as soon as `ready` holds **or**
-//! the agent's patience budget expires, then advances to
-//! [`Phase::next`]. Nothing in the protocol logic consults a round
+//! The agent's [`poll_at`](crate::agent::DmwAgent::poll_at) fires `act`
+//! as soon as `ready` holds **or** the agent's patience budget expires,
+//! then advances to [`Phase::next`]. Nothing in the protocol logic consults a round
 //! number: the agent keeps its tick clock in a private field, out of
 //! this module's reach (rule L6), which is what lets the same agent run
 //! unchanged over the lockstep transport and over asynchronous delayed

@@ -19,11 +19,10 @@ use crate::error::DmwError;
 use crate::runner::{utilities, DmwRunner};
 use dmw_mechanism::{AgentId, ExecutionTimes, TaskId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A bid-shading strategy an informed agent can play in later rounds,
 /// parameterized by the revealed `(y*, y**)` of each task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InformedStrategy {
     /// Keep reporting true values (the honest baseline).
     Truthful,
@@ -72,7 +71,7 @@ impl InformedStrategy {
 }
 
 /// One row of the repeated-execution experiment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepeatedRow {
     /// The strategy the informed agent played in round two.
     pub strategy: &'static str,

@@ -36,7 +36,6 @@ use dmw_simnet::{
     Transport,
 };
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Number of synchronous protocol rounds on the lockstep transport (0–4
 /// active, one propagation round so late aborts reach every agent). This
@@ -44,7 +43,7 @@ use serde::{Deserialize, Serialize};
 pub const PROTOCOL_ROUNDS: u64 = 6;
 
 /// The successful outcome of a DMW run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompletedOutcome {
     /// The agreed schedule (task → winning agent).
     pub schedule: Schedule,
@@ -59,7 +58,7 @@ pub struct CompletedOutcome {
 }
 
 /// How a run ended.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunResult {
     /// All live agents completed and agreed.
     Completed(CompletedOutcome),

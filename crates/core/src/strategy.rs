@@ -14,7 +14,6 @@
 //! message-passing) deviations, mapped to the cases analysed in the proofs
 //! of Theorems 4 and 8.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How published values (`Λ/Ψ`, disclosures, excluded pairs) are
@@ -27,7 +26,7 @@ use std::fmt;
 /// each value with `c + 1` designated verifiers (≥ 1 honest under ≤ `c`
 /// faults) and keeps detection guaranteed. The `table1-comp` experiment
 /// measures both; see DESIGN.md, "Rotation verification".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum VerificationPolicy {
     /// Each published value is verified by its `c + 1` cyclically-next
     /// live agents (the default; matches Table 1's cost).
@@ -39,7 +38,7 @@ pub enum VerificationPolicy {
 }
 
 /// How one agent executes the protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[non_exhaustive]
 pub enum Behavior {
     /// The suggested strategy `χ_suggest`: follow the protocol exactly.

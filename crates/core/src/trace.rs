@@ -8,19 +8,16 @@
 //! phase structure matches the paper's.
 
 use dmw_simnet::Recipient;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// One recorded transmission.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Scheduler tick (lockstep: synchronous round) in which the message
     /// was sent.
     pub round: u64,
     /// Logical protocol phase the sender acted in when it emitted the
-    /// message (see [`crate::phases::Phase::label`]). Traces recorded
-    /// before this field existed deserialize with an empty label.
-    #[serde(default)]
+    /// message (see [`crate::phases::Phase::label`]).
     pub phase: &'static str,
     /// Sender index.
     pub from: usize,

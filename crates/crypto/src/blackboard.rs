@@ -21,10 +21,9 @@ use crate::resolution::{
 };
 use dmw_modmath::SchnorrGroup;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The outcome of one fully verified task auction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AuctionOutcome {
     /// Index of the winning agent (task is assigned to it).
     pub winner: usize,

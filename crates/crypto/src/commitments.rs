@@ -28,12 +28,11 @@ use crate::error::CryptoError;
 use crate::polynomials::{BidPolynomials, ShareBundle};
 use dmw_modmath::multiexp::{self, ExponentPlan};
 use dmw_modmath::SchnorrGroup;
-use serde::{Deserialize, Serialize};
 
 /// The published commitment triple `(O, Q, R)` of one agent for one task
 /// (equation (6)). Each vector has exactly `σ` entries; entry `ℓ` (1-based
 /// in the paper) is stored at index `ℓ − 1`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Commitments {
     o: Vec<u64>,
     q: Vec<u64>,

@@ -35,7 +35,6 @@
 //! "Deliberate clarifications").
 
 use crate::error::CryptoError;
-use serde::{Deserialize, Serialize};
 
 /// Public parameters of the bid discretization for one auction.
 ///
@@ -51,7 +50,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(enc.bid_of_degree(5), Some(1));
 /// # Ok::<(), dmw_crypto::CryptoError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BidEncoding {
     agents: usize,
     faults: usize,

@@ -26,8 +26,8 @@
 //!   be compared with a public value ([`SecretBid::is`]);
 //! * [`BidPolynomials`] hands out evaluations — share bundles and the
 //!   winner's claim points — never its polynomials;
-//! * neither type implements `Serialize`, and both print a redacted
-//!   `Debug`.
+//! * neither type fits any field of the wire message
+//!   (`dmw::messages::Body`), and both print a redacted `Debug`.
 //!
 //! The boundary is a type boundary, not a cryptographic one: code that
 //! holds the public bid matrix (the runner, the obedient baseline) still
@@ -39,13 +39,13 @@ use crate::encoding::BidEncoding;
 use crate::error::CryptoError;
 use dmw_modmath::{Poly, PrimeField, SchnorrGroup};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An agent's true bid for one task auction, sealed inside this crate.
 ///
-/// It has no `Serialize`, no `Copy`, no conversion back to `u64`, and a
-/// `Debug` that prints no value; see the [module docs](self).
+/// It fits no wire-message field, and has no `Copy`, no conversion back
+/// to `u64`, and a `Debug` that prints no value; see the
+/// [module docs](self).
 pub struct SecretBid(u64);
 
 impl SecretBid {
@@ -68,7 +68,7 @@ impl fmt::Debug for SecretBid {
 }
 
 /// The four private evaluations an agent sends to one peer (Phase II.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShareBundle {
     /// `e(α_k)` — bid polynomial share.
     pub e: u64,

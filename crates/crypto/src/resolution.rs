@@ -21,10 +21,9 @@ use crate::commitments::{alpha_powers, Commitments};
 use crate::encoding::BidEncoding;
 use crate::error::CryptoError;
 use dmw_modmath::{lagrange, multiexp, FixedBase, SchnorrGroup};
-use serde::{Deserialize, Serialize};
 
 /// A published `(Λ_i, Ψ_i)` pair (equation (10)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LambdaPsi {
     /// `Λ_i = z1^{E(α_i)}`.
     pub lambda: u64,
@@ -127,7 +126,7 @@ pub fn verify_lambda_psi(
 }
 
 /// The result of a first- or second-price resolution (equation (12)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResolvedPrice {
     /// The resolved bid value `y = σ − degree`.
     pub bid: u64,

@@ -12,11 +12,10 @@ use crate::error::MechanismError;
 use crate::minwork::MinWork;
 use crate::problem::{AgentId, ExecutionTimes};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A profitable misreport discovered by an audit: evidence *against*
 /// truthfulness.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// The deviating agent.
     pub agent: AgentId,
@@ -29,7 +28,7 @@ pub struct Violation {
 }
 
 /// Summary of a truthfulness audit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditReport {
     /// Number of (instance, agent, misreport) triples examined.
     pub deviations_checked: u64,

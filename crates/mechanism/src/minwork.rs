@@ -15,10 +15,9 @@ use crate::error::MechanismError;
 use crate::problem::{AgentId, ExecutionTimes, Outcome, Schedule, TaskId};
 use crate::vickrey;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Tie-breaking rule for tasks with more than one minimum bid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TieBreak {
     /// Deterministic: the tied agent with the smallest index wins. This is
     /// DMW's rule ("the agent with the smallest pseudonym wins", step
@@ -43,7 +42,7 @@ pub enum TieBreak {
 /// assert_eq!(outcome.payments, vec![2, 3]);
 /// # Ok::<(), dmw_mechanism::MechanismError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MinWork {
     tie_break: TieBreak,
 }

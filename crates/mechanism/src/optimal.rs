@@ -10,10 +10,9 @@
 
 use crate::error::MechanismError;
 use crate::problem::{AgentId, ExecutionTimes, Schedule, TaskId};
-use serde::{Deserialize, Serialize};
 
 /// Result of an exact or heuristic makespan minimization.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MakespanSolution {
     /// The minimizing (or heuristic) schedule.
     pub schedule: Schedule,

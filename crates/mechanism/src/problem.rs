@@ -2,14 +2,13 @@
 //! on unrelated machines (Section 2.1 of the paper).
 
 use crate::error::MechanismError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of an agent (machine) `A_i`, `0`-based.
 ///
 /// The paper indexes agents `A_1 … A_n`; this implementation is `0`-based
 /// throughout and renders as `A1 …` only in display output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AgentId(pub usize);
 
 impl From<usize> for AgentId {
@@ -25,7 +24,7 @@ impl fmt::Display for AgentId {
 }
 
 /// Identifier of a task `T^j`, `0`-based.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub usize);
 
 impl From<usize> for TaskId {
@@ -48,7 +47,7 @@ impl fmt::Display for TaskId {
 /// Times are integers because DMW fundamentally requires discrete bids
 /// (Section 3); [`crate::quantize`] maps continuous workloads onto this
 /// representation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ExecutionTimes {
     agents: usize,
     tasks: usize,
@@ -212,7 +211,7 @@ impl ExecutionTimes {
 
 /// A schedule: a partition of the task set among the agents (Section 2.1).
 /// Every task is assigned to exactly one agent.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Schedule {
     agents: usize,
     /// `assignment[j]` = agent owning task `j`.
@@ -349,7 +348,7 @@ impl fmt::Display for Schedule {
 
 /// The result of running a mechanism: the schedule and the payment vector
 /// `P_i(y)` (Definition 1).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Outcome {
     /// The chosen schedule `S(y)`.
     pub schedule: Schedule,

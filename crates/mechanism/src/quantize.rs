@@ -10,11 +10,10 @@
 
 use crate::error::MechanismError;
 use crate::problem::ExecutionTimes;
-use serde::{Deserialize, Serialize};
 
 /// A uniform quantizer mapping continuous times in `[lo, hi]` onto
 /// `levels` discrete bid values `1..=levels`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Quantizer {
     lo: f64,
     hi: f64,

@@ -21,7 +21,6 @@
 use crate::error::MechanismError;
 use crate::problem::{AgentId, ExecutionTimes, Schedule, TaskId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The bias `β = β_num / β_den = 4/3` of Nisan–Ronen's two-machine
 /// mechanism.
@@ -35,7 +34,7 @@ pub const SCALE: u64 = BETA_NUM * BETA_DEN;
 
 /// Outcome of the randomized mechanism: integer amounts scaled by
 /// [`SCALE`] to keep the rational payments exact.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScaledOutcome {
     /// The chosen schedule.
     pub schedule: Schedule,
@@ -61,7 +60,7 @@ impl ScaledOutcome {
 
 /// The per-task coin flips: `favoured[j]` is the machine favoured on task
 /// `j`. Exposing the coins lets the truthfulness audit condition on them.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Coins {
     /// The favoured machine per task.
     pub favoured: Vec<AgentId>,

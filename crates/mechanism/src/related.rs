@@ -28,7 +28,6 @@
 //! a future distributed implementation must be faithful to.
 
 use crate::error::MechanismError;
-use serde::{Deserialize, Serialize};
 
 /// A monotone work-allocation rule for one-parameter (related-machine)
 /// agents. Declared costs are positive floats; `total_work` is the sum of
@@ -40,7 +39,7 @@ pub trait WorkRule {
 }
 
 /// All work to the strictly lowest declared cost (ties: lowest index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FastestTakesAll;
 
 impl WorkRule for FastestTakesAll {
@@ -58,7 +57,7 @@ impl WorkRule for FastestTakesAll {
 /// Work divided proportionally to declared speed (`1/c_i`): every machine
 /// finishes at the same time `T = W / Σ(1/c_j)`, the fractional optimal
 /// makespan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProportionalShare;
 
 impl WorkRule for ProportionalShare {

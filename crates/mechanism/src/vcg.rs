@@ -16,10 +16,9 @@
 
 use crate::error::MechanismError;
 use crate::problem::{AgentId, ExecutionTimes, Outcome, Schedule, TaskId};
-use serde::{Deserialize, Serialize};
 
 /// Which schedules the VCG optimizer may choose from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OutcomeSpace {
     /// Every assignment of tasks to agents (the unrestricted space on
     /// which VCG coincides with MinWork).
@@ -56,7 +55,7 @@ impl OutcomeSpace {
 /// objective: valuations are `V_i = −Σ_{j ∈ S_i} y_i^j`, the chosen
 /// schedule maximizes `Σ V_i`, and each winner is paid its Clarke pivot
 /// `opt(−i) − opt_{−i}(S*)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Vcg {
     space: OutcomeSpace,
 }

@@ -7,10 +7,9 @@
 
 use crate::error::MechanismError;
 use crate::problem::AgentId;
-use serde::{Deserialize, Serialize};
 
 /// The resolved result of one Vickrey auction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VickreyResult {
     /// The winning agent (lowest bid).
     pub winner: AgentId,

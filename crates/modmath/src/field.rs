@@ -26,7 +26,6 @@ use crate::error::ModMathError;
 use crate::ops;
 use crate::prime::is_prime;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A prime field `Z_p` with a runtime modulus.
 ///
@@ -39,7 +38,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(f.inv(3)?, 5);
 /// # Ok::<(), dmw_modmath::ModMathError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PrimeField {
     modulus: u64,
     /// `p⁻¹ mod 2⁶⁴`, the Montgomery reduction constant.

@@ -20,14 +20,13 @@ use crate::field::PrimeField;
 use crate::fixed_base::FixedBase;
 use crate::prime::{is_prime, random_prime};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Public parameters `(p, q, z1, z2)` of the order-`q` subgroup of `Z_p*`.
 ///
 /// The group also keeps a [`FixedBase`] table for each generator, built
 /// once, through which [`SchnorrGroup::commit`], [`SchnorrGroup::pow_z1`]
-/// and [`SchnorrGroup::pow_z2`] run. It serializes as the tuple
-/// `(p, q, z1, z2)` and is validated and rebuilt on deserialization.
+/// and [`SchnorrGroup::pow_z2`] run. [`SchnorrGroup::from_parts`] rebuilds
+/// a group from its published `(p, q, z1, z2)` and validates them.
 ///
 /// # Example
 /// ```
@@ -42,8 +41,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(group.zp().pow(group.z2(), group.q()), 1);
 /// # Ok::<(), dmw_modmath::ModMathError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(into = "(u64, u64, u64, u64)", try_from = "(u64, u64, u64, u64)")]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchnorrGroup {
     z1: u64,
     z2: u64,
@@ -54,20 +52,6 @@ pub struct SchnorrGroup {
     /// Window tables of `z1` and `z2`.
     z1_table: FixedBase,
     z2_table: FixedBase,
-}
-
-impl From<SchnorrGroup> for (u64, u64, u64, u64) {
-    fn from(group: SchnorrGroup) -> Self {
-        (group.p(), group.q(), group.z1, group.z2)
-    }
-}
-
-impl TryFrom<(u64, u64, u64, u64)> for SchnorrGroup {
-    type Error = ModMathError;
-
-    fn try_from((p, q, z1, z2): (u64, u64, u64, u64)) -> Result<Self, ModMathError> {
-        SchnorrGroup::from_parts(p, q, z1, z2)
-    }
 }
 
 impl SchnorrGroup {
@@ -390,14 +374,5 @@ mod tests {
                 assert_eq!(g.commit(a, b), plain, "commit({a}, {b})");
             }
         }
-    }
-
-    #[test]
-    fn serialized_parameters_rebuild_the_group() {
-        let g = SchnorrGroup::generate(32, 12, &mut rng()).unwrap();
-        let parts: (u64, u64, u64, u64) = g.clone().into();
-        assert_eq!(parts, (g.p(), g.q(), g.z1(), g.z2()));
-        assert_eq!(SchnorrGroup::try_from(parts).unwrap(), g);
-        assert!(SchnorrGroup::try_from((g.p(), g.q(), g.z1(), g.z1())).is_err());
     }
 }

@@ -37,8 +37,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Bucket bounds (in logical ticks) for message delivery-delay
 /// histograms. Synchronous delivery always takes exactly one tick;
 /// delay profiles add their drawn latency on top.
@@ -49,7 +47,7 @@ pub const DELAY_TICK_BUCKETS: &[u64] = &[1, 2, 3, 4, 6, 8, 12, 16];
 ///
 /// Label order in the derived `Ord` (name, phase, agent, peer, task)
 /// fixes map iteration order, which in turn fixes JSON output order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Key {
     /// Metric name, e.g. `"link_messages"`.
     pub name: &'static str,
@@ -136,7 +134,7 @@ impl fmt::Display for Key {
 /// A fixed-bucket histogram: `counts` has one slot per bound plus a
 /// trailing overflow bucket. Bucket `i` counts observations
 /// `<= bounds[i]`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     /// Upper-inclusive bucket bounds, smallest first.
     pub bounds: &'static [u64],
@@ -205,7 +203,7 @@ pub trait MetricsSink {
 /// Merge semantics: counters add, gauges take the maximum, histograms
 /// add bucket-wise. Equality is exact, which is what the determinism
 /// suite relies on.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
     /// Monotone event counts.
     pub counters: BTreeMap<Key, u64>,
@@ -299,7 +297,7 @@ impl MetricsSnapshot {
 
     /// Renders the snapshot as a self-contained JSON object with
     /// deterministic key order (the `BTreeMap` order of [`Key`]).
-    /// Hand-rolled because the vendored `serde` is a marker-only stub.
+    /// Hand-rolled: the workspace has no serialization library.
     pub fn to_json(&self, indent: usize) -> String {
         let pad = " ".repeat(indent);
         let inner = " ".repeat(indent + 2);

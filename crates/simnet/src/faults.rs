@@ -11,7 +11,6 @@
 //! plan selects the same losses on every [`crate::Transport`].
 
 use crate::network::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// SplitMix64: the classic 64-bit finalizer-based generator.
@@ -34,7 +33,7 @@ const PPM: u64 = 1_000_000;
 
 /// One transient-partition window: the directed link drops every message
 /// *sent* in rounds `start..end` (half-open).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TransientWindow {
     from: usize,
     to: usize,
@@ -44,7 +43,7 @@ struct TransientWindow {
 
 /// A declarative fault schedule applied by the [`crate::Transport`]
 /// implementations.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// `crashes[i] = Some(r)` crashes node `i` at the *start* of round `r`:
     /// from round `r` on, nothing it sends is delivered and nothing reaches
@@ -65,26 +64,19 @@ pub struct FaultPlan {
     /// transmission is dropped with probability `ppm / 1e6`, decided by
     /// hashing the seed with the message's enqueue sequence number.
     /// Stored as integers (never the original `f64`) so the plan keeps
-    /// `Eq` and a canonical serde form. Absent on older serialized plans.
-    #[serde(default)]
+    /// `Eq`.
     drop_prob: Option<(u64, u64)>,
-    /// Transient-partition windows, keyed on the send round. Absent on
-    /// older serialized plans.
-    #[serde(default)]
+    /// Transient-partition windows, keyed on the send round.
     transient_windows: Vec<TransientWindow>,
     /// Asymmetric ack-path loss: drop every `k`-th *control*
     /// transmission (acks, nacks) while data traffic is untouched —
     /// the regime where selective acknowledgment has to earn its keep.
     /// Keyed on a control-only enqueue counter so the schedule is
-    /// independent of how much data shares the wire. Absent on older
-    /// serialized plans.
-    #[serde(default)]
+    /// independent of how much data shares the wire.
     ack_drop_every: Option<u64>,
     /// Deterministic reordering: every `k`-th transmission (keyed on the
     /// shared enqueue counter, same as `drop_every`) is held back one
-    /// extra round, arriving *after* messages enqueued later. Absent on
-    /// older serialized plans.
-    #[serde(default)]
+    /// extra round, arriving *after* messages enqueued later.
     reorder_every: Option<u64>,
 }
 
@@ -159,8 +151,7 @@ impl FaultPlan {
     /// Drops each transmission independently with probability `p`,
     /// decided by a seeded hash of the message's enqueue sequence
     /// number — the same logical messages are lost on every transport.
-    /// `p` is quantized to parts-per-million so the plan stays `Eq` and
-    /// byte-stable under serde.
+    /// `p` is quantized to parts-per-million so the plan stays `Eq`.
     ///
     /// # Panics
     ///

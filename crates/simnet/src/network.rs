@@ -1,11 +1,10 @@
 //! Node identities, payloads and delivered messages: the vocabulary the
 //! [`crate::Transport`] speaks.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a network node (agent), `0`-based.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 impl fmt::Display for NodeId {
@@ -15,7 +14,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Message destination: one peer or everyone else.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Recipient {
     /// A single peer over the private channel.
     Unicast(NodeId),
@@ -53,7 +52,7 @@ impl<T: Payload> Payload for Vec<T> {
 }
 
 /// A message delivered into a node's inbox.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Delivered<M> {
     /// The sender.
     pub from: NodeId,

@@ -1,14 +1,12 @@
 //! Traffic accounting for the simulated network.
 
-use serde::{Deserialize, Serialize};
-
 /// Cumulative traffic counters for one [`crate::Transport`].
 ///
 /// `point_to_point` counts every unicast transmission, *including* the
 /// `n − 1` unicasts that implement each broadcast — this is the quantity
 /// Theorem 11 bounds by `Θ(mn²)` for DMW and `Θ(mn)` for centralized
 /// MinWork.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NetworkStats {
     /// Unicast transmissions enqueued (broadcasts count as `n − 1` each).
     pub point_to_point: u64,

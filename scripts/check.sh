@@ -20,7 +20,8 @@
 #   5. perfbench build            -- the benchmark package has its own
 #      `[workspace]`, so root `cargo build`/`cargo test` never compile it;
 #      building it here (into .bench_build, as perfbench/run.py does)
-#      catches a protocol-crate API change that would break the benchmark
+#      catches a protocol-crate API change that would break the benchmark;
+#      the committed perfbench/Cargo.lock is restored afterwards
 #   6. fault-matrix smoke         -- the chaos determinism suite (reliable
 #      delivery + graceful degradation over the seeded fault matrix),
 #      isolated so a recovery regression is named before the full suite
@@ -61,8 +62,19 @@ echo "==> cargo build -p dmw-examples --bins"
 cargo build --quiet -p dmw-examples --bins
 
 echo "==> perfbench build"
+# The build drops stale entries from the committed perfbench/Cargo.lock;
+# perfbench/ is frozen with the benchmark, so put the lock back after it.
+perfbench_lock=$(mktemp)
+cp perfbench/Cargo.lock "$perfbench_lock"
+restore_perfbench_lock() {
+    cp "$perfbench_lock" perfbench/Cargo.lock
+    rm -f "$perfbench_lock"
+}
+trap restore_perfbench_lock EXIT
 CARGO_TARGET_DIR=.bench_build cargo build --release --offline --quiet \
     --manifest-path perfbench/Cargo.toml
+restore_perfbench_lock
+trap - EXIT
 
 echo "==> fault-matrix smoke (recovery determinism)"
 cargo test --quiet -p integration-tests --test recovery_determinism

@@ -39,10 +39,10 @@ fn every_message_of_a_real_run_round_trips_through_the_codec() {
         .collect();
     let mut net: dmw_simnet::DelayTransport<Body> = dmw_simnet::DelayTransport::new(5);
     let mut total_encoded = 0u64;
-    for _round in 0..dmw::runner::PROTOCOL_ROUNDS {
+    for round in 0..dmw::runner::PROTOCOL_ROUNDS {
         for (i, agent) in agents.iter_mut().enumerate() {
             let inbox = net.take_inbox(dmw_simnet::NodeId(i));
-            for (recipient, body) in agent.poll(inbox) {
+            for (recipient, body) in agent.poll_at(round, inbox) {
                 let bytes = body.encode();
                 let decoded = Body::decode(&bytes, &encoding).expect("wire round trip");
                 assert_eq!(decoded, body);
