@@ -113,7 +113,6 @@ pub mod codec;
 pub mod collusion;
 pub mod config;
 pub mod error;
-pub mod identity;
 pub mod messages;
 pub mod obedient;
 #[deny(

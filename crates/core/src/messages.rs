@@ -351,15 +351,6 @@ impl Payload for Body {
     fn size_bytes(&self) -> usize {
         self.encoded_len()
     }
-
-    /// Pure reverse-path control traffic: standalone acks and nacks.
-    /// The fault matrix's asymmetric ack-path loss knob
-    /// ([`dmw_simnet::FaultPlan::drop_acks_every`]) keys on this, so it
-    /// can drop acknowledgments while data — including [`Body::Sealed`]
-    /// and [`Body::Repair`] payload carriers — keeps flowing.
-    fn is_control(&self) -> bool {
-        matches!(self, Body::Ack { .. } | Body::Nack { .. })
-    }
 }
 
 #[cfg(test)]

@@ -1,14 +1,6 @@
 //! Phase II — *Bidding*: sample polynomials, distribute shares, publish
 //! commitments.
 
-#![expect(
-    clippy::indexing_slicing,
-    reason = "agent/task indices are validated at `DmwAgent` construction and every \
-         per-agent vector is allocated with length `n` up front (see \
-         `crate::agent`); per-site `.get()` plumbing would bury the protocol \
-         equations."
-)]
-
 use crate::agent::{DmwAgent, Invariant};
 use crate::messages::Body;
 use crate::strategy::Behavior;

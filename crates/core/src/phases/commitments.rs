@@ -1,14 +1,7 @@
 //! Phase III.1 + III.2 publication — verify received bundles against
 //! commitments, fix the participation mask, publish `Λ/Ψ`.
 
-#![expect(
-    clippy::indexing_slicing,
-    reason = "agent/task indices are validated at `DmwAgent` construction and every \
-         per-agent vector is allocated with length `n` up front (see \
-         `crate::agent`); per-site `.get()` plumbing would bury the protocol \
-         equations."
-)]
-
+use super::within_fault_bound;
 use crate::agent::{DmwAgent, Invariant};
 use crate::error::AbortReason;
 use crate::messages::Body;
@@ -43,15 +36,7 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
             agent.tasks[t].bundles[l].is_some() && agent.tasks[t].commitments[l].is_some()
         });
     }
-    let faults = agent.fault_count();
-    if faults > agent.config.encoding().faults() {
-        agent.abort(
-            AbortReason::TooManyFaults {
-                observed: faults,
-                tolerated: agent.config.encoding().faults(),
-            },
-            out,
-        );
+    if !within_fault_bound(agent, out) {
         return;
     }
     // Verify every live sender's bundle (III.1, eqs (7)–(9)). The

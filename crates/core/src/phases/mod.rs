@@ -28,7 +28,16 @@
 //! | [`Phase::SecondPrice`] | III.4–IV | excluded pairs from every responsive peer | verify excluded pairs; resolve second price; submit payment claim |
 //! | [`Phase::Claimed`] | — | — | terminal: nothing further |
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "agent/task indices are validated at `DmwAgent` construction and every \
+         per-agent vector is allocated with length `n` up front (see \
+         `crate::agent`); per-site `.get()` plumbing would bury the protocol \
+         equations."
+)]
+
 use crate::agent::DmwAgent;
+use crate::error::AbortReason;
 use crate::messages::Body;
 use dmw_simnet::Recipient;
 
@@ -112,6 +121,23 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
         Phase::SecondPrice => second_price::act(agent, out),
         Phase::Claimed => {}
     }
+}
+
+/// Is the agent's fault count still within the tolerated `c`? If not,
+/// aborts with [`AbortReason::TooManyFaults`] and answers `false`.
+fn within_fault_bound(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) -> bool {
+    let observed = agent.fault_count();
+    let tolerated = agent.config.encoding().faults();
+    if observed > tolerated {
+        agent.abort(
+            AbortReason::TooManyFaults {
+                observed,
+                tolerated,
+            },
+            out,
+        );
+    }
+    observed <= tolerated
 }
 
 #[cfg(test)]

@@ -1,14 +1,7 @@
 //! Phase III.2 verification + first-price resolution + disclosure
 //! kick-off.
 
-#![expect(
-    clippy::indexing_slicing,
-    reason = "agent/task indices are validated at `DmwAgent` construction and every \
-         per-agent vector is allocated with length `n` up front (see \
-         `crate::agent`); per-site `.get()` plumbing would bury the protocol \
-         equations."
-)]
-
+use super::within_fault_bound;
 use crate::agent::{DmwAgent, Invariant};
 use crate::error::AbortReason;
 use crate::messages::Body;
@@ -52,24 +45,17 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
             }
         }
     }
-    let group = agent.config.group();
-    let encoding = *agent.config.encoding();
     // Silent publishers become faulty (tolerated up to c in total).
     for l in agent.alive_indices() {
         if (0..agent.m()).any(|t| agent.tasks[t].pairs[l].is_none()) {
             agent.faulty[l] = true;
         }
     }
-    if agent.fault_count() > encoding.faults() {
-        agent.abort(
-            AbortReason::TooManyFaults {
-                observed: agent.fault_count(),
-                tolerated: encoding.faults(),
-            },
-            out,
-        );
+    if !within_fault_bound(agent, out) {
         return;
     }
+    let group = agent.config.group();
+    let encoding = *agent.config.encoding();
     // Rotation verification of eq (11): I check my designated
     // publishers; any honest verifier detecting tampering aborts the
     // whole run. All checks of one task share one fold of the alive

@@ -1,14 +1,7 @@
 //! Phase III.4 + IV — verify excluded pairs, resolve the second price,
 //! submit the payment claim.
 
-#![expect(
-    clippy::indexing_slicing,
-    reason = "agent/task indices are validated at `DmwAgent` construction and every \
-         per-agent vector is allocated with length `n` up front (see \
-         `crate::agent`); per-site `.get()` plumbing would bury the protocol \
-         equations."
-)]
-
+use super::within_fault_bound;
 use crate::agent::{AgentStatus, DmwAgent, Invariant};
 use crate::error::AbortReason;
 use crate::messages::Body;
@@ -35,24 +28,17 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
     ) {
         return;
     }
-    let group = agent.config.group();
-    let encoding = *agent.config.encoding();
     // Silent publishers become faulty.
     for l in agent.live_indices() {
         if (0..agent.m()).any(|t| agent.tasks[t].excluded[l].is_none()) {
             agent.faulty[l] = true;
         }
     }
-    if agent.fault_count() > encoding.faults() {
-        agent.abort(
-            AbortReason::TooManyFaults {
-                observed: agent.fault_count(),
-                tolerated: encoding.faults(),
-            },
-            out,
-        );
+    if !within_fault_bound(agent, out) {
         return;
     }
+    let group = agent.config.group();
+    let encoding = *agent.config.encoding();
     let alive = agent.alive_indices();
     let responsive = agent.live_indices();
     let designated = agent.designated_publishers(&responsive);

@@ -1,14 +1,6 @@
 //! Phase III.3 — verify disclosures, identify the winner, publish the
 //! winner-excluded pair.
 
-#![expect(
-    clippy::indexing_slicing,
-    reason = "agent/task indices are validated at `DmwAgent` construction and every \
-         per-agent vector is allocated with length `n` up front (see \
-         `crate::agent`); per-site `.get()` plumbing would bury the protocol \
-         equations."
-)]
-
 use crate::agent::{DmwAgent, Invariant};
 use crate::error::AbortReason;
 use crate::messages::Body;

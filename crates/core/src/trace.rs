@@ -93,30 +93,6 @@ pub fn render_sequence_chart(events: &[TraceEvent]) -> String {
     out
 }
 
-/// Renders a trace grouped by the sender's logical phase instead of the
-/// scheduler tick — the natural view once delivery timing is a transport
-/// parameter and ticks no longer map 1:1 onto protocol steps.
-pub fn render_phase_chart(events: &[TraceEvent]) -> String {
-    let mut out = String::new();
-    let mut last_phase = "";
-    for e in events {
-        if e.phase != last_phase {
-            let _ = writeln!(out, "── phase {} ──", e.phase);
-            last_phase = e.phase;
-        }
-        let task = e.task.map(|t| format!(" [T{}]", t + 1)).unwrap_or_default();
-        match e.to {
-            Some(to) => {
-                let _ = writeln!(out, "  A{} --> A{}: {}{}", e.from + 1, to + 1, e.kind, task);
-            }
-            None => {
-                let _ = writeln!(out, "  A{} ==>* : {}{}", e.from + 1, e.kind, task);
-            }
-        }
-    }
-    out
-}
-
 /// Counts events of each kind, a compact summary used by experiments.
 pub fn kind_histogram(events: &[TraceEvent]) -> Vec<(&'static str, usize)> {
     let mut hist: Vec<(&'static str, usize)> = Vec::new();
@@ -178,16 +154,6 @@ mod tests {
         assert!(chart.contains("A1 --> A2: shares [T1]"));
         assert!(chart.contains("A1 ==>* : commitments [T1]"));
         assert!(chart.contains("── round 1 ──"));
-    }
-
-    #[test]
-    fn phase_chart_groups_by_logical_phase() {
-        let chart = render_phase_chart(&sample());
-        assert!(chart.contains("── phase bidding ──"));
-        assert!(chart.contains("── phase commitments ──"));
-        assert!(chart.contains("A2 ==>* : lambda-psi [T1]"));
-        // The two bidding events share one header.
-        assert_eq!(chart.matches("── phase bidding ──").count(), 1);
     }
 
     #[test]

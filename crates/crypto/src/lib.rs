@@ -24,27 +24,11 @@
 //!    excluding the winner (equation (15)).
 //!
 //! The crate is *transport-agnostic*: it contains no networking. The `dmw`
-//! crate drives these primitives over a simulated network and adds the
-//! strategy/deviation layer.
-//!
-//! # Example: one complete auction on a blackboard
-//!
-//! ```
-//! use dmw_crypto::encoding::BidEncoding;
-//! use dmw_crypto::blackboard::honest_auction;
-//! use dmw_modmath::SchnorrGroup;
-//! use rand::SeedableRng;
-//!
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-//! let group = SchnorrGroup::generate(40, 16, &mut rng)?;
-//! let encoding = BidEncoding::new(5, 1)?; // n = 5 agents, c = 1 fault
-//! let bids = [3, 1, 2, 3, 2];
-//! let outcome = honest_auction(&group, &encoding, &bids, &mut rng)?;
-//! assert_eq!(outcome.winner, 1);        // lowest bid
-//! assert_eq!(outcome.first_price, 1);
-//! assert_eq!(outcome.second_price, 2);  // what the winner is paid
-//! # Ok::<(), Box<dyn std::error::Error>>(())
-//! ```
+//! crate composes these primitives into the whole auction, run by the
+//! agents over a simulated network, and adds the strategy/deviation layer;
+//! its crate-level quickstart runs one complete auction end to end. The
+//! commit-and-verify round trip of one bundle is the example on
+//! [`commitments::verify_shares`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -81,7 +65,6 @@
 // no `#[allow]` can waive it.
 #![forbid(clippy::disallowed_types)]
 
-pub mod blackboard;
 pub mod commitments;
 pub mod encoding;
 pub mod error;

@@ -154,11 +154,6 @@ impl BidPolynomials {
         }
     }
 
-    /// Share bundles for every pseudonym, in order.
-    pub fn shares_for_all(&self, zq: &PrimeField, alphas: &[u64]) -> Vec<ShareBundle> {
-        alphas.iter().map(|&a| self.share_for(zq, a)).collect()
-    }
-
     /// The winner's claim point `(f(α), h(α))` at a pseudonym whose
     /// holder never received its share bundle; verifiers bind it to the
     /// Phase II.3 commitments through equation (9) before equation (13)
@@ -268,9 +263,9 @@ mod tests {
         let zq = group.zq();
         let p = BidPolynomials::generate(&group, &encoding, &SecretBid::new(3), &mut rng).unwrap();
         let alphas = zq.rand_distinct_nonzero(encoding.agents(), &mut rng);
-        let bundles = p.shares_for_all(&zq, &alphas);
-        assert_eq!(bundles.len(), 6);
-        for (&a, b) in alphas.iter().zip(&bundles) {
+        assert_eq!(alphas.len(), 6);
+        for &a in &alphas {
+            let b = p.share_for(&zq, a);
             assert_eq!(b.e, p.e().eval(&zq, a));
             assert_eq!(b.f, p.f().eval(&zq, a));
             assert_eq!(b.g, p.g().eval(&zq, a));

@@ -70,7 +70,7 @@ impl DelayProfile {
 /// Why a transmission is lost. Variant order is the
 /// checking precedence of [`classify_loss`] (sender crash before
 /// recipient crash, then permanent link drop, transient partition,
-/// ack-path, periodic schedule, and seeded probabilistic loss last).
+/// periodic schedule, and seeded probabilistic loss last).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DropCause {
     /// The sender was crashed at the tick it sent.
@@ -81,9 +81,6 @@ enum DropCause {
     Link,
     /// A transient-partition window covered the send round.
     Transient,
-    /// The asymmetric ack-path schedule claimed this control
-    /// transmission (data on the same link is untouched).
-    AckPath,
     /// The periodic-drop schedule claimed this transmission.
     Periodic,
     /// The seeded Bernoulli schedule claimed this transmission.
@@ -97,7 +94,6 @@ impl DropCause {
             DropCause::RecipientCrashed => "drop_recipient_crashed",
             DropCause::Link => "drop_link",
             DropCause::Transient => "drop_transient",
-            DropCause::AckPath => "drop_ack_path",
             DropCause::Periodic => "drop_periodic",
             DropCause::Probabilistic => "drop_probabilistic",
         }
@@ -113,11 +109,6 @@ impl DropCause {
 /// evaluated against `sent_round` for the same reason: a message is lost
 /// iff the link was down when it was *sent*, however long it then spends
 /// in flight.
-/// `control_seq` is `Some` with the transmission's 1-based position in
-/// the *control-only* enqueue order when the payload reported
-/// [`Payload::is_control`]; the asymmetric ack-path schedule counts
-/// only those, so it thins acknowledgments at a fixed rate regardless
-/// of how much data shares the wire.
 fn classify_loss(
     faults: &FaultPlan,
     from: NodeId,
@@ -125,7 +116,6 @@ fn classify_loss(
     sent_round: u64,
     recv_round: u64,
     seq: u64,
-    control_seq: Option<u64>,
 ) -> Option<DropCause> {
     if faults.is_crashed(from, sent_round) {
         Some(DropCause::SenderCrashed)
@@ -135,8 +125,6 @@ fn classify_loss(
         Some(DropCause::Link)
     } else if faults.is_transiently_dropped(from, to, sent_round) {
         Some(DropCause::Transient)
-    } else if control_seq.is_some_and(|k| faults.is_ack_path_dropped(k)) {
-        Some(DropCause::AckPath)
     } else if faults.is_periodically_dropped(seq) {
         Some(DropCause::Periodic)
     } else if faults.is_probabilistically_dropped(seq) {
@@ -198,12 +186,9 @@ struct Held<M> {
 /// A message is lost, in this order of attribution, when its sender was
 /// crashed at the tick it was sent, its recipient is crashed at the tick
 /// before it lands, the directed link is dropped, a transient partition
-/// covered the send round, the ack-path schedule claims a
-/// control transmission, or the periodic or seeded probabilistic
+/// covered the send round, or the periodic or seeded probabilistic
 /// schedule claims the transmission. Each loss is counted under its
-/// `drop_*` metric. The reorder schedule ([`FaultPlan::reorder_every`])
-/// is not loss: it holds the selected surviving transmissions one extra
-/// tick.
+/// `drop_*` metric.
 /// Traffic counters follow one convention (`point_to_point`/`bytes` at
 /// enqueue, `delivered`/`dropped` at delivery), so Theorem 11's cost
 /// accounting is unchanged by asynchrony.
@@ -222,8 +207,6 @@ pub struct DelayTransport<M> {
     profile: DelayProfile,
     shuffle_seed: Option<u64>,
     seq: u64,
-    /// Control-only enqueue counter feeding the ack-path drop schedule.
-    control_seq: u64,
 }
 
 /// The paper's synchronous-rounds transport by name: build it with
@@ -262,7 +245,6 @@ impl<M: Payload + Clone> DelayTransport<M> {
             profile,
             shuffle_seed: None,
             seq: 0,
-            control_seq: 0,
         }
     }
 
@@ -274,11 +256,6 @@ impl<M: Payload + Clone> DelayTransport<M> {
         self
     }
 
-    /// The latency model in force.
-    pub fn profile(&self) -> &DelayProfile {
-        &self.profile
-    }
-
     /// Queues one transmission of a payload of `bytes` bytes. The body
     /// is only materialised (`payload()`, a clone for broadcasts) when
     /// the transmission will be delivered.
@@ -288,28 +265,13 @@ impl<M: Payload + Clone> DelayTransport<M> {
         to: NodeId,
         broadcast: bool,
         bytes: u64,
-        control: bool,
         payload: impl FnOnce() -> M,
     ) {
         self.stats.point_to_point += 1;
         self.stats.bytes += bytes;
         self.seq += 1;
-        let control_seq = control.then(|| {
-            self.control_seq += 1;
-            self.control_seq
-        });
         let delay = self.profile.draw(self.seq) + self.faults.link_delay_or_zero(from, to);
-        let reordered = self.faults.is_reordered(self.seq);
-        record_enqueue(
-            &mut self.metrics,
-            from,
-            to,
-            bytes,
-            1 + delay + u64::from(reordered),
-        );
-        // Loss is attributed at the pre-reorder landing round, as if the
-        // message had not been displaced, so crash boundaries do not
-        // depend on the reorder schedule.
+        record_enqueue(&mut self.metrics, from, to, bytes, 1 + delay);
         let fate = match classify_loss(
             &self.faults,
             from,
@@ -317,14 +279,11 @@ impl<M: Payload + Clone> DelayTransport<M> {
             self.round,
             self.round + delay,
             self.seq,
-            control_seq,
         ) {
             Some(cause) => Err(cause),
             None => Ok(payload()),
         };
-        // Only a delivered message is displaced by the reorder schedule;
-        // a lost one is counted at its undisplaced landing tick.
-        let due = self.round + 1 + delay + u64::from(reordered && fate.is_ok());
+        let due = self.round + 1 + delay;
         self.holding.entry(due).or_default().push(Held {
             from,
             to,
@@ -366,8 +325,7 @@ impl<M: Payload + Clone> Transport<M> for DelayTransport<M> {
         assert!(from.0 < self.n && to.0 < self.n, "node out of range");
         assert_ne!(from, to, "self-sends are local state, not messages");
         let bytes = payload.size_bytes() as u64;
-        let control = payload.is_control();
-        self.enqueue(from, to, false, bytes, control, || payload);
+        self.enqueue(from, to, false, bytes, || payload);
     }
 
     /// `n − 1` point-to-point transmissions, each with its own delay draw.
@@ -375,12 +333,11 @@ impl<M: Payload + Clone> Transport<M> for DelayTransport<M> {
         assert!(from.0 < self.n, "node out of range");
         self.stats.broadcasts += 1;
         let bytes = payload.size_bytes() as u64;
-        let control = payload.is_control();
         for to in 0..self.n {
             if to == from.0 {
                 continue;
             }
-            self.enqueue(from, NodeId(to), true, bytes, control, || payload.clone());
+            self.enqueue(from, NodeId(to), true, bytes, || payload.clone());
         }
     }
 
@@ -812,77 +769,6 @@ mod tests {
         assert_eq!(net.take_inbox(NodeId(0)).len(), 1);
         assert_eq!(net.metrics().counter_total("drop_recipient_crashed"), 1);
         assert_eq!(net.metrics().counter_total("drop_periodic"), 3);
-    }
-
-    /// A toy payload marking odd values as control traffic, for the
-    /// ack-path tests.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    struct Frame(u64);
-
-    impl Payload for Frame {
-        fn size_bytes(&self) -> usize {
-            8
-        }
-
-        fn is_control(&self) -> bool {
-            self.0 % 2 == 1
-        }
-    }
-
-    #[test]
-    fn ack_path_and_reorder_schedules_mirror_lockstep() {
-        // Both knobs at once on the synchronous profile: exactly the
-        // selected control frames drop, and the reordered frames land a
-        // tick late.
-        let plan = FaultPlan::none(2).drop_acks_every(2).reorder_every(5);
-        let mut net: DelayTransport<Frame> =
-            DelayTransport::with_faults(2, plan, DelayProfile::synchronous());
-        for f in (1..=10).map(Frame) {
-            net.send(NodeId(0), NodeId(1), f);
-        }
-        let mut seen = Vec::new();
-        for tick in 1..=3u64 {
-            net.step();
-            seen.extend(
-                net.take_inbox(NodeId(1))
-                    .into_iter()
-                    .map(|d| (tick, d.payload.0)),
-            );
-        }
-        assert!(net.is_quiescent());
-        // Control slots: frames 1,3,5,7,9 → #1..#5; even slots drop
-        // (frames 3, 7). Reorder slots: seqs 5 and 10 → Frames 5 and 10
-        // land a tick late.
-        let expected: Vec<(u64, u64)> = vec![
-            (1, 1),
-            (1, 2),
-            (1, 4),
-            (1, 6),
-            (1, 8),
-            (1, 9),
-            (2, 5),
-            (2, 10),
-        ];
-        assert_eq!(seen, expected);
-        assert_eq!(net.metrics().counter_total("drop_ack_path"), 2);
-        assert_eq!(net.stats().dropped, 2);
-    }
-
-    #[test]
-    fn reordered_messages_record_their_penalized_latency() {
-        let plan = FaultPlan::none(2).reorder_every(3);
-        let mut net: DelayTransport<u64> =
-            DelayTransport::with_faults(2, plan, DelayProfile::synchronous());
-        for k in 0..3 {
-            net.send(NodeId(0), NodeId(1), k);
-        }
-        let h = net
-            .metrics()
-            .histogram(&Key::named("delay_ticks"))
-            .expect("series");
-        assert_eq!(h.total(), 3);
-        assert_eq!(h.counts.get(0), Some(&2), "two on-time one-tick arrivals");
-        assert_eq!(h.counts.get(1), Some(&1), "one two-tick reordered arrival");
     }
 
     #[test]

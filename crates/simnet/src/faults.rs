@@ -68,16 +68,6 @@ pub struct FaultPlan {
     drop_prob: Option<(u64, u64)>,
     /// Transient-partition windows, keyed on the send round.
     transient_windows: Vec<TransientWindow>,
-    /// Asymmetric ack-path loss: drop every `k`-th *control*
-    /// transmission (acks, nacks) while data traffic is untouched —
-    /// the regime where selective acknowledgment has to earn its keep.
-    /// Keyed on a control-only enqueue counter so the schedule is
-    /// independent of how much data shares the wire.
-    ack_drop_every: Option<u64>,
-    /// Deterministic reordering: every `k`-th transmission (keyed on the
-    /// shared enqueue counter, same as `drop_every`) is held back one
-    /// extra round, arriving *after* messages enqueued later.
-    reorder_every: Option<u64>,
 }
 
 impl FaultPlan {
@@ -105,47 +95,6 @@ impl FaultPlan {
     /// schedule?
     pub fn is_periodically_dropped(&self, counter: u64) -> bool {
         matches!(self.drop_every, Some(k) if counter.is_multiple_of(k))
-    }
-
-    /// Drops every `k`-th *control* transmission (acks, nacks — payloads
-    /// reporting [`crate::Payload::is_control`]) while data keeps
-    /// flowing: the asymmetric regime where a lost acknowledgment, not a
-    /// lost payload, is what forces retransmission.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn drop_acks_every(mut self, k: u64) -> Self {
-        assert!(k > 0, "ack-drop period must be positive");
-        self.ack_drop_every = Some(k);
-        self
-    }
-
-    /// Is the `counter`-th control transmission (1-based, counting
-    /// control traffic only) lost to the ack-path schedule?
-    pub fn is_ack_path_dropped(&self, counter: u64) -> bool {
-        matches!(self.ack_drop_every, Some(k) if counter.is_multiple_of(k))
-    }
-
-    /// Reorders every `k`-th transmission: it survives loss
-    /// classification as usual but arrives one round later than its
-    /// enqueue slot, behind messages sent after it. Keyed on the same
-    /// shared enqueue counter as [`FaultPlan::drop_every`], so both
-    /// transports displace the same logical messages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn reorder_every(mut self, k: u64) -> Self {
-        assert!(k > 0, "reorder period must be positive");
-        self.reorder_every = Some(k);
-        self
-    }
-
-    /// Is the message with enqueue sequence number `seq` (1-based) held
-    /// back by the reorder schedule?
-    pub fn is_reordered(&self, seq: u64) -> bool {
-        matches!(self.reorder_every, Some(k) if seq.is_multiple_of(k))
     }
 
     /// Drops each transmission independently with probability `p`,
@@ -299,14 +248,6 @@ impl FaultPlan {
     pub fn link_delay_or_zero(&self, from: NodeId, to: NodeId) -> u64 {
         self.link_delay(from, to).unwrap_or(0)
     }
-
-    /// Number of nodes that are crashed as of `round`.
-    pub fn crashed_count(&self, round: u64) -> usize {
-        self.crashes
-            .iter()
-            .filter(|c| matches!(c, Some(r) if *r <= round))
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -321,8 +262,6 @@ mod tests {
         assert!(plan.is_crashed(NodeId(1), 2));
         assert!(plan.is_crashed(NodeId(1), 5));
         assert!(!plan.is_crashed(NodeId(0), 5));
-        assert_eq!(plan.crashed_count(1), 0);
-        assert_eq!(plan.crashed_count(2), 1);
     }
 
     #[test]
@@ -452,31 +391,5 @@ mod tests {
     #[should_panic(expected = "start < end")]
     fn empty_transient_window_panics() {
         let _ = FaultPlan::none(3).drop_link_between(NodeId(0), NodeId(1), 5, 5);
-    }
-
-    #[test]
-    fn ack_path_and_reorder_schedules_are_periodic() {
-        let plan = FaultPlan::none(2).drop_acks_every(3).reorder_every(2);
-        assert!(!plan.is_ack_path_dropped(1));
-        assert!(!plan.is_ack_path_dropped(2));
-        assert!(plan.is_ack_path_dropped(3));
-        assert!(plan.is_ack_path_dropped(6));
-        assert!(!plan.is_reordered(1));
-        assert!(plan.is_reordered(2));
-        assert!(plan.is_reordered(4));
-        // Orthogonal to the symmetric periodic-drop schedule.
-        assert!(!plan.is_periodically_dropped(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "ack-drop period must be positive")]
-    fn drop_acks_every_zero_panics() {
-        let _ = FaultPlan::none(2).drop_acks_every(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "reorder period must be positive")]
-    fn reorder_every_zero_panics() {
-        let _ = FaultPlan::none(2).reorder_every(0);
     }
 }

@@ -28,14 +28,19 @@
 #   7. cargo test                 -- full workspace suite (which re-runs
 #      clippy over all targets at the levels set in source as an
 #      integration test, so CI cannot skip it)
-#   8. bench_batch --smoke        -- the batch engine end-to-end on a tiny
+#   8. doctest error codes        -- re-runs the doctests with
+#      RUSTC_BOOTSTRAP=1, under which rustdoc checks the error code
+#      pinned on each `compile_fail,EXXXX` block (stable rustdoc ignores
+#      it): the L9 blocks of dmw::messages and vendor rand's L4 blocks
+#      must fail for their stated reason, not for any error
+#   9. bench_batch --smoke        -- the batch engine end-to-end on a tiny
 #      instance, exiting non-zero if thread counts disagree or the
 #      adaptive recovery layer exceeds its retransmission/duplicate
 #      ceilings (the recovery-regression gate)
-#   9. bench_scale --smoke        -- the event-driven scheduler's n-sweep
+#  10. bench_scale --smoke        -- the event-driven scheduler's n-sweep
 #      harness end-to-end on the smallest point, exiting non-zero if the
 #      event engine and the polling oracle disagree bit-for-bit
-#  10. reproduce drift            -- regenerates the full report and the
+#  11. reproduce drift            -- regenerates the full report and the
 #      metrics snapshot under the (default) event engine and compares
 #      byte-for-byte against the committed docs/reproduce_output.md and
 #      docs/reproduce_metrics.json -- scheduler drift fails the gate
@@ -81,6 +86,9 @@ cargo test --quiet -p integration-tests --test recovery_determinism
 
 echo "==> cargo test (workspace)"
 cargo test --quiet --workspace
+
+echo "==> doctest error codes (compile_fail,EXXXX)"
+RUSTC_BOOTSTRAP=1 cargo test --doc --workspace --quiet
 
 echo "==> bench_batch --smoke (recovery ceilings)"
 # The smoke instance is fully deterministic: the adaptive endpoint

@@ -73,12 +73,34 @@ fn single_task_smallest_instance() {
     assert_eq!(outcome.payments, vec![0, 2, 0]);
 }
 
+#[test]
+fn smallest_network_two_agents() {
+    // n = 2, c = 0: a single bid level W = {1}. Agent 0 wins the tie and
+    // is paid agent 1's bid.
+    let mut r = rng(1004);
+    let cfg = config(2, 0, &mut r);
+    assert_eq!(cfg.encoding().w_max(), 1);
+    let bids = ExecutionTimes::from_rows(vec![vec![1], vec![1]]).unwrap();
+    let run = DmwRunner::new(cfg).run_honest(&bids, &mut r).unwrap();
+    let outcome = run.completed().unwrap();
+    assert_eq!(outcome.schedule.agent_of(0.into()), Some(AgentId(0)));
+    assert_eq!(outcome.first_prices, vec![1]);
+    assert_eq!(outcome.second_prices, vec![1]);
+    assert_eq!(outcome.payments, vec![1, 0]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
     #[test]
-    fn equivalence_property(seed in 0u64..50_000, n in 4usize..8, m in 1usize..4) {
+    fn equivalence_property(
+        seed in 0u64..50_000,
+        n in 3usize..8,
+        c in 0usize..3,
+        m in 1usize..4,
+    ) {
+        prop_assume!(n >= c + 3);
         let mut r = rng(seed);
-        let cfg = config(n, 1, &mut r);
+        let cfg = config(n, c, &mut r);
         let bids = random_bids(&cfg, m, &mut r);
         let run = DmwRunner::new(cfg).run_honest(&bids, &mut r).unwrap();
         let distributed = run.completed().unwrap();
