@@ -13,13 +13,6 @@ use dmw::batch::BatchRunner;
 use dmw::obedient::{run_obedient, LeaderBehavior};
 use dmw::runner::DmwRunner;
 
-/// Messages a centralized MinWork deployment exchanges: each agent sends
-/// its `m`-entry bid vector to the center, the center answers each agent.
-pub fn centralized_messages(n: usize, m: usize) -> u64 {
-    let _ = m; // one message carries the whole m-vector; count transmissions
-    (n + n) as u64
-}
-
 /// Point-to-point *values* transferred by centralized MinWork, `Θ(mn)` —
 /// the paper's unit for Table 1 (each bid value counted).
 pub fn centralized_values(n: usize, m: usize) -> u64 {

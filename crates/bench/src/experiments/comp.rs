@@ -179,10 +179,19 @@ pub fn run(seed: u64) -> Report {
         &["n", "rotation muls/agent", "full muls/agent", "full / rotation"],
         rows,
     );
+    // Compare the slopes as printed, so the note never contradicts them.
+    let growth = match (full_slope * 100.0)
+        .round()
+        .total_cmp(&(rot_slope * 100.0).round())
+    {
+        std::cmp::Ordering::Greater => "grows faster",
+        std::cmp::Ordering::Less => "grows slower",
+        std::cmp::Ordering::Equal => "grows as fast",
+    };
     if let (Some(&(n, rot)), Some(&(_, full))) = (rot_points.last(), full_points.last()) {
         report.note(format!(
-            "Full mutual verification costs {:.1}× rotation at n = {n} and grows faster in n over this range ({full_slope:.2} vs {rot_slope:.2}). \
-             Each step folds the n commitment vectors once, and every eq. (11)/(13) check evaluates that fold with one multi-exponentiation, \
+            "Full mutual verification costs {:.1}× rotation at n = {n} and {growth} in n over this range ({full_slope:.2} vs {rot_slope:.2}). \
+             Each step folds the n commitment vectors of each task once, and one addition-chain plan per checked agent evaluates its eq. (11)/(13) checks over all task folds, \
              so full verification's n checks per step cost Θ(mn² log p), the order of Table 1 with a larger constant; rotation, at c + 1 checks, stays the default (see DESIGN.md).",
             full / rot
         ));

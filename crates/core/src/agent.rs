@@ -51,7 +51,7 @@ use crate::strategy::{Behavior, VerificationPolicy};
 use dmw_crypto::polynomials::{BidPolynomials, SecretBid, ShareBundle};
 use dmw_crypto::resolution::LambdaPsi;
 use dmw_crypto::Commitments;
-use dmw_obs::{Key, MetricsSink, MetricsSnapshot};
+use dmw_obs::{Key, MetricsSnapshot};
 use dmw_simnet::{Delivered, Recipient};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -4,12 +4,17 @@
 //! [`DmwConfig`] bundles exactly those: the Schnorr group `(p, q, z1, z2)`,
 //! the fault threshold `c` (inside [`BidEncoding`] together with `W`), and
 //! the pseudonym set `A = {α_1, …, α_n}` of distinct non-zero elements of
-//! the exponent field.
+//! the exponent field. From the pseudonyms it also derives, once, the
+//! multi-exponentiation plan of each pseudonym's powers, which every
+//! eq. (11) and (13) check of that agent runs on.
 
 use crate::error::DmwError;
+use dmw_crypto::commitments::powers_plan;
 use dmw_crypto::BidEncoding;
+use dmw_modmath::multiexp::ExponentPlan;
 use dmw_modmath::SchnorrGroup;
 use rand::Rng;
+use std::sync::Arc;
 
 /// Default bit size of the group modulus `p` used by
 /// [`DmwConfig::generate`]. Large enough to make accidental resolutions
@@ -27,6 +32,40 @@ pub struct DmwConfig {
     group: SchnorrGroup,
     encoding: BidEncoding,
     pseudonyms: Vec<u64>,
+    plans: PowersPlans,
+}
+
+/// The [`powers_plan`] of every pseudonym at `σ`, derived once from the
+/// published parameters (like the group's fixed-base tables) and shared
+/// by every clone of the configuration. Equality and `Debug` skip it:
+/// it is a function of the fields beside it.
+#[derive(Clone)]
+struct PowersPlans(Arc<[ExponentPlan]>);
+
+impl PowersPlans {
+    fn new(group: &SchnorrGroup, encoding: &BidEncoding, pseudonyms: &[u64]) -> Self {
+        let sigma = encoding.sigma();
+        PowersPlans(
+            pseudonyms
+                .iter()
+                .map(|&alpha| powers_plan(group, alpha, sigma))
+                .collect(),
+        )
+    }
+}
+
+impl PartialEq for PowersPlans {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for PowersPlans {}
+
+impl std::fmt::Debug for PowersPlans {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PowersPlans").finish_non_exhaustive()
+    }
 }
 
 impl DmwConfig {
@@ -68,6 +107,7 @@ impl DmwConfig {
         }
         let pseudonyms = group.zq().rand_distinct_nonzero(n, rng);
         Ok(DmwConfig {
+            plans: PowersPlans::new(&group, &encoding, &pseudonyms),
             group,
             encoding,
             pseudonyms,
@@ -104,6 +144,7 @@ impl DmwConfig {
             }
         }
         Ok(DmwConfig {
+            plans: PowersPlans::new(&group, &encoding, &pseudonyms),
             group,
             encoding,
             pseudonyms,
@@ -137,6 +178,16 @@ impl DmwConfig {
     /// Panics if `agent` is out of range.
     pub fn pseudonym(&self, agent: usize) -> u64 {
         self.pseudonyms[agent]
+    }
+
+    /// The [`powers_plan`] of one agent's pseudonym at `σ`: it evaluates
+    /// every eq. (11) and (13) check of that agent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `agent` is out of range.
+    pub(crate) fn powers_plan(&self, agent: usize) -> &ExponentPlan {
+        &self.plans.0[agent]
     }
 }
 

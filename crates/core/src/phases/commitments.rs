@@ -8,7 +8,7 @@ use crate::messages::Body;
 use crate::strategy::Behavior;
 use dmw_crypto::commitments::verify_shares_batch;
 use dmw_crypto::resolution::compute_lambda_psi;
-use dmw_obs::{Key, MetricsSink};
+use dmw_obs::Key;
 use dmw_simnet::Recipient;
 
 /// Complete once every peer's share bundle *and* commitments have

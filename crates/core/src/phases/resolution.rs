@@ -1,7 +1,7 @@
 //! Phase III.2 verification + first-price resolution + disclosure
 //! kick-off.
 
-use super::within_fault_bound;
+use super::{alive_commitments, designated_products, within_fault_bound};
 use crate::agent::{DmwAgent, Invariant};
 use crate::error::AbortReason;
 use crate::messages::Body;
@@ -57,28 +57,24 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
     let group = agent.config.group();
     let encoding = *agent.config.encoding();
     // Rotation verification of eq (11): I check my designated
-    // publishers; any honest verifier detecting tampering aborts the
-    // whole run. All checks of one task share one fold of the alive
-    // agents' Q vectors.
-    let alive = agent.alive_indices();
+    // publishers, task-major; any honest verifier detecting tampering
+    // aborts the whole run. Each task folds the Q vectors of the alive
+    // agents.
     let responsive = agent.live_indices();
     let designated = agent.designated_publishers(&responsive);
-    if !designated.is_empty() {
-        for task in 0..agent.m() {
-            let state = &agent.tasks[task];
-            let folded_q = FoldedCommitments::q(
-                group,
-                alive
-                    .iter()
-                    .map(|&l| state.commitments[l].as_ref().invariant("alive")),
-            );
-            for &l in &designated {
-                let pair = state.pairs[l].invariant("live implies published");
-                if verify_lambda_psi(group, &folded_q, l, agent.config.pseudonym(l), &pair).is_err()
-                {
-                    agent.abort(AbortReason::InvalidLambdaPsi { publisher: l }, out);
-                    return;
-                }
+    let (_, gammas) = designated_products(
+        agent,
+        &designated,
+        |_, _| true,
+        |state| FoldedCommitments::q(group, alive_commitments(agent, state, None)),
+    );
+    for task in 0..agent.m() {
+        for (&l, gamma) in designated.iter().zip(&gammas) {
+            let pair = agent.tasks[task].pairs[l].invariant("live implies published");
+            let gamma = gamma[task].invariant("checked in every task");
+            if verify_lambda_psi(group, gamma, l, &pair).is_err() {
+                agent.abort(AbortReason::InvalidLambdaPsi { publisher: l }, out);
+                return;
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Phase III.4 + IV — verify excluded pairs, resolve the second price,
 //! submit the payment claim.
 
-use super::within_fault_bound;
+use super::{alive_commitments, designated_products, within_fault_bound};
 use crate::agent::{AgentStatus, DmwAgent, Invariant};
 use crate::error::AbortReason;
 use crate::messages::Body;
@@ -39,33 +39,31 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
     }
     let group = agent.config.group();
     let encoding = *agent.config.encoding();
-    let alive = agent.alive_indices();
     let responsive = agent.live_indices();
     let designated = agent.designated_publishers(&responsive);
     let alphas: Vec<u64> = responsive
         .iter()
         .map(|&l| agent.config.pseudonym(l))
         .collect();
+    // Rotation verification of the post-exclusion eq (11): each task
+    // folds the Q vectors of every alive agent but its winner.
+    let (_, gammas) = designated_products(
+        agent,
+        &designated,
+        |_, _| true,
+        |state| {
+            let winner = state.winner.invariant("identified by the winner-id phase");
+            FoldedCommitments::q(group, alive_commitments(agent, state, Some(winner)))
+        },
+    );
     for task in 0..agent.m() {
         let state = &agent.tasks[task];
-        let winner = state.winner.invariant("identified by the winner-id phase");
-        // Rotation verification of the post-exclusion eq (11), over one
-        // fold of the Q vectors of every alive agent but the winner.
-        if !designated.is_empty() {
-            let folded_q = FoldedCommitments::q(
-                group,
-                alive
-                    .iter()
-                    .filter(|&&l| l != winner)
-                    .map(|&l| state.commitments[l].as_ref().invariant("alive")),
-            );
-            for &l in &designated {
-                let pair = state.excluded[l].invariant("live implies published");
-                if verify_lambda_psi(group, &folded_q, l, agent.config.pseudonym(l), &pair).is_err()
-                {
-                    agent.abort(AbortReason::InvalidExcluded { publisher: l }, out);
-                    return;
-                }
+        for (&l, gamma) in designated.iter().zip(&gammas) {
+            let pair = state.excluded[l].invariant("live implies published");
+            let gamma = gamma[task].invariant("checked in every task");
+            if verify_lambda_psi(group, gamma, l, &pair).is_err() {
+                agent.abort(AbortReason::InvalidExcluded { publisher: l }, out);
+                return;
             }
         }
         // Resolve the second price from the responsive excluded points.

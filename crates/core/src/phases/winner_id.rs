@@ -1,6 +1,7 @@
 //! Phase III.3 — verify disclosures, identify the winner, publish the
 //! winner-excluded pair.
 
+use super::{alive_commitments, designated_products};
 use crate::agent::{DmwAgent, Invariant};
 use crate::error::AbortReason;
 use crate::messages::Body;
@@ -36,36 +37,26 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
     let alive = agent.alive_indices();
     let responsive = agent.live_indices();
     let designated = agent.designated_publishers(&responsive);
-    for task in 0..agent.m() {
-        // Rotation verification of eq (13). The checks of one task share
-        // one fold of the alive agents' R vectors, built at the first
-        // designated disclosure.
+    // Rotation verification of eq (13). The checks of one task share one
+    // fold of the alive agents' R vectors, built if a designated discloser
+    // disclosed in that task.
+    let (folds, phis) = designated_products(
+        agent,
+        &designated,
+        |state, k| state.disclosures[k].is_some(),
+        |state| FoldedCommitments::r(group, alive_commitments(agent, state, None)),
+    );
+    for (task, folded_r) in folds.iter().enumerate() {
         let state = &agent.tasks[task];
-        let mut folded_r = None;
-        for &k in &designated {
+        for (&k, phi) in designated.iter().zip(&phis) {
             let Some(f_values) = state.disclosures[k].as_ref() else {
                 continue;
             };
-            let folded_r = folded_r.get_or_insert_with(|| {
-                FoldedCommitments::r(
-                    group,
-                    alive
-                        .iter()
-                        .map(|&l| state.commitments[l].as_ref().invariant("alive")),
-                )
-            });
+            let folded_r = folded_r.as_ref().invariant("a designated disclosure");
+            let phi = phi[task].invariant("a designated disclosure");
             let live_values: Vec<u64> = alive.iter().map(|&l| f_values[l]).collect();
             let psi_k = state.pairs[k].invariant("responsive").psi;
-            if verify_f_disclosure(
-                group,
-                folded_r,
-                k,
-                agent.config.pseudonym(k),
-                &live_values,
-                psi_k,
-            )
-            .is_err()
-            {
+            if verify_f_disclosure(group, folded_r, phi, k, &live_values, psi_k).is_err() {
                 agent.abort(AbortReason::InvalidDisclosure { discloser: k }, out);
                 return;
             }

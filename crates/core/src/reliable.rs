@@ -62,7 +62,7 @@
 //! peer-index order, so recovery behaviour is bit-replayable.
 
 use crate::messages::Body;
-use dmw_obs::{Key, MetricsSink, MetricsSnapshot};
+use dmw_obs::{Key, MetricsSnapshot};
 use dmw_simnet::{Delivered, NodeId, Recipient};
 use retry::{Fire, Retry};
 use std::collections::BTreeMap;

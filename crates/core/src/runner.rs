@@ -30,7 +30,7 @@ use crate::reliable::{exclusion_vote, ReliableEndpoint, RetryPolicy};
 use crate::strategy::{Behavior, VerificationPolicy};
 use crate::trace::TraceEvent;
 use dmw_mechanism::{AgentId, ExecutionTimes, Schedule, TaskId};
-use dmw_obs::{Key, MetricsSink, MetricsSnapshot};
+use dmw_obs::{Key, MetricsSnapshot};
 use dmw_simnet::{
     coalesce, DelayProfile, DelayTransport, FaultPlan, NetworkStats, NodeId, Payload, Recipient,
     Transport,
@@ -875,24 +875,7 @@ fn run_tick<T: Transport<Body>>(
                 body.kind(),
                 body.task(),
             ));
-            // Broadcasts are n − 1 transmissions, per the
-            // paper's cost model and the transport's own
-            // accounting.
-            let copies = match recipient {
-                Recipient::Unicast(_) => 1,
-                Recipient::Broadcast => (n - 1) as u64,
-            };
-            let mut messages = Key::named("phase_messages").phase(phase).agent(i as u32);
-            if let Some(task) = body.task() {
-                messages = messages.task(task as u32);
-            }
-            sched_metrics.incr(messages, copies);
-            #[expect(clippy::arithmetic_side_effects, reason = "wire bytes")]
-            let bytes = copies * body.size_bytes() as u64;
-            sched_metrics.incr(
-                Key::named("phase_bytes").phase(phase).agent(i as u32),
-                bytes,
-            );
+            meter(sched_metrics, n, i, phase, body.task(), recipient, body);
         }
         match endpoints.get_mut(i) {
             Some(endpoint) => {
@@ -908,39 +891,58 @@ fn run_tick<T: Transport<Body>>(
                     // suspicion notices) gets its own `control` row in
                     // the per-phase tables, so protocol-phase traffic
                     // stays comparable across bench schema versions.
-                    let copies = match recipient {
-                        Recipient::Unicast(_) => 1,
-                        Recipient::Broadcast => (n - 1) as u64,
-                    };
-                    sched_metrics.incr(
-                        Key::named("phase_messages")
-                            .phase("control")
-                            .agent(i as u32),
-                        copies,
-                    );
-                    #[expect(clippy::arithmetic_side_effects, reason = "wire bytes")]
-                    let bytes = copies * body.size_bytes() as u64;
-                    sched_metrics.incr(
-                        Key::named("phase_bytes").phase("control").agent(i as u32),
-                        bytes,
-                    );
-                    match recipient {
-                        Recipient::Unicast(to) => transport.send(NodeId(i), to, body),
-                        Recipient::Broadcast => transport.broadcast(NodeId(i), body),
-                    }
+                    meter(sched_metrics, n, i, "control", None, &recipient, &body);
+                    send(transport, i, recipient, body);
                 }
             }
             None => {
                 for (recipient, body) in outgoing {
-                    match recipient {
-                        Recipient::Unicast(to) => transport.send(NodeId(i), to, body),
-                        Recipient::Broadcast => transport.broadcast(NodeId(i), body),
-                    }
+                    send(transport, i, recipient, body);
                 }
             }
         }
     }
     transport.step();
+}
+
+/// Counts one transmission by `agent` in the `phase_messages` and
+/// `phase_bytes` rows of `phase`; the message row also carries `task`.
+/// Broadcasts are n − 1 transmissions, per the paper's cost model and
+/// the transport's own accounting.
+fn meter(
+    metrics: &mut MetricsSnapshot,
+    n: usize,
+    agent: usize,
+    phase: &'static str,
+    task: Option<usize>,
+    recipient: &Recipient,
+    body: &Body,
+) {
+    let copies = match recipient {
+        Recipient::Unicast(_) => 1,
+        Recipient::Broadcast => (n - 1) as u64,
+    };
+    let mut messages = Key::named("phase_messages")
+        .phase(phase)
+        .agent(agent as u32);
+    if let Some(task) = task {
+        messages = messages.task(task as u32);
+    }
+    metrics.incr(messages, copies);
+    #[expect(clippy::arithmetic_side_effects, reason = "wire bytes")]
+    let bytes = copies * body.size_bytes() as u64;
+    metrics.incr(
+        Key::named("phase_bytes").phase(phase).agent(agent as u32),
+        bytes,
+    );
+}
+
+/// Hands one outgoing message to the transport.
+fn send<T: Transport<Body>>(transport: &mut T, from: usize, recipient: Recipient, body: Body) {
+    match recipient {
+        Recipient::Unicast(to) => transport.send(NodeId(from), to, body),
+        Recipient::Broadcast => transport.broadcast(NodeId(from), body),
+    }
 }
 
 /// Utility of each agent for a completed run: settled payment minus the
@@ -1139,11 +1141,10 @@ mod tests {
         let bids = five_agent_bids();
         let outcome_under = |faults: FaultPlan| {
             let (runner, mut rng) = setup(5, 1, 11);
-            let run = runner
+            runner
                 .with_recovery()
                 .run(&bids, &[Behavior::Suggested; 5], faults, &mut rng)
-                .unwrap();
-            run
+                .unwrap()
         };
         let baseline = outcome_under(FaultPlan::none(5));
         assert!(baseline.is_completed(), "lossless recovery run completes");

@@ -26,7 +26,7 @@
 use crate::encoding::BidEncoding;
 use crate::error::CryptoError;
 use crate::polynomials::{BidPolynomials, ShareBundle};
-use dmw_modmath::multiexp::{self, ExponentPlan};
+use dmw_modmath::multiexp::ExponentPlan;
 use dmw_modmath::SchnorrGroup;
 
 /// The published commitment triple `(O, Q, R)` of one agent for one task
@@ -110,42 +110,32 @@ impl Commitments {
         }
         self
     }
-
-    /// Evaluates one commitment vector "in the exponent" at pseudonym
-    /// `alpha`: `Π_ℓ vec_ℓ^{α^ℓ} (mod p)` with `α^ℓ` reduced mod `q`, the
-    /// right-hand side shape of equations (7)–(9). Computed by one
-    /// simultaneous multi-exponentiation ([`dmw_modmath::multiexp::multi_pow`],
-    /// ≈ 3× fewer multiplications than one ladder per entry); Phase III.1
-    /// evaluates many vectors at once in [`verify_shares_batch`] instead.
-    fn eval_vector(group: &SchnorrGroup, vec: &[u64], alpha: u64) -> u64 {
-        let exps = alpha_powers(group, alpha, vec.len());
-        multiexp::multi_pow(&group.zp(), vec, &exps)
-    }
-
-    /// The public value `Γ = Π_ℓ Q_ℓ^{α^ℓ}` — equals
-    /// `z1^{e(α)} · z2^{h(α)}` for honest commitments (equation (8)).
-    pub fn gamma(&self, group: &SchnorrGroup, alpha: u64) -> u64 {
-        Self::eval_vector(group, &self.q, alpha)
-    }
-
-    /// The public value `Φ = Π_ℓ R_ℓ^{α^ℓ}` — equals
-    /// `z1^{f(α)} · z2^{h(α)}` for honest commitments (equation (9)).
-    pub fn phi(&self, group: &SchnorrGroup, alpha: u64) -> u64 {
-        Self::eval_vector(group, &self.r, alpha)
-    }
 }
 
-/// The exponents `[α, α², …, α^len]` mod `q` at which a commitment vector
-/// is evaluated in equations (7)–(9), (11) and (13).
-pub(crate) fn alpha_powers(group: &SchnorrGroup, alpha: u64, len: usize) -> Vec<u64> {
+/// The [`ExponentPlan`] of the powers `α, α², …, α^σ` (mod `q`) of
+/// pseudonym `alpha`. It evaluates any vector of up to `σ` entries "in the
+/// exponent" at `alpha`, `Π_ℓ v_ℓ^{α^ℓ} (mod p)`: the right-hand side
+/// shape of equations (7)–(9), (11) and (13). A shorter vector uses the
+/// matching prefix of the powers. The plan depends on `alpha` and `sigma`
+/// alone, so a verifier that checks one agent at several protocol steps
+/// builds it once.
+pub fn powers_plan(group: &SchnorrGroup, alpha: u64, sigma: usize) -> ExponentPlan {
     let zq = group.zq();
     let mut alpha_pow = 1u64; // alpha^0; each step raises it to alpha^l.
-    (0..len)
+    let exps: Vec<u64> = (0..sigma)
         .map(|_| {
             alpha_pow = zq.mul(alpha_pow, alpha);
             alpha_pow
         })
-        .collect()
+        .collect();
+    ExponentPlan::new(&exps)
+}
+
+/// Evaluates every column at pseudonym `alpha` with one [`powers_plan`]
+/// sized to the longest column, all columns in lockstep.
+pub(crate) fn products_at(group: &SchnorrGroup, alpha: u64, columns: &[&[u64]]) -> Vec<u64> {
+    let sigma = columns.iter().map(|c| c.len()).max().unwrap_or(0);
+    powers_plan(group, alpha, sigma).pow_columns(&group.zp(), columns)
 }
 
 /// Verifies a received share bundle against the sender's commitments —
@@ -222,13 +212,11 @@ pub fn verify_shares_batch(
     items: &[(&Commitments, ShareBundle)],
 ) -> Result<(), ShareBatchFailure> {
     let zq = group.zq();
-    let sigma = items.iter().map(|(c, _)| c.o.len()).max().unwrap_or(0);
-    let plan = ExponentPlan::new(&alpha_powers(group, alpha, sigma));
     let columns: Vec<&[u64]> = items
         .iter()
         .flat_map(|(c, _)| [c.o(), c.q(), c.r()])
         .collect();
-    let products = plan.pow_columns(&group.zp(), &columns);
+    let products = products_at(group, alpha, &columns);
     for (index, ((_, bundle), rhs)) in items.iter().zip(products.chunks_exact(3)).enumerate() {
         // (7): z1^{e(α)f(α)} z2^{g(α)} == Π O_ℓ^{α^ℓ};
         // (8): z1^{e(α)} z2^{h(α)} == Γ; (9): z1^{f(α)} z2^{h(α)} == Φ.
@@ -250,10 +238,23 @@ pub fn verify_shares_batch(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::polynomials::SecretBid;
+    use dmw_modmath::arith;
     use rand::{Rng, SeedableRng};
+
+    /// `Π_ℓ vector_ℓ^{α^ℓ} (mod p)`, one power at a time over the plain
+    /// `u128 %` arithmetic: the reference for one column of
+    /// [`products_at`]. `alpha` must be below `q`.
+    pub(crate) fn reference_at(group: &SchnorrGroup, alpha: u64, vector: &[u64]) -> u64 {
+        let q = group.q();
+        let exps: Vec<u64> =
+            std::iter::successors(Some(alpha), |&a| Some(arith::mul_mod(a, alpha, q)))
+                .take(vector.len())
+                .collect();
+        arith::product_of_powers(vector, &exps, group.p())
+    }
 
     fn setup() -> (SchnorrGroup, BidEncoding, rand::rngs::StdRng) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(4242);
@@ -437,12 +438,11 @@ mod tests {
         let alpha = 13;
         let bundle = polys.share_for(&zq, alpha);
         assert_eq!(
-            commitments.gamma(&group, alpha),
-            group.commit(bundle.e, bundle.h)
-        );
-        assert_eq!(
-            commitments.phi(&group, alpha),
-            group.commit(bundle.f, bundle.h)
+            products_at(&group, alpha, &[commitments.q(), commitments.r()]),
+            [
+                group.commit(bundle.e, bundle.h),
+                group.commit(bundle.f, bundle.h)
+            ]
         );
     }
 
@@ -484,17 +484,16 @@ mod tests {
     }
 
     /// The verdict of a sequential loop that computes every right-hand
-    /// side with its own `multi_pow` and checks (7), (8), (9) in order.
+    /// side with [`reference_at`] and checks (7), (8), (9) in order.
     fn sequential_verdict(
         group: &SchnorrGroup,
         alpha: u64,
         items: &[(&Commitments, ShareBundle)],
     ) -> Result<(), (usize, u8)> {
-        let (zp, zq) = (group.zp(), group.zq());
+        let zq = group.zq();
         for (index, (commitments, b)) in items.iter().enumerate() {
-            let exps = alpha_powers(group, alpha, commitments.o().len());
             let rhs = [commitments.o(), commitments.q(), commitments.r()]
-                .map(|vector| multiexp::multi_pow(&zp, vector, &exps));
+                .map(|vector| reference_at(group, alpha, vector));
             let lhs = [
                 group.commit(zq.mul(b.e, b.f), b.g),
                 group.commit(b.e, b.h),
@@ -548,7 +547,7 @@ mod tests {
 
     proptest::proptest! {
         #[test]
-        fn batch_verdict_matches_a_sequential_multi_pow_loop(
+        fn batch_verdict_matches_a_sequential_reference_loop(
             seed in 0u64..10_000,
             count in 1usize..10,
             corruptions in 0usize..4,

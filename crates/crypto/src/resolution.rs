@@ -17,10 +17,11 @@
 //! `z1` has order `q`, so the product is 1 exactly when the plain Lagrange
 //! interpolation of `E` at zero vanishes mod `q`.
 
-use crate::commitments::{alpha_powers, Commitments};
+use crate::commitments::{products_at, Commitments};
 use crate::encoding::BidEncoding;
 use crate::error::CryptoError;
-use dmw_modmath::{lagrange, multiexp, FixedBase, SchnorrGroup};
+use dmw_modmath::multiexp::ExponentPlan;
+use dmw_modmath::{lagrange, FixedBase, SchnorrGroup};
 
 /// A published `(Λ_i, Ψ_i)` pair (equation (10)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,11 +50,12 @@ pub fn compute_lambda_psi(group: &SchnorrGroup, e_shares: &[u64], h_shares: &[u6
 ///
 /// Every check at one protocol step multiplies the same vectors, and
 /// `Π_ℓ Π_j V_{ℓ,j}^{α^j} = Π_j (Π_ℓ V_{ℓ,j})^{α^j}` for every `α`. So the
-/// vectors are folded once per step (`(n − 1)·σ` plain multiplications)
-/// and each check evaluates the folded vector with one
-/// multi-exponentiation. A missing entry of a shorter vector counts as
-/// `1`. Folding every agent but the winner gives the second-price variant
-/// of equation (11) (step III.4).
+/// vectors of each task are folded once per step (`(n − 1)·σ` plain
+/// multiplications), and [`FoldedCommitments::eval`] evaluates one
+/// agent's check across all task folds with one multi-exponentiation plan.
+/// A missing entry of a shorter vector counts as `1`. Folding every agent
+/// but the winner gives the second-price variant of equation (11)
+/// (step III.4).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FoldedCommitments {
     entries: Vec<u64>,
@@ -94,17 +96,31 @@ impl FoldedCommitments {
         }
     }
 
-    /// `Π_j (Π_ℓ V_{ℓ,j})^{α^j}`: the product of every folded vector's
-    /// `Γ_ℓ(α)` or `Φ_ℓ(α)`.
-    fn eval(&self, group: &SchnorrGroup, alpha: u64) -> u64 {
-        let exps = alpha_powers(group, alpha, self.entries.len());
-        multiexp::multi_pow(&group.zp(), &self.entries, &exps)
+    /// Evaluates `folds` with `plan`, the
+    /// [`powers_plan`](crate::commitments::powers_plan) of one pseudonym
+    /// `α`: entry `t` is `Π_j (Π_ℓ V_{ℓ,j})^{α^j}`, the product of the
+    /// `Γ_ℓ(α)` (or `Φ_ℓ(α)`) of every vector folded into `folds[t]`. The
+    /// exponents `α^j` are the same for every fold, so the plan runs on
+    /// all folds at once, one column each. A verifier passes the task folds
+    /// of one designated agent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fold is longer than the plan's exponent vector.
+    pub fn eval(
+        group: &SchnorrGroup,
+        plan: &ExponentPlan,
+        folds: &[&FoldedCommitments],
+    ) -> Vec<u64> {
+        let columns: Vec<&[u64]> = folds.iter().map(|fold| fold.entries.as_slice()).collect();
+        plan.pow_columns(&group.zp(), &columns)
     }
 }
 
 /// Verifies a published `(Λ_i, Ψ_i)` against the public commitments —
-/// equation (11): `Π_ℓ Γ_{i,ℓ} = Λ_i · Ψ_i`, the product over the agents
-/// whose `Q` vectors `folded_q` holds.
+/// equation (11): `Π_ℓ Γ_{i,ℓ} = Λ_i · Ψ_i`. `gamma` is the left-hand
+/// product, the value at `α_i` ([`FoldedCommitments::eval`]) of the
+/// fold of the `Q` vectors of the agents it covers.
 ///
 /// Folding every agent but the winner `w` gives the *second-price* variant
 /// used after `w`'s polynomial has been divided out (step III.4).
@@ -114,12 +130,11 @@ impl FoldedCommitments {
 /// Returns [`CryptoError::LambdaPsiInvalid`] when the identity fails.
 pub fn verify_lambda_psi(
     group: &SchnorrGroup,
-    folded_q: &FoldedCommitments,
+    gamma: u64,
     agent: usize,
-    alpha_i: u64,
     pair: &LambdaPsi,
 ) -> Result<(), CryptoError> {
-    if folded_q.eval(group, alpha_i) != group.zp().mul(pair.lambda, pair.psi) {
+    if gamma != group.zp().mul(pair.lambda, pair.psi) {
         return Err(CryptoError::LambdaPsiInvalid { agent });
     }
     Ok(())
@@ -225,7 +240,7 @@ pub fn verify_claimed_f_point(
     f_value: u64,
     h_value: u64,
 ) -> Result<(), CryptoError> {
-    if group.commit(f_value, h_value) != commitments.phi(group, alpha) {
+    if products_at(group, alpha, &[commitments.r()]) != [group.commit(f_value, h_value)] {
         return Err(CryptoError::DisclosureInvalid { point: point_index });
     }
     Ok(())
@@ -233,7 +248,9 @@ pub fn verify_claimed_f_point(
 
 /// Verifies a round of disclosed `f`-shares at one point — equation (13):
 /// `z1^{F(α_k)} · Ψ_k = Π_ℓ Φ_{k,ℓ}` with `F(α_k) = Σ_ℓ f_ℓ(α_k)`, the
-/// product over the agents whose `R` vectors `folded_r` holds.
+/// product over the agents whose `R` vectors `folded_r` holds. `phi` is
+/// that product, the value of `folded_r` at `α_k`
+/// ([`FoldedCommitments::eval`]).
 ///
 /// `disclosed_f[ℓ]` is agent `ℓ`'s `f_ℓ(α_k)` as disclosed by the agent
 /// holding point `α_k`, one per folded vector; `psi_k` is that agent's
@@ -248,8 +265,8 @@ pub fn verify_claimed_f_point(
 pub fn verify_f_disclosure(
     group: &SchnorrGroup,
     folded_r: &FoldedCommitments,
+    phi: u64,
     point_index: usize,
-    alpha_k: u64,
     disclosed_f: &[u64],
     psi_k: u64,
 ) -> Result<(), CryptoError> {
@@ -264,7 +281,7 @@ pub fn verify_f_disclosure(
     let zp = group.zp();
     let f_sum = disclosed_f.iter().fold(0u64, |acc, &v| zq.add(acc, v));
     let lhs = zp.mul(group.pow_z1(f_sum), psi_k);
-    if lhs != folded_r.eval(group, alpha_k) {
+    if lhs != phi {
         return Err(CryptoError::DisclosureInvalid { point: point_index });
     }
     Ok(())
@@ -354,6 +371,8 @@ pub fn exclude_winner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commitments::powers_plan;
+    use crate::commitments::tests::reference_at;
     use crate::polynomials::{BidPolynomials, SecretBid};
     use rand::SeedableRng;
 
@@ -368,38 +387,49 @@ mod tests {
 
     /// Builds a fully honest auction state for the given bids.
     fn setup(bids: &[u64], seed: u64) -> Setup {
+        tasks(bids, seed, 1).remove(0)
+    }
+
+    /// Builds `m` fully honest tasks with the given bids over one group
+    /// and one pseudonym set.
+    fn tasks(bids: &[u64], seed: u64, m: usize) -> Vec<Setup> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let group = SchnorrGroup::generate(40, 16, &mut rng).unwrap();
         let n = bids.len();
         let encoding = BidEncoding::new(n, 1).unwrap();
         let zq = group.zq();
         let alphas = zq.rand_distinct_nonzero(n, &mut rng);
-        let polys: Vec<BidPolynomials> = bids
-            .iter()
-            .map(|&b| {
-                BidPolynomials::generate(&group, &encoding, &SecretBid::new(b), &mut rng).unwrap()
+        (0..m)
+            .map(|_| {
+                let polys: Vec<BidPolynomials> = bids
+                    .iter()
+                    .map(|&b| {
+                        BidPolynomials::generate(&group, &encoding, &SecretBid::new(b), &mut rng)
+                            .unwrap()
+                    })
+                    .collect();
+                let commitments: Vec<Commitments> = polys
+                    .iter()
+                    .map(|p| Commitments::commit(&group, &encoding, p))
+                    .collect();
+                let pairs: Vec<LambdaPsi> = alphas
+                    .iter()
+                    .map(|&a| {
+                        let e_shares: Vec<u64> = polys.iter().map(|p| p.e().eval(&zq, a)).collect();
+                        let h_shares: Vec<u64> = polys.iter().map(|p| p.h().eval(&zq, a)).collect();
+                        compute_lambda_psi(&group, &e_shares, &h_shares)
+                    })
+                    .collect();
+                Setup {
+                    group: group.clone(),
+                    encoding,
+                    alphas: alphas.clone(),
+                    polys,
+                    commitments,
+                    pairs,
+                }
             })
-            .collect();
-        let commitments: Vec<Commitments> = polys
-            .iter()
-            .map(|p| Commitments::commit(&group, &encoding, p))
-            .collect();
-        let pairs: Vec<LambdaPsi> = alphas
-            .iter()
-            .map(|&a| {
-                let e_shares: Vec<u64> = polys.iter().map(|p| p.e().eval(&zq, a)).collect();
-                let h_shares: Vec<u64> = polys.iter().map(|p| p.h().eval(&zq, a)).collect();
-                compute_lambda_psi(&group, &e_shares, &h_shares)
-            })
-            .collect();
-        Setup {
-            group,
-            encoding,
-            alphas,
-            polys,
-            commitments,
-            pairs,
-        }
+            .collect()
     }
 
     /// The `Q` vectors of every agent in `commitments` but `excluded`.
@@ -416,12 +446,18 @@ mod tests {
         FoldedCommitments::q(&s.group, included)
     }
 
+    /// `folded`'s value at `alpha`, by a one-column plan.
+    fn eval(s: &Setup, folded: &FoldedCommitments, alpha: u64) -> u64 {
+        let plan = powers_plan(&s.group, alpha, s.encoding.sigma());
+        FoldedCommitments::eval(&s.group, &plan, &[folded])[0]
+    }
+
     #[test]
     fn published_pairs_pass_equation_11() {
         let s = setup(&[3, 1, 2, 4, 2, 3], 7);
         let folded = fold_q(&s, &s.commitments, None);
         for (i, pair) in s.pairs.iter().enumerate() {
-            verify_lambda_psi(&s.group, &folded, i, s.alphas[i], pair)
+            verify_lambda_psi(&s.group, eval(&s, &folded, s.alphas[i]), i, pair)
                 .unwrap_or_else(|e| panic!("agent {i}: {e}"));
         }
     }
@@ -431,19 +467,15 @@ mod tests {
         let s = setup(&[3, 1, 2, 4, 2, 3], 8);
         let mut bad = s.pairs[2];
         bad.lambda = s.group.zp().mul(bad.lambda, s.group.z1());
+        let gamma = eval(&s, &fold_q(&s, &s.commitments, None), s.alphas[2]);
         assert!(matches!(
-            verify_lambda_psi(
-                &s.group,
-                &fold_q(&s, &s.commitments, None),
-                2,
-                s.alphas[2],
-                &bad
-            ),
+            verify_lambda_psi(&s.group, gamma, 2, &bad),
             Err(CryptoError::LambdaPsiInvalid { agent: 2 })
         ));
     }
 
-    /// Equation (11) evaluated the unfolded way: one `Γ` per commitment.
+    /// Equation (11) evaluated the unfolded way: one `Γ` per commitment,
+    /// each by the naive reference product.
     fn reference_lambda_psi_holds(
         s: &Setup,
         commitments: &[Commitments],
@@ -456,11 +488,14 @@ mod tests {
             .iter()
             .enumerate()
             .filter(|&(l, _)| excluded != Some(l))
-            .fold(1, |acc, (_, c)| zp.mul(acc, c.gamma(&s.group, alpha)));
+            .fold(1, |acc, (_, c)| {
+                zp.mul(acc, reference_at(&s.group, alpha, c.q()))
+            });
         gammas == zp.mul(pair.lambda, pair.psi)
     }
 
-    /// Equation (13) evaluated the unfolded way: one `Φ` per commitment.
+    /// Equation (13) evaluated the unfolded way: one `Φ` per commitment,
+    /// each by the naive reference product.
     fn reference_disclosure_holds(
         s: &Setup,
         commitments: &[Commitments],
@@ -470,9 +505,9 @@ mod tests {
     ) -> bool {
         let (zp, zq) = (s.group.zp(), s.group.zq());
         let f_sum = disclosed.iter().fold(0, |acc, &v| zq.add(acc, v));
-        let phis = commitments
-            .iter()
-            .fold(1, |acc, c| zp.mul(acc, c.phi(&s.group, alpha)));
+        let phis = commitments.iter().fold(1, |acc, c| {
+            zp.mul(acc, reference_at(&s.group, alpha, c.r()))
+        });
         phis == zp.mul(s.group.pow_z1(f_sum), psi)
     }
 
@@ -493,73 +528,134 @@ mod tests {
         out
     }
 
+    /// Eq. (11) at every publisher over `m` task folds, one plan per
+    /// publisher, against the unfolded reference. Each `m` runs three
+    /// variants: honest, one tampered published pair (last task,
+    /// publisher `m − 1`), and one tampered `Q` entry (last task, agent 2).
     #[test]
     fn folded_lambda_psi_check_matches_per_commitment_gammas() {
-        let s = setup(&[3, 1, 2, 4, 2, 3], 24);
-        let zq = s.group.zq();
-        let n = s.alphas.len();
-        let tampered_q = tamper_vector(&s, 2, 1, 'q');
-        let mut accepted = 0;
-        for i in 0..n {
-            let alpha = s.alphas[i];
-            let mut bad_pair = s.pairs[i];
-            bad_pair.psi = s.group.zp().mul(bad_pair.psi, s.group.z2());
-            for excluded in std::iter::once(None).chain((0..n).map(Some)) {
-                // The pair a verifier sees after the excluded agent's shares
-                // were divided out (step III.4), or the published pair.
-                let pair = match excluded {
-                    None => s.pairs[i],
-                    Some(w) => {
-                        let e = s.polys[w].e().eval(&zq, alpha);
-                        let h = s.polys[w].h().eval(&zq, alpha);
-                        exclude_winner(&s.group, &s.pairs[i], e, h).unwrap()
+        let bids = [3, 1, 2, 4, 2, 3];
+        let n = bids.len();
+        for m in 1..=4 {
+            let tasks = tasks(&bids, 24, m);
+            let (group, zq) = (&tasks[0].group, tasks[0].group.zq());
+            let bad = (m - 1, m - 1);
+            let mut accepted = 0;
+            for variant in 0..3 {
+                let commitments: Vec<Vec<Commitments>> = tasks
+                    .iter()
+                    .enumerate()
+                    .map(|(t, s)| match variant {
+                        2 if t == bad.0 => tamper_vector(s, 2, 1, 'q'),
+                        _ => s.commitments.clone(),
+                    })
+                    .collect();
+                for excluded in std::iter::once(None).chain((0..n).map(Some)) {
+                    let folds: Vec<FoldedCommitments> = tasks
+                        .iter()
+                        .zip(&commitments)
+                        .map(|(s, c)| fold_q(s, c, excluded))
+                        .collect();
+                    let folds: Vec<&FoldedCommitments> = folds.iter().collect();
+                    for (i, &alpha) in tasks[0].alphas.iter().enumerate() {
+                        let plan = powers_plan(group, alpha, tasks[0].encoding.sigma());
+                        let gammas = FoldedCommitments::eval(group, &plan, &folds);
+                        assert_eq!(gammas.len(), m);
+                        for (t, (s, &gamma)) in tasks.iter().zip(&gammas).enumerate() {
+                            // The pair a verifier sees after the excluded
+                            // agent's shares were divided out (step III.4),
+                            // or the published pair.
+                            let mut pair = match excluded {
+                                None => s.pairs[i],
+                                Some(w) => {
+                                    let e = s.polys[w].e().eval(&zq, alpha);
+                                    let h = s.polys[w].h().eval(&zq, alpha);
+                                    exclude_winner(group, &s.pairs[i], e, h).unwrap()
+                                }
+                            };
+                            if variant == 1 && (t, i) == bad {
+                                pair.psi = group.zp().mul(pair.psi, group.z2());
+                            }
+                            let folded = verify_lambda_psi(group, gamma, i, &pair).is_ok();
+                            let reference = reference_lambda_psi_holds(
+                                s,
+                                &commitments[t],
+                                alpha,
+                                &pair,
+                                excluded,
+                            );
+                            assert_eq!(
+                                folded, reference,
+                                "m {m}, variant {variant}, task {t}, agent {i}, excluded {excluded:?}"
+                            );
+                            accepted += usize::from(folded);
+                        }
                     }
-                };
-                for (commitments, pair) in [
-                    (&s.commitments, &pair),
-                    (&s.commitments, &bad_pair),
-                    (&tampered_q, &pair),
-                ] {
-                    let folded_q = fold_q(&s, commitments, excluded);
-                    let folded = verify_lambda_psi(&s.group, &folded_q, i, alpha, pair).is_ok();
-                    let reference =
-                        reference_lambda_psi_holds(&s, commitments, alpha, pair, excluded);
-                    assert_eq!(folded, reference, "agent {i}, excluded {excluded:?}");
-                    accepted += usize::from(folded);
                 }
             }
+            // Honest pairs pass with and without exclusion. The tampered
+            // pair fails everywhere at its (task, publisher); the tampered
+            // Q fails its task at every publisher unless agent 2 is
+            // excluded.
+            assert_eq!(accepted, 3 * m * n * (n + 1) - (n + 1) - n * n, "m {m}");
         }
-        // Honest pairs pass with and without exclusion; the tampered Q
-        // passes only where agent 2 is excluded.
-        assert_eq!(accepted, n * (n + 1) + n);
     }
 
+    /// Eq. (13) at every discloser over `m` task folds, one plan per
+    /// discloser, against the unfolded reference. Each `m` runs three
+    /// variants: honest, one tampered disclosed value (last task,
+    /// discloser `m − 1`), and one tampered `R` entry (last task, agent 4).
     #[test]
     fn folded_disclosure_check_matches_per_commitment_phis() {
-        let s = setup(&[3, 1, 2, 4, 2, 3], 25);
-        let zq = s.group.zq();
-        let tampered_r = tamper_vector(&s, 4, 0, 'r');
-        let honest_r = FoldedCommitments::r(&s.group, &s.commitments);
-        let tampered_folded_r = FoldedCommitments::r(&s.group, &tampered_r);
-        let mut accepted = 0;
-        for (k, &alpha) in s.alphas.iter().enumerate() {
-            let honest: Vec<u64> = s.polys.iter().map(|p| p.f().eval(&zq, alpha)).collect();
-            let mut tampered = honest.clone();
-            tampered[1] = zq.add(tampered[1], 1);
-            for (commitments, folded_r, disclosed) in [
-                (&s.commitments, &honest_r, &honest),
-                (&s.commitments, &honest_r, &tampered),
-                (&tampered_r, &tampered_folded_r, &honest),
-            ] {
-                let psi = s.pairs[k].psi;
-                let folded =
-                    verify_f_disclosure(&s.group, folded_r, k, alpha, disclosed, psi).is_ok();
-                let reference = reference_disclosure_holds(&s, commitments, alpha, disclosed, psi);
-                assert_eq!(folded, reference, "point {k}");
-                accepted += usize::from(folded);
+        let bids = [3, 1, 2, 4, 2, 3];
+        let n = bids.len();
+        for m in 1..=4 {
+            let tasks = tasks(&bids, 25, m);
+            let (group, zq) = (&tasks[0].group, tasks[0].group.zq());
+            let bad = (m - 1, m - 1);
+            let mut accepted = 0;
+            for variant in 0..3 {
+                let commitments: Vec<Vec<Commitments>> = tasks
+                    .iter()
+                    .enumerate()
+                    .map(|(t, s)| match variant {
+                        2 if t == bad.0 => tamper_vector(s, 4, 0, 'r'),
+                        _ => s.commitments.clone(),
+                    })
+                    .collect();
+                let folds: Vec<FoldedCommitments> = commitments
+                    .iter()
+                    .map(|c| FoldedCommitments::r(group, c))
+                    .collect();
+                let fold_refs: Vec<&FoldedCommitments> = folds.iter().collect();
+                for (k, &alpha) in tasks[0].alphas.iter().enumerate() {
+                    let plan = powers_plan(group, alpha, tasks[0].encoding.sigma());
+                    let phis = FoldedCommitments::eval(group, &plan, &fold_refs);
+                    assert_eq!(phis.len(), m);
+                    for (t, s) in tasks.iter().enumerate() {
+                        let mut disclosed: Vec<u64> =
+                            s.polys.iter().map(|p| p.f().eval(&zq, alpha)).collect();
+                        if variant == 1 && (t, k) == bad {
+                            disclosed[1] = zq.add(disclosed[1], 1);
+                        }
+                        let psi = s.pairs[k].psi;
+                        let folded =
+                            verify_f_disclosure(group, &folds[t], phis[t], k, &disclosed, psi)
+                                .is_ok();
+                        let reference =
+                            reference_disclosure_holds(s, &commitments[t], alpha, &disclosed, psi);
+                        assert_eq!(
+                            folded, reference,
+                            "m {m}, variant {variant}, task {t}, point {k}"
+                        );
+                        accepted += usize::from(folded);
+                    }
+                }
             }
+            // Only the tampered (task, discloser) value and the tampered
+            // task's checks at every point fail.
+            assert_eq!(accepted, 3 * m * n - 1 - n, "m {m}");
         }
-        assert_eq!(accepted, s.alphas.len(), "only the honest disclosures pass");
     }
 
     #[test]
@@ -724,38 +820,18 @@ mod tests {
             .map(|p| p.f().eval(&zq, s.alphas[k]))
             .collect();
         let folded_r = FoldedCommitments::r(&s.group, &s.commitments);
-        verify_f_disclosure(
-            &s.group,
-            &folded_r,
-            k,
-            s.alphas[k],
-            &disclosed,
-            s.pairs[k].psi,
-        )
-        .unwrap();
+        let phi = eval(&s, &folded_r, s.alphas[k]);
+        let psi = s.pairs[k].psi;
+        verify_f_disclosure(&s.group, &folded_r, phi, k, &disclosed, psi).unwrap();
         let mut tampered = disclosed;
         tampered[3] = zq.add(tampered[3], 1);
         assert!(matches!(
-            verify_f_disclosure(
-                &s.group,
-                &folded_r,
-                k,
-                s.alphas[k],
-                &tampered,
-                s.pairs[k].psi
-            ),
+            verify_f_disclosure(&s.group, &folded_r, phi, k, &tampered, psi),
             Err(CryptoError::DisclosureInvalid { point: 0 })
         ));
         // One disclosed value per folded vector.
         assert!(matches!(
-            verify_f_disclosure(
-                &s.group,
-                &folded_r,
-                k,
-                s.alphas[k],
-                &tampered[1..],
-                s.pairs[k].psi
-            ),
+            verify_f_disclosure(&s.group, &folded_r, phi, k, &tampered[1..], psi),
             Err(CryptoError::LengthMismatch {
                 got: 5,
                 expected: 6,
@@ -887,7 +963,7 @@ mod tests {
         // Excluded pairs still verify equation (11) without the winner.
         let folded = fold_q(&s, &s.commitments, Some(winner));
         for (i, pair) in excluded.iter().enumerate() {
-            verify_lambda_psi(&s.group, &folded, i, s.alphas[i], pair).unwrap();
+            verify_lambda_psi(&s.group, eval(&s, &folded, s.alphas[i]), i, pair).unwrap();
         }
         let lambdas: Vec<u64> = excluded.iter().map(|p| p.lambda).collect();
         let r = resolve_min_bid(&s.group, &s.encoding, &s.alphas, &lambdas).unwrap();

@@ -90,34 +90,6 @@ impl ExecutionTimes {
         })
     }
 
-    /// Builds a matrix from a flat row-major vector.
-    ///
-    /// # Errors
-    ///
-    /// Same validation as [`ExecutionTimes::from_rows`]; additionally the
-    /// vector length must equal `agents · tasks` (reported as a ragged
-    /// matrix).
-    pub fn from_flat(agents: usize, tasks: usize, times: Vec<u64>) -> Result<Self, MechanismError> {
-        if agents < 2 {
-            return Err(MechanismError::TooFewAgents { agents });
-        }
-        if tasks == 0 {
-            return Err(MechanismError::NoTasks);
-        }
-        if times.len() != agents * tasks {
-            return Err(MechanismError::RaggedMatrix {
-                row: times.len() / tasks.max(1),
-                len: times.len(),
-                expected: agents * tasks,
-            });
-        }
-        Ok(ExecutionTimes {
-            agents,
-            tasks,
-            times,
-        })
-    }
-
     /// Number of agents `n`.
     pub fn agents(&self) -> usize {
         self.agents
@@ -196,11 +168,6 @@ impl ExecutionTimes {
             .iter()
             .enumerate()
             .map(move |(idx, &t)| (AgentId(idx / self.tasks), TaskId(idx % self.tasks), t))
-    }
-
-    /// The largest entry of the matrix.
-    pub fn max_time(&self) -> u64 {
-        self.times.iter().copied().max().unwrap_or(0)
     }
 
     /// The smallest entry of the matrix.
@@ -405,14 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn from_flat_round_trips() {
-        let t = sample();
-        let flat = ExecutionTimes::from_flat(3, 3, vec![2, 9, 4, 5, 4, 4, 7, 6, 1]).unwrap();
-        assert_eq!(t, flat);
-        assert!(ExecutionTimes::from_flat(3, 3, vec![1, 2]).is_err());
-    }
-
-    #[test]
     fn accessors() {
         let t = sample();
         assert_eq!(t.agents(), 3);
@@ -420,7 +379,6 @@ mod tests {
         assert_eq!(t.time(AgentId(1), TaskId(2)), 4);
         assert_eq!(t.task_column(TaskId(0)), vec![2, 5, 7]);
         assert_eq!(t.agent_row(AgentId(2)), &[7, 6, 1]);
-        assert_eq!(t.max_time(), 9);
         assert_eq!(t.min_time(), 1);
         assert_eq!(t.iter().count(), 9);
     }

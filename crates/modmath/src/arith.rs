@@ -6,10 +6,10 @@
 //! This is the naive reference arithmetic: a multiplication is one `u128`
 //! product and one `u128 %`. Protocol code goes through
 //! [`crate::field::PrimeField`] and [`crate::multiexp`], whose Montgomery
-//! ladders are the fast path and record the same operation counts; their
-//! tests compare against the functions here. Moduli that are not prime,
-//! such as the even modulus of `pow_mod`'s example, use this module
-//! directly.
+//! ladders and addition chains are the fast path; their tests compare
+//! against the functions here, multi-base products against
+//! [`product_of_powers`]. Moduli that are not prime, such as the even
+//! modulus of `pow_mod`'s example, use this module directly.
 //!
 //! Every multiplication and inversion is recorded in the thread-local
 //! [`crate::ops`] counters; this instrumentation is how the reproduction
@@ -103,6 +103,15 @@ pub fn pow_mod(base: u64, mut exp: u64, m: u64) -> u64 {
         }
     }
     result
+}
+
+/// Computes `Π_i bases[i]^{exps[i]}` modulo `m`, one [`pow_mod`] per
+/// base: the naive reference every multi-base product is tested against.
+/// A base vector shorter than `exps` uses a prefix of the exponents.
+pub fn product_of_powers(bases: &[u64], exps: &[u64], m: u64) -> u64 {
+    bases.iter().zip(exps).fold(1, |acc, (&base, &exp)| {
+        mul_mod(acc, pow_mod(base, exp, m), m)
+    })
 }
 
 /// Computes the greatest common divisor of `a` and `b`.

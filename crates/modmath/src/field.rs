@@ -164,20 +164,6 @@ impl PrimeField {
         v % self.modulus
     }
 
-    /// Reduces a signed value into the field (useful for small negative
-    /// constants appearing in Lagrange coefficients).
-    pub fn reduce_i128(&self, v: i128) -> u64 {
-        let m = self.modulus as i128;
-        #[expect(
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss,
-            reason = "in range: `((v % m) + m) % m` lies in `[0, m)` and `m` fits in u64"
-        )]
-        {
-            (((v % m) + m) % m) as u64
-        }
-    }
-
     /// Adds two field elements.
     ///
     /// # Panics
@@ -372,14 +358,6 @@ pub(crate) mod tests {
     fn bits_counts_modulus_size() {
         assert_eq!(PrimeField::new(7).unwrap().bits(), 3);
         assert_eq!(PrimeField::new(1031).unwrap().bits(), 11);
-    }
-
-    #[test]
-    fn reduce_i128_handles_negatives() {
-        let f = PrimeField::new(7).unwrap();
-        assert_eq!(f.reduce_i128(-1), 6);
-        assert_eq!(f.reduce_i128(-7), 0);
-        assert_eq!(f.reduce_i128(15), 1);
     }
 
     #[test]

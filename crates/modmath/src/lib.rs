@@ -15,10 +15,10 @@
 //! * [`field`] — [`PrimeField`], a runtime-modulus prime field `Z_p` with
 //!   validation and operation counting. Its multiplication and
 //!   exponentiation run in Montgomery form, the fast path;
-//! * [`multiexp`] — multi-exponentiation: one Montgomery ladder shared by
-//!   several bases, and an [`multiexp::ExponentPlan`] — a Bos–Coster
-//!   addition chain derived from one exponent vector and replayed on many
-//!   base vectors in lockstep (Phase III.1's share checks);
+//! * [`multiexp`] — multi-exponentiation: an [`multiexp::ExponentPlan`]
+//!   is a Bos–Coster addition chain derived from one exponent vector and
+//!   replayed on many base vectors in lockstep (the right-hand sides of
+//!   equations (7)–(9), (11) and (13));
 //! * [`fixed_base`] — fixed-base exponentiation: a base raised many times
 //!   pays once for a table of windowed powers, after which an exponent
 //!   costs one multiplication per non-zero window digit and no squarings

@@ -1,33 +1,19 @@
-//! Multi-exponentiation in Montgomery form: one-off products by Shamir's
-//! trick, and many products over one exponent vector by a vector addition
-//! chain replayed in lockstep.
+//! Multi-exponentiation in Montgomery form: many products over one
+//! exponent vector by a vector addition chain replayed in lockstep.
 //!
 //! The hottest operation in DMW is evaluating a commitment vector "in the
 //! exponent": `Π_ℓ v_ℓ^{e_ℓ} (mod p)` with `σ` bases — it appears in
-//! every instance of equations (7)–(9), (11) and (13). Computing each
-//! factor separately costs `≈ 1.5·k·log p` multiplications for `k` bases;
-//! [`multi_pow`] interleaves the square-and-multiply ladders so that the
-//! squarings are shared across all bases:
-//!
-//! ```text
-//! acc ← 1
-//! for bit from MSB to LSB:
-//!     acc ← acc²
-//!     for every ℓ with bit set in e_ℓ: acc ← acc · v_ℓ
-//! ```
-//!
-//! which costs `log p` squarings plus one multiplication per set bit —
-//! `≈ log p · (1 + k/2)`, roughly a 3× saving for large `k`.
-//!
-//! Phase III.1 evaluates many vectors at *one* exponent vector: a verifier
-//! checks the `O`, `Q` and `R` vectors of every received bundle (equations
-//! (7)–(9)) at its own powers `α^ℓ`, `3·m·(n − 1)` products in all. An
-//! [`ExponentPlan`] derives an addition chain from the exponents alone, by
-//! Bos and Coster's heuristic with the division step (Bos & Coster,
-//! "Addition chain heuristics", CRYPTO '89; de Rooij, "Efficient
-//! exponentiation using precomputation and vector addition chains",
-//! EUROCRYPT '94): while two exponents are non-zero, take the largest `e₁`
-//! and the next `e₂`, write `e₁ = k·e₂ + r`, and use
+//! every instance of equations (7)–(9), (11) and (13), always at the
+//! powers `e_ℓ = α^ℓ` of one pseudonym `α`. A Phase III.1 verifier checks
+//! the `O`, `Q` and `R` vectors of every received bundle (equations
+//! (7)–(9)) at its own powers, `3·m·(n − 1)` products in all; a verifier of
+//! equation (11) or (13) evaluates the `m` task folds of one designated
+//! agent at that agent's powers. An [`ExponentPlan`] derives an addition
+//! chain from the exponents alone, by Bos and Coster's heuristic with the
+//! division step (Bos & Coster, "Addition chain heuristics", CRYPTO '89;
+//! de Rooij, "Efficient exponentiation using precomputation and vector
+//! addition chains", EUROCRYPT '94): while two exponents are non-zero,
+//! take the largest `e₁` and the next `e₂`, write `e₁ = k·e₂ + r`, and use
 //!
 //! ```text
 //! v₁^{e₁} · v₂^{e₂} = v₁^{r} · (v₂ · v₁^{k})^{e₂}
@@ -35,67 +21,21 @@
 //!
 //! to replace `v₂` by `v₂ · v₁^k` and `e₁` by `r`. The last non-zero
 //! exponent is then raised by one ladder. At `|q| = 24` the chain needs
-//! about 0.4× the ladder's multiplications for `σ = 64` and 0.6× for
-//! `σ = 8`. The chain is a straight-line program over exponent slots, so
+//! about 0.4× the multiplications of a square-and-multiply ladder shared
+//! by all bases for `σ = 64`, and 0.6× for `σ = 8`. The chain is a
+//! straight-line program over exponent slots, so
 //! [`ExponentPlan::pow_columns`] runs it on `W` base vectors at once: each
 //! step is one pass of `W` independent multiplications, which keeps the
 //! multiplier busy where one chain alone would wait on each product.
 //!
-//! Both multiply Montgomery representatives (see [`crate::field`]); bases
-//! are converted in once and results out once. The `primitives` bench
-//! measures the ladder against the naive product and the lockstep batch
-//! against one plan per item; the proptests pin both against
-//! [`crate::arith`].
+//! The plan multiplies Montgomery representatives (see [`crate::field`]);
+//! bases are converted in once and results out once. The `primitives`
+//! bench measures the lockstep batch against one plan per item; the
+//! proptests pin the plan against [`crate::arith::product_of_powers`].
 
 use crate::field::PrimeField;
 use crate::ops;
 use std::collections::BinaryHeap;
-
-/// Computes `Π bases[i]^{exps[i]}` in `field` by interleaved
-/// square-and-multiply.
-///
-/// Records `t + Σ_i popcount(exps[i])` multiplications, where `t` is the
-/// bit length of the largest exponent.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length. Debug-panics if a base is not a
-/// canonical field element.
-///
-/// # Example
-/// ```
-/// use dmw_modmath::{multiexp::multi_pow, PrimeField};
-///
-/// let f = PrimeField::new(101)?;
-/// // 2^5 · 3^4 mod 101 == 32 · 81 mod 101
-/// assert_eq!(multi_pow(&f, &[2, 3], &[5, 4]), f.mul(f.pow(2, 5), f.pow(3, 4)));
-/// # Ok::<(), dmw_modmath::ModMathError>(())
-/// ```
-pub fn multi_pow(field: &PrimeField, bases: &[u64], exps: &[u64]) -> u64 {
-    assert_eq!(bases.len(), exps.len(), "one exponent per base");
-    debug_assert!(bases.iter().all(|&b| field.contains(b)));
-    let top_bit = match exps.iter().map(|e| 64 - e.leading_zeros()).max() {
-        None | Some(0) => return 1,
-        Some(b) => b,
-    };
-    let set_bits: u64 = exps.iter().map(|e| u64::from(e.count_ones())).sum();
-    ops::record_muls(u64::from(top_bit) + set_bits);
-    let rows: Vec<(u64, u64)> = bases
-        .iter()
-        .map(|&b| field.mont_in(b))
-        .zip(exps.iter().copied())
-        .collect();
-    let mut acc = field.mont_one();
-    for bit in (0..top_bit).rev() {
-        acc = field.mont_mul(acc, acc);
-        for &(base, exp) in &rows {
-            if (exp >> bit) & 1 == 1 {
-                acc = field.mont_mul(acc, base);
-            }
-        }
-    }
-    field.mont_out(acc)
-}
 
 /// One step of an [`ExponentPlan`]: `slot[dst] ← slot[dst] · slot[src]^k`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,13 +63,16 @@ fn ladder_muls(k: u64) -> u64 {
 ///
 /// # Example
 /// ```
-/// use dmw_modmath::{multiexp::{multi_pow, ExponentPlan}, PrimeField};
+/// use dmw_modmath::{arith::product_of_powers, multiexp::ExponentPlan, PrimeField};
 ///
 /// let f = PrimeField::new(101)?;
 /// let exps = [5, 25, 24];
 /// let plan = ExponentPlan::new(&exps);
 /// let products = plan.pow_columns(&f, &[&[2, 3, 4], &[5, 7, 9]]);
-/// assert_eq!(products, [multi_pow(&f, &[2, 3, 4], &exps), multi_pow(&f, &[5, 7, 9], &exps)]);
+/// assert_eq!(
+///     products,
+///     [product_of_powers(&[2, 3, 4], &exps, 101), product_of_powers(&[5, 7, 9], &exps, 101)]
+/// );
 /// # Ok::<(), dmw_modmath::ModMathError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -274,21 +217,16 @@ fn pow_row(field: &PrimeField, out: &mut [u64], base: &[u64], k: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arith;
+    use crate::arith::{self, product_of_powers};
     use crate::field::tests::reference_fields;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
     const P: u64 = 0x7FFF_FFFF_FFFF_FFE7;
 
-    fn naive(field: &PrimeField, bases: &[u64], exps: &[u64]) -> u64 {
-        bases
-            .iter()
-            .zip(exps)
-            .fold(1u64, |acc, (&b, &e)| field.mul(acc, field.pow(b, e)))
-    }
-
-    /// What [`multi_pow`] records for `exps`.
+    /// What a square-and-multiply ladder shared by all bases costs for
+    /// `exps`: one squaring per bit of the largest exponent and one product
+    /// per set bit.
     fn ladder_count(exps: &[u64]) -> u64 {
         let top_bit = exps
             .iter()
@@ -304,8 +242,6 @@ mod tests {
     #[test]
     fn empty_product_is_one() {
         let f = PrimeField::new(P).unwrap();
-        assert_eq!(multi_pow(&f, &[], &[]), 1);
-        assert_eq!(multi_pow(&f, &[5], &[0]), 1);
         ops::reset_ops();
         assert_eq!(ExponentPlan::new(&[]).pow_columns(&f, &[&[], &[]]), [1, 1]);
         assert_eq!(ExponentPlan::new(&[0, 0]).pow_columns(&f, &[&[5, 6]]), [1]);
@@ -320,19 +256,11 @@ mod tests {
     fn single_base_matches_pow() {
         let f = PrimeField::new(P).unwrap();
         for (b, e) in [(2u64, 10u64), (12345, 678910), (P - 1, 3)] {
-            assert_eq!(multi_pow(&f, &[b], &[e]), f.pow(b, e));
             assert_eq!(
                 ExponentPlan::new(&[e]).pow_columns(&f, &[&[b]]),
                 [f.pow(b, e)]
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "one exponent per base")]
-    fn length_mismatch_panics() {
-        let f = PrimeField::new(P).unwrap();
-        let _ = multi_pow(&f, &[1, 2], &[3]);
     }
 
     #[test]
@@ -349,11 +277,11 @@ mod tests {
         let bases: Vec<u64> = (0..16).map(|_| f.rand_nonzero(&mut rng)).collect();
         let exps: Vec<u64> = (0..16).map(|_| f.rand_element(&mut rng)).collect();
         ops::reset_ops();
-        let fast = multi_pow(&f, &bases, &exps);
+        let fast = ExponentPlan::new(&exps).pow_columns(&f, &[&bases]);
         let fast_muls = ops::take_ops().mul;
-        let slow = naive(&f, &bases, &exps);
+        let slow = product_of_powers(&bases, &exps, P);
         let slow_muls = ops::take_ops().mul;
-        assert_eq!(fast, slow);
+        assert_eq!(fast, [slow]);
         assert!(
             fast_muls * 2 < slow_muls,
             "expected ≥2x saving, got {fast_muls} vs {slow_muls}"
@@ -407,33 +335,7 @@ mod tests {
         }
     }
 
-    /// The naive product over the plain `u128 %` reference arithmetic.
-    fn reference(p: u64, bases: &[u64], exps: &[u64]) -> u64 {
-        bases.iter().zip(exps).fold(1u64, |acc, (&b, &e)| {
-            arith::mul_mod(acc, arith::pow_mod(b, e, p), p)
-        })
-    }
-
     proptest! {
-        #[test]
-        fn ladders_match_reference_on_every_modulus(
-            seed in 0u64..10_000,
-            k in 0usize..10,
-            bits in 0u32..64,
-        ) {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            // Exponents of every width, up to the full 64 bits.
-            let exps: Vec<u64> = (0..k).map(|_| rng.gen::<u64>() >> bits).collect();
-            for f in reference_fields() {
-                let p = f.modulus();
-                let bases: Vec<u64> = (0..k).map(|_| f.rand_element(&mut rng)).collect();
-                ops::reset_ops();
-                let product = multi_pow(f, &bases, &exps);
-                prop_assert_eq!(ops::take_ops().mul, ladder_count(&exps));
-                prop_assert_eq!(product, reference(p, &bases, &exps), "p = {}", p);
-            }
-        }
-
         #[test]
         fn plan_matches_reference_on_every_modulus(
             seed in 0u64..10_000,
@@ -471,34 +373,10 @@ mod tests {
                 prop_assert_eq!(ops::take_ops().mul, plan.muls() * width as u64);
                 let expected: Vec<u64> = columns
                     .iter()
-                    .map(|c| reference(p, c, &exps))
+                    .map(|c| product_of_powers(c, &exps, p))
                     .collect();
                 prop_assert_eq!(products, expected, "p = {}", p);
             }
-        }
-
-        #[test]
-        fn matches_naive_product(
-            seed in 0u64..10_000,
-            k in 1usize..12,
-        ) {
-            let f = PrimeField::new(P).unwrap();
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let bases: Vec<u64> = (0..k).map(|_| f.rand_nonzero(&mut rng)).collect();
-            let exps: Vec<u64> = (0..k).map(|_| f.rand_element(&mut rng)).collect();
-            prop_assert_eq!(multi_pow(&f, &bases, &exps), naive(&f, &bases, &exps));
-        }
-
-        #[test]
-        fn exponent_zero_bases_are_ignored(seed in 0u64..1000) {
-            let f = PrimeField::new(P).unwrap();
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let b = f.rand_nonzero(&mut rng);
-            let e = f.rand_element(&mut rng);
-            prop_assert_eq!(
-                multi_pow(&f, &[b, 999], &[e, 0]),
-                f.pow(b, e)
-            );
         }
     }
 }

@@ -181,22 +181,6 @@ impl Histogram {
     }
 }
 
-/// Where instrumented code publishes measurements. Implemented by
-/// [`MetricsSnapshot`]; taking `&mut dyn MetricsSink` (or a generic)
-/// lets the transports and the phase state machine stay ignorant of
-/// storage.
-pub trait MetricsSink {
-    /// Adds `by` to the counter at `key`.
-    fn incr(&mut self, key: Key, by: u64);
-
-    /// Raises the gauge at `key` to `value` if larger (merge = max).
-    fn gauge_max(&mut self, key: Key, value: u64);
-
-    /// Records `value` into the histogram at `key`, creating it over
-    /// `bounds` on first use.
-    fn observe(&mut self, key: Key, bounds: &'static [u64], value: u64);
-}
-
 /// A complete, order-deterministic set of metrics for one run (or an
 /// aggregate of many — see [`MetricsSnapshot::absorb`]).
 ///
@@ -217,6 +201,26 @@ impl MetricsSnapshot {
     /// An empty snapshot.
     pub fn new() -> MetricsSnapshot {
         MetricsSnapshot::default()
+    }
+
+    /// Adds `by` to the counter at `key`.
+    pub fn incr(&mut self, key: Key, by: u64) {
+        *self.counters.entry(key).or_insert(0) += by;
+    }
+
+    /// Raises the gauge at `key` to `value` if larger (merge = max).
+    pub fn gauge_max(&mut self, key: Key, value: u64) {
+        let slot = self.gauges.entry(key).or_insert(0);
+        *slot = (*slot).max(value);
+    }
+
+    /// Records `value` into the histogram at `key`, creating it over
+    /// `bounds` on first use.
+    pub fn observe(&mut self, key: Key, bounds: &'static [u64], value: u64) {
+        self.histograms
+            .entry(key)
+            .or_insert_with(|| Histogram::new(bounds))
+            .observe(value);
     }
 
     /// Reads a counter, zero if never incremented.
@@ -349,24 +353,6 @@ impl MetricsSnapshot {
         out.push_str("}\n");
         out.push_str(&format!("{pad}}}"));
         out
-    }
-}
-
-impl MetricsSink for MetricsSnapshot {
-    fn incr(&mut self, key: Key, by: u64) {
-        *self.counters.entry(key).or_insert(0) += by;
-    }
-
-    fn gauge_max(&mut self, key: Key, value: u64) {
-        let slot = self.gauges.entry(key).or_insert(0);
-        *slot = (*slot).max(value);
-    }
-
-    fn observe(&mut self, key: Key, bounds: &'static [u64], value: u64) {
-        self.histograms
-            .entry(key)
-            .or_insert_with(|| Histogram::new(bounds))
-            .observe(value);
     }
 }
 

@@ -18,7 +18,7 @@ use crate::faults::{splitmix64, FaultPlan};
 use crate::network::{Delivered, NodeId, Payload};
 use crate::stats::NetworkStats;
 use crate::transport::Transport;
-use dmw_obs::{Key, MetricsSink, MetricsSnapshot, DELAY_TICK_BUCKETS};
+use dmw_obs::{Key, MetricsSnapshot, DELAY_TICK_BUCKETS};
 use std::collections::{BTreeMap, VecDeque};
 
 /// The latency model of a [`DelayTransport`]: every message waits

@@ -3,7 +3,8 @@
 #
 # Runs, in order:
 #   1. cargo fmt --check          -- formatting drift
-#   2. cargo clippy               -- warnings are errors workspace-wide;
+#   2. cargo clippy               -- warnings are errors workspace-wide,
+#      over every target (libraries, binaries, tests, benches, examples);
 #      the four panic/truncation lints are advisory (`-A`) at this layer
 #      so non-protocol crates only surface them. The protocol levels live
 #      in source and outrank these CLI flags: `#![deny]`/`#![forbid]` at
@@ -52,8 +53,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy (workspace, -D warnings)"
-cargo clippy --workspace --quiet -- \
+echo "==> cargo clippy (workspace, all targets, -D warnings)"
+cargo clippy --workspace --all-targets --quiet -- \
     -D warnings \
     -A clippy::unwrap-used \
     -A clippy::expect-used \

@@ -107,7 +107,7 @@ fn jittered_delay_runs_are_bit_identical_between_engines() {
         .run_on(
             &bids,
             &behaviors,
-            DelayTransport::with_faults(6, FaultPlan::none(6), profile.clone()),
+            DelayTransport::with_faults(6, FaultPlan::none(6), profile),
             &mut rng(SEED + 3),
         )
         .expect("valid event run");

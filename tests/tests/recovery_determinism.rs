@@ -198,7 +198,7 @@ fn suspicion_threshold_sweep_under_adaptive_timeouts() {
         }
         DmwRunner::new(cfg)
             .with_recovery_policy(policy)
-            .run(&bids, &vec![Behavior::Suggested; 6], faults, &mut r)
+            .run(&bids, &[Behavior::Suggested; 6], faults, &mut r)
             .expect("valid run")
     };
 
@@ -245,7 +245,7 @@ fn resilience_threshold_separates_degradation_from_abort() {
         }
         DmwRunner::new(cfg)
             .with_recovery()
-            .run(&bids, &vec![Behavior::Suggested; 6], faults, &mut r)
+            .run(&bids, &[Behavior::Suggested; 6], faults, &mut r)
             .expect("valid run")
     };
 
