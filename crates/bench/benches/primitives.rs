@@ -4,7 +4,7 @@
 //! batch, and degree resolution (equation (12)).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dmw_crypto::commitments::{verify_shares, verify_shares_batch, Commitments};
+use dmw_crypto::commitments::{powers_plan, verify_shares_batch, Commitments};
 use dmw_crypto::polynomials::{BidPolynomials, SecretBid};
 use dmw_crypto::resolution::{compute_lambda_psi, resolve_min_bid};
 use dmw_crypto::BidEncoding;
@@ -27,11 +27,6 @@ fn bench_polynomials(c: &mut Criterion) {
         let shares: Vec<(u64, u64)> = (1..=degree as u64 + 1)
             .map(|a| (a, poly.eval(&field, a)))
             .collect();
-        group.bench_with_input(
-            BenchmarkId::new("interpolate_at_zero", degree),
-            &degree,
-            |b, _| b.iter(|| lagrange::interpolate_at_zero(&field, &shares).unwrap()),
-        );
         group.bench_with_input(
             BenchmarkId::new("resolve_zero_degree", degree),
             &degree,
@@ -59,8 +54,9 @@ fn bench_protocol_primitives(c: &mut Criterion) {
         });
         let commitments = Commitments::commit(&group, &encoding, &polys);
         let bundle = polys.share_for(&zq, alphas[0]);
-        bench.bench_with_input(BenchmarkId::new("verify_shares", n), &n, |b, _| {
-            b.iter(|| verify_shares(&group, &commitments, alphas[0], &bundle).unwrap())
+        let plan = powers_plan(&group, alphas[0], encoding.sigma());
+        bench.bench_with_input(BenchmarkId::new("verify_one_bundle", n), &n, |b, _| {
+            b.iter(|| verify_shares_batch(&group, &plan, &[(&commitments, bundle)]).unwrap())
         });
         // Degree resolution over n published lambdas.
         let all: Vec<BidPolynomials> = (0..n)
@@ -87,8 +83,9 @@ fn bench_protocol_primitives(c: &mut Criterion) {
 
 /// Phase III.1 at one verifier: the `m·(n − 1)` received bundles (eqs.
 /// (7)–(9), `3·m·(n − 1)` products at the verifier's `α^ℓ`) checked as one
-/// lockstep batch, and one `verify_shares` call per bundle. `m` is the
-/// task count of the perfbench workload with that `n`.
+/// lockstep batch, and as one one-item batch per bundle, both on the
+/// verifier's one plan. `m` is the task count of the perfbench workload
+/// with that `n`.
 fn bench_share_batch(c: &mut Criterion) {
     let mut bench = c.benchmark_group("share-batch");
     for (n, m) in [(8usize, 4usize), (32, 4), (64, 2)] {
@@ -97,6 +94,7 @@ fn bench_share_batch(c: &mut Criterion) {
         let encoding = BidEncoding::new(n, 1).unwrap();
         let zq = group.zq();
         let alpha = zq.rand_nonzero(&mut r);
+        let plan = powers_plan(&group, alpha, encoding.sigma());
         let received: Vec<_> = (0..m * (n - 1))
             .map(|i| {
                 let bid = SecretBid::new(1 + (i as u64 % encoding.w_max()));
@@ -107,12 +105,12 @@ fn bench_share_batch(c: &mut Criterion) {
             .collect();
         let items: Vec<_> = received.iter().map(|(c, b)| (c, *b)).collect();
         bench.bench_with_input(BenchmarkId::new("verify_shares_batch", n), &n, |b, _| {
-            b.iter(|| verify_shares_batch(&group, alpha, &items).unwrap())
+            b.iter(|| verify_shares_batch(&group, &plan, &items).unwrap())
         });
         bench.bench_with_input(BenchmarkId::new("verify_shares_each", n), &n, |b, _| {
             b.iter(|| {
-                for (commitments, bundle) in &items {
-                    verify_shares(&group, commitments, alpha, bundle).unwrap();
+                for item in &items {
+                    verify_shares_batch(&group, &plan, std::slice::from_ref(item)).unwrap();
                 }
             })
         });

@@ -26,7 +26,10 @@ pub fn cell(n: usize, m: usize, levels: usize, trials: u32, seed: u64) -> (f64, 
         let quantizer = Quantizer::fit(&times, levels).expect("valid levels");
         distortion_sum += quantizer.distortion(&times);
         let bids = quantizer.quantize(&times).expect("valid shape");
-        #[allow(clippy::needless_range_loop)] // j indexes two parallel structures
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "j indexes two parallel structures"
+        )]
         for j in 0..m {
             // Continuous winner: the true minimum time.
             let continuous_winner = (0..n)

@@ -15,7 +15,8 @@
 
 use super::rng;
 use crate::table::Report;
-use dmw_modmath::{lagrange, Poly, PrimeField};
+use dmw_modmath::lagrange::ZeroCoefficients;
+use dmw_modmath::{Poly, PrimeField};
 
 /// Measures the false-success rate for `trials` random degree-`d`
 /// polynomials interpolated from `d − 1` shares (two fewer than needed
@@ -28,14 +29,15 @@ use dmw_modmath::{lagrange, Poly, PrimeField};
 pub fn measure(q: u64, degree: usize, trials: u32, seed: u64) -> f64 {
     assert!(degree >= 2, "need at least two shares short of resolution");
     let field = PrimeField::new(q).expect("prime q");
+    let mut rho = ZeroCoefficients::new();
+    for a in 1..degree as u64 {
+        rho.push(&field, a).expect("distinct points");
+    }
     let mut r = rng(seed);
     let mut hits = 0u32;
     for _ in 0..trials {
         let poly = Poly::random_zero_constant(&field, degree, &mut r);
-        let shares: Vec<(u64, u64)> = (1..degree as u64)
-            .map(|a| (a, poly.eval(&field, a)))
-            .collect();
-        if lagrange::interpolate_at_zero(&field, &shares).expect("distinct points") == 0 {
+        if rho.at_zero(&field, (1..degree as u64).map(|a| poly.eval(&field, a))) == 0 {
             hits += 1;
         }
     }

@@ -5,8 +5,9 @@
 //! the fault threshold `c` (inside [`BidEncoding`] together with `W`), and
 //! the pseudonym set `A = {α_1, …, α_n}` of distinct non-zero elements of
 //! the exponent field. From the pseudonyms it also derives, once, the
-//! multi-exponentiation plan of each pseudonym's powers, which every
-//! eq. (11) and (13) check of that agent runs on.
+//! multi-exponentiation plan of each pseudonym's powers: every eq. (7)–(9)
+//! share check at that pseudonym, every eq. (9) check of a claimed point
+//! there, and every eq. (11) and (13) check of that agent runs on it.
 
 use crate::error::DmwError;
 use dmw_crypto::commitments::powers_plan;
@@ -37,7 +38,8 @@ pub struct DmwConfig {
 
 /// The [`powers_plan`] of every pseudonym at `σ`, derived once from the
 /// published parameters (like the group's fixed-base tables) and shared
-/// by every clone of the configuration. Equality and `Debug` skip it:
+/// by every clone of the configuration: the only place a run derives a
+/// plan. Equality and `Debug` skip it:
 /// it is a function of the fields beside it.
 #[derive(Clone)]
 struct PowersPlans(Arc<[ExponentPlan]>);
@@ -100,18 +102,9 @@ impl DmwConfig {
         let group = SchnorrGroup::generate(p_bits, q_bits, rng).map_err(|e| DmwError::Config {
             reason: e.to_string(),
         })?;
-        if group.q() < encoding.min_group_order() {
-            return Err(DmwError::Config {
-                reason: format!("subgroup order {} cannot host {} pseudonyms", group.q(), n),
-            });
-        }
+        check_order(&group, &encoding)?;
         let pseudonyms = group.zq().rand_distinct_nonzero(n, rng);
-        Ok(DmwConfig {
-            plans: PowersPlans::new(&group, &encoding, &pseudonyms),
-            group,
-            encoding,
-            pseudonyms,
-        })
+        Self::from_parts(group, encoding, pseudonyms)
     }
 
     /// Assembles a configuration from pre-agreed parts (e.g. replayed from
@@ -119,13 +112,14 @@ impl DmwConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`DmwError::Config`] when the pseudonym set is not `n`
-    /// distinct non-zero residues of `Z_q`.
+    /// Returns [`DmwError::Config`] when `q` is too small for the encoding
+    /// or the pseudonym set is not `n` distinct non-zero residues of `Z_q`.
     pub fn from_parts(
         group: SchnorrGroup,
         encoding: BidEncoding,
         pseudonyms: Vec<u64>,
     ) -> Result<Self, DmwError> {
+        check_order(&group, &encoding)?;
         if pseudonyms.len() != encoding.agents() {
             return Err(DmwError::Config {
                 reason: format!(
@@ -181,7 +175,9 @@ impl DmwConfig {
     }
 
     /// The [`powers_plan`] of one agent's pseudonym at `σ`: it evaluates
-    /// every eq. (11) and (13) check of that agent.
+    /// every eq. (7)–(9) check at that pseudonym, including the eq. (9)
+    /// check of a point claimed there, and every eq. (11) and (13) check
+    /// of that agent.
     ///
     /// # Panics
     ///
@@ -189,6 +185,21 @@ impl DmwConfig {
     pub(crate) fn powers_plan(&self, agent: usize) -> &ExponentPlan {
         &self.plans.0[agent]
     }
+}
+
+/// Rejects a group whose subgroup order `q` cannot host the encoding's
+/// pseudonyms and evaluation points (`q ≥ σ + 2`).
+fn check_order(group: &SchnorrGroup, encoding: &BidEncoding) -> Result<(), DmwError> {
+    if group.q() < encoding.min_group_order() {
+        return Err(DmwError::Config {
+            reason: format!(
+                "subgroup order {} cannot host {} pseudonyms",
+                group.q(),
+                encoding.agents()
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// Derives one agent's private RNG seed from the run seed by SplitMix64
@@ -266,5 +277,16 @@ mod tests {
         assert!(DmwConfig::from_parts(group.clone(), encoding, vec![2, 2, 3, 4]).is_err());
         // Out of range.
         assert!(DmwConfig::from_parts(group.clone(), encoding, vec![1, 2, 3, group.q()]).is_err());
+        // A subgroup order below the encoding's minimum, even though every
+        // pseudonym fits below it.
+        let small =
+            SchnorrGroup::generate_with_order(8, 5, &mut rand::rngs::StdRng::seed_from_u64(3))
+                .unwrap();
+        let encoding = BidEncoding::new(4, 1).unwrap();
+        assert!(encoding.min_group_order() > small.q());
+        assert!(matches!(
+            DmwConfig::from_parts(small, encoding, vec![1, 2, 3, 4]),
+            Err(DmwError::Config { .. })
+        ));
     }
 }

@@ -88,9 +88,7 @@
 #[deny(
     clippy::integer_division_remainder_used,
     clippy::arithmetic_side_effects,
-    clippy::disallowed_methods,
-    clippy::allow_attributes,
-    clippy::allow_attributes_without_reason
+    clippy::disallowed_methods
 )]
 pub mod agent;
 pub mod audit;
@@ -127,9 +125,7 @@ pub mod obedient;
 #[deny(
     clippy::integer_division_remainder_used,
     clippy::arithmetic_side_effects,
-    clippy::disallowed_methods,
-    clippy::allow_attributes,
-    clippy::allow_attributes_without_reason
+    clippy::disallowed_methods
 )]
 pub mod payment;
 #[deny(
@@ -144,9 +140,7 @@ pub mod payment;
 #[deny(
     clippy::integer_division_remainder_used,
     clippy::arithmetic_side_effects,
-    clippy::disallowed_methods,
-    clippy::allow_attributes,
-    clippy::allow_attributes_without_reason
+    clippy::disallowed_methods
 )]
 pub mod phases;
 pub mod related_distributed;
@@ -168,9 +162,7 @@ pub mod repeated;
 #[deny(
     clippy::integer_division_remainder_used,
     clippy::arithmetic_side_effects,
-    clippy::disallowed_methods,
-    clippy::allow_attributes,
-    clippy::allow_attributes_without_reason
+    clippy::disallowed_methods
 )]
 pub mod runner;
 pub mod strategy;

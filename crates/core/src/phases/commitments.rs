@@ -43,7 +43,6 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
     // (task, sender) checks are submitted as one batch, which reports
     // the first failure in row-major (task, sender) order.
     let group = agent.config.group();
-    let my_alpha = agent.config.pseudonym(agent.me);
     let (bad_sender, submitted) = {
         let mut items = Vec::new();
         let mut senders = Vec::new();
@@ -61,7 +60,7 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
             }
         }
         let submitted = items.len() as u64;
-        let bad = verify_shares_batch(group, my_alpha, &items)
+        let bad = verify_shares_batch(group, agent.config.powers_plan(agent.me), &items)
             .err()
             .map(|failure| {
                 *senders

@@ -174,11 +174,11 @@ fn identify_from_claims(
                 return Err(AbortReason::InvalidDisclosure { discloser: k });
             }
             seen[l] = true;
-            let alpha = agent.config.pseudonym(l);
-            if verify_claimed_f_point(group, commitments, l, alpha, f, h).is_err() {
+            let plan = agent.config.powers_plan(l);
+            if verify_claimed_f_point(group, commitments, l, plan, f, h).is_err() {
                 return Err(AbortReason::InvalidDisclosure { discloser: k });
             }
-            alphas.push(alpha);
+            alphas.push(agent.config.pseudonym(l));
             column.push(f);
         }
         if identify_winner(group, &encoding, first_price, &alphas, &[column]).is_ok() {

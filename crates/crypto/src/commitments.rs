@@ -131,48 +131,6 @@ pub fn powers_plan(group: &SchnorrGroup, alpha: u64, sigma: usize) -> ExponentPl
     ExponentPlan::new(&exps)
 }
 
-/// Evaluates every column at pseudonym `alpha` with one [`powers_plan`]
-/// sized to the longest column, all columns in lockstep.
-pub(crate) fn products_at(group: &SchnorrGroup, alpha: u64, columns: &[&[u64]]) -> Vec<u64> {
-    let sigma = columns.iter().map(|c| c.len()).max().unwrap_or(0);
-    powers_plan(group, alpha, sigma).pow_columns(&group.zp(), columns)
-}
-
-/// Verifies a received share bundle against the sender's commitments —
-/// Phase III.1, equations (7), (8) and (9), in that order. This is
-/// [`verify_shares_batch`] on a one-item batch.
-///
-/// # Errors
-///
-/// Returns [`CryptoError::ShareVerificationFailed`] naming the first
-/// equation that failed. An agent receiving this error aborts the protocol,
-/// which is the detection mechanism behind Theorems 4 and 8.
-///
-/// # Example
-/// ```
-/// use dmw_crypto::{BidEncoding, BidPolynomials, Commitments, SecretBid, commitments::verify_shares};
-/// use dmw_modmath::SchnorrGroup;
-/// use rand::SeedableRng;
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let group = SchnorrGroup::generate(40, 16, &mut rng)?;
-/// let encoding = BidEncoding::new(5, 1)?;
-/// let polys = BidPolynomials::generate(&group, &encoding, &SecretBid::new(2), &mut rng)?;
-/// let commitments = Commitments::commit(&group, &encoding, &polys);
-/// let alpha = 7;
-/// let bundle = polys.share_for(&group.zq(), alpha);
-/// assert!(verify_shares(&group, &commitments, alpha, &bundle).is_ok());
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn verify_shares(
-    group: &SchnorrGroup,
-    commitments: &Commitments,
-    alpha: u64,
-    bundle: &ShareBundle,
-) -> Result<(), CryptoError> {
-    verify_shares_batch(group, alpha, &[(commitments, *bundle)]).map_err(|failure| failure.error)
-}
-
 /// A failure inside [`verify_shares_batch`]: which batch item failed, and
 /// the verification error it failed with.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -184,16 +142,17 @@ pub struct ShareBatchFailure {
 }
 
 /// Verifies a batch of `(commitments, bundle)` pairs at one evaluation
-/// point `alpha` against equations (7)–(9), in submission order.
+/// point `α` against equations (7)–(9), in submission order. `plan` is
+/// the [`powers_plan`] of `α`, at least as long as the longest vector in
+/// the batch.
 ///
 /// Phase III.1 checks every received bundle against its sender's
 /// commitments, across both tasks and senders, and every right-hand side
-/// is a product at the same exponents `α^ℓ`. So the batch derives one
-/// [`ExponentPlan`] from those exponents and runs it on the `O`, `Q` and
-/// `R` vectors of every item at once, `3 · items.len()` columns in
-/// lockstep. Then it compares each item's left-hand sides in order.
-/// An item whose vectors are shorter than the longest in the batch uses
-/// the matching prefix of the exponents.
+/// is a product at the same exponents `α^ℓ`. So the batch runs the one
+/// `plan` on the `O`, `Q` and `R` vectors of every item at once,
+/// `3 · items.len()` columns in lockstep. Then it compares each item's
+/// left-hand sides in order. An item whose vectors are shorter than the
+/// plan uses the matching prefix of the exponents.
 ///
 /// The verdict is the one a sequential loop over `items` gives, checking
 /// (7), (8), (9) per item: the first failing item in submission order,
@@ -205,10 +164,35 @@ pub struct ShareBatchFailure {
 ///
 /// Returns [`ShareBatchFailure`] naming the first item (in submission
 /// order) whose verification failed, with the underlying
-/// [`CryptoError::ShareVerificationFailed`].
+/// [`CryptoError::ShareVerificationFailed`]. An agent receiving this
+/// error aborts the protocol, which is the detection mechanism behind
+/// Theorems 4 and 8.
+///
+/// # Panics
+///
+/// Panics if a vector is longer than `plan`'s exponent vector.
+///
+/// # Example
+/// ```
+/// use dmw_crypto::commitments::{powers_plan, verify_shares_batch};
+/// use dmw_crypto::{BidEncoding, BidPolynomials, Commitments, SecretBid};
+/// use dmw_modmath::SchnorrGroup;
+/// use rand::SeedableRng;
+///
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+/// let group = SchnorrGroup::generate(40, 16, &mut rng)?;
+/// let encoding = BidEncoding::new(5, 1)?;
+/// let polys = BidPolynomials::generate(&group, &encoding, &SecretBid::new(2), &mut rng)?;
+/// let commitments = Commitments::commit(&group, &encoding, &polys);
+/// let alpha = 7;
+/// let plan = powers_plan(&group, alpha, encoding.sigma());
+/// let bundle = polys.share_for(&group.zq(), alpha);
+/// assert!(verify_shares_batch(&group, &plan, &[(&commitments, bundle)]).is_ok());
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 pub fn verify_shares_batch(
     group: &SchnorrGroup,
-    alpha: u64,
+    plan: &ExponentPlan,
     items: &[(&Commitments, ShareBundle)],
 ) -> Result<(), ShareBatchFailure> {
     let zq = group.zq();
@@ -216,7 +200,7 @@ pub fn verify_shares_batch(
         .iter()
         .flat_map(|(c, _)| [c.o(), c.q(), c.r()])
         .collect();
-    let products = products_at(group, alpha, &columns);
+    let products = plan.pow_columns(&group.zp(), &columns);
     for (index, ((_, bundle), rhs)) in items.iter().zip(products.chunks_exact(3)).enumerate() {
         // (7): z1^{e(α)f(α)} z2^{g(α)} == Π O_ℓ^{α^ℓ};
         // (8): z1^{e(α)} z2^{h(α)} == Γ; (9): z1^{f(α)} z2^{h(α)} == Φ.
@@ -245,8 +229,8 @@ pub(crate) mod tests {
     use rand::{Rng, SeedableRng};
 
     /// `Π_ℓ vector_ℓ^{α^ℓ} (mod p)`, one power at a time over the plain
-    /// `u128 %` arithmetic: the reference for one column of
-    /// [`products_at`]. `alpha` must be below `q`.
+    /// `u128 %` arithmetic: the reference for one column of a
+    /// [`powers_plan`]. `alpha` must be below `q`.
     pub(crate) fn reference_at(group: &SchnorrGroup, alpha: u64, vector: &[u64]) -> u64 {
         let q = group.q();
         let exps: Vec<u64> =
@@ -263,6 +247,19 @@ pub(crate) mod tests {
         (group, encoding, rng)
     }
 
+    /// [`verify_shares_batch`] on the one-item batch `(commitments, bundle)`
+    /// at `alpha`.
+    fn verify_one(
+        group: &SchnorrGroup,
+        commitments: &Commitments,
+        alpha: u64,
+        bundle: &ShareBundle,
+    ) -> Result<(), CryptoError> {
+        let plan = powers_plan(group, alpha, commitments.o().len());
+        verify_shares_batch(group, &plan, &[(commitments, *bundle)])
+            .map_err(|failure| failure.error)
+    }
+
     #[test]
     fn honest_shares_verify_at_every_point() {
         let (group, encoding, mut rng) = setup();
@@ -274,7 +271,7 @@ pub(crate) mod tests {
             let alphas = zq.rand_distinct_nonzero(encoding.agents(), &mut rng);
             for &alpha in &alphas {
                 let bundle = polys.share_for(&zq, alpha);
-                verify_shares(&group, &commitments, alpha, &bundle)
+                verify_one(&group, &commitments, alpha, &bundle)
                     .unwrap_or_else(|e| panic!("bid {bid}, alpha {alpha}: {e}"));
             }
         }
@@ -289,7 +286,7 @@ pub(crate) mod tests {
         let commitments = Commitments::commit(&group, &encoding, &polys);
         let mut bundle = polys.share_for(&zq, 9);
         bundle.e = zq.add(bundle.e, 1);
-        let err = verify_shares(&group, &commitments, 9, &bundle).unwrap_err();
+        let err = verify_one(&group, &commitments, 9, &bundle).unwrap_err();
         assert!(matches!(
             err,
             CryptoError::ShareVerificationFailed { equation: 7 | 8 }
@@ -312,7 +309,7 @@ pub(crate) mod tests {
                 _ => bundle.h = zq.add(bundle.h, 1),
             }
             assert!(
-                verify_shares(&group, &commitments, 11, &bundle).is_err(),
+                verify_one(&group, &commitments, 11, &bundle).is_err(),
                 "tampered field {field} slipped through"
             );
         }
@@ -327,7 +324,7 @@ pub(crate) mod tests {
         let commitments = Commitments::commit(&group, &encoding, &polys);
         let alpha = 17;
         let honest = polys.share_for(&zq, alpha);
-        verify_shares(&group, &commitments, alpha, &honest).unwrap();
+        verify_one(&group, &commitments, alpha, &honest).unwrap();
         // A bundle field enters (7) unless it is h, which (7) does not use.
         for (field, equation) in [('e', 7), ('f', 7), ('g', 7), ('h', 8)] {
             let mut bundle = honest;
@@ -339,7 +336,7 @@ pub(crate) mod tests {
             };
             *share = zq.add(*share, 1);
             assert_eq!(
-                verify_shares(&group, &commitments, alpha, &bundle),
+                verify_one(&group, &commitments, alpha, &bundle),
                 Err(CryptoError::ShareVerificationFailed { equation }),
                 "tampered share {field}"
             );
@@ -357,7 +354,7 @@ pub(crate) mod tests {
                 let [o, q, r] = vectors;
                 let tampered = Commitments::from_parts(&encoding, o, q, r).unwrap();
                 assert_eq!(
-                    verify_shares(&group, &tampered, alpha, &honest),
+                    verify_one(&group, &tampered, alpha, &honest),
                     Err(CryptoError::ShareVerificationFailed { equation }),
                     "tampered vector {vector}, entry {index}"
                 );
@@ -373,7 +370,7 @@ pub(crate) mod tests {
             BidPolynomials::generate(&group, &encoding, &SecretBid::new(2), &mut rng).unwrap();
         let commitments = Commitments::commit(&group, &encoding, &polys);
         let bundle = polys.share_for(&zq, 9);
-        assert!(verify_shares(&group, &commitments, 10, &bundle).is_err());
+        assert!(verify_one(&group, &commitments, 10, &bundle).is_err());
     }
 
     #[test]
@@ -385,7 +382,7 @@ pub(crate) mod tests {
         let commitments = Commitments::commit(&group, &encoding, &polys).with_tampered_q(&group, 0);
         let bundle = polys.share_for(&zq, 9);
         assert!(matches!(
-            verify_shares(&group, &commitments, 9, &bundle),
+            verify_one(&group, &commitments, 9, &bundle),
             Err(CryptoError::ShareVerificationFailed { equation: 8 })
         ));
     }
@@ -405,7 +402,7 @@ pub(crate) mod tests {
                 .clone()
                 .with_substituted_e(&zq, encoding.degree_of_bid(2).unwrap(), &mut rng);
         let bundle = substituted.share_for(&zq, 5);
-        let err = verify_shares(&group, &commitments, 5, &bundle).unwrap_err();
+        let err = verify_one(&group, &commitments, 5, &bundle).unwrap_err();
         assert!(matches!(err, CryptoError::ShareVerificationFailed { .. }));
     }
 
@@ -438,7 +435,8 @@ pub(crate) mod tests {
         let alpha = 13;
         let bundle = polys.share_for(&zq, alpha);
         assert_eq!(
-            products_at(&group, alpha, &[commitments.q(), commitments.r()]),
+            powers_plan(&group, alpha, encoding.sigma())
+                .pow_columns(&group.zp(), &[commitments.q(), commitments.r()]),
             [
                 group.commit(bundle.e, bundle.h),
                 group.commit(bundle.f, bundle.h)
@@ -466,12 +464,13 @@ pub(crate) mod tests {
             .collect();
         let items: Vec<(&Commitments, crate::polynomials::ShareBundle)> =
             committed.iter().map(|(c, b)| (c, *b)).collect();
-        assert!(verify_shares_batch(&group, alpha, &items).is_ok());
+        let plan = powers_plan(&group, alpha, encoding.sigma());
+        assert!(verify_shares_batch(&group, &plan, &items).is_ok());
         // Corrupt two items; the batch must report the *first* one.
         let mut corrupted = items.clone();
         corrupted[3].1.e = zq.add(corrupted[3].1.e, 1);
         corrupted[9].1.f = zq.add(corrupted[9].1.f, 1);
-        let failure = verify_shares_batch(&group, alpha, &corrupted).unwrap_err();
+        let failure = verify_shares_batch(&group, &plan, &corrupted).unwrap_err();
         // A tampered e share enters (7) first.
         assert_eq!(
             failure,
@@ -510,10 +509,10 @@ pub(crate) mod tests {
 
     fn batch_verdict(
         group: &SchnorrGroup,
-        alpha: u64,
+        plan: &ExponentPlan,
         items: &[(&Commitments, ShareBundle)],
     ) -> Result<(), (usize, u8)> {
-        verify_shares_batch(group, alpha, items).map_err(|failure| match failure.error {
+        verify_shares_batch(group, plan, items).map_err(|failure| match failure.error {
             CryptoError::ShareVerificationFailed { equation } => (failure.index, equation),
             other => panic!("unexpected error {other}"),
         })
@@ -523,7 +522,8 @@ pub(crate) mod tests {
     fn empty_and_one_item_batches_match_the_single_check() {
         let (group, encoding, mut rng) = setup();
         let zq = group.zq();
-        assert_eq!(verify_shares_batch(&group, 9, &[]), Ok(()));
+        let plan = powers_plan(&group, 9, encoding.sigma());
+        assert_eq!(verify_shares_batch(&group, &plan, &[]), Ok(()));
         let polys =
             BidPolynomials::generate(&group, &encoding, &SecretBid::new(2), &mut rng).unwrap();
         let commitments = Commitments::commit(&group, &encoding, &polys);
@@ -531,16 +531,13 @@ pub(crate) mod tests {
         let mut tampered = honest;
         tampered.h = zq.add(tampered.h, 1);
         for bundle in [honest, tampered] {
-            let single = verify_shares(&group, &commitments, 9, &bundle);
-            let batch = verify_shares_batch(&group, 9, &[(&commitments, bundle)]);
-            assert_eq!(batch.map_err(|failure| failure.error), single);
             assert_eq!(
-                batch_verdict(&group, 9, &[(&commitments, bundle)]),
+                batch_verdict(&group, &plan, &[(&commitments, bundle)]),
                 sequential_verdict(&group, 9, &[(&commitments, bundle)])
             );
         }
         assert_eq!(
-            verify_shares(&group, &commitments, 9, &tampered),
+            verify_one(&group, &commitments, 9, &tampered),
             Err(CryptoError::ShareVerificationFailed { equation: 8 })
         );
     }
@@ -558,6 +555,7 @@ pub(crate) mod tests {
             // Two encodings, so a batch can mix vector lengths σ.
             let encodings = [BidEncoding::new(6, 1).unwrap(), BidEncoding::new(3, 1).unwrap()];
             let alpha = zq.rand_nonzero(&mut rng);
+            let plan = powers_plan(&group, alpha, 6);
             let mut committed: Vec<(Commitments, ShareBundle)> = (0..count)
                 .map(|_| {
                     let encoding = &encodings[rng.gen_range(0..2usize)];
@@ -594,15 +592,13 @@ pub(crate) mod tests {
             let items: Vec<(&Commitments, ShareBundle)> =
                 committed.iter().map(|(c, b)| (c, *b)).collect();
             let expected = sequential_verdict(&group, alpha, &items);
-            proptest::prop_assert_eq!(batch_verdict(&group, alpha, &items), expected);
-            for (index, (commitments, bundle)) in items.iter().enumerate() {
-                let single = verify_shares(&group, commitments, alpha, bundle)
-                    .map_err(|error| (index, error));
-                let reference = sequential_verdict(&group, alpha, &[(commitments, *bundle)])
-                    .map_err(|(_, equation)| {
-                        (index, CryptoError::ShareVerificationFailed { equation })
-                    });
-                proptest::prop_assert_eq!(single, reference);
+            proptest::prop_assert_eq!(batch_verdict(&group, &plan, &items), expected);
+            for item in &items {
+                let item = std::slice::from_ref(item);
+                proptest::prop_assert_eq!(
+                    batch_verdict(&group, &plan, item),
+                    sequential_verdict(&group, alpha, item)
+                );
             }
         }
     }

@@ -14,8 +14,9 @@
 //!    `(e(α_k), f(α_k), g(α_k), h(α_k))` sent privately to agent `k`
 //!    (Phase II.2), and [`commitments::Commitments`] the published Pedersen
 //!    vectors `O, Q, R` (Phase II.3, equation (6)).
-//! 4. [`commitments::verify_shares`] checks a received bundle against the
-//!    sender's commitments — equations (7)–(9) (Phase III.1).
+//! 4. [`commitments::verify_shares_batch`] checks received bundles against
+//!    their senders' commitments — equations (7)–(9) (Phase III.1) — on
+//!    the verifier's [`commitments::powers_plan`].
 //! 5. [`resolution`] implements the public blackboard math of Phases
 //!    III.2–III.4: validation of the published `Λ_i = z1^{E(α_i)}`,
 //!    `Ψ_i = z2^{H(α_i)}` (equation (11)), first-price resolution in the
@@ -28,7 +29,7 @@
 //! agents over a simulated network, and adds the strategy/deviation layer;
 //! its crate-level quickstart runs one complete auction end to end. The
 //! commit-and-verify round trip of one bundle is the example on
-//! [`commitments::verify_shares`].
+//! [`commitments::verify_shares_batch`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,9 +58,7 @@
 #![deny(
     clippy::integer_division_remainder_used,
     clippy::arithmetic_side_effects,
-    clippy::disallowed_methods,
-    clippy::allow_attributes,
-    clippy::allow_attributes_without_reason
+    clippy::disallowed_methods
 )]
 // No wall-clock reads (clippy.toml's `disallowed-types`): `forbid`, so
 // no `#[allow]` can waive it.

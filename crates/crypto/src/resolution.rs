@@ -17,7 +17,7 @@
 //! `z1` has order `q`, so the product is 1 exactly when the plain Lagrange
 //! interpolation of `E` at zero vanishes mod `q`.
 
-use crate::commitments::{products_at, Commitments};
+use crate::commitments::Commitments;
 use crate::encoding::BidEncoding;
 use crate::error::CryptoError;
 use dmw_modmath::multiexp::ExponentPlan;
@@ -220,7 +220,8 @@ pub fn resolve_min_bid(
 
 /// Verifies one claimed `(f_ℓ(α), h_ℓ(α))` evaluation against agent `ℓ`'s
 /// published `R` commitment vector — equation (9) applied to a single
-/// point: `z1^{f} · z2^{h} = Φ_ℓ(α) = Π_j R_{ℓ,j}^{α^j}`.
+/// point: `z1^{f} · z2^{h} = Φ_ℓ(α) = Π_j R_{ℓ,j}^{α^j}`, evaluated with
+/// `plan`, the [`powers_plan`](crate::commitments::powers_plan) of `α`.
 ///
 /// This backs the winner-identification fallback: when crashes before
 /// bidding leave fewer live share points than identification needs, the
@@ -236,11 +237,11 @@ pub fn verify_claimed_f_point(
     group: &SchnorrGroup,
     commitments: &Commitments,
     point_index: usize,
-    alpha: u64,
+    plan: &ExponentPlan,
     f_value: u64,
     h_value: u64,
 ) -> Result<(), CryptoError> {
-    if products_at(group, alpha, &[commitments.r()]) != [group.commit(f_value, h_value)] {
+    if plan.pow_columns(&group.zp(), &[commitments.r()]) != [group.commit(f_value, h_value)] {
         return Err(CryptoError::DisclosureInvalid { point: point_index });
     }
     Ok(())
@@ -849,9 +850,10 @@ mod tests {
         let alpha = s.alphas[4];
         let f = s.polys[1].f().eval(&zq, alpha);
         let h = s.polys[1].h().eval(&zq, alpha);
-        verify_claimed_f_point(&s.group, &s.commitments[1], 4, alpha, f, h).unwrap();
+        let plan = powers_plan(&s.group, alpha, s.encoding.sigma());
+        verify_claimed_f_point(&s.group, &s.commitments[1], 4, &plan, f, h).unwrap();
         assert!(matches!(
-            verify_claimed_f_point(&s.group, &s.commitments[1], 4, alpha, zq.add(f, 1), h),
+            verify_claimed_f_point(&s.group, &s.commitments[1], 4, &plan, zq.add(f, 1), h),
             Err(CryptoError::DisclosureInvalid { point: 4 })
         ));
     }

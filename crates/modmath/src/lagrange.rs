@@ -16,8 +16,9 @@
 //! > "Deliberate clarifications"). The `false-positive` experiment measures
 //! > the `≈ 1/q` accidental-success probability.
 //!
-//! [`interpolate_at_zero`] is the textbook basis-polynomial formula of
-//! Definition 11 / equation (2).
+//! Plain interpolation is the basis-polynomial formula of Definition 11 /
+//! equation (2), `f(0) = Σ_k ρ_k · f(α_k)`: [`ZeroCoefficients::at_zero`]
+//! over the builder's points.
 //!
 //! The *distributed* variant used by DMW operates in the exponent: each
 //! agent publishes `Λ_k = z1^{E(α_k)}` and anyone checks
@@ -195,7 +196,23 @@ impl ZeroCoefficients {
     }
 
     /// Interpolates `f(0) = Σ_k ρ_k · f(α_k)` from the values `f(α_k)` at
-    /// the points added so far, in order (extra values are ignored).
+    /// the points added so far, in order (extra values are ignored). The
+    /// result equals the true `f(0)` iff `deg f ≤ s − 1` for `s` points
+    /// (up to the `1/q` accident).
+    ///
+    /// # Example
+    /// ```
+    /// use dmw_modmath::{lagrange, PrimeField, Poly};
+    ///
+    /// let f = PrimeField::new(101)?;
+    /// let p = Poly::from_coeffs(&f, vec![42, 1, 1]); // degree 2
+    /// let mut rho = lagrange::ZeroCoefficients::new();
+    /// for a in 1..=3 {
+    ///     rho.push(&f, a)?;
+    /// }
+    /// assert_eq!(rho.at_zero(&f, (1..=3).map(|a| p.eval(&f, a))), 42);
+    /// # Ok::<(), dmw_modmath::ModMathError>(())
+    /// ```
     pub fn at_zero(&self, field: &PrimeField, values: impl IntoIterator<Item = u64>) -> u64 {
         self.coeffs
             .iter()
@@ -204,47 +221,17 @@ impl ZeroCoefficients {
     }
 }
 
-/// Interpolates `f(0)` from shares `(α_k, f(α_k))` using the basis-polynomial
-/// formula of Definition 11. The result equals the true `f(0)` iff
-/// `deg f ≤ s − 1` where `s = shares.len()` (up to the `1/q` accident).
-///
-/// # Errors
-///
-/// Propagates the validation errors of [`zero_coefficients`].
-///
-/// # Example
-/// ```
-/// use dmw_modmath::{PrimeField, Poly, lagrange};
-///
-/// let f = PrimeField::new(101)?;
-/// let p = Poly::from_coeffs(&f, vec![42, 1, 1]); // degree 2
-/// let shares: Vec<(u64, u64)> = (1..=3).map(|a| (a, p.eval(&f, a))).collect();
-/// assert_eq!(lagrange::interpolate_at_zero(&f, &shares)?, 42);
-/// # Ok::<(), dmw_modmath::ModMathError>(())
-/// ```
-pub fn interpolate_at_zero(field: &PrimeField, shares: &[(u64, u64)]) -> Result<u64, ModMathError> {
-    let points: Vec<u64> = shares.iter().map(|&(a, _)| a).collect();
-    let coeffs = zero_coefficients(field, &points)?;
-    let mut acc = 0u64;
-    for (&(_, v), &rho) in shares.iter().zip(&coeffs) {
-        acc = field.add(acc, field.mul(v, rho));
-    }
-    Ok(acc)
-}
-
 /// Resolves the degree of a zero-constant-term polynomial from its shares:
 /// returns the smallest `s − 1` such that the `s`-share interpolation at
 /// zero vanishes, scanning `s = 1, 2, …`. Returns `None` if no prefix of the
 /// shares resolves (i.e. `deg f ≥ shares.len()`, or the shares are
-/// inconsistent).
+/// inconsistent), or when the scan reaches a zero, unreduced or repeated
+/// point.
 ///
 /// For an honest degree-`d` polynomial this returns `Some(d)` whenever at
 /// least `d + 1` shares are supplied, except for an `O(s/q)` chance of
-/// resolving early (measured by the `false-positive` experiment).
-///
-/// # Errors
-///
-/// Propagates validation errors (duplicate or zero points).
+/// resolving early (measured by the `false-positive` experiment). The
+/// Theorem 10 collusion attack (`dmw::collusion`) runs it on pooled shares.
 ///
 /// # Example
 /// ```
@@ -262,28 +249,13 @@ pub fn interpolate_at_zero(field: &PrimeField, shares: &[(u64, u64)]) -> Result<
 /// ```
 pub fn resolve_zero_degree(field: &PrimeField, shares: &[(u64, u64)]) -> Option<usize> {
     let mut rho = ZeroCoefficients::new();
-    for s in 1..=shares.len() {
-        let prefix = shares.get(..s)?;
-        match prefix_at_zero(field, &mut rho, prefix) {
-            Ok(0) => return Some(s - 1),
-            Ok(_) => continue,
-            Err(_) => return None,
+    for (s, &(a, _)) in shares.iter().enumerate() {
+        rho.push(field, a).ok()?;
+        if rho.at_zero(field, shares.iter().map(|&(_, v)| v)) == 0 {
+            return Some(s);
         }
     }
     None
-}
-
-/// Interpolates `prefix` at zero, extending `rho` (built over a shorter
-/// prefix of the same shares) to cover it.
-fn prefix_at_zero(
-    field: &PrimeField,
-    rho: &mut ZeroCoefficients,
-    prefix: &[(u64, u64)],
-) -> Result<u64, ModMathError> {
-    for &(a, _) in prefix.get(rho.len()..).unwrap_or_default() {
-        rho.push(field, a)?;
-    }
-    Ok(rho.at_zero(field, prefix.iter().map(|&(_, v)| v)))
 }
 
 #[cfg(test)]
@@ -299,6 +271,15 @@ mod tests {
 
     fn shares_of(p: &Poly, f: &PrimeField, n: u64) -> Vec<(u64, u64)> {
         (1..=n).map(|a| (a, p.eval(f, a))).collect()
+    }
+
+    /// `f(0)` interpolated from `shares` by [`ZeroCoefficients::at_zero`].
+    fn interpolate(f: &PrimeField, shares: &[(u64, u64)]) -> u64 {
+        let mut rho = ZeroCoefficients::new();
+        for &(a, _) in shares {
+            rho.push(f, a).unwrap();
+        }
+        rho.at_zero(f, shares.iter().map(|&(_, v)| v))
     }
 
     #[test]
@@ -336,11 +317,9 @@ mod tests {
     fn interpolation_recovers_constant_term() {
         let f = field();
         let p = Poly::from_coeffs(&f, vec![77, 3, 0, 9]); // degree 3
-        let shares = shares_of(&p, &f, 4);
-        assert_eq!(interpolate_at_zero(&f, &shares).unwrap(), 77);
+        assert_eq!(interpolate(&f, &shares_of(&p, &f, 4)), 77);
         // Extra shares do not change the value.
-        let shares = shares_of(&p, &f, 9);
-        assert_eq!(interpolate_at_zero(&f, &shares).unwrap(), 77);
+        assert_eq!(interpolate(&f, &shares_of(&p, &f, 9)), 77);
     }
 
     #[test]
@@ -348,8 +327,7 @@ mod tests {
         // With s <= deg f the interpolant at zero differs from f(0) (w.h.p.).
         let f = field();
         let p = Poly::from_coeffs(&f, vec![77, 3, 0, 9]);
-        let shares = shares_of(&p, &f, 3);
-        assert_ne!(interpolate_at_zero(&f, &shares).unwrap(), 77);
+        assert_ne!(interpolate(&f, &shares_of(&p, &f, 3)), 77);
     }
 
     #[test]
@@ -408,6 +386,7 @@ mod tests {
             at in 0usize..16,
             earlier in 0usize..16,
             bad in 0u8..4,
+            degree in 1usize..16,
         ) {
             let f = field();
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -427,13 +406,31 @@ mod tests {
             if let Some((at, point)) = injected {
                 points.insert(at, point);
             }
+            // A polynomial with constant term 77 and exact degree `degree`.
+            let p = Poly::random_zero_constant(&f, degree, &mut rng)
+                .add(&f, &Poly::from_coeffs(&f, vec![77]));
             let mut rho = ZeroCoefficients::new();
             for s in 1..=points.len() {
                 let reference = zero_coefficients(&f, &points[..s]);
                 let before = rho.clone();
                 match rho.push(&f, points[s - 1]) {
                     Ok(()) => {
-                        prop_assert_eq!(Ok(rho.coefficients().to_vec()), reference);
+                        prop_assert_eq!(Ok(rho.coefficients().to_vec()), reference.clone());
+                        let values: Vec<u64> = points[..s].iter().map(|&a| p.eval(&f, a)).collect();
+                        let naive = reference
+                            .unwrap_or_default()
+                            .iter()
+                            .zip(&values)
+                            .fold(0, |acc, (&r, &v)| f.add(acc, f.mul(r, v)));
+                        let value = rho.at_zero(&f, values);
+                        prop_assert_eq!(value, naive);
+                        // More than `degree` points recover the constant
+                        // term; exactly `degree` points always miss it.
+                        if s > degree {
+                            prop_assert_eq!(value, 77);
+                        } else if s == degree {
+                            prop_assert_ne!(value, 77);
+                        }
                     }
                     Err(e) => {
                         prop_assert_eq!(Err(e), reference);
@@ -483,11 +480,8 @@ mod tests {
                 .iter()
                 .map(|&a| (a, f.add(p1.eval(&f, a), p2.eval(&f, a))))
                 .collect();
-            let lhs = interpolate_at_zero(&f, &ssum).unwrap();
-            let rhs = f.add(
-                interpolate_at_zero(&f, &s1).unwrap(),
-                interpolate_at_zero(&f, &s2).unwrap(),
-            );
+            let lhs = interpolate(&f, &ssum);
+            let rhs = f.add(interpolate(&f, &s1), interpolate(&f, &s2));
             prop_assert_eq!(lhs, rhs);
         }
     }

@@ -270,7 +270,7 @@ impl<M: Payload + Clone> DelayTransport<M> {
         self.stats.point_to_point += 1;
         self.stats.bytes += bytes;
         self.seq += 1;
-        let delay = self.profile.draw(self.seq) + self.faults.link_delay_or_zero(from, to);
+        let delay = self.profile.draw(self.seq) + self.faults.link_delay(from, to);
         record_enqueue(&mut self.metrics, from, to, bytes, 1 + delay);
         let fate = match classify_loss(
             &self.faults,

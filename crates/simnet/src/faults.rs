@@ -110,9 +110,11 @@ impl FaultPlan {
             p.is_finite() && (0.0..=1.0).contains(&p),
             "drop probability must be in 0.0..=1.0"
         );
-        // In-range cast: p ∈ [0, 1] so p · 1e6 rounds to 0..=1_000_000,
-        // far inside u64.
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "p ∈ [0, 1], so p · 1e6 rounds to 0..=1_000_000, far inside u64"
+        )]
         let ppm = (p * PPM as f64).round() as u64;
         self.drop_prob = Some((ppm, seed));
         self
@@ -230,23 +232,13 @@ impl FaultPlan {
         self
     }
 
-    /// The scheduled extra delay for the directed link `from → to`, or
-    /// `None` when the plan has no entry for it. `None` and `Some(0)`
-    /// deliver identically; the distinction only tells you whether the
-    /// plan *mentions* the link. Use [`FaultPlan::link_delay_or_zero`]
-    /// when only the effective latency matters.
-    pub fn link_delay(&self, from: NodeId, to: NodeId) -> Option<u64> {
+    /// The scheduled extra delay for the directed link `from → to`, `0`
+    /// when the plan has no entry for it.
+    pub fn link_delay(&self, from: NodeId, to: NodeId) -> u64 {
         self.link_delays
             .iter()
             .find(|(f, t, _)| *f == from.0 && *t == to.0)
-            .map(|(_, _, d)| *d)
-    }
-
-    /// The effective extra delay for the directed link `from → to`
-    /// (`0` when the plan has no entry) — the convenience form the
-    /// transports use.
-    pub fn link_delay_or_zero(&self, from: NodeId, to: NodeId) -> u64 {
-        self.link_delay(from, to).unwrap_or(0)
+            .map_or(0, |(_, _, d)| *d)
     }
 }
 
@@ -307,19 +299,16 @@ mod tests {
             .delay_link(NodeId(0), NodeId(1), 2)
             .delay_link(NodeId(0), NodeId(1), 4)
             .delay_link(NodeId(2), NodeId(0), 1);
-        assert_eq!(plan.link_delay(NodeId(0), NodeId(1)), Some(4));
-        assert_eq!(plan.link_delay(NodeId(1), NodeId(0)), None);
-        assert_eq!(plan.link_delay_or_zero(NodeId(1), NodeId(0)), 0);
-        assert_eq!(plan.link_delay(NodeId(2), NodeId(0)), Some(1));
-        assert_eq!(plan.link_delay_or_zero(NodeId(2), NodeId(0)), 1);
+        assert_eq!(plan.link_delay(NodeId(0), NodeId(1)), 4);
+        assert_eq!(plan.link_delay(NodeId(1), NodeId(0)), 0);
+        assert_eq!(plan.link_delay(NodeId(2), NodeId(0)), 1);
     }
 
     #[test]
-    fn link_delay_distinguishes_explicit_zero_from_absent() {
+    fn link_delay_reads_an_explicit_zero_as_no_delay() {
         let plan = FaultPlan::none(2).delay_link(NodeId(0), NodeId(1), 0);
-        assert_eq!(plan.link_delay(NodeId(0), NodeId(1)), Some(0));
-        assert_eq!(plan.link_delay(NodeId(1), NodeId(0)), None);
-        assert_eq!(plan.link_delay_or_zero(NodeId(0), NodeId(1)), 0);
+        assert_eq!(plan.link_delay(NodeId(0), NodeId(1)), 0);
+        assert_eq!(plan.link_delay(NodeId(1), NodeId(0)), 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@ mod clippy_probe;
 
 use clippy_probe::{
     at, bench_conf, clippy, crate_root, levels_in_source, root_conf, L1, L2, L3, L5, L7,
-    WORKSPACE_L4,
+    WORKSPACE_L4, WORKSPACE_WAIVERS,
 };
 
 #[test]
@@ -143,7 +143,7 @@ fn l5_fixture_catches_narrowing_casts_only() {
 
 #[test]
 fn clean_fixture_is_clean_under_the_strictest_scope() {
-    let levels = [L1, L2, L3, L5, L7].concat();
+    let levels = [L1, L2, L3, L5, L7, WORKSPACE_WAIVERS].concat();
     let found = clippy(include_str!("../fixtures/clean.rs"), &levels, &root_conf());
     assert!(found.is_empty(), "{found:?}");
 }
@@ -152,7 +152,8 @@ fn clean_fixture_is_clean_under_the_strictest_scope() {
 fn l2_and_l3_allows_are_rejected_even_with_justification() {
     // An L2 waiver is an `#[expect]` whose reason names the quantity: it
     // goes stale loudly once the arithmetic leaves. An `#[allow]` is
-    // rejected, and so is an `#[expect]` without a reason.
+    // rejected, and so is an `#[expect]` without a reason, in every
+    // member crate (the workspace level).
     let source = "#[allow(clippy::arithmetic_side_effects, reason = \"very good reason\")]\n\
                   pub fn f(a: u64) -> u64 { a + 1 }\n\
                   #[expect(clippy::arithmetic_side_effects)]\n\
@@ -160,7 +161,7 @@ fn l2_and_l3_allows_are_rejected_even_with_justification() {
                   #[expect(clippy::arithmetic_side_effects, reason = \"ticks\")]\n\
                   pub fn h(a: u64) -> u64 { a + 1 }\n";
     assert_eq!(
-        clippy(source, L2, &root_conf()),
+        clippy(source, &[L2, WORKSPACE_WAIVERS].concat(), &root_conf()),
         at(&[
             (1, "allow_attributes"),
             (3, "allow_attributes_without_reason")

@@ -15,7 +15,7 @@ mod clippy_probe;
 
 use clippy_probe::{
     at, bench_conf, clippy, crate_root, levels_in_source, read, root_conf, sorted, L1, L2, L3, L5,
-    L7, WORKSPACE_L4,
+    L7, WORKSPACE_L4, WORKSPACE_WAIVERS,
 };
 use std::process::Command;
 
@@ -142,6 +142,14 @@ fn lint_levels_set_in_source_are_the_probed_levels() {
             levels_in_source(&crate_root(name), None),
             expected,
             "crate root of {name}"
+        );
+    }
+    let manifest = read("Cargo.toml");
+    for flag in WORKSPACE_WAIVERS {
+        let lint = flag.trim_start_matches("-Dclippy::");
+        assert!(
+            manifest.contains(&format!("\n{lint} = \"deny\"")),
+            "`{lint}` in [workspace.lints.clippy]"
         );
     }
 }

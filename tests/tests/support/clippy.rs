@@ -32,6 +32,12 @@ pub const L2: &[&str] = &[
     "-Dclippy::integer_division_remainder_used",
     "-Dclippy::arithmetic_side_effects",
     "-Dclippy::disallowed_methods",
+];
+
+/// The workspace level (root `Cargo.toml`) of the waiver form: every
+/// member crate rejects an `#[allow]` and an `#[expect]` without a
+/// reason.
+pub const WORKSPACE_WAIVERS: &[&str] = &[
     "-Dclippy::allow_attributes",
     "-Dclippy::allow_attributes_without_reason",
 ];
