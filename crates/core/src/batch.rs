@@ -21,6 +21,14 @@
 //! fan arbitrary jobs (the `dmw-bench` experiment sweeps go through these,
 //! since each sweep point regenerates its own configuration).
 //!
+//! This module is the crate's one source of threads. The same scoped
+//! fan-out serves [`BatchRunner::map`] and the runner's polling of one
+//! tick's agents (`docs/scheduler.md`). It adds each worker's
+//! [`dmw_modmath::ops`] delta to the calling thread's counters, so a
+//! region bracketed with `ops::current_ops()` counts the same operations
+//! at every width. A fan-out started inside a worker runs inline, on that
+//! worker: a batch trial never spawns tick workers of its own.
+//!
 //! # Example: a deterministic honest sweep
 //!
 //! ```
@@ -53,12 +61,104 @@ use crate::error::DmwError;
 use crate::runner::{DmwRun, DmwRunner};
 use crate::strategy::Behavior;
 use dmw_mechanism::ExecutionTimes;
+use dmw_modmath::ops::{self, OpsSnapshot};
 use dmw_obs::MetricsSnapshot;
 use dmw_simnet::FaultPlan;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
+thread_local! {
+    /// Set on every thread [`fan_out`] spawns.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// The host's parallelism, read once per process; one worker if the host
+/// cannot tell.
+fn host_parallelism() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// The worker count for `items` units of work at `per_worker` units per
+/// worker: one worker per full `per_worker`, at least one, at most the
+/// host's parallelism.
+pub(crate) fn workers_for(items: usize, per_worker: usize) -> usize {
+    (items / per_worker.max(1)).clamp(1, host_parallelism())
+}
+
+/// Runs `f(job)` for every job, each on its own scoped worker thread, and
+/// returns the results in job order. Each worker's operation counts are
+/// added to the calling thread's (see the [module docs](self)). One job,
+/// or a call from inside a worker, runs inline on the calling thread.
+///
+/// # Panics
+///
+/// Re-raises a job's panic on the calling thread, and panics if the host
+/// refuses to spawn a thread.
+fn fan_out<J: Send, R: Send>(jobs: Vec<J>, f: impl Fn(J) -> R + Sync) -> Vec<R> {
+    if jobs.len() <= 1 || IN_WORKER.with(Cell::get) {
+        return jobs.into_iter().map(f).collect();
+    }
+    let f = &f;
+    let joined: Vec<(R, OpsSnapshot)> = std::thread::scope(|s| {
+        let workers: Vec<_> = jobs
+            .into_iter()
+            .map(|job| {
+                s.spawn(move || {
+                    IN_WORKER.with(|flag| flag.set(true));
+                    let before = ops::current_ops();
+                    let result = f(job);
+                    (result, ops::current_ops().since(&before))
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|worker| match worker.join() {
+                Ok(done) => done,
+                Err(payload) => std::panic::resume_unwind(payload),
+            })
+            .collect()
+    });
+    joined
+        .into_iter()
+        .map(|(result, delta)| {
+            ops::add(delta);
+            result
+        })
+        .collect()
+}
+
+/// Maps `f` over `items` on `width` workers, each over one contiguous run
+/// of items (run lengths differ by at most one), and returns the results
+/// in item order.
+pub(crate) fn map_contiguous<T: Send, R: Send>(
+    items: Vec<T>,
+    width: usize,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let width = width.min(items.len());
+    if width <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let (base, extra) = (items.len() / width, items.len() % width);
+    let mut rest = items.into_iter();
+    let runs: Vec<Vec<T>> = (0..width)
+        .map(|run| {
+            rest.by_ref()
+                .take(base + usize::from(run < extra))
+                .collect()
+        })
+        .collect();
+    fan_out(runs, |run| run.into_iter().map(&f).collect::<Vec<R>>())
+        .into_iter()
+        .flatten()
+        .collect()
+}
 
 /// Folds the metrics snapshots of every successful run in a batch into
 /// one aggregate (counters add, gauges max, histogram buckets add) —
@@ -135,7 +235,7 @@ impl BatchRunner {
     /// tell).
     pub fn with_threads(threads: usize) -> Self {
         let threads = match threads {
-            0 => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+            0 => host_parallelism(),
             n => n,
         };
         BatchRunner { threads }
@@ -152,10 +252,12 @@ impl BatchRunner {
     /// This is the deterministic-order parallel-map primitive everything
     /// else builds on: `f` receives the job's submission index, so any
     /// seeding derived from it is independent of thread scheduling. The
-    /// width is `threads().min(jobs.len())`; at width 1 the jobs run in a
-    /// plain loop on the calling thread. Otherwise each worker takes the
-    /// next unclaimed index from a shared cursor, and the `(index,
-    /// result)` pairs are sorted back into submission order.
+    /// width is `threads().min(jobs.len())`; at width 1, or when called
+    /// from inside another fan-out's worker, the jobs run in order on the
+    /// calling thread. Otherwise each worker takes the next unclaimed
+    /// index from a shared cursor, and the `(index, result)` pairs are
+    /// sorted back into submission order. The operations the workers
+    /// count are added to the calling thread's `ops` counters.
     ///
     /// # Panics
     ///
@@ -168,32 +270,19 @@ impl BatchRunner {
         F: Fn(usize, &T) -> R + Send + Sync,
     {
         let width = self.threads.min(jobs.len());
-        if width <= 1 {
-            return jobs.iter().enumerate().map(|(i, job)| f(i, job)).collect();
-        }
         let cursor = AtomicUsize::new(0);
-        let mut done: Vec<(usize, R)> = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..width)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(job) = jobs.get(i) else { break };
-                            local.push((i, f(i, job)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .flat_map(|worker| match worker.join() {
-                    Ok(local) => local,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
+        let mut done: Vec<(usize, R)> = fan_out(vec![(); width], |()| {
+            let mut local = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(job) = jobs.get(i) else { break };
+                local.push((i, f(i, job)));
+            }
+            local
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         done.sort_unstable_by_key(|&(i, _)| i);
         done.into_iter().map(|(_, r)| r).collect()
     }
@@ -291,6 +380,57 @@ mod tests {
             aggregate_metrics(&parallel),
             "aggregate snapshots are thread-count invariant too"
         );
+    }
+
+    #[test]
+    fn a_batch_counts_the_same_operations_at_every_width() {
+        let runner = runner(5, 1, 11);
+        let w_max = runner.config().encoding().w_max();
+        let batch = instances(4, 5, 2, w_max, 99);
+        let counted = |threads: usize| {
+            let before = ops::current_ops();
+            BatchRunner::with_threads(threads).run_honest(&runner, 7, &batch);
+            ops::current_ops().since(&before)
+        };
+        let serial = counted(1);
+        assert!(serial.mul > 0);
+        assert_eq!(
+            counted(3),
+            serial,
+            "worker threads' counts reach the caller"
+        );
+    }
+
+    #[test]
+    fn one_worker_per_full_share_up_to_the_host() {
+        assert_eq!(workers_for(0, 16), 1);
+        assert_eq!(workers_for(31, 16), 1);
+        assert_eq!(workers_for(32, 16), 2.min(host_parallelism()));
+        assert_eq!(workers_for(1 << 20, 16), host_parallelism());
+    }
+
+    #[test]
+    fn contiguous_runs_cover_every_item_in_order() {
+        for (count, width) in [(0, 3), (1, 4), (8, 7), (64, 4), (10, 1)] {
+            let items: Vec<usize> = (0..count).collect();
+            let mapped = map_contiguous(items, width, |x| x * 3);
+            assert_eq!(mapped, (0..count).map(|x| x * 3).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn a_fan_out_inside_a_worker_runs_inline() {
+        let outer = thread_ids(2);
+        assert_ne!(outer[0], outer[1], "a top-level fan-out spawns workers");
+        let inner = BatchRunner::with_threads(2).map(&[0, 1], |_, _| thread_ids(2));
+        for ids in &inner {
+            assert_eq!(ids[0], ids[1], "nested jobs share their worker's thread");
+        }
+    }
+
+    /// The thread each of `width` fan-out jobs ran on.
+    fn thread_ids(width: usize) -> Vec<std::thread::ThreadId> {
+        fan_out(vec![(); width], |()| std::thread::current().id())
     }
 
     #[test]

@@ -32,8 +32,8 @@ use crate::trace::TraceEvent;
 use dmw_mechanism::{AgentId, ExecutionTimes, Schedule, TaskId};
 use dmw_obs::{Key, MetricsSnapshot};
 use dmw_simnet::{
-    coalesce, DelayProfile, DelayTransport, FaultPlan, NetworkStats, NodeId, Payload, Recipient,
-    Transport,
+    coalesce, DelayProfile, DelayTransport, Delivered, FaultPlan, NetworkStats, NodeId, Payload,
+    Recipient, Transport,
 };
 use rand::{Rng, SeedableRng};
 
@@ -830,12 +830,49 @@ impl DmwRunner {
     }
 }
 
-/// One scheduler tick: poll every agent with its freshly delivered
-/// inbox, trace and meter the logical protocol messages, seal and send
-/// them (through the reliable endpoints in recovery mode), then step the
-/// transport. Both [`Engine`]s execute this exact body — they differ
-/// only in which ticks they execute, which is why their run artifacts
-/// stay bit-identical (`docs/scheduler.md`).
+/// Agents per tick worker: [`run_tick`] polls a tick's agents on one
+/// worker per 16 agents, up to the host's parallelism. Spawning costs
+/// more than polling fewer agents, so runs below n = 32 stay serial.
+const AGENTS_PER_WORKER: usize = 16;
+
+#[cfg(test)]
+thread_local! {
+    /// Test-only: the tick width to use instead of the width rule.
+    static WIDTH_OVERRIDE: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+}
+
+/// How many workers poll the agents of one tick of an `n`-agent run.
+fn tick_width(n: usize) -> usize {
+    #[cfg(test)]
+    if let Some(width) = WIDTH_OVERRIDE.with(std::cell::Cell::get) {
+        return width;
+    }
+    crate::batch::workers_for(n, AGENTS_PER_WORKER)
+}
+
+/// What one agent's poll hands back to the scheduler.
+struct Polled {
+    /// The trace events of its logical protocol messages.
+    trace: Vec<TraceEvent>,
+    /// One `(phase, task, recipient, size)` entry per metered message.
+    metered: Vec<(&'static str, Option<usize>, Recipient, usize)>,
+    /// Recovery mode: the sealed protocol messages, sent first.
+    sealed: Vec<(NodeId, Body)>,
+    /// The protocol messages, or in recovery mode the endpoint's control
+    /// traffic, sent after `sealed`.
+    wire: Vec<(Recipient, Body)>,
+}
+
+/// One scheduler tick, in three stages. First take every agent's
+/// freshly delivered inbox, in agent order. Then poll the agents on
+/// [`tick_width`] workers over contiguous agent runs (see
+/// [`poll_agent`]). Last, in agent order, push the trace, meter the
+/// logical messages and send; then step the transport. Inboxes fill only
+/// when the transport steps, so taking them all first changes nothing,
+/// and every transport call keeps its serial order. Both [`Engine`]s
+/// execute this exact body — they differ only in which ticks they
+/// execute, which is why their run artifacts stay bit-identical
+/// (`docs/scheduler.md`).
 fn run_tick<T: Transport<Body>>(
     round: u64,
     batching: bool,
@@ -846,77 +883,111 @@ fn run_tick<T: Transport<Body>>(
     sched_metrics: &mut MetricsSnapshot,
 ) {
     let n = agents.len();
-    for (i, agent) in agents.iter_mut().enumerate() {
-        let inbox = transport.take_inbox(NodeId(i));
-        // Recovery mode: the endpoint consumes acks and control
-        // traffic, deduplicates and reorders, and releases the
-        // in-sequence protocol messages the agent should see.
-        let inbox = match endpoints.get_mut(i) {
-            Some(endpoint) => endpoint.process_inbound(round, inbox),
-            None => inbox,
-        };
-        let outgoing = agent.poll_at(round, inbox);
-        let outgoing = if batching {
-            coalesce(outgoing, Body::Batch)
-        } else {
-            outgoing
-        };
-        let phase = agent.acted_phase();
-        // Trace and per-phase accounting cover the *logical*
-        // protocol messages — sealing overhead, retransmissions
-        // and acks are metered separately by the endpoints and
-        // the transport.
-        for (recipient, body) in &outgoing {
-            trace.push(TraceEvent::new(
-                round,
-                phase,
-                i,
-                recipient,
-                body.kind(),
-                body.task(),
-            ));
-            meter(sched_metrics, n, i, phase, body.task(), recipient, body);
+    let mut endpoints = endpoints.iter_mut();
+    let jobs: Vec<_> = agents
+        .iter_mut()
+        .enumerate()
+        .map(|(i, agent)| (i, agent, endpoints.next(), transport.take_inbox(NodeId(i))))
+        .collect();
+    let polled =
+        crate::batch::map_contiguous(jobs, tick_width(n), |(i, agent, endpoint, inbox)| {
+            poll_agent(round, batching, i, agent, endpoint, inbox)
+        });
+    for (i, polled) in polled.into_iter().enumerate() {
+        trace.extend(polled.trace);
+        for (phase, task, recipient, size) in polled.metered {
+            meter(sched_metrics, n, i, phase, task, recipient, size);
         }
-        match endpoints.get_mut(i) {
-            Some(endpoint) => {
-                // Seal after coalescing (the envelope is the
-                // outermost layer), then run the retransmit
-                // timers and flush any owed standalone acks.
-                for (to, body) in endpoint.seal_outgoing(round, phase, outgoing) {
-                    transport.send(NodeId(i), to, body);
-                }
-                let label = agent.phase().label();
-                for (recipient, body) in endpoint.tick(round, label) {
-                    // Recovery control traffic (acks, nacks, repairs,
-                    // suspicion notices) gets its own `control` row in
-                    // the per-phase tables, so protocol-phase traffic
-                    // stays comparable across bench schema versions.
-                    meter(sched_metrics, n, i, "control", None, &recipient, &body);
-                    send(transport, i, recipient, body);
-                }
-            }
-            None => {
-                for (recipient, body) in outgoing {
-                    send(transport, i, recipient, body);
-                }
-            }
+        for (to, body) in polled.sealed {
+            transport.send(NodeId(i), to, body);
+        }
+        for (recipient, body) in polled.wire {
+            send(transport, i, recipient, body);
         }
     }
     transport.step();
 }
 
-/// Counts one transmission by `agent` in the `phase_messages` and
-/// `phase_bytes` rows of `phase`; the message row also carries `task`.
-/// Broadcasts are n − 1 transmissions, per the paper's cost model and
-/// the transport's own accounting.
+/// Polls agent `i` with its inbox at `round`: coalesces its output when
+/// `batching`, records the trace and metering of the logical protocol
+/// messages and, in recovery mode, seals them and runs the endpoint's
+/// timers.
+fn poll_agent(
+    round: u64,
+    batching: bool,
+    i: usize,
+    agent: &mut DmwAgent,
+    mut endpoint: Option<&mut ReliableEndpoint>,
+    inbox: Vec<Delivered<Body>>,
+) -> Polled {
+    // Recovery mode: the endpoint consumes acks and control traffic,
+    // deduplicates and reorders, and releases the in-sequence protocol
+    // messages the agent should see.
+    let inbox = match &mut endpoint {
+        Some(endpoint) => endpoint.process_inbound(round, inbox),
+        None => inbox,
+    };
+    let outgoing = agent.poll_at(round, inbox);
+    let outgoing = if batching {
+        coalesce(outgoing, Body::Batch)
+    } else {
+        outgoing
+    };
+    let phase = agent.acted_phase();
+    // Trace and per-phase accounting cover the *logical* protocol
+    // messages — sealing overhead, retransmissions and acks are metered
+    // separately by the endpoints and the transport.
+    let mut trace = Vec::with_capacity(outgoing.len());
+    let mut metered = Vec::with_capacity(outgoing.len());
+    for (recipient, body) in &outgoing {
+        trace.push(TraceEvent::new(
+            round,
+            phase,
+            i,
+            recipient,
+            body.kind(),
+            body.task(),
+        ));
+        metered.push((phase, body.task(), *recipient, body.size_bytes()));
+    }
+    let (sealed, wire) = match endpoint {
+        Some(endpoint) => {
+            // Seal after coalescing (the envelope is the outermost
+            // layer), then run the retransmit timers and flush any owed
+            // standalone acks.
+            let sealed = endpoint.seal_outgoing(round, phase, outgoing);
+            let control = endpoint.tick(round, agent.phase().label());
+            // Recovery control traffic (acks, nacks, repairs, suspicion
+            // notices) gets its own `control` row in the per-phase
+            // tables, so protocol-phase traffic stays comparable across
+            // bench schema versions.
+            for (recipient, body) in &control {
+                metered.push(("control", None, *recipient, body.size_bytes()));
+            }
+            (sealed, control)
+        }
+        None => (Vec::new(), outgoing),
+    };
+    Polled {
+        trace,
+        metered,
+        sealed,
+        wire,
+    }
+}
+
+/// Counts one transmission of `size` bytes by `agent` in the
+/// `phase_messages` and `phase_bytes` rows of `phase`; the message row
+/// also carries `task`. Broadcasts are n − 1 transmissions, per the
+/// paper's cost model and the transport's own accounting.
 fn meter(
     metrics: &mut MetricsSnapshot,
     n: usize,
     agent: usize,
     phase: &'static str,
     task: Option<usize>,
-    recipient: &Recipient,
-    body: &Body,
+    recipient: Recipient,
+    size: usize,
 ) {
     let copies = match recipient {
         Recipient::Unicast(_) => 1,
@@ -930,7 +1001,7 @@ fn meter(
     }
     metrics.incr(messages, copies);
     #[expect(clippy::arithmetic_side_effects, reason = "wire bytes")]
-    let bytes = copies * body.size_bytes() as u64;
+    let bytes = copies * size as u64;
     metrics.incr(
         Key::named("phase_bytes").phase(phase).agent(agent as u32),
         bytes,
@@ -1293,6 +1364,100 @@ mod tests {
             run.abort_reason(),
             Some(AbortReason::InvalidLambdaPsi { publisher: 2 })
         ));
+    }
+
+    /// Runs `run` under both engines at tick widths 1, 2 and 7, and
+    /// checks that the result, trace, metrics, network stats and the
+    /// caller's operation counts are bit-identical across widths. Returns
+    /// the serial event-engine run.
+    fn assert_width_invariant(run: impl Fn(Engine) -> DmwRun) -> DmwRun {
+        let at = |engine: Engine, width: usize| {
+            WIDTH_OVERRIDE.with(|w| w.set(Some(width)));
+            let before = dmw_modmath::ops::current_ops();
+            let run = run(engine);
+            let ops = dmw_modmath::ops::current_ops().since(&before);
+            WIDTH_OVERRIDE.with(|w| w.set(None));
+            (run, ops)
+        };
+        let mut serial_event = None;
+        for engine in [Engine::Event, Engine::Polling] {
+            let (serial, serial_ops) = at(engine, 1);
+            assert!(serial_ops.mul > 0);
+            for width in [2, 7] {
+                let (wide, ops) = at(engine, width);
+                assert_eq!(wide.result, serial.result, "{engine:?} width {width}");
+                assert_eq!(wide.trace, serial.trace, "{engine:?} width {width}");
+                assert_eq!(wide.metrics, serial.metrics, "{engine:?} width {width}");
+                assert_eq!(wide.network, serial.network, "{engine:?} width {width}");
+                assert_eq!(ops, serial_ops, "{engine:?} width {width}");
+            }
+            serial_event.get_or_insert(serial);
+        }
+        serial_event.unwrap()
+    }
+
+    #[test]
+    fn an_honest_run_is_tick_width_invariant() {
+        let run = assert_width_invariant(|engine| {
+            let (runner, mut rng) = setup(5, 1, 11);
+            let runner = runner.with_engine(engine);
+            runner.run_honest(&five_agent_bids(), &mut rng).unwrap()
+        });
+        assert!(run.is_completed());
+    }
+
+    #[test]
+    fn a_deviating_run_is_tick_width_invariant() {
+        let run = assert_width_invariant(|engine| {
+            let (runner, mut rng) = setup(6, 2, 17);
+            let bids = ExecutionTimes::from_rows(vec![vec![2]; 6]).unwrap();
+            let mut behaviors = vec![Behavior::Suggested; 6];
+            behaviors[2] = Behavior::WrongLambda;
+            runner
+                .with_engine(engine)
+                .with_policy(crate::strategy::VerificationPolicy::Full)
+                .run(&bids, &behaviors, FaultPlan::none(6), &mut rng)
+                .unwrap()
+        });
+        assert!(matches!(
+            run.abort_reason(),
+            Some(AbortReason::InvalidLambdaPsi { publisher: 2 })
+        ));
+    }
+
+    #[test]
+    fn a_lossy_crashed_recovery_run_is_tick_width_invariant() {
+        let run = assert_width_invariant(|engine| {
+            let (runner, mut rng) = setup(5, 1, 11);
+            let faults = FaultPlan::none(5).drop_every(3).crash_at(NodeId(1), 4);
+            runner
+                .with_engine(engine)
+                .with_recovery()
+                .run(
+                    &five_agent_bids(),
+                    &[Behavior::Suggested; 5],
+                    faults,
+                    &mut rng,
+                )
+                .unwrap()
+        });
+        assert!(run.is_degraded());
+        assert!(run.metrics.counter_total("retransmissions") > 0);
+    }
+
+    #[test]
+    fn a_run_at_the_parallel_threshold_is_tick_width_invariant() {
+        let n = 2 * AGENTS_PER_WORKER;
+        let run = assert_width_invariant(|engine| {
+            let (runner, mut rng) = setup(n, 1, 19);
+            let w_max = runner.config().encoding().w_max();
+            let bids = dmw_mechanism::generators::uniform(n, 1, 1..=w_max, &mut rng).unwrap();
+            runner
+                .with_engine(engine)
+                .run_honest(&bids, &mut rng)
+                .unwrap()
+        });
+        assert!(run.is_completed());
     }
 
     #[test]

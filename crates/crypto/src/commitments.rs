@@ -28,15 +28,20 @@ use crate::error::CryptoError;
 use crate::polynomials::{BidPolynomials, ShareBundle};
 use dmw_modmath::multiexp::ExponentPlan;
 use dmw_modmath::SchnorrGroup;
+use std::sync::Arc;
 
 /// The published commitment triple `(O, Q, R)` of one agent for one task
 /// (equation (6)). Each vector has exactly `σ` entries; entry `ℓ` (1-based
 /// in the paper) is stored at index `ℓ − 1`.
+///
+/// The vectors are shared, not owned: a clone copies three pointers, so a
+/// broadcast to `n − 1` peers and every receiver that keeps the triple
+/// hold one allocation of `3σ` residues between them.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Commitments {
-    o: Vec<u64>,
-    q: Vec<u64>,
-    r: Vec<u64>,
+    o: Arc<[u64]>,
+    q: Arc<[u64]>,
+    r: Arc<[u64]>,
 }
 
 impl Commitments {
@@ -53,7 +58,11 @@ impl Commitments {
             q.push(group.commit(polys.e().coeff(l), polys.h().coeff(l)));
             r.push(group.commit(polys.f().coeff(l), polys.h().coeff(l)));
         }
-        Commitments { o, q, r }
+        Commitments {
+            o: o.into(),
+            q: q.into(),
+            r: r.into(),
+        }
     }
 
     /// Builds a commitment triple from raw published vectors (e.g. received
@@ -83,7 +92,11 @@ impl Commitments {
                 });
             }
         }
-        Ok(Commitments { o, q, r })
+        Ok(Commitments {
+            o: o.into(),
+            q: q.into(),
+            r: r.into(),
+        })
     }
 
     /// The `O` vector (commitments to `e·f`, blinded by `g`).
@@ -101,12 +114,15 @@ impl Commitments {
         &self.r
     }
 
-    /// Tampers with one `Q` entry (multiplies it by `z1`). Used by
-    /// deviation strategies; an honest agent never calls this.
+    /// Tampers with one `Q` entry (multiplies it by `z1`), on a copy of
+    /// `Q`: every other holder of the shared vector keeps the original.
+    /// Used by deviation strategies; an honest agent never calls this.
     pub fn with_tampered_q(mut self, group: &SchnorrGroup, index: usize) -> Self {
         let zp = group.zp();
-        if let Some(entry) = self.q.get_mut(index) {
+        let mut q = self.q.to_vec();
+        if let Some(entry) = q.get_mut(index) {
             *entry = zp.mul(*entry, group.z1());
+            self.q = q.into();
         }
         self
     }
@@ -275,6 +291,28 @@ pub(crate) mod tests {
                     .unwrap_or_else(|e| panic!("bid {bid}, alpha {alpha}: {e}"));
             }
         }
+    }
+
+    #[test]
+    fn clones_share_storage_and_tampering_copies_on_write() {
+        let (group, encoding, mut rng) = setup();
+        let polys =
+            BidPolynomials::generate(&group, &encoding, &SecretBid::new(3), &mut rng).unwrap();
+        let original = Commitments::commit(&group, &encoding, &polys);
+        let clone = original.clone();
+        for (a, b) in [
+            (original.o(), clone.o()),
+            (original.q(), clone.q()),
+            (original.r(), clone.r()),
+        ] {
+            assert_eq!(a.as_ptr(), b.as_ptr(), "a clone shares each vector");
+        }
+        let untouched = original.q().to_vec();
+        let tampered = clone.with_tampered_q(&group, 2);
+        assert_eq!(original.q(), &untouched[..]);
+        assert_ne!(tampered.q(), original.q());
+        assert_eq!(tampered.q()[2], group.zp().mul(untouched[2], group.z1()));
+        assert_eq!(tampered.o().as_ptr(), original.o().as_ptr());
     }
 
     #[test]
@@ -584,6 +622,7 @@ pub(crate) mod tests {
                             5 => &mut commitments.q,
                             _ => &mut commitments.r,
                         };
+                        let entries = Arc::get_mut(entries).expect("unshared until the batch");
                         let entry = &mut entries[rng.gen_range(0..sigma)];
                         *entry = zp.mul(*entry, group.z2());
                     }

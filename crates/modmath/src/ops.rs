@@ -25,10 +25,17 @@
 //! squarings. A product over several tables shares one accumulator, so
 //! `z1^a · z2^b` records two `pow`s and no combining multiplication.
 //!
-//! Counters are thread-local: a simulation driving `n` agents on one thread
-//! measures the whole protocol; the per-agent figure is obtained by dividing
-//! by `n` (all agents perform symmetric work in DMW) or by running a single
-//! audited agent. Typical usage brackets a region of interest:
+//! Counters are thread-local. Code that fans work out to worker threads
+//! (the `dmw` runner polling a tick's agents in parallel, or a batch of
+//! trials) measures each worker's delta with [`current_ops`] and
+//! [`OpsSnapshot::since`], and after joining adds every delta to the
+//! starting thread's counters with [`add`]. So a region bracketed on one
+//! thread counts the operations of every worker it started, and the count
+//! does not depend on how many workers ran. A bracketed protocol run thus
+//! measures the whole protocol; the per-agent figure is obtained by
+//! dividing by `n` (all agents perform symmetric work in DMW) or by
+//! running a single audited agent. Typical usage brackets a region of
+//! interest:
 //!
 //! ```
 //! use dmw_modmath::{ops, arith};
@@ -146,6 +153,15 @@ pub fn reset_ops() {
     POW.with(|c| c.set(0));
 }
 
+/// Adds `delta` to this thread's counters: a fan-out hands the operations
+/// its worker threads counted back to the thread that started them.
+pub fn add(delta: OpsSnapshot) {
+    MUL.with(|c| c.set(c.get().wrapping_add(delta.mul)));
+    ADD.with(|c| c.set(c.get().wrapping_add(delta.add)));
+    INV.with(|c| c.set(c.get().wrapping_add(delta.inv)));
+    POW.with(|c| c.set(c.get().wrapping_add(delta.pow)));
+}
+
 /// Returns the current counters without resetting them.
 pub fn current_ops() -> OpsSnapshot {
     OpsSnapshot {
@@ -220,6 +236,28 @@ mod tests {
         let second = current_ops();
         assert_eq!(second.since(&first).mul, 2);
         reset_ops();
+    }
+
+    #[test]
+    fn add_merges_a_delta_into_this_thread() {
+        reset_ops();
+        arith::mul_mod(2, 3, 7);
+        let delta = OpsSnapshot {
+            mul: 5,
+            add: 1,
+            inv: 2,
+            pow: 3,
+        };
+        add(delta);
+        assert_eq!(
+            take_ops(),
+            OpsSnapshot {
+                mul: 6,
+                add: 1,
+                inv: 2,
+                pow: 3
+            }
+        );
     }
 
     #[test]

@@ -41,7 +41,12 @@
 #  10. bench_scale --smoke        -- the event-driven scheduler's n-sweep
 #      harness end-to-end on the smallest point, exiting non-zero if the
 #      event engine and the polling oracle disagree bit-for-bit
-#  11. reproduce drift            -- regenerates the full report and the
+#  11. bench_scale --agents 32    -- the same parity check (release build)
+#      at n = 32, the smallest n whose ticks poll their agents on more
+#      than one worker (on a host with two or more cores), so the
+#      parallel tick path meets the crash and backoff workloads before
+#      merge
+#  12. reproduce drift            -- regenerates the full report and the
 #      metrics snapshot under the (default) event engine and compares
 #      byte-for-byte against the committed docs/reproduce_output.md and
 #      docs/reproduce_metrics.json -- scheduler drift fails the gate
@@ -101,6 +106,9 @@ cargo run --quiet -p dmw-bench --bin bench_batch -- --smoke \
 
 echo "==> bench_scale --smoke"
 cargo run --quiet -p dmw-bench --bin bench_scale -- --smoke
+
+echo "==> bench_scale --agents 32 (parallel tick parity)"
+cargo run --release --quiet -p dmw-bench --bin bench_scale -- --agents 32 > /dev/null
 
 echo "==> reproduce drift (event engine vs committed report)"
 cargo run --release --quiet -p dmw-bench --bin reproduce -- all \
