@@ -1,8 +1,9 @@
 //! `bench_batch` — wall-clock/throughput baseline of the batch engine.
 //!
-//! Times the identical trial batch at several thread counts,
-//! cross-checks bit-identity of the results, and emits the
-//! `dmw-bench-batch/v5` JSON baseline — wall-clock timings plus a
+//! Times the identical chaos trial batch — reliable delivery over
+//! `drop_every(3)` loss, with a crash rotation exercising graceful
+//! degradation — at several thread counts, cross-checks bit-identity
+//! of the results, and emits the `dmw-bench-batch/v5` JSON baseline — wall-clock timings plus a
 //! deterministic per-phase breakdown and the recovery counters (see
 //! `docs/benchmarks.md`):
 //!
@@ -14,12 +15,9 @@
 //! Flags: `--trials <N>` (default 192), `--threads <a,b,c>` (default
 //! `1,2,4,8`; the first entry is the sequential reference), `--n/--c/--m`
 //! (workload shape, default `8/1/4`), `--seed <u64>` (default the PODC
-//! seed), `--no-chaos` (time the clean honest sweep instead of the
-//! default chaos workload — reliable delivery over `drop_every(3)` loss
-//! with a crash rotation exercising graceful degradation), `--out
-//! <path>` (write the JSON baseline; omitted = print to stdout),
-//! `--smoke` (tiny instance, no file output — the `check.sh` gate),
-//! `--max-retransmissions <N>` / `--max-duplicates <N>` (recovery
+//! seed), `--out <path>` (write the JSON baseline; omitted = print to
+//! stdout), `--smoke` (tiny instance, no file output — the `check.sh`
+//! gate), `--max-retransmissions <N>` / `--max-duplicates <N>` (recovery
 //! regression ceilings: fail when the batch exceeds them).
 //! Exits non-zero if any thread count produced results differing from
 //! the sequential reference, or a recovery ceiling is exceeded.
@@ -33,7 +31,6 @@ struct Options {
     c: usize,
     m: usize,
     seed: u64,
-    chaos: bool,
     out: Option<String>,
     smoke: bool,
     max_retransmissions: Option<u64>,
@@ -43,7 +40,7 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: bench_batch [--trials N] [--threads a,b,c] [--n N] [--c C] [--m M] \
-         [--seed S] [--no-chaos] [--out PATH] [--smoke] \
+         [--seed S] [--out PATH] [--smoke] \
          [--max-retransmissions N] [--max-duplicates N]"
     );
     std::process::exit(2);
@@ -63,7 +60,6 @@ fn parse_options() -> Options {
         c: 1,
         m: 4,
         seed: 20050717, // PODC 2005
-        chaos: true,
         out: None,
         smoke: false,
         max_retransmissions: None,
@@ -84,7 +80,6 @@ fn parse_options() -> Options {
             "--c" => options.c = parse(it.next()),
             "--m" => options.m = parse(it.next()),
             "--seed" => options.seed = parse(it.next()),
-            "--no-chaos" => options.chaos = false,
             "--out" => options.out = Some(it.next().unwrap_or_else(|| usage())),
             "--smoke" => options.smoke = true,
             "--max-retransmissions" => options.max_retransmissions = Some(parse(it.next())),
@@ -112,12 +107,10 @@ fn main() {
         faults: options.c,
         tasks: options.m,
         trials: options.trials,
-        chaos: options.chaos,
     };
     eprintln!(
-        "bench_batch: {} {} trials of n = {}, m = {}, c = {} at widths {:?} (seed {})",
+        "bench_batch: {} chaos trials of n = {}, m = {}, c = {} at widths {:?} (seed {})",
         workload.trials,
-        if workload.chaos { "chaos" } else { "honest" },
         workload.agents,
         workload.tasks,
         workload.faults,

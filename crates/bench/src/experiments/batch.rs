@@ -11,10 +11,10 @@
 //! `dmw-bench-batch/v5` schema documented in `docs/benchmarks.md` —
 //! a per-phase breakdown (messages, bytes, dwell ticks) aggregated from
 //! the deterministic `dmw-obs` metrics every run carries, with recovery
-//! control traffic in its own `control` row, and for the chaos workload
-//! (reliable delivery over a seeded fault matrix, with a crash rotation
-//! exercising graceful degradation) a `recovery` block of
-//! retransmit/ack/degradation counters.
+//! control traffic in its own `control` row, and a `recovery` block of
+//! retransmit/ack/degradation counters. Every trial runs the chaos
+//! workload: reliable delivery over seeded packet loss, with a crash
+//! rotation exercising graceful degradation.
 //!
 //! The [`run`] report (the `batch-engine` subcommand of `reproduce`)
 //! deliberately contains **no wall-clock numbers** so that
@@ -40,14 +40,12 @@ pub struct Workload {
     pub faults: usize,
     /// Tasks `m` per trial.
     pub tasks: usize,
-    /// Independent honest trials in the batch.
-    pub trials: usize,
-    /// Chaos mode: run with the reliable-delivery sublayer enabled,
-    /// every trial under `drop_every(3)` packet loss, and (when
-    /// `faults > 0`) every eighth trial crashing one agent mid-protocol,
-    /// so the batch also times the ack/retransmit and
+    /// Independent honest trials in the batch. Each runs with the
+    /// reliable-delivery sublayer under `drop_every(3)` packet loss,
+    /// and (when `faults > 0`) every eighth crashes one agent
+    /// mid-protocol, so the batch also times the ack/retransmit and
     /// graceful-degradation paths.
-    pub chaos: bool,
+    pub trials: usize,
 }
 
 /// One thread-count timing of the same trial batch.
@@ -79,12 +77,10 @@ pub struct Baseline {
     /// Whether every thread count produced bit-identical results
     /// (schedules, payments, traces, traffic counters).
     pub bit_identical: bool,
-    /// Trials that completed cleanly (the honest workload completes
-    /// all; the chaos workload's crash trials degrade instead).
+    /// Trials that completed cleanly (crash trials degrade instead).
     pub completed_trials: usize,
     /// Trials that ended in graceful degradation (survivor re-auction
-    /// after an exclusion vote) — nonzero only for chaos workloads with
-    /// a crash rotation.
+    /// after an exclusion vote) — nonzero only with a crash rotation.
     pub degraded_trials: usize,
     /// Whole-batch traffic, aggregated over every trial.
     pub traffic: NetworkStats,
@@ -94,8 +90,8 @@ pub struct Baseline {
     pub metrics: MetricsSnapshot,
 }
 
-/// Runs `trials` honest trials through [`BatchRunner`] at each requested
-/// thread count, timing each pass over the identical batch, and
+/// Runs `trials` honest chaos trials through [`BatchRunner`] at each
+/// requested thread count, timing each pass over the identical batch, and
 /// cross-checks the results for bit-identity.
 ///
 /// The first entry of `thread_counts` is the sequential reference every
@@ -108,16 +104,10 @@ pub struct Baseline {
 pub fn measure(seed: u64, workload: Workload, thread_counts: &[usize]) -> Baseline {
     let mut r = rng(seed);
     let cfg = config(workload.agents, workload.faults, &mut r);
-    let mut runner = DmwRunner::new(cfg);
-    if workload.chaos {
-        runner = runner.with_recovery();
-    }
+    let runner = DmwRunner::new(cfg).with_recovery();
     let trials: Vec<TrialSpec> = (0..workload.trials)
         .map(|i| {
             let spec = TrialSpec::honest(random_bids(runner.config(), workload.tasks, &mut r));
-            if !workload.chaos {
-                return spec;
-            }
             let mut faults = FaultPlan::none(workload.agents).drop_every(3);
             if workload.faults > 0 && i % 8 == 3 {
                 // One mid-protocol crash per eighth trial — late enough
@@ -241,8 +231,9 @@ pub const RECOVERY_COUNTERS: &[&str] = &[
 impl Baseline {
     /// Serializes to the `dmw-bench-batch/v5` JSON schema (see
     /// `docs/benchmarks.md`): the per-phase `phases` breakdown (with
-    /// the `control` row for recovery traffic), the workload `chaos`
-    /// flag, the `degraded_trials` count, and the `recovery` object of
+    /// the `control` row for recovery traffic), the workload's
+    /// `"chaos": true` flag (every sweep runs chaos), the
+    /// `degraded_trials` count, and the `recovery` object of
     /// reliable-delivery and graceful-degradation counters aggregated
     /// over the whole batch.
     pub fn to_json(&self) -> String {
@@ -251,17 +242,12 @@ impl Baseline {
         out.push_str("  \"schema\": \"dmw-bench-batch/v5\",\n");
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
         out.push_str("  \"workload\": {\n");
-        let experiment = if self.workload.chaos {
-            "chaos-trial-sweep"
-        } else {
-            "honest-trial-sweep"
-        };
-        out.push_str(&format!("    \"experiment\": \"{experiment}\",\n"));
+        out.push_str("    \"experiment\": \"chaos-trial-sweep\",\n");
         out.push_str(&format!("    \"agents\": {},\n", self.workload.agents));
         out.push_str(&format!("    \"faults\": {},\n", self.workload.faults));
         out.push_str(&format!("    \"tasks\": {},\n", self.workload.tasks));
         out.push_str(&format!("    \"trials\": {},\n", self.workload.trials));
-        out.push_str(&format!("    \"chaos\": {}\n", self.workload.chaos));
+        out.push_str("    \"chaos\": true\n");
         out.push_str("  },\n");
         out.push_str("  \"host\": {\n");
         out.push_str(&format!("    \"os\": \"{}\",\n", std::env::consts::OS));
@@ -335,7 +321,6 @@ pub fn run(seed: u64) -> Report {
         faults: 1,
         tasks: 3,
         trials: 24,
-        chaos: true,
     };
     let baseline = measure(seed, workload, &[1, 2, 8]);
     let mut report = Report::new(
@@ -421,7 +406,6 @@ mod tests {
             faults: 0,
             tasks: 2,
             trials: 6,
-            chaos: false,
         };
         let baseline = measure(5, workload, &[1, 2, 8]);
         assert!(baseline.bit_identical);
@@ -431,7 +415,7 @@ mod tests {
         assert!((baseline.runs[0].speedup_vs_sequential - 1.0).abs() < 1e-9);
         assert!(baseline.traffic.point_to_point > 0);
         assert!(baseline.metrics.counter_total("phase_messages") > 0);
-        assert_eq!(baseline.metrics.counter_total("retransmissions"), 0);
+        assert_eq!(baseline.metrics.counter_total("degraded_runs"), 0);
     }
 
     #[test]
@@ -441,7 +425,6 @@ mod tests {
             faults: 1,
             tasks: 2,
             trials: 8,
-            chaos: true,
         };
         let baseline = measure(7, workload, &[1, 2]);
         assert!(baseline.bit_identical);
@@ -463,23 +446,20 @@ mod tests {
             faults: 0,
             tasks: 1,
             trials: 3,
-            chaos: false,
         };
         let json = measure(6, workload, &[1, 2]).to_json();
         for needle in [
             "\"schema\": \"dmw-bench-batch/v5\"",
-            "\"experiment\": \"honest-trial-sweep\"",
+            "\"experiment\": \"chaos-trial-sweep\"",
             "\"trials\": 3",
-            "\"chaos\": false",
+            "\"chaos\": true",
             "\"threads\": 2",
             "\"speedup_vs_sequential\"",
             "\"bit_identical_across_thread_counts\": true",
             "\"available_parallelism\"",
             "\"degraded_trials\": 0",
             "\"recovery\": {",
-            "\"retransmissions\": 0",
-            "\"suppressed_retransmits\": 0",
-            "\"nacks_sent\": 0",
+            "\"retransmissions\": ",
             "\"recovery_rounds\": 0",
             "\"phases\": {",
             "\"bidding\": { \"messages\": ",
@@ -498,7 +478,6 @@ mod tests {
             faults: 0,
             tasks: 1,
             trials: 2,
-            chaos: true,
         };
         let baseline = measure(8, workload, &[1]);
         let json = baseline.to_json();
@@ -523,7 +502,6 @@ mod tests {
             faults: 0,
             tasks: 2,
             trials: 4,
-            chaos: false,
         };
         let baseline = measure(11, workload, &[1]);
         let breakdown = phase_breakdown(&baseline.metrics);
@@ -539,6 +517,38 @@ mod tests {
         // final claimed phase both appear.
         let phases: Vec<&str> = breakdown.iter().map(|(p, _, _, _)| *p).collect();
         assert!(phases.contains(&"bidding"), "phases were {phases:?}");
+    }
+
+    /// The text of `json` from the first `from` up to the next `to`.
+    fn json_span<'a>(json: &'a str, from: &str, to: &str) -> &'a str {
+        let start = json.find(from).unwrap_or_else(|| panic!("no {from}"));
+        let end = start + json[start..].find(to).unwrap_or_else(|| panic!("no {to}"));
+        &json[start..end]
+    }
+
+    #[test]
+    fn committed_baseline_reproduces_its_deterministic_fields() {
+        let committed = include_str!("../../../../BENCH_batch.json");
+        let workload = Workload {
+            agents: 8,
+            faults: 1,
+            tasks: 4,
+            trials: 192,
+        };
+        let json = measure(20050717, workload, &[2]).to_json();
+        for (from, to) in [
+            ("\"seed\"", "\"host\""),
+            (
+                "\"completed_trials\"",
+                "\"bit_identical_across_thread_counts\"",
+            ),
+        ] {
+            assert_eq!(
+                json_span(&json, from, to),
+                json_span(committed, from, to),
+                "re-record BENCH_batch.json"
+            );
+        }
     }
 
     #[test]

@@ -98,6 +98,21 @@ impl Writer {
         }
     }
 
+    /// Writes `body` nested in a container that may not carry the
+    /// `forbidden` tags (building one is a programming error), behind a
+    /// `u32` length prefix when `prefixed`.
+    fn nested(&mut self, body: &Body, forbidden: &[u8], prefixed: bool) {
+        let encoded = body.encode();
+        assert!(
+            !encoded.first().is_some_and(|tag| forbidden.contains(tag)),
+            "batches never nest and sealing is outermost"
+        );
+        if prefixed {
+            self.u32(encoded.len() as u32);
+        }
+        self.buf.extend_from_slice(&encoded);
+    }
+
     fn bools(&mut self, vs: &[bool]) {
         self.u32(vs.len() as u32);
         let mut byte = 0u8;
@@ -160,6 +175,30 @@ impl<'a> Reader<'a> {
         (0..len).map(|_| self.u64()).collect()
     }
 
+    /// Reads a body nested in a container that may not carry the
+    /// `forbidden` tags: behind a `u32` length prefix when `prefixed`,
+    /// else the rest of the buffer.
+    fn nested(
+        &mut self,
+        encoding: &BidEncoding,
+        forbidden: &[u8],
+        prefixed: bool,
+    ) -> Result<Body, DecodeError> {
+        let len = if prefixed {
+            self.u32()? as usize
+        } else {
+            self.buf.len() - self.pos
+        };
+        let end = self.pos.saturating_add(len);
+        let slice = self.buf.get(self.pos..end).ok_or(DecodeError::Truncated)?;
+        if let Some(&tag) = slice.first().filter(|tag| forbidden.contains(tag)) {
+            return Err(DecodeError::BadTag { tag });
+        }
+        let body = Body::decode(slice, encoding)?;
+        self.pos += slice.len();
+        Ok(body)
+    }
+
     fn bools(&mut self) -> Result<Vec<bool>, DecodeError> {
         let len = self.u32()?;
         if len > MAX_VEC {
@@ -203,6 +242,13 @@ const TAG_ACK: u8 = 11;
 const TAG_SUSPECT_DEAD: u8 = 12;
 const TAG_NACK: u8 = 13;
 const TAG_REPAIR: u8 = 14;
+
+/// What a batch may not carry: batches never nest, and sealing (plain
+/// or repair) is outermost.
+const BATCH_FORBIDS: &[u8] = &[TAG_BATCH, TAG_SEALED, TAG_REPAIR];
+/// What a sealed or repair envelope may not carry: another sealing
+/// layer.
+const SEALED_FORBIDS: &[u8] = &[TAG_SEALED, TAG_REPAIR];
 
 fn encode_abort(reason: &AbortReason, w: &mut Writer) {
     match reason {
@@ -336,29 +382,17 @@ impl Body {
                 encode_abort(reason, &mut w);
             }
             Body::Batch(bodies) => {
-                assert!(
-                    !bodies
-                        .iter()
-                        .any(|b| matches!(b, Body::Batch(_) | Body::Sealed { .. })),
-                    "batches never nest and sealing is outermost"
-                );
                 w.u8(TAG_BATCH);
                 w.u32(bodies.len() as u32);
                 for body in bodies {
-                    let encoded = body.encode();
-                    w.u32(encoded.len() as u32);
-                    w.buf.extend_from_slice(&encoded);
+                    w.nested(body, BATCH_FORBIDS, true);
                 }
             }
             Body::Sealed { seq, ack, inner } => {
-                assert!(
-                    !matches!(**inner, Body::Sealed { .. }),
-                    "sealed envelopes never nest"
-                );
                 w.u8(TAG_SEALED);
                 w.u64(*seq);
                 w.u64(*ack);
-                w.buf.extend_from_slice(&inner.encode());
+                w.nested(inner, SEALED_FORBIDS, false);
             }
             Body::Ack { ack, sack } => {
                 assert!(
@@ -379,20 +413,12 @@ impl Body {
                 w.u64(*hi);
             }
             Body::Repair { ack, items } => {
-                assert!(
-                    !items
-                        .iter()
-                        .any(|(_, b)| matches!(b, Body::Sealed { .. } | Body::Repair { .. })),
-                    "repair envelopes carry unsealed payloads and never nest"
-                );
                 w.u8(TAG_REPAIR);
                 w.u64(*ack);
                 w.u32(items.len() as u32);
                 for (seq, body) in items {
                     w.u64(*seq);
-                    let encoded = body.encode();
-                    w.u32(encoded.len() as u32);
-                    w.buf.extend_from_slice(&encoded);
+                    w.nested(body, SEALED_FORBIDS, true);
                 }
             }
             Body::SuspectDead { peer } => {
@@ -523,30 +549,14 @@ impl Body {
                 }
                 let mut bodies = Vec::with_capacity(count as usize);
                 for _ in 0..count {
-                    let len = r.u32()? as usize;
-                    let start = r.pos;
-                    let end = start.checked_add(len).ok_or(DecodeError::Truncated)?;
-                    let slice = r.buf.get(start..end).ok_or(DecodeError::Truncated)?;
-                    // Batches never nest, and sealing (plain or repair)
-                    // is outermost.
-                    if let Some(&tag @ (TAG_BATCH | TAG_SEALED | TAG_REPAIR)) = slice.first() {
-                        return Err(DecodeError::BadTag { tag });
-                    }
-                    bodies.push(Body::decode(slice, encoding)?);
-                    r.pos = end;
+                    bodies.push(r.nested(encoding, BATCH_FORBIDS, true)?);
                 }
                 Body::Batch(bodies)
             }
             TAG_SEALED => {
                 let seq = r.u64()?;
                 let ack = r.u64()?;
-                let slice = r.buf.get(r.pos..).ok_or(DecodeError::Truncated)?;
-                // Sealed envelopes never nest, in either sealing form.
-                if let Some(&tag @ (TAG_SEALED | TAG_REPAIR)) = slice.first() {
-                    return Err(DecodeError::BadTag { tag });
-                }
-                let inner = Box::new(Body::decode(slice, encoding)?);
-                r.pos = r.buf.len();
+                let inner = Box::new(r.nested(encoding, SEALED_FORBIDS, false)?);
                 Body::Sealed { seq, ack, inner }
             }
             TAG_ACK => {
@@ -596,17 +606,7 @@ impl Body {
                         return Err(DecodeError::MalformedRanges);
                     }
                     prev_seq = seq;
-                    let len = r.u32()? as usize;
-                    let start = r.pos;
-                    let end = start.checked_add(len).ok_or(DecodeError::Truncated)?;
-                    let slice = r.buf.get(start..end).ok_or(DecodeError::Truncated)?;
-                    // Repair carries what a Sealed would: anything but
-                    // another sealing layer.
-                    if let Some(&tag @ (TAG_SEALED | TAG_REPAIR)) = slice.first() {
-                        return Err(DecodeError::BadTag { tag });
-                    }
-                    items.push((seq, Body::decode(slice, encoding)?));
-                    r.pos = end;
+                    items.push((seq, r.nested(encoding, SEALED_FORBIDS, true)?));
                 }
                 Body::Repair { ack, items }
             }
@@ -961,6 +961,32 @@ mod tests {
             Body::decode(&w.buf, &encoding),
             Err(DecodeError::BadTag { tag: TAG_REPAIR })
         );
+        // And a Repair inside a Batch: sealing is outermost.
+        let mut w = Writer::new();
+        w.u8(TAG_BATCH);
+        w.u32(1);
+        w.u32(repair.len() as u32);
+        w.buf.extend_from_slice(&repair);
+        assert_eq!(
+            Body::decode(&w.buf, &encoding),
+            Err(DecodeError::BadTag { tag: TAG_REPAIR })
+        );
+        // Encode refuses to build either nesting that decode rejects.
+        let repair = Body::Repair {
+            ack: 0,
+            items: vec![(1, bodies[0].clone())],
+        };
+        for container in [
+            Body::Sealed {
+                seq: 2,
+                ack: 0,
+                inner: Box::new(repair.clone()),
+            },
+            Body::Batch(vec![repair]),
+        ] {
+            let encoded = std::panic::catch_unwind(|| container.encode());
+            assert!(encoded.is_err(), "{} of a repair encoded", container.kind());
+        }
     }
 
     #[test]

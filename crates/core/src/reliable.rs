@@ -383,6 +383,17 @@ impl ReliableLink {
             0
         }
     }
+
+    /// The cumulative ack an outbound envelope piggybacks. It settles
+    /// the owed ack — except while a gap holds arrivals in the reorder
+    /// buffer: the standalone ack then stays owed so its selective
+    /// ranges (which an envelope cannot carry) still reach the peer.
+    fn piggyback_ack(&mut self) -> u64 {
+        if self.reorder.is_empty() {
+            self.owe_ack = false;
+        }
+        self.recv_cum
+    }
 }
 
 /// The per-agent endpoint of the reliable sublayer: one
@@ -421,19 +432,21 @@ impl ReliableEndpoint {
     /// `repair_payloads` (payload copies inside repair envelopes),
     /// `acks_sent`, `nacks_sent`, `sack_ranges`, `rtt_samples`,
     /// `duplicate_deliveries`, `suppressed_retransmits`,
-    /// `suppressed_sends` and `suspect_dead`, labelled per
-    /// (agent, peer) and — where the runner supplies it — the agent's
-    /// phase at the time.
+    /// `suppressed_sends`, `suspect_dead` and `suspect_notices`
+    /// (suspicion notices received), labelled per (agent, peer) and —
+    /// where the runner supplies it — the agent's phase at the time.
     pub fn metrics(&self) -> &MetricsSnapshot {
         &self.metrics
     }
 
-    /// `true` when no outbound message is awaiting an ack and no ack or
-    /// nack is owed — the endpoint's contribution to run quiescence.
-    pub fn is_settled(&self) -> bool {
-        self.links
-            .iter()
-            .all(|l| l.unacked.is_empty() && !l.owe_ack && l.owe_nack.is_none())
+    /// Adds `by` to this endpoint's `name` counter toward `peer`,
+    /// labelled with `phase` where one applies. A zero count leaves the
+    /// snapshot untouched.
+    fn count(&mut self, name: &'static str, phase: Option<&'static str>, peer: usize, by: u64) {
+        if by > 0 {
+            let key = Key::named(name).agent(self.me as u32).peer(peer as u32);
+            self.metrics.incr(Key { phase, ..key }, by);
+        }
     }
 
     /// The earliest tick at which [`ReliableEndpoint::tick`] would emit
@@ -444,8 +457,11 @@ impl ReliableEndpoint {
     /// floored by any pending nack-triggered fast retransmission, or
     /// `Some(0)` — "immediately" — when a standalone ack or a gap nack
     /// is owed (the scheduler clamps to the current tick). `None` when
-    /// the endpoint is settled toward every peer: ticking it before
-    /// `next_timer()` is then provably a no-op, which is what lets the
+    /// the endpoint is settled toward every peer — nothing unacked, no
+    /// ack or nack owed, since suspicion clears a link's unacked
+    /// messages and nothing is sealed toward a suspected peer — which
+    /// is the endpoint's contribution to run quiescence. Ticking it
+    /// before `next_timer()` is provably a no-op, which is what lets the
     /// event-driven scheduler register retransmission timers as future
     /// events instead of rediscovering them by polling (see
     /// `docs/scheduler.md`).
@@ -514,23 +530,12 @@ impl ReliableEndpoint {
         wire: &mut Vec<(NodeId, Body)>,
     ) {
         if self.suspected[to] {
-            let key = Key::named("suppressed_sends")
-                .phase(phase)
-                .agent(self.me as u32)
-                .peer(to as u32);
-            self.metrics.incr(key, 1);
+            self.count("suppressed_sends", Some(phase), to, 1);
             return;
         }
         let link = &mut self.links[to];
         link.next_seq += 1;
         let seq = link.next_seq;
-        // The envelope carries the cumulative ack — but while a gap
-        // holds arrivals in the reorder buffer, the standalone ack stays
-        // owed so its selective ranges (which a sealed envelope cannot
-        // carry) still reach the peer.
-        if link.reorder.is_empty() {
-            link.owe_ack = false;
-        }
         let rto = link.rtt.rto(self.policy.base_timeout);
         link.unacked.push(PendingMsg {
             seq,
@@ -543,47 +548,55 @@ impl ReliableEndpoint {
         // instead of costing a standalone repair envelope at this
         // tick's sweep. Bookkeeping matches the sweep exactly — timer
         // rides burn an attempt, nack rides don't — except the final
-        // budgeted attempt, which stays with the sweep so it keeps its
-        // two-copy anti-resonance echo and the suspicion handoff.
-        let mut due: Vec<(u64, Body)> = Vec::new();
-        for pending in link.unacked.iter_mut() {
-            if pending.seq == seq {
-                continue;
+        // budgeted attempt, which `fire` leaves with the sweep so it
+        // keeps its two-copy anti-resonance echo and the suspicion
+        // handoff.
+        let due: Vec<(u64, Body)> = link
+            .unacked
+            .iter_mut()
+            .filter(|pending| pending.seq != seq)
+            .filter_map(|pending| match pending.retry.fire(now, 0, rto, false) {
+                Some(Fire::Fired(body)) => Some((pending.seq, body)),
+                _ => None,
+            })
+            .collect();
+        let envelope = if due.is_empty() {
+            Body::Sealed {
+                seq,
+                ack: link.piggyback_ack(),
+                inner: Box::new(body),
             }
-            if let Some(Fire::Fired(body) | Fire::Final(body)) =
-                pending.retry.fire(now, 0, rto, false)
-            {
-                due.push((pending.seq, body));
-            }
-        }
-        if due.is_empty() {
-            wire.push((
-                NodeId(to),
-                Body::Sealed {
-                    seq,
-                    ack: link.recv_cum,
-                    inner: Box::new(body),
-                },
-            ));
         } else {
-            // The merged envelope replaces an unsealed send that was
-            // leaving anyway, so it adds no recovery envelope to the
-            // wire — only the payload copies are recovery overhead.
-            let payloads = due.len() as u64;
-            due.push((seq, body));
-            due.sort_by_key(|(s, _)| *s);
-            wire.push((
-                NodeId(to),
-                Body::Repair {
-                    ack: link.recv_cum,
-                    items: due,
-                },
-            ));
-            let key = Key::named("repair_payloads")
-                .phase(phase)
-                .agent(self.me as u32)
-                .peer(to as u32);
-            self.metrics.incr(key, payloads);
+            self.repair(phase, to, due, Some((seq, body)), 1)
+        };
+        wire.push((NodeId(to), envelope));
+    }
+
+    /// The repair envelope toward `peer`: the `resent` payloads, plus
+    /// the `fresh` one when the envelope replaces a seal that was
+    /// leaving anyway, in sequence order under the link's piggybacked
+    /// ack. The caller ships `copies` of it. Only the payload copies
+    /// are recovery overhead: every copy counts each resent payload in
+    /// `repair_payloads`, and a repair replacing no seal counts each
+    /// copy in `retransmissions`.
+    fn repair(
+        &mut self,
+        phase: &'static str,
+        peer: usize,
+        mut resent: Vec<(u64, Body)>,
+        fresh: Option<(u64, Body)>,
+        copies: u64,
+    ) -> Body {
+        let payloads = copies * resent.len() as u64;
+        self.count("repair_payloads", Some(phase), peer, payloads);
+        if fresh.is_none() {
+            self.count("retransmissions", Some(phase), peer, copies);
+        }
+        resent.extend(fresh);
+        resent.sort_by_key(|(seq, _)| *seq);
+        Body::Repair {
+            ack: self.links[peer].piggyback_ack(),
+            items: resent,
         }
     }
 
@@ -602,32 +615,29 @@ impl ReliableEndpoint {
     ) -> Vec<Delivered<Body>> {
         let mut released = Vec::new();
         for msg in inbox {
-            let from = msg.from.0;
+            let (from, broadcast) = (msg.from.0, msg.broadcast);
             match msg.payload {
+                // A sealed envelope is a one-item repair that can also
+                // reveal a gap.
                 Body::Sealed { seq, ack, inner } => {
-                    self.apply_ack(from, ack, &[], now);
-                    self.accept_payload(from, seq, *inner, msg.broadcast, &mut released);
+                    self.unseal(now, from, ack, [(seq, *inner)], broadcast, &mut released);
                     self.schedule_gap_nack(from);
                 }
+                // No gap nack off a repair: the peer just flushed
+                // everything it owes, so a still-open gap means
+                // in-flight traffic, not loss.
                 Body::Repair { ack, items } => {
-                    self.apply_ack(from, ack, &[], now);
-                    for (seq, body) in items {
-                        self.accept_payload(from, seq, body, msg.broadcast, &mut released);
-                    }
-                    // No gap nack off a repair: the peer just flushed
-                    // everything it owes, so a still-open gap means
-                    // in-flight traffic, not loss.
+                    self.unseal(now, from, ack, items, broadcast, &mut released);
                 }
                 Body::Ack { ack, sack } => {
                     self.apply_ack(from, ack, &sack, now);
                 }
                 Body::Nack { lo, hi } => {
-                    let link = &mut self.links[from];
                     // Nack-triggered fast retransmissions respect the
                     // same per-message budget as the timer path: a nack
                     // beyond the budget is ignored and the
                     // timer/suspicion machinery takes over.
-                    for pending in &mut link.unacked {
+                    for pending in &mut self.links[from].unacked {
                         if (lo..=hi).contains(&pending.seq) {
                             pending.retry.nack(now);
                         }
@@ -636,14 +646,11 @@ impl ReliableEndpoint {
                 Body::SuspectDead { peer } => {
                     // Observability only: the exclusion vote reads each
                     // endpoint's own suspicion state, never this notice.
-                    let key = Key::named("suspect_notices")
-                        .agent(self.me as u32)
-                        .peer(peer as u32);
-                    self.metrics.incr(key, 1);
+                    self.count("suspect_notices", None, peer, 1);
                 }
                 other => released.push(Delivered {
                     from: msg.from,
-                    broadcast: msg.broadcast,
+                    broadcast,
                     payload: other,
                 }),
             }
@@ -651,46 +658,46 @@ impl ReliableEndpoint {
         released
     }
 
-    /// Sequence-accepts one carried payload from `from`: dedup, in-order
-    /// release with reorder-buffer drain, or out-of-order buffering.
-    fn accept_payload(
+    /// Applies the ack an envelope from `from` piggybacks, then
+    /// sequence-accepts each payload it carries: dedup, in-order release
+    /// with reorder-buffer drain, or out-of-order buffering.
+    fn unseal(
         &mut self,
+        now: u64,
         from: usize,
-        seq: u64,
-        body: Body,
+        ack: u64,
+        items: impl IntoIterator<Item = (u64, Body)>,
         broadcast: bool,
         released: &mut Vec<Delivered<Body>>,
     ) {
-        let link = &mut self.links[from];
-        link.owe_ack = true;
-        if seq <= link.recv_cum {
-            let key = Key::named("duplicate_deliveries")
-                .agent(self.me as u32)
-                .peer(from as u32);
-            self.metrics.incr(key, 1);
-            return;
-        }
-        if seq == link.recv_cum + 1 {
-            link.recv_cum = seq;
-            released.push(Delivered {
-                from: NodeId(from),
-                broadcast,
-                payload: body,
-            });
-            // The gap may have closed: drain the reorder buffer while
-            // it stays consecutive.
-            while let Some(next) = link.reorder.remove(&(link.recv_cum + 1)) {
-                link.recv_cum += 1;
+        self.apply_ack(from, ack, &[], now);
+        for (seq, body) in items {
+            let link = &mut self.links[from];
+            link.owe_ack = true;
+            if seq <= link.recv_cum {
+                self.count("duplicate_deliveries", None, from, 1);
+            } else if seq == link.recv_cum + 1 {
+                link.recv_cum = seq;
                 released.push(Delivered {
                     from: NodeId(from),
                     broadcast,
-                    payload: next,
+                    payload: body,
                 });
+                // The gap may have closed: drain the reorder buffer
+                // while it stays consecutive.
+                while let Some(next) = link.reorder.remove(&(link.recv_cum + 1)) {
+                    link.recv_cum += 1;
+                    released.push(Delivered {
+                        from: NodeId(from),
+                        broadcast,
+                        payload: next,
+                    });
+                }
+            } else {
+                // Out of order: hold until the gap closes. A duplicate
+                // of a buffered seq is idempotent.
+                link.reorder.entry(seq).or_insert(body);
             }
-        } else {
-            // Out of order: hold until the gap closes. A duplicate of a
-            // buffered seq is idempotent.
-            link.reorder.entry(seq).or_insert(body);
         }
     }
 
@@ -725,8 +732,7 @@ impl ReliableEndpoint {
         let link = &mut self.links[from];
         let mut samples = 0u64;
         let mut suppressed = 0u64;
-        let mut kept = Vec::with_capacity(link.unacked.len());
-        for pending in link.unacked.drain(..) {
+        link.unacked.retain(|pending| {
             if pending.seq <= ack {
                 // Karn's rule: only messages that spent none of their
                 // retry budget (no timer or nack retransmission) yield
@@ -735,28 +741,19 @@ impl ReliableEndpoint {
                     link.rtt.observe(now.saturating_sub(pending.sent_at));
                     samples += 1;
                 }
+                false
             } else if sack
                 .iter()
                 .any(|&(lo, hi)| (lo..=hi).contains(&pending.seq))
             {
                 suppressed += 1;
+                false
             } else {
-                kept.push(pending);
+                true
             }
-        }
-        link.unacked = kept;
-        if samples > 0 {
-            let key = Key::named("rtt_samples")
-                .agent(self.me as u32)
-                .peer(from as u32);
-            self.metrics.incr(key, samples);
-        }
-        if suppressed > 0 {
-            let key = Key::named("suppressed_retransmits")
-                .agent(self.me as u32)
-                .peer(from as u32);
-            self.metrics.incr(key, suppressed);
-        }
+        });
+        self.count("rtt_samples", None, from, samples);
+        self.count("suppressed_retransmits", None, from, suppressed);
     }
 
     /// Advances the retransmit timers one tick and flushes owed control
@@ -778,44 +775,29 @@ impl ReliableEndpoint {
             // Owed nacks and acks flush even toward suspected peers:
             // neither is ever acked back, so each costs one message and
             // helps the other side settle.
-            let link = &mut self.links[peer];
-            if let Some((lo, hi)) = link.owe_nack.take() {
-                out.push((Recipient::Unicast(NodeId(peer)), Body::Nack { lo, hi }));
-                let key = Key::named("nacks_sent")
-                    .agent(self.me as u32)
-                    .peer(peer as u32);
-                self.metrics.incr(key, 1);
+            let to = Recipient::Unicast(NodeId(peer));
+            if let Some((lo, hi)) = self.links[peer].owe_nack.take() {
+                out.push((to, Body::Nack { lo, hi }));
+                self.count("nacks_sent", None, peer, 1);
             }
             let link = &mut self.links[peer];
             if link.owe_ack {
                 link.owe_ack = false;
                 let sack = sack_ranges(&link.reorder);
+                let ranges = sack.len() as u64;
+                let ack = Body::Ack {
+                    ack: link.recv_cum,
+                    sack,
+                };
                 // Ack echo: two back-to-back copies occupy consecutive
                 // enqueue slots, which a periodic drop schedule can
                 // never both claim — so acknowledgments survive the
                 // deterministic loss plans that would otherwise convert
                 // delivered data into timeout-driven duplicate storms.
                 let copies = 2;
-                let ranges = sack.len() as u64;
-                for _ in 0..copies {
-                    out.push((
-                        Recipient::Unicast(NodeId(peer)),
-                        Body::Ack {
-                            ack: link.recv_cum,
-                            sack: sack.clone(),
-                        },
-                    ));
-                }
-                let key = Key::named("acks_sent")
-                    .agent(self.me as u32)
-                    .peer(peer as u32);
-                self.metrics.incr(key, copies);
-                if ranges > 0 {
-                    let key = Key::named("sack_ranges")
-                        .agent(self.me as u32)
-                        .peer(peer as u32);
-                    self.metrics.incr(key, ranges * copies);
-                }
+                out.extend(std::iter::repeat_n((to, ack), copies));
+                self.count("acks_sent", None, peer, copies as u64);
+                self.count("sack_ranges", None, peer, ranges * copies as u64);
             }
         }
         out
@@ -869,60 +851,38 @@ impl ReliableEndpoint {
                 Some(Fire::Fired(body)) => items.push((pending.seq, body)),
             }
         }
-        if !exhausted && !items.is_empty() {
-            // Riders join an envelope that was being emitted anyway;
-            // like the nack fast path they neither burn nor evade the
-            // attempt budget — their own timer keeps its schedule, and
-            // a message that already spent its budget stays grounded.
-            // The ride answers any pending nack request too.
-            for slot in riders {
-                let pending = &mut link.unacked[slot];
-                if let Some(body) = pending.retry.ride(now, rto) {
-                    items.push((pending.seq, body));
-                }
-            }
-            items.sort_by_key(|(seq, _)| *seq);
-        }
         if exhausted {
             self.suspected[peer] = true;
-            self.links[peer].unacked.clear();
-            let key = Key::named("suspect_dead")
-                .phase(phase)
-                .agent(self.me as u32)
-                .peer(peer as u32);
-            self.metrics.incr(key, 1);
+            link.unacked.clear();
+            self.count("suspect_dead", Some(phase), peer, 1);
             out.push((Recipient::Broadcast, Body::SuspectDead { peer }));
-        } else if !items.is_empty() {
-            // The final budgeted attempt ships two back-to-back copies
-            // of the repair envelope: consecutive enqueue slots can
-            // never both be multiples of a drop period `k ≥ 2`, so a
-            // periodic loss schedule phase-locked with the doubling
-            // backoff cannot kill every attempt.
-            let copies: u64 = if final_attempt { 2 } else { 1 };
-            let payloads = items.len() as u64;
-            if link.reorder.is_empty() {
-                link.owe_ack = false;
-            }
-            for _ in 0..copies {
-                out.push((
-                    Recipient::Unicast(NodeId(peer)),
-                    Body::Repair {
-                        ack: link.recv_cum,
-                        items: items.clone(),
-                    },
-                ));
-            }
-            let key = Key::named("retransmissions")
-                .phase(phase)
-                .agent(self.me as u32)
-                .peer(peer as u32);
-            self.metrics.incr(key, copies);
-            let key = Key::named("repair_payloads")
-                .phase(phase)
-                .agent(self.me as u32)
-                .peer(peer as u32);
-            self.metrics.incr(key, copies * payloads);
+            return;
         }
+        if items.is_empty() {
+            return;
+        }
+        // Riders join an envelope that was being emitted anyway; like
+        // the nack fast path they neither burn nor evade the attempt
+        // budget — their own timer keeps its schedule, and a message
+        // that already spent its budget stays grounded. The ride
+        // answers any pending nack request too.
+        for slot in riders {
+            let pending = &mut link.unacked[slot];
+            if let Some(body) = pending.retry.ride(now, rto) {
+                items.push((pending.seq, body));
+            }
+        }
+        // The final budgeted attempt ships two back-to-back copies of
+        // the repair envelope: consecutive enqueue slots can never both
+        // be multiples of a drop period `k ≥ 2`, so a periodic loss
+        // schedule phase-locked with the doubling backoff cannot kill
+        // every attempt.
+        let copies = if final_attempt { 2 } else { 1 };
+        let envelope = self.repair(phase, peer, items, None, copies as u64);
+        out.extend(std::iter::repeat_n(
+            (Recipient::Unicast(NodeId(peer)), envelope),
+            copies,
+        ));
     }
 }
 
@@ -1095,7 +1055,7 @@ mod tests {
         );
         assert_eq!(suspected_at, Some(policy.worst_case_repair()));
         assert!(ep.suspected()[1]);
-        assert!(ep.is_settled(), "suspicion clears the link");
+        assert!(ep.next_timer().is_none(), "suspicion clears the link");
         assert_eq!(ep.metrics().counter_total("retransmissions"), 3);
         assert_eq!(ep.metrics().counter_total("repair_payloads"), 3);
         // Further sends to the suspected peer are suppressed.
@@ -1112,7 +1072,7 @@ mod tests {
             "bidding",
             vec![(Recipient::Unicast(NodeId(1)), ack_body(0))],
         );
-        assert!(!ep.is_settled());
+        assert!(ep.next_timer().is_some());
         // Peer acks seq 1 and sends its own envelope.
         let released = ep.process_inbound(
             1,
@@ -1126,7 +1086,7 @@ mod tests {
             )],
         );
         assert_eq!(released.len(), 1);
-        assert!(!ep.is_settled(), "an ack is owed");
+        assert!(ep.next_timer().is_some(), "an ack is owed");
         assert_eq!(
             ep.metrics()
                 .counter(&Key::named("rtt_samples").agent(0).peer(1)),
@@ -1140,7 +1100,7 @@ mod tests {
         for (_, body) in &control {
             assert!(matches!(body, Body::Ack { ack: 1, sack } if sack.is_empty()));
         }
-        assert!(ep.is_settled());
+        assert!(ep.next_timer().is_none());
         assert_eq!(ep.metrics().counter_total("acks_sent"), 2);
         // Nothing further: no retransmissions, no ack storms.
         for now in 2..40 {
@@ -1356,6 +1316,134 @@ mod tests {
         );
         assert!(released.is_empty());
         assert_eq!(ep.metrics().counter_total("duplicate_deliveries"), 1);
+    }
+
+    #[test]
+    fn a_fresh_seal_carries_a_due_payload_in_one_repair() {
+        let mut ep = ReliableEndpoint::new(0, 2, RetryPolicy::default());
+        let _ = ep.seal_outgoing(
+            0,
+            "bidding",
+            vec![(Recipient::Unicast(NodeId(1)), ack_body(0))],
+        );
+        // Seq 1's timer lapses at base_timeout; a fresh seal at that
+        // tick absorbs it instead of leaving as a plain Sealed.
+        let wire = ep.seal_outgoing(
+            RETRY_BASE_TIMEOUT,
+            "bidding",
+            vec![(Recipient::Unicast(NodeId(1)), ack_body(1))],
+        );
+        assert_eq!(wire.len(), 1, "one envelope, not a seal plus a repair");
+        assert_eq!(wire[0].0, NodeId(1));
+        match &wire[0].1 {
+            Body::Repair { ack: 0, items } => {
+                assert_eq!(items, &vec![(1, ack_body(0)), (2, ack_body(1))]);
+            }
+            other => panic!("unexpected {}", other.kind()),
+        }
+        // The merged envelope replaces a send that was leaving anyway:
+        // only the resent payload is recovery overhead.
+        assert_eq!(ep.metrics().counter_total("repair_payloads"), 1);
+        assert_eq!(ep.metrics().counter_total("retransmissions"), 0);
+        // The ride burned seq 1's first attempt, so its sweep has
+        // nothing left to send this tick.
+        assert!(ep.tick(RETRY_BASE_TIMEOUT, "bidding").is_empty());
+    }
+
+    #[test]
+    fn the_final_attempt_never_rides_a_seal() {
+        let policy = RetryPolicy {
+            base_timeout: 2,
+            budget: 1,
+        };
+        let mut ep = ReliableEndpoint::new(0, 2, policy);
+        let _ = ep.seal_outgoing(
+            0,
+            "bidding",
+            vec![(Recipient::Unicast(NodeId(1)), ack_body(0))],
+        );
+        // Seq 1's next fire is its last budgeted attempt: the fresh seal
+        // leaves alone, and the sweep ships the echoed final repair.
+        let wire = ep.seal_outgoing(
+            2,
+            "bidding",
+            vec![(Recipient::Unicast(NodeId(1)), ack_body(1))],
+        );
+        assert_eq!(wire.len(), 1);
+        assert!(matches!(wire[0].1, Body::Sealed { seq: 2, .. }));
+        assert_eq!(ep.metrics().counter_total("repair_payloads"), 0);
+        let out = ep.tick(2, "bidding");
+        assert_eq!(out.len(), 2, "the final attempt ships two copies");
+        for (to, body) in &out {
+            assert_eq!(*to, Recipient::Unicast(NodeId(1)));
+            match body {
+                Body::Repair { items, .. } => assert_eq!(items, &vec![(1, ack_body(0))]),
+                other => panic!("unexpected {}", other.kind()),
+            }
+        }
+        assert_eq!(ep.metrics().counter_total("retransmissions"), 2);
+        assert_eq!(ep.metrics().counter_total("repair_payloads"), 2);
+    }
+
+    #[test]
+    fn a_payload_past_the_ack_horizon_rides_a_sweep_repair_for_free() {
+        let policy = RetryPolicy {
+            base_timeout: 4,
+            budget: 1,
+        };
+        let mut ep = ReliableEndpoint::new(0, 2, policy);
+        let to_peer = |task| vec![(Recipient::Unicast(NodeId(1)), ack_body(task))];
+        let _ = ep.seal_outgoing(0, "bidding", to_peer(0));
+        // A clean round trip of 2 ticks: rto = min(2 + 4·1, 4) = 4, the
+        // ack horizon is 2, and the link's gather window is 2 ticks.
+        let _ = ep.process_inbound(
+            2,
+            vec![delivered(
+                1,
+                Body::Ack {
+                    ack: 1,
+                    sack: vec![],
+                },
+            )],
+        );
+        let _ = ep.seal_outgoing(2, "bidding", to_peer(2));
+        let _ = ep.seal_outgoing(5, "bidding", to_peer(5));
+        // Seq 2 falls due at 2 + 4 + 2 = 8 (its final attempt). Seq 3's
+        // own timer is not due until 11, but it is 3 ticks old, past the
+        // horizon, so it rides along.
+        assert_eq!(ep.next_timer(), Some(8));
+        let out = ep.tick(8, "bidding");
+        assert_eq!(out.len(), 2, "the final attempt ships two copies");
+        for (_, body) in &out {
+            match body {
+                Body::Repair { items, .. } => {
+                    assert_eq!(items, &vec![(2, ack_body(2)), (3, ack_body(5))]);
+                }
+                other => panic!("unexpected {}", other.kind()),
+            }
+        }
+        assert_eq!(ep.metrics().counter_total("retransmissions"), 2);
+        assert_eq!(ep.metrics().counter_total("repair_payloads"), 4);
+        // Seq 2 is acked. Seq 3 spent no attempt riding: its one
+        // budgeted timer fire still goes out, 4 ticks after the ride
+        // plus the gather window, instead of the peer being suspected.
+        let _ = ep.process_inbound(
+            9,
+            vec![delivered(
+                1,
+                Body::Ack {
+                    ack: 2,
+                    sack: vec![],
+                },
+            )],
+        );
+        assert_eq!(ep.next_timer(), Some(14));
+        let out = ep.tick(14, "bidding");
+        assert_eq!(out.len(), 2);
+        for (_, body) in &out {
+            assert!(matches!(body, Body::Repair { items, .. } if items == &vec![(3, ack_body(5))]));
+        }
+        assert!(!ep.suspected()[1]);
     }
 
     /// `next_timer` must bracket exactly the ticks on which `tick`

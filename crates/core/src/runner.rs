@@ -446,7 +446,7 @@ impl DmwRunner {
             }
             if transport.is_quiescent()
                 && agents.iter().all(DmwAgent::is_terminal)
-                && endpoints.iter().all(ReliableEndpoint::is_settled)
+                && endpoints.iter().all(|e| e.next_timer().is_none())
             {
                 break;
             }
@@ -856,10 +856,9 @@ struct Polled {
     trace: Vec<TraceEvent>,
     /// One `(phase, task, recipient, size)` entry per metered message.
     metered: Vec<(&'static str, Option<usize>, Recipient, usize)>,
-    /// Recovery mode: the sealed protocol messages, sent first.
-    sealed: Vec<(NodeId, Body)>,
-    /// The protocol messages, or in recovery mode the endpoint's control
-    /// traffic, sent after `sealed`.
+    /// What to send, in order: the protocol messages, or in recovery
+    /// mode the sealed protocol messages and then the endpoint's control
+    /// traffic.
     wire: Vec<(Recipient, Body)>,
 }
 
@@ -897,9 +896,6 @@ fn run_tick<T: Transport<Body>>(
         trace.extend(polled.trace);
         for (phase, task, recipient, size) in polled.metered {
             meter(sched_metrics, n, i, phase, task, recipient, size);
-        }
-        for (to, body) in polled.sealed {
-            transport.send(NodeId(i), to, body);
         }
         for (recipient, body) in polled.wire {
             send(transport, i, recipient, body);
@@ -950,7 +946,7 @@ fn poll_agent(
         ));
         metered.push((phase, body.task(), *recipient, body.size_bytes()));
     }
-    let (sealed, wire) = match endpoint {
+    let wire = match endpoint {
         Some(endpoint) => {
             // Seal after coalescing (the envelope is the outermost
             // layer), then run the retransmit timers and flush any owed
@@ -964,14 +960,16 @@ fn poll_agent(
             for (recipient, body) in &control {
                 metered.push(("control", None, *recipient, body.size_bytes()));
             }
-            (sealed, control)
+            let sealed = sealed
+                .into_iter()
+                .map(|(to, body)| (Recipient::Unicast(to), body));
+            sealed.chain(control).collect()
         }
-        None => (Vec::new(), outgoing),
+        None => outgoing,
     };
     Polled {
         trace,
         metered,
-        sealed,
         wire,
     }
 }
