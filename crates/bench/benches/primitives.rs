@@ -74,8 +74,9 @@ fn bench_protocol_primitives(c: &mut Criterion) {
                 compute_lambda_psi(&group, &e, &h).lambda
             })
             .collect();
+        let points = lagrange::ZeroCoefficients::from_points(&zq, &alphas).unwrap();
         bench.bench_with_input(BenchmarkId::new("resolve_min_bid", n), &n, |b, _| {
-            b.iter(|| resolve_min_bid(&group, &encoding, &alphas, &lambdas).unwrap())
+            b.iter(|| resolve_min_bid(&group, &encoding, &points, &lambdas).unwrap())
         });
     }
     bench.finish();

@@ -7,13 +7,17 @@
 //! all-crashed scheduler-saturation ("silence") run at *every* point,
 //! cross-checking the event engine against the poll-every-tick oracle
 //! (backoff up to the oracle ceiling; silence always), and emitting
-//! the `dmw-bench-scale/v2` JSON baseline (see `docs/benchmarks.md`
+//! the `dmw-bench-scale/v3` JSON baseline (see `docs/benchmarks.md`
 //! and `docs/scheduler.md`):
 //!
 //! ```text
 //! cargo run --release -p dmw-bench --bin bench_scale -- --out BENCH_scale.json
 //! cargo run --release -p dmw-bench --bin bench_scale -- --smoke
 //! ```
+//!
+//! Each point is measured 5 times up to n = 64 and 3 times above; the
+//! JSON records every wall clock's median and range over those repeats,
+//! and the sweep panics if a deterministic field differs between them.
 //!
 //! Flags: `--agents <a,b,c>` (the sweep's `n` values; tasks follow as
 //! `max(2, n/32)`, trials as `max(1, 64/n)`), `--protocol-ceiling <N>`
@@ -96,11 +100,7 @@ fn main() {
     let shapes: Vec<ScaleShape> = match &options.agents {
         Some(agents) => agents
             .iter()
-            .map(|&agents| ScaleShape {
-                agents,
-                tasks: (agents / 32).max(2),
-                trials: (64 / agents).max(1),
-            })
+            .map(|&agents| ScaleShape::for_agents(agents))
             .collect(),
         None => default_shapes(),
     };
@@ -121,17 +121,17 @@ fn main() {
         let protocol = match (&point.honest, &point.honest_cost, &point.backoff) {
             (Some(honest), Some(cost), Some(backoff)) => {
                 let oracle = match point.backoff_polling_wall_secs {
-                    Some(secs) => format!("{secs:.3}s polling"),
+                    Some(secs) => format!("{:.3}s polling", secs.median),
                     None => "oracle skipped".to_owned(),
                 };
                 format!(
                     "honest {:>8.3}s ({} ticks, {} muls/agent = {:.3} mn² log p); \
                      backoff {:>8.3}s ({} of {} ticks active, {})",
-                    honest.wall_secs,
+                    honest.wall_secs.median,
                     honest.run_ticks,
                     cost.muls_per_agent,
                     cost.ratio,
-                    backoff.wall_secs,
+                    backoff.wall_secs.median,
                     backoff.events_processed,
                     backoff.run_ticks,
                     oracle
@@ -146,10 +146,10 @@ fn main() {
             point.shape.tasks,
             point.shape.trials,
             protocol,
-            point.silence.wall_secs,
+            point.silence.wall_secs.median,
             point.silence.events_processed,
             point.silence.run_ticks,
-            point.silence_polling_wall_secs,
+            point.silence_polling_wall_secs.median,
             point.bit_identical
         );
     }

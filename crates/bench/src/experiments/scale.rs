@@ -39,7 +39,12 @@
 //! the cheap silence workload is oracle-checked at *every* point, so
 //! the committed baseline proves bit parity through `n = 1024`.
 //!
-//! [`ScaleBaseline::to_json`] emits the `dmw-bench-scale/v2` schema
+//! Each point runs [`ScaleShape::repeats`] times (5 up to `n = 64`, 3
+//! above) and records the median and the range of every wall clock. The
+//! deterministic fields must agree across the repeats, or the sweep
+//! panics.
+//!
+//! [`ScaleBaseline::to_json`] emits the `dmw-bench-scale/v3` schema
 //! documented in `docs/benchmarks.md`.
 
 use super::{config, rng};
@@ -73,7 +78,8 @@ pub const SILENCE_PATIENCE: u64 = 256;
 
 /// One requested sweep point: `n` agents bidding on `m` tasks,
 /// measured over `trials` independent runs (more at small `n`, where a
-/// single run is too fast to time honestly).
+/// single run is too fast to time honestly), the whole point measured
+/// `repeats` times.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScaleShape {
     /// Agents `n`.
@@ -82,29 +88,75 @@ pub struct ScaleShape {
     pub tasks: usize,
     /// Runs to time (each with its own bid matrix).
     pub trials: usize,
+    /// Times the point is measured; its wall clocks are the median and
+    /// range over the repeats.
+    pub repeats: usize,
 }
 
-/// The default sweep: `n` doubling 8 → 1024 with the task count
-/// growing alongside (`m = max(2, n/32)`), trials thinning as the runs
-/// get heavier.
-pub fn default_shapes() -> Vec<ScaleShape> {
-    [8usize, 64, 256, 1024]
-        .into_iter()
-        .map(|agents| ScaleShape {
+impl ScaleShape {
+    /// The sweep's shape at `n = agents`: `m = max(2, n/32)` tasks,
+    /// `max(1, 64/n)` trials, and 5 repeats up to `n = 64`, 3 above.
+    pub fn for_agents(agents: usize) -> Self {
+        ScaleShape {
             agents,
             tasks: (agents / 32).max(2),
             trials: (64 / agents).max(1),
-        })
+            repeats: if agents <= 64 { 5 } else { 3 },
+        }
+    }
+}
+
+/// The default sweep: `n` doubling 8 → 1024 with the task count
+/// growing alongside, trials and repeats thinning as the runs get
+/// heavier ([`ScaleShape::for_agents`]).
+pub fn default_shapes() -> Vec<ScaleShape> {
+    [8usize, 64, 256, 1024]
+        .into_iter()
+        .map(ScaleShape::for_agents)
         .collect()
+}
+
+/// Wall-clock seconds of one timing over a point's repeats.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WallSecs {
+    /// The median repeat (the mean of the middle two for an even count).
+    pub median: f64,
+    /// The fastest repeat.
+    pub min: f64,
+    /// The slowest repeat.
+    pub max: f64,
+}
+
+impl WallSecs {
+    /// The spread of `samples`, one per repeat.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is empty.
+    pub fn of(samples: &[f64]) -> Self {
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let mid = sorted.len() / 2;
+        let median = if sorted.len() % 2 == 1 {
+            sorted[mid]
+        } else {
+            (sorted[mid - 1] + sorted[mid]) / 2.0
+        };
+        WallSecs {
+            median,
+            min: sorted[0],
+            max: sorted[sorted.len() - 1],
+        }
+    }
 }
 
 /// One timed workload at one sweep point. Everything but `wall_secs`
 /// is deterministic (it comes from the run artifacts, summed over the
-/// point's trials).
+/// point's trials, and agrees across repeats).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadTiming {
-    /// Wall-clock seconds over all trials.
-    pub wall_secs: f64,
+    /// Wall-clock seconds over all trials, across repeats.
+    pub wall_secs: WallSecs,
     /// Simulated ticks, summed over trials (`run_ticks` gauge).
     pub run_ticks: u64,
     /// Scheduler activations, summed over trials (`events_processed`
@@ -146,13 +198,13 @@ pub struct ScalePoint {
     pub backoff: Option<WorkloadTiming>,
     /// Wall-clock of the identical backoff workload under the polling
     /// oracle — `None` above the oracle (or protocol) ceiling.
-    pub backoff_polling_wall_secs: Option<f64>,
+    pub backoff_polling_wall_secs: Option<WallSecs>,
     /// The all-crashed scheduler-saturation workload under the event
     /// engine — measured at every point.
     pub silence: WorkloadTiming,
     /// Wall-clock of the identical silence workload under the polling
     /// oracle — always measured (the workload is cheap by design).
-    pub silence_polling_wall_secs: f64,
+    pub silence_polling_wall_secs: WallSecs,
     /// Whether every oracle re-run at this point matched the event
     /// engine's artifacts bit-for-bit (modulo the `events_processed`
     /// gauge). The silence oracle always contributes; the backoff
@@ -179,10 +231,11 @@ pub struct ScaleBaseline {
 }
 
 /// Sums the deterministic artifact counters of one batch of runs into
-/// a [`WorkloadTiming`] (the caller supplies the wall clock).
+/// a [`WorkloadTiming`] (the caller supplies the wall clock of this one
+/// repeat).
 fn timing(runs: &[DmwRun], wall_secs: f64) -> WorkloadTiming {
     WorkloadTiming {
-        wall_secs,
+        wall_secs: WallSecs::of(&[wall_secs]),
         run_ticks: runs
             .iter()
             .map(|r| r.metrics.gauge(&Key::named("run_ticks")))
@@ -209,13 +262,15 @@ fn runs_identical(event: &[DmwRun], polling: &[DmwRun]) -> bool {
         })
 }
 
-/// Runs every shape through its workloads and returns the measured
-/// sweep. Deterministic in everything but wall clock.
+/// Runs every shape through its workloads, [`ScaleShape::repeats`] times
+/// each, and returns the measured sweep. Deterministic in everything but
+/// wall clock.
 ///
 /// # Panics
 ///
 /// Panics on invalid shapes or failed runs — harness callers pass
-/// valid sweeps.
+/// valid sweeps — and when a point's deterministic fields differ between
+/// two of its repeats.
 pub fn measure_scale(
     seed: u64,
     shapes: &[ScaleShape],
@@ -225,103 +280,10 @@ pub fn measure_scale(
     let points = shapes
         .iter()
         .map(|&shape| {
-            let n = shape.agents;
-            let mut r = rng(seed ^ n as u64);
-            let cfg = config(n, 1, &mut r);
-            let behaviors = vec![Behavior::Suggested; n];
-
-            let run_all = |runner: &DmwRunner,
-                           bids: &[ExecutionTimes],
-                           faults: &FaultPlan|
-             -> (Vec<DmwRun>, f64) {
-                let started = Instant::now();
-                let runs: Vec<DmwRun> = bids
-                    .iter()
-                    .map(|b| {
-                        runner
-                            .run(b, &behaviors, faults.clone(), &mut rng(seed ^ 0xACE))
-                            .expect("valid sweep run")
-                    })
-                    .collect();
-                (runs, started.elapsed().as_secs_f64())
-            };
-
-            let (honest, honest_cost, backoff, backoff_polling_wall_secs, backoff_identical) =
-                if n <= protocol_ceiling {
-                    let bids: Vec<ExecutionTimes> = (0..shape.trials)
-                        .map(|_| super::random_bids(&cfg, shape.tasks, &mut r))
-                        .collect();
-                    // The crash lands on tick 4 — late enough that the
-                    // victim has bid (so the survivors must vote it out
-                    // and re-auction its tasks), early enough that its
-                    // silence matters.
-                    let crash = FaultPlan::none(n).crash_at(NodeId(n / 2), 4);
-                    let honest_runner = DmwRunner::new(cfg.clone());
-                    let backoff_runner =
-                        DmwRunner::new(cfg.clone()).with_recovery_policy(BACKOFF_POLICY);
-
-                    let before = ops::current_ops();
-                    let (honest_runs, honest_wall) =
-                        run_all(&honest_runner, &bids, &FaultPlan::none(n));
-                    let muls = ops::current_ops().since(&before).mul_equivalents();
-                    let muls_per_agent = muls / (n * shape.trials) as u64;
-                    let bound = (shape.tasks * n * n) as f64 * f64::from(cfg.group().zp().bits());
-                    let honest_cost = AgentCost {
-                        muls_per_agent,
-                        ratio: muls_per_agent as f64 / bound,
-                    };
-                    let (event_runs, event_wall) = run_all(&backoff_runner, &bids, &crash);
-
-                    let (polling_wall, identical) = if n <= oracle_ceiling {
-                        let polling_runner = backoff_runner.clone().with_engine(Engine::Polling);
-                        let (polling_runs, polling_wall) = run_all(&polling_runner, &bids, &crash);
-                        (
-                            Some(polling_wall),
-                            runs_identical(&event_runs, &polling_runs),
-                        )
-                    } else {
-                        (None, true)
-                    };
-                    (
-                        Some(timing(&honest_runs, honest_wall)),
-                        Some(honest_cost),
-                        Some(timing(&event_runs, event_wall)),
-                        polling_wall,
-                        identical,
-                    )
-                } else {
-                    (None, None, None, None, true)
-                };
-
-            // Silence: every node crashed before it can deliver a single
-            // message; each agent bids into the void, waits out its
-            // patience for commitments that never arrive, and aborts.
-            let silence_bids = vec![super::random_bids(&cfg, SILENCE_TASKS, &mut r)];
-            let all_crashed = (0..n).fold(FaultPlan::none(n), |plan, node| {
-                plan.crash_at(NodeId(node), 0)
-            });
-            let silence_runner = DmwRunner::new(cfg)
-                .with_patience(SILENCE_PATIENCE)
-                .with_round_budget(SILENCE_PATIENCE * 4);
-            let (silence_runs, silence_wall) =
-                run_all(&silence_runner, &silence_bids, &all_crashed);
-            let (silence_polling_runs, silence_polling_wall) = run_all(
-                &silence_runner.clone().with_engine(Engine::Polling),
-                &silence_bids,
-                &all_crashed,
-            );
-            let silence_identical = runs_identical(&silence_runs, &silence_polling_runs);
-
-            ScalePoint {
-                shape,
-                honest,
-                honest_cost,
-                backoff,
-                backoff_polling_wall_secs,
-                silence: timing(&silence_runs, silence_wall),
-                silence_polling_wall_secs: silence_polling_wall,
-                bit_identical: backoff_identical && silence_identical,
-            }
+            let repeats: Vec<ScalePoint> = (0..shape.repeats.max(1))
+                .map(|_| measure_point(seed, shape, oracle_ceiling, protocol_ceiling))
+                .collect();
+            combine_repeats(&repeats)
         })
         .collect();
     ScaleBaseline {
@@ -333,18 +295,178 @@ pub fn measure_scale(
     }
 }
 
+/// The deterministic fields of a point: every counter of every workload,
+/// the honest cost and the oracle verdict.
+fn deterministic_fields(point: &ScalePoint) -> Vec<Option<u64>> {
+    let counters = |w: Option<&WorkloadTiming>| {
+        [
+            w.map(|w| w.run_ticks),
+            w.map(|w| w.events_processed),
+            w.map(|w| w.messages),
+            w.map(|w| w.bytes),
+        ]
+    };
+    let mut fields = Vec::new();
+    fields.extend(counters(point.honest.as_ref()));
+    fields.extend(counters(point.backoff.as_ref()));
+    fields.extend(counters(Some(&point.silence)));
+    fields.push(point.honest_cost.map(|c| c.muls_per_agent));
+    fields.push(Some(u64::from(point.bit_identical)));
+    fields
+}
+
+/// One point from its repeats: the first repeat's deterministic fields
+/// and every wall clock's spread.
+///
+/// # Panics
+///
+/// Panics if `repeats` is empty or two repeats disagree on a
+/// deterministic field.
+fn combine_repeats(repeats: &[ScalePoint]) -> ScalePoint {
+    let first = &repeats[0];
+    for (index, repeat) in repeats.iter().enumerate() {
+        assert_eq!(
+            deterministic_fields(repeat),
+            deterministic_fields(first),
+            "n = {}: repeat {index} disagrees with repeat 0 on a deterministic field",
+            first.shape.agents
+        );
+    }
+    // One wall clock's spread over the repeats, each of which timed it
+    // once; `None` where the workload did not run.
+    let spread = |wall: fn(&ScalePoint) -> Option<WallSecs>| {
+        let samples: Option<Vec<f64>> = repeats.iter().map(|p| wall(p).map(|w| w.median)).collect();
+        samples.map(|samples| WallSecs::of(&samples))
+    };
+    let retimed = |workload: Option<WorkloadTiming>, wall: Option<WallSecs>| {
+        workload
+            .zip(wall)
+            .map(|(w, wall_secs)| WorkloadTiming { wall_secs, ..w })
+    };
+    let always = "every repeat times the silence workload";
+    ScalePoint {
+        honest: retimed(first.honest, spread(|p| p.honest.map(|w| w.wall_secs))),
+        backoff: retimed(first.backoff, spread(|p| p.backoff.map(|w| w.wall_secs))),
+        backoff_polling_wall_secs: spread(|p| p.backoff_polling_wall_secs),
+        silence: retimed(Some(first.silence), spread(|p| Some(p.silence.wall_secs))).expect(always),
+        silence_polling_wall_secs: spread(|p| Some(p.silence_polling_wall_secs)).expect(always),
+        ..first.clone()
+    }
+}
+
+/// Measures one repeat of one point.
+fn measure_point(
+    seed: u64,
+    shape: ScaleShape,
+    oracle_ceiling: usize,
+    protocol_ceiling: usize,
+) -> ScalePoint {
+    let n = shape.agents;
+    let mut r = rng(seed ^ n as u64);
+    let cfg = config(n, 1, &mut r);
+    let behaviors = vec![Behavior::Suggested; n];
+
+    let run_all =
+        |runner: &DmwRunner, bids: &[ExecutionTimes], faults: &FaultPlan| -> (Vec<DmwRun>, f64) {
+            let started = Instant::now();
+            let runs: Vec<DmwRun> = bids
+                .iter()
+                .map(|b| {
+                    runner
+                        .run(b, &behaviors, faults.clone(), &mut rng(seed ^ 0xACE))
+                        .expect("valid sweep run")
+                })
+                .collect();
+            (runs, started.elapsed().as_secs_f64())
+        };
+
+    let (honest, honest_cost, backoff, backoff_polling_wall_secs, backoff_identical) =
+        if n <= protocol_ceiling {
+            let bids: Vec<ExecutionTimes> = (0..shape.trials)
+                .map(|_| super::random_bids(&cfg, shape.tasks, &mut r))
+                .collect();
+            // The crash lands on tick 4 — late enough that the
+            // victim has bid (so the survivors must vote it out
+            // and re-auction its tasks), early enough that its
+            // silence matters.
+            let crash = FaultPlan::none(n).crash_at(NodeId(n / 2), 4);
+            let honest_runner = DmwRunner::new(cfg.clone());
+            let backoff_runner = DmwRunner::new(cfg.clone()).with_recovery_policy(BACKOFF_POLICY);
+
+            let before = ops::current_ops();
+            let (honest_runs, honest_wall) = run_all(&honest_runner, &bids, &FaultPlan::none(n));
+            let muls = ops::current_ops().since(&before).mul_equivalents();
+            let muls_per_agent = muls / (n * shape.trials) as u64;
+            let bound = (shape.tasks * n * n) as f64 * f64::from(cfg.group().zp().bits());
+            let honest_cost = AgentCost {
+                muls_per_agent,
+                ratio: muls_per_agent as f64 / bound,
+            };
+            let (event_runs, event_wall) = run_all(&backoff_runner, &bids, &crash);
+
+            let (polling_wall, identical) = if n <= oracle_ceiling {
+                let polling_runner = backoff_runner.clone().with_engine(Engine::Polling);
+                let (polling_runs, polling_wall) = run_all(&polling_runner, &bids, &crash);
+                (
+                    Some(WallSecs::of(&[polling_wall])),
+                    runs_identical(&event_runs, &polling_runs),
+                )
+            } else {
+                (None, true)
+            };
+            (
+                Some(timing(&honest_runs, honest_wall)),
+                Some(honest_cost),
+                Some(timing(&event_runs, event_wall)),
+                polling_wall,
+                identical,
+            )
+        } else {
+            (None, None, None, None, true)
+        };
+
+    // Silence: every node crashed before it can deliver a single
+    // message; each agent bids into the void, waits out its
+    // patience for commitments that never arrive, and aborts.
+    let silence_bids = vec![super::random_bids(&cfg, SILENCE_TASKS, &mut r)];
+    let all_crashed = (0..n).fold(FaultPlan::none(n), |plan, node| {
+        plan.crash_at(NodeId(node), 0)
+    });
+    let silence_runner = DmwRunner::new(cfg)
+        .with_patience(SILENCE_PATIENCE)
+        .with_round_budget(SILENCE_PATIENCE * 4);
+    let (silence_runs, silence_wall) = run_all(&silence_runner, &silence_bids, &all_crashed);
+    let (silence_polling_runs, silence_polling_wall) = run_all(
+        &silence_runner.clone().with_engine(Engine::Polling),
+        &silence_bids,
+        &all_crashed,
+    );
+    let silence_identical = runs_identical(&silence_runs, &silence_polling_runs);
+
+    ScalePoint {
+        shape,
+        honest,
+        honest_cost,
+        backoff,
+        backoff_polling_wall_secs,
+        silence: timing(&silence_runs, silence_wall),
+        silence_polling_wall_secs: WallSecs::of(&[silence_polling_wall]),
+        bit_identical: backoff_identical && silence_identical,
+    }
+}
+
 impl ScaleBaseline {
     /// `true` when every oracle-checked point was bit-identical.
     pub fn all_bit_identical(&self) -> bool {
         self.points.iter().all(|p| p.bit_identical)
     }
 
-    /// Serializes to the `dmw-bench-scale/v2` JSON schema (see
+    /// Serializes to the `dmw-bench-scale/v3` JSON schema (see
     /// `docs/benchmarks.md`).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str("  \"schema\": \"dmw-bench-scale/v2\",\n");
+        out.push_str("  \"schema\": \"dmw-bench-scale/v3\",\n");
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
         out.push_str(&format!(
             "  \"protocol_ceiling\": {},\n",
@@ -375,9 +497,13 @@ impl ScaleBaseline {
 fn point_json(point: &ScalePoint) -> String {
     let workload = |w: &WorkloadTiming, extra: &str| {
         format!(
-            "{{ \"wall_secs\": {:.6}, \"run_ticks\": {}, \"events_processed\": {}, \
+            "{{ {}, \"run_ticks\": {}, \"events_processed\": {}, \
              \"messages\": {}, \"bytes\": {}{extra} }}",
-            w.wall_secs, w.run_ticks, w.events_processed, w.messages, w.bytes
+            wall_json("wall_secs", &w.wall_secs),
+            w.run_ticks,
+            w.events_processed,
+            w.messages,
+            w.bytes
         )
     };
     let honest = match (&point.honest, &point.honest_cost) {
@@ -394,25 +520,37 @@ fn point_json(point: &ScalePoint) -> String {
         Some(w) => workload(w, ""),
         None => "null".to_owned(),
     };
-    let oracle = match point.backoff_polling_wall_secs {
-        Some(secs) => format!("{secs:.6}"),
-        None => "null".to_owned(),
+    let oracle = match &point.backoff_polling_wall_secs {
+        Some(secs) => wall_json("backoff_polling_wall_secs", secs),
+        None => "\"backoff_polling_wall_secs\": null".to_owned(),
     };
     format!(
-        "    {{\n      \"agents\": {}, \"tasks\": {}, \"trials\": {},\n      \
+        "    {{\n      \"agents\": {}, \"tasks\": {}, \"trials\": {}, \"repeats\": {},\n      \
          \"honest\": {},\n      \"backoff\": {},\n      \
-         \"backoff_polling_wall_secs\": {},\n      \
+         {},\n      \
          \"silence\": {},\n      \
-         \"silence_polling_wall_secs\": {:.6},\n      \"bit_identical\": {}\n    }}",
+         {},\n      \"bit_identical\": {}\n    }}",
         point.shape.agents,
         point.shape.tasks,
         point.shape.trials,
+        point.shape.repeats,
         honest,
         backoff,
         oracle,
         workload(&point.silence, ""),
-        point.silence_polling_wall_secs,
+        wall_json(
+            "silence_polling_wall_secs",
+            &point.silence_polling_wall_secs
+        ),
         point.bit_identical
+    )
+}
+
+/// `"key": median, "key_min": min, "key_max": max`.
+fn wall_json(key: &str, wall: &WallSecs) -> String {
+    format!(
+        "\"{key}\": {:.6}, \"{key}_min\": {:.6}, \"{key}_max\": {:.6}",
+        wall.median, wall.min, wall.max
     )
 }
 
@@ -426,6 +564,7 @@ mod tests {
             agents: 8,
             tasks: 2,
             trials: 2,
+            repeats: 2,
         }];
         let baseline = measure_scale(3, &shapes, 8, 8);
         assert_eq!(baseline.points.len(), 1);
@@ -456,6 +595,7 @@ mod tests {
             agents: 8,
             tasks: 2,
             trials: 1,
+            repeats: 1,
         }];
         // Protocol ceiling 0: only the silence workload runs, exactly
         // what the top of the sweep records.
@@ -490,6 +630,7 @@ mod tests {
             agents: 8,
             tasks: 2,
             trials: 1,
+            repeats: 1,
         }];
         let baseline = measure_scale(4, &shapes, 0, 8);
         assert_eq!(baseline.points[0].backoff_polling_wall_secs, None);
@@ -501,23 +642,29 @@ mod tests {
     }
 
     #[test]
-    fn json_has_the_v2_shape() {
+    fn json_has_the_v3_shape() {
         let shapes = [ScaleShape {
             agents: 8,
             tasks: 2,
             trials: 1,
+            repeats: 1,
         }];
         let json = measure_scale(5, &shapes, 8, 8).to_json();
         for needle in [
-            "\"schema\": \"dmw-bench-scale/v2\"",
+            "\"schema\": \"dmw-bench-scale/v3\"",
             "\"protocol_ceiling\": 8",
             "\"oracle_ceiling\": 8",
             "\"points\": [",
-            "\"agents\": 8, \"tasks\": 2, \"trials\": 1",
+            "\"agents\": 8, \"tasks\": 2, \"trials\": 1, \"repeats\": 1",
             "\"honest\": { \"wall_secs\": ",
             "\"backoff\": { \"wall_secs\": ",
             "\"silence\": { \"wall_secs\": ",
+            "\"wall_secs_min\": ",
+            "\"wall_secs_max\": ",
+            "\"backoff_polling_wall_secs\": ",
+            "\"backoff_polling_wall_secs_max\": ",
             "\"silence_polling_wall_secs\": ",
+            "\"silence_polling_wall_secs_min\": ",
             "\"run_ticks\": ",
             "\"events_processed\": ",
             "\"muls_per_agent\": ",
@@ -564,6 +711,7 @@ mod tests {
         let point = &committed[point_start..];
         assert_eq!(json_u64(point, "tasks"), shape.tasks as u64);
         assert_eq!(json_u64(point, "trials"), shape.trials as u64);
+        assert_eq!(json_u64(point, "repeats"), shape.repeats as u64);
         let baseline = measure_scale(
             json_u64(committed, "seed"),
             &[shape],
@@ -618,5 +766,32 @@ mod tests {
             vec![2, 2, 8, 32]
         );
         assert!(shapes.iter().all(|s| s.trials >= 1));
+        assert_eq!(
+            shapes.iter().map(|s| s.repeats).collect::<Vec<_>>(),
+            vec![5, 5, 3, 3]
+        );
+    }
+
+    #[test]
+    fn wall_spread_is_the_median_and_range_of_the_repeats() {
+        let wall = WallSecs::of(&[0.3, 0.1, 0.5, 0.2, 0.4]);
+        assert_eq!((wall.median, wall.min, wall.max), (0.3, 0.1, 0.5));
+        let wall = WallSecs::of(&[0.4, 0.1]);
+        assert_eq!((wall.median, wall.min, wall.max), (0.25, 0.1, 0.4));
+    }
+
+    #[test]
+    #[should_panic(expected = "disagrees with repeat 0 on a deterministic field")]
+    fn repeats_that_disagree_on_a_deterministic_field_are_rejected() {
+        let shape = ScaleShape {
+            agents: 8,
+            tasks: 2,
+            trials: 1,
+            repeats: 2,
+        };
+        let point = measure_point(7, shape, 0, 0);
+        let mut drifted = point.clone();
+        drifted.silence.messages += 1;
+        combine_repeats(&[point, drifted]);
     }
 }

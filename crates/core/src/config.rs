@@ -7,13 +7,16 @@
 //! the exponent field. From the pseudonyms it also derives, once, the
 //! multi-exponentiation plan of each pseudonym's powers: every eq. (7)–(9)
 //! share check at that pseudonym, every eq. (9) check of a claimed point
-//! there, and every eq. (11) and (13) check of that agent runs on it.
+//! there, and every eq. (11) and (13) check of that agent runs on it. It
+//! also derives the Lagrange-at-zero coefficients of all `n` pseudonyms;
+//! every eq. (12) resolution takes its own from them by removing points.
 
 use crate::error::DmwError;
 use dmw_crypto::commitments::powers_plan;
 use dmw_crypto::BidEncoding;
+use dmw_modmath::lagrange::ZeroCoefficients;
 use dmw_modmath::multiexp::ExponentPlan;
-use dmw_modmath::SchnorrGroup;
+use dmw_modmath::{ModMathError, SchnorrGroup};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -33,40 +36,51 @@ pub struct DmwConfig {
     group: SchnorrGroup,
     encoding: BidEncoding,
     pseudonyms: Vec<u64>,
-    plans: PowersPlans,
+    derived: Derived,
 }
 
-/// The [`powers_plan`] of every pseudonym at `σ`, derived once from the
-/// published parameters (like the group's fixed-base tables) and shared
-/// by every clone of the configuration: the only place a run derives a
-/// plan. Equality and `Debug` skip it:
-/// it is a function of the fields beside it.
+/// What a run needs from the pseudonyms, derived once from the published
+/// parameters (like the group's fixed-base tables) and shared by every
+/// clone of the configuration: the only place a run derives either.
+/// Equality and `Debug` skip it: it is a function of the fields beside
+/// it.
 #[derive(Clone)]
-struct PowersPlans(Arc<[ExponentPlan]>);
+struct Derived {
+    /// The [`powers_plan`] of every pseudonym at `σ`.
+    plans: Arc<[ExponentPlan]>,
+    /// The Lagrange-at-zero coefficients of all `n` pseudonyms, in agent
+    /// order.
+    zero: Arc<ZeroCoefficients>,
+}
 
-impl PowersPlans {
-    fn new(group: &SchnorrGroup, encoding: &BidEncoding, pseudonyms: &[u64]) -> Self {
+impl Derived {
+    fn new(
+        group: &SchnorrGroup,
+        encoding: &BidEncoding,
+        pseudonyms: &[u64],
+    ) -> Result<Self, ModMathError> {
         let sigma = encoding.sigma();
-        PowersPlans(
-            pseudonyms
+        Ok(Derived {
+            plans: pseudonyms
                 .iter()
                 .map(|&alpha| powers_plan(group, alpha, sigma))
                 .collect(),
-        )
+            zero: Arc::new(ZeroCoefficients::from_points(&group.zq(), pseudonyms)?),
+        })
     }
 }
 
-impl PartialEq for PowersPlans {
+impl PartialEq for Derived {
     fn eq(&self, _: &Self) -> bool {
         true
     }
 }
 
-impl Eq for PowersPlans {}
+impl Eq for Derived {}
 
-impl std::fmt::Debug for PowersPlans {
+impl std::fmt::Debug for Derived {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PowersPlans").finish_non_exhaustive()
+        f.debug_struct("Derived").finish_non_exhaustive()
     }
 }
 
@@ -137,8 +151,12 @@ impl DmwConfig {
                 });
             }
         }
+        let derived =
+            Derived::new(&group, &encoding, &pseudonyms).map_err(|e| DmwError::Config {
+                reason: e.to_string(),
+            })?;
         Ok(DmwConfig {
-            plans: PowersPlans::new(&group, &encoding, &pseudonyms),
+            derived,
             group,
             encoding,
             pseudonyms,
@@ -183,7 +201,30 @@ impl DmwConfig {
     ///
     /// Panics if `agent` is out of range.
     pub(crate) fn powers_plan(&self, agent: usize) -> &ExponentPlan {
-        &self.plans.0[agent]
+        &self.derived.plans[agent]
+    }
+
+    /// The Lagrange-at-zero coefficients of the pseudonyms of `agents`, an
+    /// ascending list of agent indices: the point set of every eq. (12)
+    /// resolution over those agents' `Λ`. They come from the coefficients
+    /// of all `n` pseudonyms by one removal per agent left out.
+    ///
+    /// # Errors
+    ///
+    /// None for a validated configuration: every pseudonym is a non-zero
+    /// residue, so each removal inverts.
+    pub(crate) fn zero_coefficients(
+        &self,
+        agents: &[usize],
+    ) -> Result<ZeroCoefficients, ModMathError> {
+        let zq = self.group.zq();
+        let mut points = ZeroCoefficients::clone(&self.derived.zero);
+        for index in (0..self.agents()).rev() {
+            if !agents.contains(&index) {
+                points.remove(&zq, index)?;
+            }
+        }
+        Ok(points)
     }
 }
 

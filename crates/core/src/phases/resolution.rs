@@ -79,17 +79,17 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
         }
     }
     // Resolve the first price per task from the responsive points
-    // (eq (12)).
-    let alphas: Vec<u64> = responsive
-        .iter()
-        .map(|&l| agent.config.pseudonym(l))
-        .collect();
+    // (eq (12)), whose coefficients every task shares.
+    let points = agent
+        .config
+        .zero_coefficients(&responsive)
+        .invariant("validated pseudonyms");
     for task in 0..agent.m() {
         let lambdas: Vec<u64> = responsive
             .iter()
             .map(|&l| agent.tasks[task].pairs[l].invariant("responsive").lambda)
             .collect();
-        match resolve_min_bid(group, &encoding, &alphas, &lambdas) {
+        match resolve_min_bid(group, &encoding, &points, &lambdas) {
             Ok(price) => agent.tasks[task].first_price = Some(price.bid),
             Err(_) => {
                 agent.abort(AbortReason::Unresolvable, out);

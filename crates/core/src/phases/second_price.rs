@@ -41,10 +41,11 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
     let encoding = *agent.config.encoding();
     let responsive = agent.live_indices();
     let designated = agent.designated_publishers(&responsive);
-    let alphas: Vec<u64> = responsive
-        .iter()
-        .map(|&l| agent.config.pseudonym(l))
-        .collect();
+    // The responsive points of every task's second price (eq (12)).
+    let points = agent
+        .config
+        .zero_coefficients(&responsive)
+        .invariant("validated pseudonyms");
     // Rotation verification of the post-exclusion eq (11): each task
     // folds the Q vectors of every alive agent but its winner.
     let (_, gammas) = designated_products(
@@ -71,7 +72,7 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
             .iter()
             .map(|&l| state.excluded[l].invariant("responsive").lambda)
             .collect();
-        match resolve_min_bid(group, &encoding, &alphas, &lambdas) {
+        match resolve_min_bid(group, &encoding, &points, &lambdas) {
             Ok(price) => agent.tasks[task].second_price = Some(price.bid),
             Err(_) => {
                 agent.abort(AbortReason::Unresolvable, out);

@@ -144,7 +144,7 @@ impl BidEncoding {
 
     /// The candidate degrees of the summed polynomial `E`, ascending —
     /// `{σ − (w + c) : w ∈ W}` — which is the exact set equation (12)
-    /// scans. The smallest resolving candidate is the true degree
+    /// searches. The smallest resolving candidate is the true degree
     /// `σ − (y_min + c)`.
     pub fn candidate_degrees(&self) -> Vec<usize> {
         let w_max = self.agents - self.faults - 1;

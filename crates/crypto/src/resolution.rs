@@ -15,7 +15,10 @@
 //! bid `y* = σ − deg E`, where `deg E` is resolved *in the exponent* by
 //! testing `Π_k Λ_k^{ρ_k} = 1` over candidate degrees (equation (12)) —
 //! `z1` has order `q`, so the product is 1 exactly when the plain Lagrange
-//! interpolation of `E` at zero vanishes mod `q`.
+//! interpolation of `E` at zero vanishes mod `q`. [`resolve_min_bid`]
+//! finds the smallest passing candidate by a search down from the top
+//! candidate, on coefficients the caller derives once per point set;
+//! [`scan_min_bid`], the ascending scan, is its fallback and reference.
 
 use crate::commitments::Commitments;
 use crate::encoding::BidEncoding;
@@ -154,27 +157,143 @@ pub struct ResolvedPrice {
 /// Resolves the minimum encoded bid from published `Λ` values — the
 /// distributed degree resolution of equation (12).
 ///
-/// Scans the candidate degrees `σ − w` (ascending, i.e. bids descending
-/// from `w_max`) and for each candidate `d` tests whether
-/// `Π_{k=1}^{d+1} Λ_k^{ρ_k} = 1`, where `ρ_k` are the Lagrange-at-zero
-/// coefficients mod `q` of the first `d + 1` pseudonyms. The first success
-/// gives `deg E` and hence the minimum bid `y* = σ − deg E`. One
-/// [`lagrange::ZeroCoefficients`] is extended across the scan, so the
-/// coefficients of all candidates together cost `O(n²)` multiplications
-/// and at most `n` inversions. Each `Λ_k` gets a [`FixedBase`] table when
-/// the prefix first reaches it, and every later candidate raises it by a
-/// fresh `ρ_k` through that table: one shared accumulator per candidate,
-/// one multiplication per non-zero window digit of each `ρ_k`, and no
-/// squarings.
+/// `points` holds the Lagrange-at-zero coefficients mod `q` of the
+/// pseudonyms whose `Λ` are in `lambdas`, in the same order. Candidate
+/// degree `d` tests whether `Π_{k=1}^{d+1} Λ_k^{ρ_k} = 1` over the
+/// first `d + 1` points. Under honest `Λ` the test fails for every
+/// `d < deg E` (but for a `1/q` accident per candidate, and never at
+/// `d = deg E − 1`) and passes for every `d ≥ deg E`, so the first passing
+/// candidate gives `deg E` and the minimum bid `y* = σ − c − deg E`.
+///
+/// The search finds that boundary from the top:
+///
+/// 1. It tests the top candidate first, the one with the longest prefix
+///    `points` covers: bid 1 and its `n − c` points whenever at least
+///    that many agents respond. Honest `Λ` always pass it. If it fails,
+///    the verdict is [`scan_min_bid`]'s, so garbage or forged `Λ`
+///    resolve (or fail) exactly as the ascending scan resolves them.
+/// 2. It gallops toward higher bids, doubling its step after every pass
+///    (bids 2, 4, 8, …), until a test fails or bid `w_max` passes.
+/// 3. It bisects between the last pass and the first fail.
+///
+/// Each test's coefficients come from the last passing prefix by
+/// [`ZeroCoefficients::remove`](lagrange::ZeroCoefficients::remove): one
+/// inversion and `O(s)` multiplications per dropped point. Each term is
+/// one [`PrimeField::pow`](dmw_modmath::PrimeField::pow); a `Λ ≥ p` is
+/// taken mod `p`. A resolution makes about three tests when the minimum
+/// bid is small and `O(log |W|)` at worst, against up to `|W|` for the
+/// scan.
 ///
 /// # Errors
 ///
-/// * [`CryptoError::LengthMismatch`] if `lambdas` and `alphas` differ in
+/// * [`CryptoError::LengthMismatch`] if `lambdas` and `points` differ in
 ///   length;
 /// * [`CryptoError::ResolutionFailed`] if no candidate resolves — under
 ///   honest execution this can only happen with probability `≈ |W|/q`, so
 ///   it indicates a protocol violation (Theorem 4's `τ* = n` case).
 pub fn resolve_min_bid(
+    group: &SchnorrGroup,
+    encoding: &BidEncoding,
+    points: &lagrange::ZeroCoefficients,
+    lambdas: &[u64],
+) -> Result<ResolvedPrice, CryptoError> {
+    if lambdas.len() != points.len() {
+        return Err(CryptoError::LengthMismatch {
+            what: "lambda vector",
+            got: lambdas.len(),
+            expected: points.len(),
+        });
+    }
+    let zq = group.zq();
+    let zp = group.zp();
+    // The candidates whose prefix `points` covers, ascending; index `i`
+    // passes for every `i` at or above the true degree's index.
+    let candidates: Vec<usize> = encoding
+        .candidate_degrees()
+        .into_iter()
+        .take_while(|&degree| degree < points.len())
+        .collect();
+    let degree_at = |index: usize| {
+        candidates
+            .get(index)
+            .copied()
+            .ok_or(CryptoError::ResolutionFailed)
+    };
+    // The coefficients of candidate `degree`, shrunk from a longer prefix.
+    let prefix = |from: &lagrange::ZeroCoefficients, degree: usize| {
+        let mut rho = from.clone();
+        while rho.len() > degree + 1 {
+            rho.remove(&zq, rho.len() - 1)
+                .map_err(|_| CryptoError::ResolutionFailed)?;
+        }
+        Ok::<_, CryptoError>(rho)
+    };
+    let passes = |rho: &lagrange::ZeroCoefficients| {
+        let product = lambdas
+            .iter()
+            .zip(rho.coefficients())
+            .fold(1, |acc, (&lambda, &r)| {
+                zp.mul(acc, zp.pow(zp.reduce(lambda), r))
+            });
+        product == 1
+    };
+    let Some(top) = candidates.len().checked_sub(1) else {
+        return Err(CryptoError::ResolutionFailed);
+    };
+    let mut pass = prefix(points, degree_at(top)?)?;
+    if !passes(&pass) {
+        return scan_min_bid(group, encoding, points.points(), lambdas);
+    }
+    // `hi` passes and every index below `lo` failed. The step doubles
+    // while tests pass and is dropped at the first fail, which switches
+    // the search from galloping to bisecting.
+    let (mut lo, mut hi) = (0, top);
+    let mut step = Some(1usize);
+    while lo < hi {
+        let probe = match step {
+            Some(step) => hi.saturating_sub(step).max(lo),
+            None => lo.midpoint(hi),
+        };
+        let rho = prefix(&pass, degree_at(probe)?)?;
+        if passes(&rho) {
+            (hi, pass) = (probe, rho);
+            step = step.map(|step| step * 2);
+        } else {
+            lo = probe + 1;
+            step = None;
+        }
+    }
+    let degree = degree_at(hi)?;
+    let bid = encoding
+        .bid_of_degree(degree)
+        .ok_or(CryptoError::ResolutionFailed)?;
+    Ok(ResolvedPrice {
+        bid,
+        degree,
+        points_used: degree + 1,
+    })
+}
+
+/// Equation (12) by the ascending scan: the first passing candidate
+/// degree, testing the candidates `σ − w` in ascending order (bids
+/// descending from `w_max`). This is [`resolve_min_bid`]'s verdict
+/// whenever its top candidate fails, and the reference its search is
+/// measured against (the `false-positive` experiment counts how often
+/// each resolves falsely at a small `q`).
+///
+/// One [`lagrange::ZeroCoefficients`] is extended across the scan, so
+/// the coefficients of all candidates together cost `O(n²)`
+/// multiplications and at most `n` inversions. Each `Λ_k` gets a
+/// [`FixedBase`] table when the prefix first reaches it, and every later
+/// candidate raises it by a fresh `ρ_k` through that table: one shared
+/// accumulator per candidate, one multiplication per non-zero window
+/// digit of each `ρ_k`, and no squarings. A zero, unreduced or repeated
+/// pseudonym fails the resolution once the prefix reaches it.
+///
+/// # Errors
+///
+/// As [`resolve_min_bid`], with `alphas` in place of `points`.
+pub fn scan_min_bid(
     group: &SchnorrGroup,
     encoding: &BidEncoding,
     alphas: &[u64],
@@ -433,6 +552,23 @@ mod tests {
             .collect()
     }
 
+    impl Setup {
+        /// The Lagrange-at-zero coefficients of every pseudonym.
+        fn points(&self) -> lagrange::ZeroCoefficients {
+            points_of(&self.group, &self.alphas).unwrap()
+        }
+
+        fn lambdas(&self) -> Vec<u64> {
+            self.pairs.iter().map(|p| p.lambda).collect()
+        }
+    }
+
+    /// The coefficients of `alphas`, or `None` if one of them is zero,
+    /// unreduced or repeated.
+    fn points_of(group: &SchnorrGroup, alphas: &[u64]) -> Option<lagrange::ZeroCoefficients> {
+        lagrange::ZeroCoefficients::from_points(&group.zq(), alphas).ok()
+    }
+
     /// The `Q` vectors of every agent in `commitments` but `excluded`.
     fn fold_q(
         s: &Setup,
@@ -667,8 +803,7 @@ mod tests {
             (vec![2, 3, 2, 3, 3], 2),
         ] {
             let s = setup(&bids, 9);
-            let lambdas: Vec<u64> = s.pairs.iter().map(|p| p.lambda).collect();
-            let r = resolve_min_bid(&s.group, &s.encoding, &s.alphas, &lambdas).unwrap();
+            let r = resolve_min_bid(&s.group, &s.encoding, &s.points(), &s.lambdas()).unwrap();
             assert_eq!(r.bid, expected, "bids {bids:?}");
             assert_eq!(r.degree, s.encoding.degree_of_bid(expected).unwrap());
             assert_eq!(r.points_used, r.degree + 1);
@@ -687,7 +822,7 @@ mod tests {
         let s = setup(&bids, 20);
         let lambdas: Vec<u64> = s.pairs.iter().map(|p| p.lambda).collect();
         let before = dmw_modmath::ops::current_ops();
-        let r = resolve_min_bid(&s.group, &s.encoding, &s.alphas, &lambdas).unwrap();
+        let r = scan_min_bid(&s.group, &s.encoding, &s.alphas, &lambdas).unwrap();
         let cost = dmw_modmath::ops::current_ops().since(&before);
         assert_eq!(r.bid, 1);
         assert_eq!(r.points_used, n - 1, "full scan");
@@ -704,12 +839,12 @@ mod tests {
         let lambdas: Vec<u64> = s.pairs.iter().map(|p| p.lambda).collect();
         let mut alphas = s.alphas.clone();
         alphas[5] = 0;
-        let r = resolve_min_bid(&s.group, &s.encoding, &alphas, &lambdas).unwrap();
+        let r = scan_min_bid(&s.group, &s.encoding, &alphas, &lambdas).unwrap();
         assert_eq!((r.bid, r.points_used), (4, 2));
         // Inside the prefix the same point fails the resolution.
         alphas[1] = 0;
         assert!(matches!(
-            resolve_min_bid(&s.group, &s.encoding, &alphas, &lambdas),
+            scan_min_bid(&s.group, &s.encoding, &alphas, &lambdas),
             Err(CryptoError::ResolutionFailed)
         ));
     }
@@ -784,10 +919,164 @@ mod tests {
                 1 => alphas[at] = 0,
                 _ => alphas[at] = alphas[(at + 1) % n],
             }
-            let fast = resolve_min_bid(&s.group, &s.encoding, &alphas, &lambdas);
+            // A zero or repeated pseudonym cannot enter a coefficient set,
+            // so only the scan ever meets one.
+            let fast = match points_of(&s.group, &alphas) {
+                Some(points) => resolve_min_bid(&s.group, &s.encoding, &points, &lambdas),
+                None => scan_min_bid(&s.group, &s.encoding, &alphas, &lambdas),
+            };
             let reference = reference_min_bid(&s.group, &s.encoding, &alphas, &lambdas);
             proptest::prop_assert_eq!(fast, reference, "bids {:?}", bids);
         }
+    }
+
+    /// How a parity or cost test draws its bids from `W = 1..=w_max`.
+    #[derive(Clone, Copy, Debug)]
+    enum Bids {
+        Uniform,
+        UpperHalf,
+        AllMax,
+        /// Uniform, but agent 0 bids 1: the scan's longest walk.
+        LowestOne,
+    }
+
+    /// The published `Λ` of `n` honest agents over the default 48/24-bit
+    /// group, and the coefficients of their pseudonyms: every agent's
+    /// (`excluded = None`), or every agent's but the first lowest
+    /// bidder's, as the second price sees them after step III.4.
+    fn honest_lambdas(
+        n: usize,
+        faults: usize,
+        bids: Bids,
+        excluded: bool,
+        seed: u64,
+    ) -> (
+        SchnorrGroup,
+        BidEncoding,
+        lagrange::ZeroCoefficients,
+        Vec<u64>,
+    ) {
+        use rand::Rng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let group = SchnorrGroup::generate(48, 24, &mut rng).unwrap();
+        let encoding = BidEncoding::new(n, faults).unwrap();
+        let zq = group.zq();
+        let w_max = encoding.w_max();
+        let bids: Vec<u64> = (0..n)
+            .map(|l| match bids {
+                Bids::LowestOne if l == 0 => 1,
+                Bids::Uniform | Bids::LowestOne => rng.gen_range(1..=w_max),
+                Bids::UpperHalf => rng.gen_range(w_max.div_ceil(2)..=w_max),
+                Bids::AllMax => w_max,
+            })
+            .collect();
+        let winner = (0..n).min_by_key(|&l| bids[l]).unwrap();
+        let polys: Vec<BidPolynomials> = bids
+            .iter()
+            .enumerate()
+            .filter(|&(l, _)| !(excluded && l == winner))
+            .map(|(_, &b)| {
+                BidPolynomials::generate(&group, &encoding, &SecretBid::new(b), &mut rng).unwrap()
+            })
+            .collect();
+        let alphas = zq.rand_distinct_nonzero(n, &mut rng);
+        let lambdas = alphas
+            .iter()
+            .map(|&a| {
+                let e_sum = polys
+                    .iter()
+                    .fold(0, |acc, p| zq.add(acc, p.e().eval(&zq, a)));
+                group.pow_z1(e_sum)
+            })
+            .collect();
+        let points = points_of(&group, &alphas).unwrap();
+        (group, encoding, points, lambdas)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        #[test]
+        fn search_matches_the_reference_on_honest_inputs(
+            seed in 0u64..10_000,
+            n in 3usize..=64,
+            faults in 0usize..3,
+            bids in 0usize..3,
+            excluded in proptest::bool::ANY,
+        ) {
+            let faults = faults.min(n - 2);
+            let bids = [Bids::Uniform, Bids::UpperHalf, Bids::AllMax][bids];
+            let (group, encoding, points, lambdas) =
+                honest_lambdas(n, faults, bids, excluded, seed);
+            let search = resolve_min_bid(&group, &encoding, &points, &lambdas);
+            let reference = reference_min_bid(&group, &encoding, points.points(), &lambdas);
+            proptest::prop_assert!(search.is_ok());
+            proptest::prop_assert_eq!(search, reference, "{:?}", bids);
+        }
+    }
+
+    /// Multiplication equivalents (an inversion priced as one
+    /// multiplication) of one resolution.
+    fn cost(resolve: impl FnOnce() -> Result<ResolvedPrice, CryptoError>) -> u64 {
+        let before = dmw_modmath::ops::current_ops();
+        resolve().unwrap();
+        dmw_modmath::ops::current_ops()
+            .since(&before)
+            .mul_equivalents()
+    }
+
+    #[test]
+    fn search_costs_a_third_of_the_scan_on_uniform_bids_and_never_more_than_a_full_scan() {
+        let n = 64;
+        let (mut search, mut scan) = (0, 0);
+        for seed in 0..8 {
+            for excluded in [false, true] {
+                let (group, encoding, points, lambdas) =
+                    honest_lambdas(n, 1, Bids::Uniform, excluded, seed);
+                search += cost(|| resolve_min_bid(&group, &encoding, &points, &lambdas));
+                scan += cost(|| scan_min_bid(&group, &encoding, points.points(), &lambdas));
+            }
+        }
+        assert!(
+            3 * search <= scan,
+            "uniform bids: search {search} vs scan {scan} multiplications"
+        );
+        // All bids w_max is the search's longest walk and the scan's
+        // shortest; the scan's longest is a minimum bid of 1.
+        let (group, encoding, points, lambdas) = honest_lambdas(n, 1, Bids::AllMax, false, 1);
+        let worst_search = cost(|| resolve_min_bid(&group, &encoding, &points, &lambdas));
+        let (group, encoding, points, lambdas) = honest_lambdas(n, 1, Bids::LowestOne, false, 1);
+        let full_scan = cost(|| scan_min_bid(&group, &encoding, points.points(), &lambdas));
+        assert!(
+            worst_search <= full_scan,
+            "all w_max: search {worst_search} vs a bid-1 scan {full_scan}"
+        );
+    }
+
+    /// The rushed-`Λ` forgery: an agent that publishes last picks
+    /// `Λ_0' = (Π_{0<k<s} Λ_k^{ρ_k})^{−1/ρ_0}`, which makes the test at
+    /// prefix `s` pass. Equation (11) cannot see it (the forger fits its
+    /// `Ψ` to the commitments), and the search does not change its
+    /// outcome: the top candidate fails, so the verdict is the scan's.
+    #[test]
+    fn rushed_lambda_forgery_resolves_as_the_scan_does() {
+        let bids = [3u64, 5, 6, 6, 5, 4, 6, 6];
+        let target = 4;
+        let mut forged_prices = 0;
+        for seed in 0..20 {
+            let s = setup(&bids, seed);
+            let (zp, zq) = (s.group.zp(), s.group.zq());
+            let prefix = s.encoding.degree_of_bid(target).unwrap() + 1;
+            let rho = lagrange::zero_coefficients(&zq, &s.alphas[..prefix]).unwrap();
+            let mut lambdas = s.lambdas();
+            let others = (1..prefix).fold(1, |acc, k| zp.mul(acc, zp.pow(lambdas[k], rho[k])));
+            lambdas[0] = zp.pow(others, zq.neg(zq.inv(rho[0]).unwrap()));
+            let search = resolve_min_bid(&s.group, &s.encoding, &s.points(), &lambdas);
+            let scan = scan_min_bid(&s.group, &s.encoding, &s.alphas, &lambdas);
+            assert_eq!(search, scan, "seed {seed}");
+            forged_prices += usize::from(search.map(|r| r.bid) == Ok(target));
+        }
+        // The gap stays open: every forgery raises the price from 3 to 4.
+        assert_eq!(forged_prices, 20);
     }
 
     #[test]
@@ -795,7 +1084,7 @@ mod tests {
         let s = setup(&[1, 2, 2, 1], 10);
         let lambdas: Vec<u64> = s.pairs.iter().map(|p| p.lambda).take(2).collect();
         assert!(matches!(
-            resolve_min_bid(&s.group, &s.encoding, &s.alphas, &lambdas),
+            resolve_min_bid(&s.group, &s.encoding, &s.points(), &lambdas),
             Err(CryptoError::LengthMismatch { .. })
         ));
     }
@@ -805,7 +1094,7 @@ mod tests {
         let s = setup(&[2, 1, 2, 1], 11);
         let garbage: Vec<u64> = (0..4).map(|i| s.group.pow_z1(100 + i)).collect();
         assert!(matches!(
-            resolve_min_bid(&s.group, &s.encoding, &s.alphas, &garbage),
+            resolve_min_bid(&s.group, &s.encoding, &s.points(), &garbage),
             Err(CryptoError::ResolutionFailed)
         ));
     }
@@ -968,7 +1257,7 @@ mod tests {
             verify_lambda_psi(&s.group, eval(&s, &folded, s.alphas[i]), i, pair).unwrap();
         }
         let lambdas: Vec<u64> = excluded.iter().map(|p| p.lambda).collect();
-        let r = resolve_min_bid(&s.group, &s.encoding, &s.alphas, &lambdas).unwrap();
+        let r = resolve_min_bid(&s.group, &s.encoding, &s.points(), &lambdas).unwrap();
         assert_eq!(r.bid, 2, "second price");
     }
 
@@ -990,7 +1279,7 @@ mod tests {
                     .lambda
             })
             .collect();
-        let r = resolve_min_bid(&s.group, &s.encoding, &s.alphas, &lambdas).unwrap();
+        let r = resolve_min_bid(&s.group, &s.encoding, &s.points(), &lambdas).unwrap();
         assert_eq!(r.bid, 1);
     }
 }

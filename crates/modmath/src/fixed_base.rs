@@ -8,7 +8,8 @@
 //! non-zero `W`-bit digits `e_j` of `e`. DMW raises the same few bases
 //! over and over: the generators `z1`, `z2` in every commitment and
 //! share check ([`crate::SchnorrGroup`]), and each published `Λ_k` once
-//! per candidate degree of the equation (12) scan.
+//! per candidate degree of the equation (12) scan, the fallback of the
+//! search that resolves equation (12) when its first test fails.
 //!
 //! Exponents live in `Z_q` (`q` the order of the subgroup the bases come
 //! from): [`FixedBase::pow`] and [`FixedBase::product`] reduce an exponent

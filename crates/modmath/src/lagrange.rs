@@ -24,10 +24,14 @@
 //! agent publishes `Λ_k = z1^{E(α_k)}` and anyone checks
 //! `Π Λ_k^{ρ_k} = 1` (equation (12)). [`zero_coefficients`] computes the
 //! `ρ_k` of one whole point set in `Θ(s²)`; it is the reference.
-//! A degree scan tests one growing prefix of points after another, so
-//! equation (12) — and [`resolve_zero_degree`] here — instead extend one
-//! [`ZeroCoefficients`] builder a point at a time, in `O(s)`
-//! multiplications and a single inversion per added point.
+//! A [`ZeroCoefficients`] set instead moves between point sets a point at
+//! a time, in `O(s)` multiplications and a single inversion per point:
+//! [`ZeroCoefficients::push`] adds one, which is how an ascending degree
+//! scan — [`resolve_zero_degree`] here, and equation (12)'s fallback scan
+//! — grows its prefix; [`ZeroCoefficients::remove`] drops one, which is
+//! how equation (12)'s search shrinks the coefficients of all `n`
+//! pseudonyms, derived once per configuration, to the responsive agents
+//! and then to ever shorter prefixes.
 
 use crate::error::ModMathError;
 use crate::field::PrimeField;
@@ -77,17 +81,18 @@ pub fn zero_coefficients(field: &PrimeField, points: &[u64]) -> Result<Vec<u64>,
     Ok(coeffs)
 }
 
-/// The Lagrange-at-zero coefficients of a growing point set, extended one
-/// point at a time: the incremental form of [`zero_coefficients`].
+/// The Lagrange-at-zero coefficients of a point set that grows or shrinks
+/// one point at a time: the incremental form of [`zero_coefficients`].
 ///
 /// Adding a point `a` to `s` points rescales every old coefficient by
 /// `a / (a − α_k)` and appends `ρ_new = (−1)^s · Π_k α_k / Π_k (a − α_k)`.
 /// The `s` differences are inverted together (Montgomery's batch trick),
 /// so a push costs one inversion and `O(s)` multiplications, and a scan
 /// over every prefix of `n` points costs `O(n²)` multiplications and
-/// `n − 1` inversions rather than `O(n³)` and `O(n²)`. The coefficients
-/// are the same field elements [`zero_coefficients`] returns for the
-/// same prefix.
+/// `n − 1` inversions rather than `O(n³)` and `O(n²)`. Removing a point
+/// undoes its factor in every other coefficient at the same price. The
+/// coefficients are always the same field elements [`zero_coefficients`]
+/// returns for the current points.
 ///
 /// # Example
 /// ```
@@ -126,9 +131,27 @@ impl ZeroCoefficients {
         }
     }
 
+    /// The coefficients of `points`, pushed in order.
+    ///
+    /// # Errors
+    ///
+    /// The first error [`push`](Self::push) meets.
+    pub fn from_points(field: &PrimeField, points: &[u64]) -> Result<Self, ModMathError> {
+        let mut rho = Self::new();
+        for &a in points {
+            rho.push(field, a)?;
+        }
+        Ok(rho)
+    }
+
     /// `ρ_k` for every point added so far, in the order they were added.
     pub fn coefficients(&self) -> &[u64] {
         &self.coeffs
+    }
+
+    /// The current points, in the order they were added.
+    pub fn points(&self) -> &[u64] {
+        &self.points
     }
 
     /// Number of points added so far.
@@ -192,6 +215,50 @@ impl ZeroCoefficients {
         self.coeffs.push(fresh);
         self.points.push(a);
         self.product = field.mul(self.product, a);
+        Ok(())
+    }
+
+    /// Removes the point at `index` and updates every other coefficient.
+    ///
+    /// Dropping `α_j` takes its factor `α_j / (α_j − α_k)` out of every
+    /// other `ρ_k`, so `ρ_k ← ρ_k · (α_j − α_k) · α_j⁻¹`: one inversion
+    /// and `2(s − 1) + 1` multiplications. Removing the last point of a
+    /// pushed sequence undoes that push exactly.
+    ///
+    /// # Errors
+    ///
+    /// [`ModMathError::OutOfRange`] if `index` is not below
+    /// [`len`](Self::len); the builder is left unchanged.
+    ///
+    /// # Example
+    /// ```
+    /// use dmw_modmath::{lagrange, PrimeField};
+    ///
+    /// let f = PrimeField::new(1031)?;
+    /// let mut rho = lagrange::ZeroCoefficients::new();
+    /// for a in [3, 7, 11] {
+    ///     rho.push(&f, a)?;
+    /// }
+    /// rho.remove(&f, 1)?;
+    /// assert_eq!(rho.points(), [3, 11]);
+    /// assert_eq!(rho.coefficients(), lagrange::zero_coefficients(&f, &[3, 11])?);
+    /// # Ok::<(), dmw_modmath::ModMathError>(())
+    /// ```
+    pub fn remove(&mut self, field: &PrimeField, index: usize) -> Result<(), ModMathError> {
+        let Some(&a) = self.points.get(index) else {
+            return Err(ModMathError::OutOfRange {
+                value: index as u64,
+                modulus: self.points.len() as u64,
+            });
+        };
+        // Every stored point is non-zero, so it inverts.
+        let inv_a = field.inv(a)?;
+        self.points.remove(index);
+        self.coeffs.remove(index);
+        for (rho, &ak) in self.coeffs.iter_mut().zip(&self.points) {
+            *rho = field.mul(field.mul(*rho, field.sub(a, ak)), inv_a);
+        }
+        self.product = field.mul(self.product, inv_a);
         Ok(())
     }
 
@@ -378,7 +445,104 @@ mod tests {
         }
     }
 
+    fn built(f: &PrimeField, points: &[u64]) -> ZeroCoefficients {
+        ZeroCoefficients::from_points(f, points).unwrap()
+    }
+
+    #[test]
+    fn removing_down_to_one_point_leaves_coefficient_one() {
+        let f = field();
+        let points = [3, 7, 11, 19, 23];
+        for keep in 0..points.len() {
+            let mut rho = built(&f, &points);
+            // Remove every other point, from the back so indices hold.
+            for index in (0..points.len()).rev().filter(|&i| i != keep) {
+                rho.remove(&f, index).unwrap();
+            }
+            assert_eq!(rho.points(), [points[keep]]);
+            assert_eq!(rho.coefficients(), [1]);
+            // The set is a fresh one-point set, down to its product.
+            assert_eq!(rho, built(&f, &[points[keep]]));
+        }
+    }
+
+    #[test]
+    fn remove_costs_one_inversion_and_linear_muls_and_rejects_bad_indices() {
+        let f = PrimeField::new(1_000_003).unwrap();
+        let mut rho = built(&f, &(1..=40).collect::<Vec<u64>>());
+        let before = rho.clone();
+        assert!(matches!(
+            rho.remove(&f, 40),
+            Err(ModMathError::OutOfRange {
+                value: 40,
+                modulus: 40
+            })
+        ));
+        assert_eq!(rho, before, "a failed remove changes nothing");
+        while !rho.is_empty() {
+            let s = rho.len() as u64;
+            let before = crate::ops::current_ops();
+            rho.remove(&f, 0).unwrap();
+            let cost = crate::ops::current_ops().since(&before);
+            assert_eq!(cost.inv, 1, "remove from {s} points");
+            assert_eq!(cost.mul, 2 * (s - 1) + 1, "remove from {s} points");
+        }
+        assert_eq!(rho, ZeroCoefficients::new());
+    }
+
     proptest! {
+        #[test]
+        fn removing_any_point_matches_zero_coefficients_of_the_rest(
+            seed in 0u64..5000,
+            len in 2usize..16,
+            removals in proptest::collection::vec(0usize..16, 1..4),
+        ) {
+            let f = field();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut points = f.rand_distinct_nonzero(len, &mut rng);
+            let mut rho = built(&f, &points);
+            for index in removals {
+                if points.len() < 2 {
+                    break;
+                }
+                let index = index % points.len();
+                rho.remove(&f, index).unwrap();
+                points.remove(index);
+                prop_assert_eq!(rho.points(), &points[..]);
+                prop_assert_eq!(
+                    rho.coefficients(),
+                    &zero_coefficients(&f, &points).unwrap()[..]
+                );
+                // The product moves with the points: the set equals one
+                // pushed from scratch, so its next push agrees too.
+                prop_assert_eq!(&rho, &built(&f, &points));
+            }
+        }
+
+        #[test]
+        fn a_removed_then_re_pushed_point_round_trips(
+            seed in 0u64..5000,
+            len in 1usize..16,
+            index in 0usize..16,
+        ) {
+            let f = field();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let points = f.rand_distinct_nonzero(len, &mut rng);
+            let index = index % len;
+            let mut rho = built(&f, &points);
+            rho.remove(&f, index).unwrap();
+            rho.push(&f, points[index]).unwrap();
+            // The point comes back last; every coefficient stays with its
+            // point.
+            let mut moved = points.clone();
+            let point = moved.remove(index);
+            moved.push(point);
+            prop_assert_eq!(&rho, &built(&f, &moved));
+            if index == len - 1 {
+                prop_assert_eq!(&rho, &built(&f, &points));
+            }
+        }
+
         #[test]
         fn builder_matches_zero_coefficients_on_every_prefix(
             seed in 0u64..5000,

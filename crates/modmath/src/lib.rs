@@ -22,7 +22,8 @@
 //! * [`fixed_base`] — fixed-base exponentiation: a base raised many times
 //!   pays once for a table of windowed powers, after which an exponent
 //!   costs one multiplication per non-zero window digit and no squarings
-//!   (the generators `z1`, `z2` and the published `Λ_k` of equation (12));
+//!   (the generators `z1`, `z2`, and the published `Λ_k` in the fallback
+//!   scan of equation (12));
 //! * [`group`] — [`SchnorrGroup`], the order-`q` subgroup of `Z_p*`
 //!   (`q | p − 1`) with two independent generators `z1`, `z2` as required by
 //!   the paper's commitment scheme (Section 3, "Notation");
