@@ -48,6 +48,7 @@ use crate::error::AbortReason;
 use crate::messages::Body;
 use crate::phases::{self, Phase};
 use crate::strategy::{Behavior, VerificationPolicy};
+use dmw_crypto::commitments::FoldedCommitments;
 use dmw_crypto::polynomials::{BidPolynomials, SecretBid, ShareBundle};
 use dmw_crypto::resolution::LambdaPsi;
 use dmw_crypto::Commitments;
@@ -100,6 +101,11 @@ pub(crate) struct TaskState {
     pub(crate) commitments: Vec<Option<Commitments>>,
     /// Share bundles received per sender (self included).
     pub(crate) bundles: Vec<Option<ShareBundle>>,
+    /// The alive agents' `Q` vectors, folded in Phase III.1: the
+    /// left-hand product of eq (11).
+    pub(crate) folded_q: Option<FoldedCommitments>,
+    /// The alive agents' `R` vectors, folded likewise: eq (13)'s.
+    pub(crate) folded_r: Option<FoldedCommitments>,
     /// Published `(Λ, Ψ)` pairs per agent.
     pub(crate) pairs: Vec<Option<LambdaPsi>>,
     /// Participation masks published alongside `Λ/Ψ`, per publisher —
@@ -132,6 +138,8 @@ impl TaskState {
             polys: None,
             commitments: vec![None; n],
             bundles: vec![None; n],
+            folded_q: None,
+            folded_r: None,
             pairs: vec![None; n],
             masks: vec![None; n],
             first_price: None,

@@ -6,8 +6,9 @@ use crate::agent::{DmwAgent, Invariant};
 use crate::error::AbortReason;
 use crate::messages::Body;
 use crate::strategy::Behavior;
-use dmw_crypto::commitments::verify_shares_batch;
+use dmw_crypto::commitments::{verify_shares_folded, ShareFold};
 use dmw_crypto::resolution::compute_lambda_psi;
+use dmw_crypto::{Commitments, ShareBundle};
 use dmw_obs::Key;
 use dmw_simnet::Recipient;
 
@@ -39,36 +40,53 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
     if !within_fault_bound(agent, out) {
         return;
     }
-    // Verify every live sender's bundle (III.1, eqs (7)–(9)). The
-    // (task, sender) checks are submitted as one batch, which reports
-    // the first failure in row-major (task, sender) order.
+    // Verify every live sender's bundle (III.1, eqs (7)–(9)): each task by
+    // one fold over the alive set, me included, and only if a fold fails,
+    // the (task, sender) checks as one batch, which reports the first
+    // failure in row-major (task, sender) order.
     let group = agent.config.group();
-    let (bad_sender, submitted) = {
-        let mut items = Vec::new();
-        let mut senders = Vec::new();
-        for task in 0..agent.m() {
-            for l in 0..agent.n() {
-                if !agent.alive[l] || l == agent.me {
-                    continue;
-                }
-                let bundle = agent.tasks[task].bundles[l].invariant("alive implies present");
-                let commitments = agent.tasks[task].commitments[l]
-                    .as_ref()
-                    .invariant("alive implies present");
-                items.push((commitments, bundle));
-                senders.push(l);
-            }
-        }
-        let submitted = items.len() as u64;
-        let bad = verify_shares_batch(group, agent.config.powers_plan(agent.me), &items)
+    let alive = agent.alive_indices();
+    let (folds, bad_sender, submitted) = {
+        // Each task's alive items, mine included, in agent order.
+        let tasks: Vec<Vec<(usize, (&Commitments, ShareBundle))>> = agent
+            .tasks
+            .iter()
+            .map(|state| {
+                let item = |l: usize| {
+                    let commitments = state.commitments[l].as_ref();
+                    let bundle = state.bundles[l];
+                    (commitments.invariant("alive"), bundle.invariant("alive"))
+                };
+                alive.iter().map(|&l| (l, item(l))).collect()
+            })
+            .collect();
+        let folds: Vec<ShareFold> = tasks
+            .iter()
+            .map(|items| ShareFold::new(group, items.iter().map(|&(_, item)| item)))
+            .collect();
+        let (senders, items): (Vec<usize>, Vec<(&Commitments, ShareBundle)>) = tasks
+            .iter()
+            .flatten()
+            .filter(|&&(l, _)| l != agent.me)
+            .copied()
+            .unzip();
+        let plan = agent.config.powers_plan(agent.me);
+        let bad = verify_shares_folded(group, plan, &folds, &items)
             .err()
             .map(|failure| {
                 *senders
                     .get(failure.index)
                     .invariant("batch failure indexes a submitted item")
             });
-        (bad, submitted)
+        (folds, bad, items.len() as u64)
     };
+    // The Q and R folds over the alive set are eqs (11) and (13)'s too;
+    // `alive` is final from here on.
+    for (state, fold) in agent.tasks.iter_mut().zip(folds) {
+        let (q, r) = fold.into_q_r();
+        state.folded_q = Some(q);
+        state.folded_r = Some(r);
+    }
     let verified = Key::named("shares_verified").agent(agent.metric_agent());
     agent.metrics.incr(verified, submitted);
     if let Some(sender) = bad_sender {
@@ -80,7 +98,6 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
     }
     // Publish lambda/psi over the live set (III.2, eq (10)).
     let included = agent.alive.clone();
-    let alive = agent.alive_indices();
     for task in 0..agent.m() {
         let e_shares: Vec<u64> = alive
             .iter()

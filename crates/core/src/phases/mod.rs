@@ -36,11 +36,10 @@
          equations."
 )]
 
-use crate::agent::{DmwAgent, Invariant, TaskState};
+use crate::agent::{DmwAgent, TaskState};
 use crate::error::AbortReason;
 use crate::messages::Body;
-use dmw_crypto::resolution::FoldedCommitments;
-use dmw_crypto::Commitments;
+use dmw_crypto::commitments::FoldedCommitments;
 use dmw_simnet::Recipient;
 
 pub mod bidding;
@@ -142,50 +141,28 @@ fn within_fault_bound(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) ->
     observed <= tolerated
 }
 
-/// Task `state`'s commitments of the alive agents but `skipped`.
-fn alive_commitments<'a>(
-    agent: &'a DmwAgent,
-    state: &'a TaskState,
-    skipped: Option<usize>,
-) -> impl Iterator<Item = &'a Commitments> {
-    (0..agent.n())
-        .filter(move |&l| agent.alive[l] && Some(l) != skipped)
-        .map(|l| state.commitments[l].as_ref().invariant("alive"))
-}
-
 /// The right-hand sides of the designated agents' eq. (11) or (13)
-/// checks, indexed `[designated][task]`, and the task folds they were
-/// evaluated on. Agent `l` has a check in a task where `checks(state, l)`;
-/// a task is folded by `fold` if some designated agent has a check in it.
-/// Entry `[l][task]` is present exactly where `l` has a check. `l`'s plan
-/// from the configuration (`DmwConfig::powers_plan`) evaluates all its
-/// checks in one pass, one column per task fold.
+/// checks, indexed `[designated][task]`, evaluated on `folds`, one per
+/// task. Agent `l` has a check in a task where `checks(state, l)`, and
+/// entry `[l][task]` is present exactly there. `l`'s plan from the
+/// configuration (`DmwConfig::powers_plan`) evaluates all its checks in
+/// one pass, one column per task fold.
 fn designated_products(
     agent: &DmwAgent,
     designated: &[usize],
     checks: impl Fn(&TaskState, usize) -> bool,
-    fold: impl Fn(&TaskState) -> FoldedCommitments,
-) -> (Vec<Option<FoldedCommitments>>, Vec<Vec<Option<u64>>>) {
-    let folds: Vec<Option<FoldedCommitments>> = agent
-        .tasks
-        .iter()
-        .map(|state| {
-            designated
-                .iter()
-                .any(|&l| checks(state, l))
-                .then(|| fold(state))
-        })
-        .collect();
-    let products = designated
+    folds: &[&FoldedCommitments],
+) -> Vec<Vec<Option<u64>>> {
+    designated
         .iter()
         .map(|&l| {
             let (tasks, checked): (Vec<usize>, Vec<&FoldedCommitments>) = agent
                 .tasks
                 .iter()
-                .zip(&folds)
+                .zip(folds)
                 .enumerate()
                 .filter(|(_, (state, _))| checks(state, l))
-                .filter_map(|(task, (_, fold))| Some((task, fold.as_ref()?)))
+                .map(|(task, (_, &fold))| (task, fold))
                 .unzip();
             let plan = agent.config.powers_plan(l);
             let values = FoldedCommitments::eval(agent.config.group(), plan, &checked);
@@ -195,8 +172,7 @@ fn designated_products(
             }
             row
         })
-        .collect();
-    (folds, products)
+        .collect()
 }
 
 #[cfg(test)]

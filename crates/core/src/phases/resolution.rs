@@ -1,12 +1,13 @@
 //! Phase III.2 verification + first-price resolution + disclosure
 //! kick-off.
 
-use super::{alive_commitments, designated_products, within_fault_bound};
+use super::{designated_products, within_fault_bound};
 use crate::agent::{DmwAgent, Invariant};
 use crate::error::AbortReason;
 use crate::messages::Body;
 use crate::strategy::Behavior;
-use dmw_crypto::resolution::{resolve_min_bid, verify_lambda_psi, FoldedCommitments};
+use dmw_crypto::commitments::FoldedCommitments;
+use dmw_crypto::resolution::{resolve_min_bid, verify_lambda_psi};
 use dmw_simnet::Recipient;
 
 /// Complete once a `Λ/Ψ` pair (with its participation mask) has arrived
@@ -58,16 +59,16 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
     let encoding = *agent.config.encoding();
     // Rotation verification of eq (11): I check my designated
     // publishers, task-major; any honest verifier detecting tampering
-    // aborts the whole run. Each task folds the Q vectors of the alive
-    // agents.
+    // aborts the whole run. Each task's checks run on the fold of the
+    // alive agents' Q vectors that Phase III.1 built.
     let responsive = agent.live_indices();
     let designated = agent.designated_publishers(&responsive);
-    let (_, gammas) = designated_products(
-        agent,
-        &designated,
-        |_, _| true,
-        |state| FoldedCommitments::q(group, alive_commitments(agent, state, None)),
-    );
+    let folds: Vec<&FoldedCommitments> = agent
+        .tasks
+        .iter()
+        .map(|state| state.folded_q.as_ref().invariant("folded in Phase III.1"))
+        .collect();
+    let gammas = designated_products(agent, &designated, |_, _| true, &folds);
     for task in 0..agent.m() {
         for (&l, gamma) in designated.iter().zip(&gammas) {
             let pair = agent.tasks[task].pairs[l].invariant("live implies published");

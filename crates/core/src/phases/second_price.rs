@@ -1,12 +1,13 @@
 //! Phase III.4 + IV — verify excluded pairs, resolve the second price,
 //! submit the payment claim.
 
-use super::{alive_commitments, designated_products, within_fault_bound};
+use super::{designated_products, within_fault_bound};
 use crate::agent::{AgentStatus, DmwAgent, Invariant};
 use crate::error::AbortReason;
 use crate::messages::Body;
 use crate::strategy::Behavior;
-use dmw_crypto::resolution::{resolve_min_bid, verify_lambda_psi, FoldedCommitments};
+use dmw_crypto::commitments::FoldedCommitments;
+use dmw_crypto::resolution::{resolve_min_bid, verify_lambda_psi};
 use dmw_simnet::Recipient;
 
 /// Complete once an excluded pair has arrived from every responsive
@@ -48,15 +49,19 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
         .invariant("validated pseudonyms");
     // Rotation verification of the post-exclusion eq (11): each task
     // folds the Q vectors of every alive agent but its winner.
-    let (_, gammas) = designated_products(
-        agent,
-        &designated,
-        |_, _| true,
-        |state| {
+    let folds: Vec<FoldedCommitments> = agent
+        .tasks
+        .iter()
+        .map(|state| {
             let winner = state.winner.invariant("identified by the winner-id phase");
-            FoldedCommitments::q(group, alive_commitments(agent, state, Some(winner)))
-        },
-    );
+            let included = (0..agent.n())
+                .filter(|&l| agent.alive[l] && l != winner)
+                .map(|l| state.commitments[l].as_ref().invariant("alive"));
+            FoldedCommitments::q(group, included)
+        })
+        .collect();
+    let folds: Vec<&FoldedCommitments> = folds.iter().collect();
+    let gammas = designated_products(agent, &designated, |_, _| true, &folds);
     for task in 0..agent.m() {
         let state = &agent.tasks[task];
         for (&l, gamma) in designated.iter().zip(&gammas) {

@@ -1,13 +1,14 @@
 //! Phase III.3 — verify disclosures, identify the winner, publish the
 //! winner-excluded pair.
 
-use super::{alive_commitments, designated_products};
-use crate::agent::{DmwAgent, Invariant};
+use super::designated_products;
+use crate::agent::{DmwAgent, Invariant, TaskState};
 use crate::error::AbortReason;
 use crate::messages::Body;
 use crate::strategy::Behavior;
+use dmw_crypto::commitments::FoldedCommitments;
 use dmw_crypto::resolution::{
-    exclude_winner, identify_winner, verify_claimed_f_point, verify_f_disclosure, FoldedCommitments,
+    exclude_winner, identify_winner, verify_claimed_f_point, verify_f_disclosure,
 };
 use dmw_simnet::Recipient;
 
@@ -37,22 +38,22 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
     let alive = agent.alive_indices();
     let responsive = agent.live_indices();
     let designated = agent.designated_publishers(&responsive);
-    // Rotation verification of eq (13). The checks of one task share one
-    // fold of the alive agents' R vectors, built if a designated discloser
-    // disclosed in that task.
-    let (folds, phis) = designated_products(
+    // Rotation verification of eq (13). The checks of one task share the
+    // fold of the alive agents' R vectors that Phase III.1 built.
+    let folds: Vec<&FoldedCommitments> = agent.tasks.iter().map(folded_r).collect();
+    let phis = designated_products(
         agent,
         &designated,
         |state, k| state.disclosures[k].is_some(),
-        |state| FoldedCommitments::r(group, alive_commitments(agent, state, None)),
+        &folds,
     );
-    for (task, folded_r) in folds.iter().enumerate() {
+    for task in 0..agent.m() {
         let state = &agent.tasks[task];
         for (&k, phi) in designated.iter().zip(&phis) {
             let Some(f_values) = state.disclosures[k].as_ref() else {
                 continue;
             };
-            let folded_r = folded_r.as_ref().invariant("a designated disclosure");
+            let folded_r = folded_r(state);
             let phi = phi[task].invariant("a designated disclosure");
             let live_values: Vec<u64> = alive.iter().map(|&l| f_values[l]).collect();
             let psi_k = state.pairs[k].invariant("responsive").psi;
@@ -123,6 +124,11 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
         }
         out.push((Recipient::Broadcast, Body::Excluded { task, pair }));
     }
+}
+
+/// Task `state`'s fold of the alive agents' `R` vectors.
+fn folded_r(state: &TaskState) -> &FoldedCommitments {
+    state.folded_r.as_ref().invariant("folded in Phase III.1")
 }
 
 /// Winner identification when live disclosures alone cannot reach the

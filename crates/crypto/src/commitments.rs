@@ -22,12 +22,36 @@
 //! data; they are reused in equations (11) and (13) to validate later
 //! protocol messages, which is why the paper computes (8) and (9) even
 //! though (7) already binds the shares.
+//!
+//! # Verification: the fold, then blame
+//!
+//! A verifier checks each task with one [`ShareFold`] over its alive set,
+//! itself included: the entry-wise products of the agents' `O`, `Q` and
+//! `R` vectors, and the `Z_q` sums of their bundles' `e·f`, `g`, `e`, `f`
+//! and `h`. Because `Π_ℓ Π_j V_{ℓ,j}^{α^j} = Π_j (Π_ℓ V_{ℓ,j})^{α^j}`,
+//! the three equations of the fold are the products of every item's
+//! equations, so a task costs 3 plan columns instead of 3 per sender.
+//!
+//! An honest item meets its equations exactly. So while at most one
+//! agent of a task deviates, the task's fold holds exactly when that
+//! agent's own equations hold. Only when some fold fails does
+//! [`verify_shares_folded`] run the per-sender [`verify_shares_batch`]:
+//! its verdict is final, and its first failure names the sender. Folds
+//! never span tasks, since one sender owns all its tasks and could cancel
+//! its errors between them. Two senders that coordinate can cancel their
+//! errors to one receiver inside one task, and the fold then passes: the
+//! check is exact against one deviator per task, which is what the
+//! paper's ex-post Nash faithfulness (a unilateral notion) asks of it.
+//!
+//! The `Q` and `R` folds over the alive set are the left-hand products of
+//! equations (11) and (13) too ([`ShareFold::into_q_r`]), so later steps
+//! evaluate them without folding again.
 
 use crate::encoding::BidEncoding;
 use crate::error::CryptoError;
 use crate::polynomials::{BidPolynomials, ShareBundle};
 use dmw_modmath::multiexp::ExponentPlan;
-use dmw_modmath::SchnorrGroup;
+use dmw_modmath::{PrimeField, SchnorrGroup};
 use std::sync::Arc;
 
 /// The published commitment triple `(O, Q, R)` of one agent for one task
@@ -147,6 +171,207 @@ pub fn powers_plan(group: &SchnorrGroup, alpha: u64, sigma: usize) -> ExponentPl
     ExponentPlan::new(&exps)
 }
 
+/// The entry-wise product `Π_ℓ V_ℓ` of several agents' commitment vectors
+/// — the `Q` vectors for equation (11), the `R` vectors for equation (13),
+/// and all three kinds inside a [`ShareFold`].
+///
+/// Every check at one protocol step multiplies the same vectors, and
+/// `Π_ℓ Π_j V_{ℓ,j}^{α^j} = Π_j (Π_ℓ V_{ℓ,j})^{α^j}` for every `α`. So the
+/// vectors of each task are folded once per step (`(n − 1)·σ` plain
+/// multiplications), and [`FoldedCommitments::eval`] evaluates one
+/// agent's check across all task folds with one multi-exponentiation plan.
+/// A missing entry of a shorter vector counts as `1`. Folding every agent
+/// but the winner gives the second-price variant of equation (11)
+/// (step III.4).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FoldedCommitments {
+    entries: Vec<u64>,
+    vectors: usize,
+}
+
+impl FoldedCommitments {
+    /// Folds the `Q` vectors of `commitments` (equation (11)).
+    pub fn q<'a>(
+        group: &SchnorrGroup,
+        commitments: impl IntoIterator<Item = &'a Commitments>,
+    ) -> Self {
+        Self::fold(group, commitments.into_iter().map(Commitments::q))
+    }
+
+    /// Folds the `R` vectors of `commitments` (equation (13)).
+    pub fn r<'a>(
+        group: &SchnorrGroup,
+        commitments: impl IntoIterator<Item = &'a Commitments>,
+    ) -> Self {
+        Self::fold(group, commitments.into_iter().map(Commitments::r))
+    }
+
+    fn fold<'a>(group: &SchnorrGroup, vectors: impl Iterator<Item = &'a [u64]>) -> Self {
+        let zp = group.zp();
+        let mut fold = FoldedCommitments::default();
+        for vector in vectors {
+            fold.absorb(&zp, vector);
+        }
+        fold
+    }
+
+    /// Multiplies `vector` into the fold, entry by entry.
+    fn absorb(&mut self, zp: &PrimeField, vector: &[u64]) {
+        for (acc, &entry) in self.entries.iter_mut().zip(vector) {
+            *acc = zp.mul(*acc, entry);
+        }
+        let tail = vector.get(self.entries.len()..).unwrap_or_default();
+        self.entries.extend_from_slice(tail);
+        self.vectors += 1;
+    }
+
+    /// How many vectors were folded.
+    pub(crate) fn vectors(&self) -> usize {
+        self.vectors
+    }
+
+    /// Evaluates `folds` with `plan`, the [`powers_plan`] of one pseudonym
+    /// `α`: entry `t` is `Π_j (Π_ℓ V_{ℓ,j})^{α^j}`, the product of the
+    /// `Γ_ℓ(α)` (or `Φ_ℓ(α)`) of every vector folded into `folds[t]`. The
+    /// exponents `α^j` are the same for every fold, so the plan runs on
+    /// all folds at once, one column each. A verifier passes the task folds
+    /// of one designated agent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fold is longer than the plan's exponent vector.
+    pub fn eval(
+        group: &SchnorrGroup,
+        plan: &ExponentPlan,
+        folds: &[&FoldedCommitments],
+    ) -> Vec<u64> {
+        let columns: Vec<&[u64]> = folds.iter().map(|fold| fold.entries.as_slice()).collect();
+        plan.pow_columns(&group.zp(), &columns)
+    }
+}
+
+/// One task's Phase III.1 fold over a set of `(commitments, bundle)`
+/// items: the [`FoldedCommitments`] of their `O`, `Q` and `R` vectors,
+/// and the `Z_q` sums of their bundles' `e·f`, `e`, `f`, `g` and `h`.
+///
+/// Equations (7)–(9) hold for every item only if they hold for the fold:
+/// `z1^{Σ e·f} z2^{Σ g} = Π_j (Π_ℓ O_{ℓ,j})^{α^j}`,
+/// `z1^{Σ e} z2^{Σ h} = Π_j (Π_ℓ Q_{ℓ,j})^{α^j}` and
+/// `z1^{Σ f} z2^{Σ h} = Π_j (Π_ℓ R_{ℓ,j})^{α^j}`. Building the fold costs
+/// `3(k − 1)·σ + k` plain multiplications for `k` items.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ShareFold {
+    o: FoldedCommitments,
+    q: FoldedCommitments,
+    r: FoldedCommitments,
+    /// `Σ e·f` over the bundles.
+    ef: u64,
+    /// `Σ e`, `Σ f`, `Σ g` and `Σ h` over the bundles.
+    sum: ShareBundle,
+}
+
+impl ShareFold {
+    /// Folds `items`: a verifier passes every alive agent's commitments
+    /// and the bundle it holds from that agent, its own included.
+    pub fn new<'a>(
+        group: &SchnorrGroup,
+        items: impl IntoIterator<Item = (&'a Commitments, ShareBundle)>,
+    ) -> Self {
+        let (zp, zq) = (group.zp(), group.zq());
+        let mut fold = ShareFold::default();
+        for (commitments, bundle) in items {
+            fold.o.absorb(&zp, commitments.o());
+            fold.q.absorb(&zp, commitments.q());
+            fold.r.absorb(&zp, commitments.r());
+            fold.ef = zq.add(fold.ef, zq.mul(bundle.e, bundle.f));
+            fold.sum = ShareBundle {
+                e: zq.add(fold.sum.e, bundle.e),
+                f: zq.add(fold.sum.f, bundle.f),
+                g: zq.add(fold.sum.g, bundle.g),
+                h: zq.add(fold.sum.h, bundle.h),
+            };
+        }
+        fold
+    }
+
+    /// The fold of the `Q` vectors and the fold of the `R` vectors: the
+    /// left-hand products of equations (11) and (13) over the same agents.
+    pub fn into_q_r(self) -> (FoldedCommitments, FoldedCommitments) {
+        (self.q, self.r)
+    }
+}
+
+/// Do equations (7)–(9) hold on every fold of `folds` at the pseudonym of
+/// `plan`, its [`powers_plan`]? One pass of `plan` over `3 · folds.len()`
+/// columns.
+///
+/// # Panics
+///
+/// Panics if a fold is longer than `plan`'s exponent vector.
+pub fn share_folds_hold(group: &SchnorrGroup, plan: &ExponentPlan, folds: &[ShareFold]) -> bool {
+    let columns: Vec<&[u64]> = folds
+        .iter()
+        .flat_map(|fold| [&fold.o, &fold.q, &fold.r].map(|v| v.entries.as_slice()))
+        .collect();
+    let products = plan.pow_columns(&group.zp(), &columns);
+    folds
+        .iter()
+        .zip(products.chunks_exact(3))
+        .all(|(fold, rhs)| first_failing_equation(group, fold.ef, &fold.sum, rhs).is_none())
+}
+
+/// The first of equations (7), (8), (9) whose left-hand side, from
+/// `ef = e·f` and `shares`, differs from its right-hand side in `rhs`.
+fn first_failing_equation(
+    group: &SchnorrGroup,
+    ef: u64,
+    shares: &ShareBundle,
+    rhs: &[u64],
+) -> Option<u8> {
+    // (7): z1^{e(α)f(α)} z2^{g(α)} == Π O_ℓ^{α^ℓ};
+    // (8): z1^{e(α)} z2^{h(α)} == Γ; (9): z1^{f(α)} z2^{h(α)} == Φ.
+    let sides = [
+        (7, ef, shares.g),
+        (8, shares.e, shares.h),
+        (9, shares.f, shares.h),
+    ];
+    sides
+        .into_iter()
+        .zip(rhs)
+        .find(|&((_, z1_exp, z2_exp), &rhs)| group.commit(z1_exp, z2_exp) != rhs)
+        .map(|((equation, _, _), _)| equation)
+}
+
+/// Phase III.1 for one verifier: the fold first, the per-sender batch on
+/// failure. `folds` holds one [`ShareFold`] per task over the verifier's
+/// alive set, itself included; `items` holds the other alive agents'
+/// `(commitments, bundle)` pairs in row-major `(task, sender)` order. If
+/// [`share_folds_hold`], the verdict is `Ok`; otherwise
+/// [`verify_shares_batch`] on `items` gives it, even if it passes (the
+/// verifier's own item can fail a fold but is no sender's fault).
+///
+/// With at most one deviating sender per task the verdict is the batch's
+/// (see the [module docs](self)).
+///
+/// # Errors
+///
+/// Returns the [`ShareBatchFailure`] of [`verify_shares_batch`].
+///
+/// # Panics
+///
+/// Panics if a vector is longer than `plan`'s exponent vector.
+pub fn verify_shares_folded(
+    group: &SchnorrGroup,
+    plan: &ExponentPlan,
+    folds: &[ShareFold],
+    items: &[(&Commitments, ShareBundle)],
+) -> Result<(), ShareBatchFailure> {
+    if share_folds_hold(group, plan, folds) {
+        return Ok(());
+    }
+    verify_shares_batch(group, plan, items)
+}
+
 /// A failure inside [`verify_shares_batch`]: which batch item failed, and
 /// the verification error it failed with.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -218,20 +443,12 @@ pub fn verify_shares_batch(
         .collect();
     let products = plan.pow_columns(&group.zp(), &columns);
     for (index, ((_, bundle), rhs)) in items.iter().zip(products.chunks_exact(3)).enumerate() {
-        // (7): z1^{e(α)f(α)} z2^{g(α)} == Π O_ℓ^{α^ℓ};
-        // (8): z1^{e(α)} z2^{h(α)} == Γ; (9): z1^{f(α)} z2^{h(α)} == Φ.
-        let sides = [
-            (7, zq.mul(bundle.e, bundle.f), bundle.g),
-            (8, bundle.e, bundle.h),
-            (9, bundle.f, bundle.h),
-        ];
-        for ((equation, z1_exp, z2_exp), &rhs) in sides.into_iter().zip(rhs) {
-            if group.commit(z1_exp, z2_exp) != rhs {
-                return Err(ShareBatchFailure {
-                    index,
-                    error: CryptoError::ShareVerificationFailed { equation },
-                });
-            }
+        let ef = zq.mul(bundle.e, bundle.f);
+        if let Some(equation) = first_failing_equation(group, ef, bundle, rhs) {
+            return Err(ShareBatchFailure {
+                index,
+                error: CryptoError::ShareVerificationFailed { equation },
+            });
         }
     }
     Ok(())
@@ -580,6 +797,139 @@ pub(crate) mod tests {
         );
     }
 
+    /// One verifier's Phase III.1 inputs over `m` tasks of `n` agents
+    /// bidding at random: per task, every agent's commitments and the
+    /// bundle it sends the verifier at `alpha`, the verifier's own included.
+    fn phase_inputs(
+        group: &SchnorrGroup,
+        encoding: &BidEncoding,
+        (n, m): (usize, usize),
+        alpha: u64,
+        rng: &mut rand::rngs::StdRng,
+    ) -> Vec<Vec<(Commitments, ShareBundle)>> {
+        let zq = group.zq();
+        (0..m)
+            .map(|_| {
+                (0..n)
+                    .map(|_| {
+                        let bid = rng.gen_range(1..=encoding.w_max());
+                        let polys =
+                            BidPolynomials::generate(group, encoding, &SecretBid::new(bid), rng)
+                                .unwrap();
+                        let commitments = Commitments::commit(group, encoding, &polys);
+                        (commitments, polys.share_for(&zq, alpha))
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The per-task folds over every agent and the row-major batch of
+    /// every agent but `verifier`, as Phase III.1 builds them.
+    fn folds_and_items<'a>(
+        group: &SchnorrGroup,
+        tasks: &'a [Vec<(Commitments, ShareBundle)>],
+        verifier: usize,
+    ) -> (Vec<ShareFold>, Vec<(&'a Commitments, ShareBundle)>) {
+        let folds = tasks
+            .iter()
+            .map(|task| ShareFold::new(group, task.iter().map(|(c, b)| (c, *b))))
+            .collect();
+        let items = tasks
+            .iter()
+            .flat_map(|task| task.iter().enumerate())
+            .filter(|&(l, _)| l != verifier)
+            .map(|(_, (c, b))| (c, *b))
+            .collect();
+        (folds, items)
+    }
+
+    #[test]
+    fn a_tampered_own_commitment_fails_the_fold_but_blames_no_sender() {
+        let (group, encoding, mut rng) = setup();
+        let alpha = 12;
+        let plan = powers_plan(&group, alpha, encoding.sigma());
+        let mut tasks = phase_inputs(&group, &encoding, (4, 2), alpha, &mut rng);
+        let (folds, items) = folds_and_items(&group, &tasks, 2);
+        assert!(share_folds_hold(&group, &plan, &folds));
+        assert_eq!(verify_shares_folded(&group, &plan, &folds, &items), Ok(()));
+        // The verifier (agent 2) publishes a tampered Q in task 1, as the
+        // `TamperedCommitments` deviation does: its fold fails, and the
+        // batch over the other senders decides that nobody is at fault.
+        let own = &mut tasks[1][2].0;
+        *own = own.clone().with_tampered_q(&group, 0);
+        let (folds, items) = folds_and_items(&group, &tasks, 2);
+        assert!(!share_folds_hold(&group, &plan, &folds));
+        assert_eq!(verify_shares_batch(&group, &plan, &items), Ok(()));
+        assert_eq!(verify_shares_folded(&group, &plan, &folds, &items), Ok(()));
+    }
+
+    #[test]
+    fn errors_that_cancel_across_tasks_fail_the_fold() {
+        // One sender shifts f by +1 in task 0 and by −1 in task 1; a fold
+        // over both tasks would cancel them, a fold per task does not.
+        let (group, encoding, mut rng) = setup();
+        let zq = group.zq();
+        let alpha = 5;
+        let plan = powers_plan(&group, alpha, encoding.sigma());
+        let mut tasks = phase_inputs(&group, &encoding, (3, 2), alpha, &mut rng);
+        tasks[0][1].1.f = zq.add(tasks[0][1].1.f, 1);
+        tasks[1][1].1.f = zq.sub(tasks[1][1].1.f, 1);
+        let (folds, items) = folds_and_items(&group, &tasks, 0);
+        for fold in &folds {
+            assert!(!share_folds_hold(&group, &plan, std::slice::from_ref(fold)));
+        }
+        assert_eq!(
+            verify_shares_folded(&group, &plan, &folds, &items),
+            Err(ShareBatchFailure {
+                index: 0,
+                error: CryptoError::ShareVerificationFailed { equation: 7 },
+            })
+        );
+    }
+
+    #[test]
+    fn two_senders_can_cancel_their_errors_inside_one_task() {
+        // Senders 1 and 2 shift their f shares to the verifier by +δ and
+        // −δ, and their e shares by +ε and −ε, with ε chosen so that
+        // Σ e·f is unchanged: every sum the fold checks is the honest one.
+        let (group, encoding, mut rng) = setup();
+        let zq = group.zq();
+        let alpha = 21;
+        let plan = powers_plan(&group, alpha, encoding.sigma());
+        let mut tasks = phase_inputs(&group, &encoding, (4, 1), alpha, &mut rng);
+        let (a, b) = (tasks[0][1].1, tasks[0][2].1);
+        let delta = 1;
+        // δ(e_a − e_b) + ε(f_a − f_b + 2δ) = 0.
+        let spread = zq.add(zq.sub(a.f, b.f), zq.add(delta, delta));
+        let epsilon = zq.neg(zq.div(zq.mul(delta, zq.sub(a.e, b.e)), spread).unwrap());
+        let shifted = [
+            ShareBundle {
+                e: zq.add(a.e, epsilon),
+                f: zq.add(a.f, delta),
+                ..a
+            },
+            ShareBundle {
+                e: zq.sub(b.e, epsilon),
+                f: zq.sub(b.f, delta),
+                ..b
+            },
+        ];
+        tasks[0][1].1 = shifted[0];
+        tasks[0][2].1 = shifted[1];
+        let (folds, items) = folds_and_items(&group, &tasks, 0);
+        assert!(
+            share_folds_hold(&group, &plan, &folds),
+            "the coalition passes"
+        );
+        assert_eq!(verify_shares_folded(&group, &plan, &folds, &items), Ok(()));
+        // The per-sender batch, the blame path, names the first of them.
+        assert_eq!(
+            verify_shares_batch(&group, &plan, &items).map_err(|failure| failure.index),
+            Err(0)
+        );
+    }
+
     proptest::proptest! {
         #[test]
         fn batch_verdict_matches_a_sequential_reference_loop(
@@ -639,6 +989,56 @@ pub(crate) mod tests {
                     sequential_verdict(&group, alpha, item)
                 );
             }
+        }
+
+        #[test]
+        fn fold_then_batch_matches_the_batch_alone(
+            seed in 0u64..10_000,
+            n in 2usize..6,
+            m in 1usize..4,
+            corrupt in proptest::bool::ANY,
+        ) {
+            let (group, encoding, _) = setup();
+            let (zp, zq) = (group.zp(), group.zq());
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let alpha = zq.rand_nonzero(&mut rng);
+            let plan = powers_plan(&group, alpha, encoding.sigma());
+            let mut tasks = phase_inputs(&group, &encoding, (n, m), alpha, &mut rng);
+            let verifier = rng.gen_range(0..n);
+            // At most one corrupted item, at any (task, agent), the
+            // verifier's own included: one bundle field, or one O/Q/R entry.
+            let corrupted = corrupt.then(|| (rng.gen_range(0..m), rng.gen_range(0..n)));
+            if let Some((task, agent)) = corrupted {
+                let (commitments, bundle) = &mut tasks[task][agent];
+                match rng.gen_range(0..7usize) {
+                    0 => bundle.e = zq.add(bundle.e, 1),
+                    1 => bundle.f = zq.add(bundle.f, 1),
+                    2 => bundle.g = zq.add(bundle.g, 1),
+                    3 => bundle.h = zq.add(bundle.h, 1),
+                    vector => {
+                        let entries = match vector {
+                            4 => &mut commitments.o,
+                            5 => &mut commitments.q,
+                            _ => &mut commitments.r,
+                        };
+                        let entries = Arc::get_mut(entries).expect("unshared");
+                        let entry = &mut entries[rng.gen_range(0..encoding.sigma())];
+                        *entry = zp.mul(*entry, group.z2());
+                    }
+                }
+            }
+            let (folds, items) = folds_and_items(&group, &tasks, verifier);
+            let batch = verify_shares_batch(&group, &plan, &items);
+            proptest::prop_assert_eq!(
+                verify_shares_folded(&group, &plan, &folds, &items),
+                batch.clone()
+            );
+            // Every corruption breaks an equation, so the folds hold
+            // exactly when nothing was corrupted; a corrupted own item
+            // fails its fold but no sender.
+            proptest::prop_assert_eq!(share_folds_hold(&group, &plan, &folds), corrupted.is_none());
+            let own = corrupted.is_some_and(|(_, agent)| agent == verifier);
+            proptest::prop_assert_eq!(batch.is_ok(), corrupted.is_none() || own);
         }
     }
 }

@@ -14,9 +14,11 @@
 //!    `(e(α_k), f(α_k), g(α_k), h(α_k))` sent privately to agent `k`
 //!    (Phase II.2), and [`commitments::Commitments`] the published Pedersen
 //!    vectors `O, Q, R` (Phase II.3, equation (6)).
-//! 4. [`commitments::verify_shares_batch`] checks received bundles against
-//!    their senders' commitments — equations (7)–(9) (Phase III.1) — on
-//!    the verifier's [`commitments::powers_plan`].
+//! 4. [`commitments::verify_shares_folded`] checks received bundles
+//!    against their senders' commitments — equations (7)–(9) (Phase
+//!    III.1) — on the verifier's [`commitments::powers_plan`]: one
+//!    [`commitments::ShareFold`] per task, and the per-sender
+//!    [`commitments::verify_shares_batch`] only to name a failing sender.
 //! 5. [`resolution`] implements the public blackboard math of Phases
 //!    III.2–III.4: validation of the published `Λ_i = z1^{E(α_i)}`,
 //!    `Ψ_i = z2^{H(α_i)}` (equation (11)), first-price resolution in the

@@ -68,7 +68,7 @@ impl fmt::Debug for SecretBid {
 }
 
 /// The four private evaluations an agent sends to one peer (Phase II.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct ShareBundle {
     /// `e(α_k)` — bid polynomial share.
     pub e: u64,

@@ -20,7 +20,7 @@
 //! candidate, on coefficients the caller derives once per point set;
 //! [`scan_min_bid`], the ascending scan, is its fallback and reference.
 
-use crate::commitments::Commitments;
+use crate::commitments::{Commitments, FoldedCommitments};
 use crate::encoding::BidEncoding;
 use crate::error::CryptoError;
 use dmw_modmath::multiexp::ExponentPlan;
@@ -45,78 +45,6 @@ pub fn compute_lambda_psi(group: &SchnorrGroup, e_shares: &[u64], h_shares: &[u6
     LambdaPsi {
         lambda: group.pow_z1(e_sum),
         psi: group.pow_z2(h_sum),
-    }
-}
-
-/// The entry-wise product `Π_ℓ V_ℓ` of several agents' commitment vectors
-/// — the `Q` vectors for equation (11), the `R` vectors for equation (13).
-///
-/// Every check at one protocol step multiplies the same vectors, and
-/// `Π_ℓ Π_j V_{ℓ,j}^{α^j} = Π_j (Π_ℓ V_{ℓ,j})^{α^j}` for every `α`. So the
-/// vectors of each task are folded once per step (`(n − 1)·σ` plain
-/// multiplications), and [`FoldedCommitments::eval`] evaluates one
-/// agent's check across all task folds with one multi-exponentiation plan.
-/// A missing entry of a shorter vector counts as `1`. Folding every agent
-/// but the winner gives the second-price variant of equation (11)
-/// (step III.4).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FoldedCommitments {
-    entries: Vec<u64>,
-    vectors: usize,
-}
-
-impl FoldedCommitments {
-    /// Folds the `Q` vectors of `commitments` (equation (11)).
-    pub fn q<'a>(
-        group: &SchnorrGroup,
-        commitments: impl IntoIterator<Item = &'a Commitments>,
-    ) -> Self {
-        Self::fold(group, commitments.into_iter().map(Commitments::q))
-    }
-
-    /// Folds the `R` vectors of `commitments` (equation (13)).
-    pub fn r<'a>(
-        group: &SchnorrGroup,
-        commitments: impl IntoIterator<Item = &'a Commitments>,
-    ) -> Self {
-        Self::fold(group, commitments.into_iter().map(Commitments::r))
-    }
-
-    fn fold<'a>(group: &SchnorrGroup, vectors: impl Iterator<Item = &'a [u64]>) -> Self {
-        let zp = group.zp();
-        let mut entries: Vec<u64> = Vec::new();
-        let mut count = 0;
-        for vector in vectors {
-            for (acc, &entry) in entries.iter_mut().zip(vector) {
-                *acc = zp.mul(*acc, entry);
-            }
-            entries.extend_from_slice(vector.get(entries.len()..).unwrap_or_default());
-            count += 1;
-        }
-        FoldedCommitments {
-            entries,
-            vectors: count,
-        }
-    }
-
-    /// Evaluates `folds` with `plan`, the
-    /// [`powers_plan`](crate::commitments::powers_plan) of one pseudonym
-    /// `α`: entry `t` is `Π_j (Π_ℓ V_{ℓ,j})^{α^j}`, the product of the
-    /// `Γ_ℓ(α)` (or `Φ_ℓ(α)`) of every vector folded into `folds[t]`. The
-    /// exponents `α^j` are the same for every fold, so the plan runs on
-    /// all folds at once, one column each. A verifier passes the task folds
-    /// of one designated agent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a fold is longer than the plan's exponent vector.
-    pub fn eval(
-        group: &SchnorrGroup,
-        plan: &ExponentPlan,
-        folds: &[&FoldedCommitments],
-    ) -> Vec<u64> {
-        let columns: Vec<&[u64]> = folds.iter().map(|fold| fold.entries.as_slice()).collect();
-        plan.pow_columns(&group.zp(), &columns)
     }
 }
 
@@ -390,11 +318,11 @@ pub fn verify_f_disclosure(
     disclosed_f: &[u64],
     psi_k: u64,
 ) -> Result<(), CryptoError> {
-    if disclosed_f.len() != folded_r.vectors {
+    if disclosed_f.len() != folded_r.vectors() {
         return Err(CryptoError::LengthMismatch {
             what: "disclosed f-share vector",
             got: disclosed_f.len(),
-            expected: folded_r.vectors,
+            expected: folded_r.vectors(),
         });
     }
     let zq = group.zq();

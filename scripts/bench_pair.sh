@@ -6,13 +6,13 @@
 # Builds <bin> at <rev> (the parent) with `cargo build --release
 # --offline` in a temporary git worktree under $TMPDIR, and at the
 # working tree (the change) in place. Then it runs `<bin> [args...]`
-# from each build in 10 pairs, switching which side runs first, and
-# prints:
+# from each build in 20 pairs, each side first in half of them, in a
+# random order, and prints:
 #   * each pair's wall times and change/parent ratio;
-#   * "k of 10 faster", the pairs the change won (ties count for neither);
+#   * "k of 20 faster", the pairs the change won (ties count for neither);
 #   * both medians and the parent's interquartile range;
-#   * a verdict: a side is faster only when it wins at least 9 of the 10
-#     pairs and the medians differ by more than the parent's
+#   * a verdict: a side is faster only when it wins at least 9 in 10 of
+#     the pairs and the medians differ by more than the parent's
 #     interquartile range, otherwise "unresolved".
 # The worktree is removed on exit. Run nothing else meanwhile.
 set -euo pipefail
@@ -24,7 +24,7 @@ fi
 rev=$1
 bin=$3
 shift 3
-pairs=10
+pairs=20
 
 root=$(cd "$(dirname "$0")/.." && pwd)
 cd "$root"
@@ -58,8 +58,13 @@ run() {
 }
 
 : >"$scratch/times"
+# Which side runs first: parent in half of the pairs, shuffled, so a
+# drift or a first-run edge cannot line up with one side.
+mapfile -t parent_first < <(for ((pair = 1; pair <= pairs; pair++)); do
+    echo $((pair % 2))
+done | shuf)
 for ((pair = 1; pair <= pairs; pair++)); do
-    if ((pair % 2)); then
+    if ((parent_first[pair - 1])); then
         run "$parent_bin" "$@"; parent=$elapsed
         run "$change_bin" "$@"; change=$elapsed
     else
