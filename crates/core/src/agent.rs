@@ -394,20 +394,20 @@ impl DmwAgent {
     /// per-task state. Returns `false` when the agent is — or just became
     /// — non-`Running` and therefore must not act.
     fn ingest(&mut self, inbox: Vec<Delivered<Body>>) -> bool {
-        let inbox: Vec<Delivered<Body>> = inbox
-            .into_iter()
-            .flat_map(|d| match d.payload {
-                Body::Batch(bodies) => bodies
-                    .into_iter()
-                    .map(|payload| Delivered {
+        let mut unbatched = Vec::with_capacity(inbox.len());
+        for d in inbox {
+            match d.payload {
+                Body::Batch(bodies) => {
+                    unbatched.extend(bodies.into_iter().map(|payload| Delivered {
                         from: d.from,
                         broadcast: d.broadcast,
                         payload,
-                    })
-                    .collect::<Vec<_>>(),
-                _ => vec![d],
-            })
-            .collect();
+                    }));
+                }
+                _ => unbatched.push(d),
+            }
+        }
+        let inbox = unbatched;
         if self.status == AgentStatus::Running {
             for msg in &inbox {
                 if let Body::Abort { .. } = msg.payload {

@@ -854,8 +854,8 @@ fn tick_width(n: usize) -> usize {
 struct Polled {
     /// The trace events of its logical protocol messages.
     trace: Vec<TraceEvent>,
-    /// One `(phase, task, recipient, size)` entry per metered message.
-    metered: Vec<(&'static str, Option<usize>, Recipient, usize)>,
+    /// Its metered messages, consecutive ones merged by [`tally`].
+    metered: Vec<Metered>,
     /// What to send, in order: the protocol messages, or in recovery
     /// mode the sealed protocol messages and then the endpoint's control
     /// traffic.
@@ -894,8 +894,8 @@ fn run_tick<T: Transport<Body>>(
         });
     for (i, polled) in polled.into_iter().enumerate() {
         trace.extend(polled.trace);
-        for (phase, task, recipient, size) in polled.metered {
-            meter(sched_metrics, n, i, phase, task, recipient, size);
+        for row in &polled.metered {
+            meter(sched_metrics, n, i, row);
         }
         for (recipient, body) in polled.wire {
             send(transport, i, recipient, body);
@@ -934,7 +934,7 @@ fn poll_agent(
     // messages — sealing overhead, retransmissions and acks are metered
     // separately by the endpoints and the transport.
     let mut trace = Vec::with_capacity(outgoing.len());
-    let mut metered = Vec::with_capacity(outgoing.len());
+    let mut metered = Vec::new();
     for (recipient, body) in &outgoing {
         trace.push(TraceEvent::new(
             round,
@@ -944,7 +944,13 @@ fn poll_agent(
             body.kind(),
             body.task(),
         ));
-        metered.push((phase, body.task(), *recipient, body.size_bytes()));
+        tally(
+            &mut metered,
+            phase,
+            body.task(),
+            *recipient,
+            body.size_bytes(),
+        );
     }
     let wire = match endpoint {
         Some(endpoint) => {
@@ -958,7 +964,7 @@ fn poll_agent(
             // tables, so protocol-phase traffic stays comparable across
             // bench schema versions.
             for (recipient, body) in &control {
-                metered.push(("control", None, *recipient, body.size_bytes()));
+                tally(&mut metered, "control", None, *recipient, body.size_bytes());
             }
             let sealed = sealed
                 .into_iter()
@@ -974,35 +980,61 @@ fn poll_agent(
     }
 }
 
-/// Counts one transmission of `size` bytes by `agent` in the
-/// `phase_messages` and `phase_bytes` rows of `phase`; the message row
-/// also carries `task`. Broadcasts are n − 1 transmissions, per the
-/// paper's cost model and the transport's own accounting.
-fn meter(
-    metrics: &mut MetricsSnapshot,
-    n: usize,
-    agent: usize,
+/// A run of consecutive metered messages of one agent that share a
+/// phase, a task and a fan-out, counted once.
+struct Metered {
+    phase: &'static str,
+    task: Option<usize>,
+    broadcast: bool,
+    /// Messages in the run.
+    messages: usize,
+    /// Their summed sizes, in bytes.
+    bytes: usize,
+}
+
+/// Appends one message of `size` bytes to `rows`, merging it into the
+/// last row when that row has the same phase, task and fan-out.
+fn tally(
+    rows: &mut Vec<Metered>,
     phase: &'static str,
     task: Option<usize>,
     recipient: Recipient,
     size: usize,
 ) {
-    let copies = match recipient {
-        Recipient::Unicast(_) => 1,
-        Recipient::Broadcast => (n - 1) as u64,
-    };
+    let broadcast = recipient == Recipient::Broadcast;
+    match rows.last_mut() {
+        Some(last) if last.phase == phase && last.task == task && last.broadcast == broadcast => {
+            last.messages += 1;
+            last.bytes += size;
+        }
+        _ => rows.push(Metered {
+            phase,
+            task,
+            broadcast,
+            messages: 1,
+            bytes: size,
+        }),
+    }
+}
+
+/// Counts the transmissions of one [`Metered`] run by `agent` in the
+/// `phase_messages` and `phase_bytes` rows of its phase; the message row
+/// also carries its task. Broadcasts are n − 1 transmissions each, per
+/// the paper's cost model and the transport's own accounting.
+fn meter(metrics: &mut MetricsSnapshot, n: usize, agent: usize, row: &Metered) {
+    let copies = if row.broadcast { n - 1 } else { 1 };
     let mut messages = Key::named("phase_messages")
-        .phase(phase)
+        .phase(row.phase)
         .agent(agent as u32);
-    if let Some(task) = task {
+    if let Some(task) = row.task {
         messages = messages.task(task as u32);
     }
-    metrics.incr(messages, copies);
-    #[expect(clippy::arithmetic_side_effects, reason = "wire bytes")]
-    let bytes = copies * size as u64;
+    metrics.incr(messages, (copies * row.messages) as u64);
     metrics.incr(
-        Key::named("phase_bytes").phase(phase).agent(agent as u32),
-        bytes,
+        Key::named("phase_bytes")
+            .phase(row.phase)
+            .agent(agent as u32),
+        (copies * row.bytes) as u64,
     );
 }
 
@@ -1473,5 +1505,89 @@ mod tests {
             .unwrap();
         assert!(!run.is_completed());
         assert_eq!(utilities(&run, &bids), vec![0; 4]);
+    }
+
+    /// The per-message metering the runner did before [`tally`] merged
+    /// runs of messages: one `incr` pair per logical message.
+    fn meter_one(
+        metrics: &mut MetricsSnapshot,
+        n: usize,
+        agent: usize,
+        phase: &'static str,
+        task: Option<usize>,
+        recipient: Recipient,
+        size: usize,
+    ) {
+        let copies = match recipient {
+            Recipient::Unicast(_) => 1,
+            Recipient::Broadcast => n - 1,
+        };
+        let mut messages = Key::named("phase_messages")
+            .phase(phase)
+            .agent(agent as u32);
+        if let Some(task) = task {
+            messages = messages.task(task as u32);
+        }
+        metrics.incr(messages, copies as u64);
+        metrics.incr(
+            Key::named("phase_bytes").phase(phase).agent(agent as u32),
+            (copies * size) as u64,
+        );
+    }
+
+    proptest::proptest! {
+        /// Metering merged runs adds the same `phase_messages` and
+        /// `phase_bytes` as metering each message: over random outgoing
+        /// lists of unicasts and broadcasts, with and without a task,
+        /// batched bodies and `control` rows, in runs that often repeat
+        /// the previous message's phase, task and fan-out.
+        #[test]
+        fn merged_metering_matches_per_message_metering(seed in proptest::num::u64::ANY) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..9usize);
+            let agent = rng.gen_range(0..n);
+            let disclose = |task: usize, len: usize| Body::Disclose {
+                task,
+                f_values: vec![7; len],
+            };
+            let mut rows = Vec::new();
+            let mut reference = MetricsSnapshot::default();
+            let mut kind = (0usize, 0usize, false);
+            let messages = rng.gen_range(0..40usize);
+            for _ in 0..messages {
+                if rng.gen_bool(0.4) {
+                    kind = (rng.gen_range(0..3), rng.gen_range(0..2), rng.gen_bool(0.5));
+                }
+                let (phase, task, broadcast) = kind;
+                let phase = ["bidding", "winner-id", "control"][phase];
+                let len = rng.gen_range(0..4usize);
+                let body = match (phase, rng.gen_range(0..3u32)) {
+                    ("control", 0) => Body::SuspectDead { peer: task },
+                    ("control", _) => Body::Ack {
+                        ack: len as u64,
+                        sack: Vec::new(),
+                    },
+                    (_, 0) => disclose(task, len),
+                    (_, 1) => Body::PaymentClaim {
+                        payments: vec![1; len],
+                    },
+                    _ => Body::Batch(vec![disclose(task, len), disclose(1 - task, 1)]),
+                };
+                let recipient = if broadcast {
+                    Recipient::Broadcast
+                } else {
+                    Recipient::Unicast(NodeId(rng.gen_range(0..n)))
+                };
+                let (task, size) = (body.task(), body.size_bytes());
+                meter_one(&mut reference, n, agent, phase, task, recipient, size);
+                tally(&mut rows, phase, task, recipient, size);
+            }
+            proptest::prop_assert!(rows.len() <= messages);
+            let mut merged = MetricsSnapshot::default();
+            for row in &rows {
+                meter(&mut merged, n, agent, row);
+            }
+            proptest::prop_assert_eq!(merged, reference);
+        }
     }
 }

@@ -18,7 +18,8 @@ use crate::faults::{splitmix64, FaultPlan};
 use crate::network::{Delivered, NodeId, Payload};
 use crate::stats::NetworkStats;
 use crate::transport::Transport;
-use dmw_obs::{Key, MetricsSnapshot, DELAY_TICK_BUCKETS};
+use dmw_obs::{Histogram, Key, MetricsSnapshot, DELAY_TICK_BUCKETS};
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, VecDeque};
 
 /// The latency model of a [`DelayTransport`]: every message waits
@@ -134,31 +135,6 @@ fn classify_loss(
     }
 }
 
-/// Records the per-link counters and the delivery-delay histogram for
-/// one enqueued transmission. `delivery_ticks` is the logical latency
-/// the message was assigned.
-fn record_enqueue(
-    metrics: &mut MetricsSnapshot,
-    from: NodeId,
-    to: NodeId,
-    bytes: u64,
-    delivery_ticks: u64,
-) {
-    let link = Key::named("link_messages")
-        .agent(from.0 as u32)
-        .peer(to.0 as u32);
-    metrics.incr(link, 1);
-    let link_bytes = Key::named("link_bytes")
-        .agent(from.0 as u32)
-        .peer(to.0 as u32);
-    metrics.incr(link_bytes, bytes);
-    metrics.observe(
-        Key::named("delay_ticks"),
-        DELAY_TICK_BUCKETS,
-        delivery_ticks,
-    );
-}
-
 /// Records one lost transmission under its attributed cause.
 fn record_drop(metrics: &mut MetricsSnapshot, cause: DropCause) {
     metrics.incr(Key::named(cause.metric()), 1);
@@ -192,6 +168,11 @@ struct Held<M> {
 /// Traffic counters follow one convention (`point_to_point`/`bytes` at
 /// enqueue, `delivered`/`dropped` at delivery), so Theorem 11's cost
 /// accounting is unchanged by asynchrony.
+///
+/// Per-link traffic and delivery latencies are tallied at enqueue into
+/// dense arrays, O(1) per transmission; [`Transport::metrics`] turns
+/// them into a [`MetricsSnapshot`] when first read and keeps it until
+/// the next enqueue or step.
 #[derive(Debug)]
 pub struct DelayTransport<M> {
     n: usize,
@@ -202,7 +183,18 @@ pub struct DelayTransport<M> {
     holding: BTreeMap<u64, Vec<Held<M>>>,
     inboxes: Vec<VecDeque<Delivered<M>>>,
     stats: NetworkStats,
-    metrics: MetricsSnapshot,
+    /// Messages enqueued per directed link, at index `from · n + to`.
+    link_messages: Vec<u64>,
+    /// Bytes enqueued per directed link, indexed as `link_messages`.
+    link_bytes: Vec<u64>,
+    /// Enqueue-time delivery latencies, bucketed against
+    /// [`DELAY_TICK_BUCKETS`] with a trailing overflow bucket.
+    delay_ticks: [u64; DELAY_TICK_BUCKETS.len() + 1],
+    /// The `drop_*` counters, recorded as messages fall due.
+    drops: MetricsSnapshot,
+    /// The snapshot [`Transport::metrics`] last built; every enqueue
+    /// and step clears it.
+    snapshot: OnceCell<MetricsSnapshot>,
     faults: FaultPlan,
     profile: DelayProfile,
     shuffle_seed: Option<u64>,
@@ -240,7 +232,11 @@ impl<M: Payload + Clone> DelayTransport<M> {
             holding: BTreeMap::new(),
             inboxes: (0..n).map(|_| VecDeque::new()).collect(),
             stats: NetworkStats::default(),
-            metrics: MetricsSnapshot::default(),
+            link_messages: vec![0; n * n],
+            link_bytes: vec![0; n * n],
+            delay_ticks: [0; DELAY_TICK_BUCKETS.len() + 1],
+            drops: MetricsSnapshot::default(),
+            snapshot: OnceCell::new(),
             faults,
             profile,
             shuffle_seed: None,
@@ -271,7 +267,11 @@ impl<M: Payload + Clone> DelayTransport<M> {
         self.stats.bytes += bytes;
         self.seq += 1;
         let delay = self.profile.draw(self.seq) + self.faults.link_delay(from, to);
-        record_enqueue(&mut self.metrics, from, to, bytes, 1 + delay);
+        let link = from.0 * self.n + to.0;
+        self.link_messages[link] += 1;
+        self.link_bytes[link] += bytes;
+        self.delay_ticks[DELAY_TICK_BUCKETS.partition_point(|&b| b < 1 + delay)] += 1;
+        self.snapshot.take();
         let fate = match classify_loss(
             &self.faults,
             from,
@@ -296,13 +296,24 @@ impl<M: Payload + Clone> DelayTransport<M> {
     /// arrivals. Only positions belonging to the same recipient swap, so
     /// cross-recipient structure is untouched.
     fn shuffle_per_recipient(&self, arrivals: &mut [Held<M>], seed: u64) {
+        // Bucket the positions by recipient in one counting-sort pass:
+        // node `k`'s positions, in arrival order, are
+        // `by_node[starts[k]..starts[k + 1]]`.
+        let mut starts = vec![0; self.n + 1];
+        for msg in arrivals.iter() {
+            starts[msg.to.0 + 1] += 1;
+        }
         for node in 0..self.n {
-            let slots: Vec<usize> = arrivals
-                .iter()
-                .enumerate()
-                .filter(|(_, msg)| msg.to.0 == node)
-                .map(|(i, _)| i)
-                .collect();
+            starts[node + 1] += starts[node];
+        }
+        let mut fill = starts.clone();
+        let mut by_node = vec![0; arrivals.len()];
+        for (i, msg) in arrivals.iter().enumerate() {
+            by_node[fill[msg.to.0]] = i;
+            fill[msg.to.0] += 1;
+        }
+        for node in 0..self.n {
+            let slots = &by_node[starts[node]..starts[node + 1]];
             if slots.len() < 2 {
                 continue;
             }
@@ -314,6 +325,67 @@ impl<M: Payload + Clone> DelayTransport<M> {
             }
         }
     }
+
+    /// Builds the snapshot of the tallies: the `drop_*` counters, one
+    /// `link_bytes` and one `link_messages` counter per link that
+    /// carried a message (a link of empty payloads reads 0 bytes), and
+    /// the `delay_ticks` histogram once anything was enqueued.
+    fn materialise(&self) -> MetricsSnapshot {
+        let counters = self
+            .drops
+            .counters
+            .iter()
+            .map(|(&key, &value)| (key, value))
+            .chain(link_entries(
+                "link_bytes",
+                self.n,
+                &self.link_messages,
+                &self.link_bytes,
+            ))
+            .chain(link_entries(
+                "link_messages",
+                self.n,
+                &self.link_messages,
+                &self.link_messages,
+            ))
+            .collect();
+        let mut snapshot = MetricsSnapshot {
+            counters,
+            ..self.drops.clone()
+        };
+        if self.seq > 0 {
+            snapshot.histograms.insert(
+                Key::named("delay_ticks"),
+                Histogram {
+                    bounds: DELAY_TICK_BUCKETS,
+                    counts: self.delay_ticks.to_vec(),
+                },
+            );
+        }
+        snapshot
+    }
+}
+
+/// The `name{agent=from,peer=to}` counters of an `n × n` link tally
+/// (`tally[from · n + to]`), in key order, for every link whose
+/// `messages` count is non-zero.
+fn link_entries<'a>(
+    name: &'static str,
+    n: usize,
+    messages: &'a [u64],
+    tally: &'a [u64],
+) -> impl Iterator<Item = (Key, u64)> + 'a {
+    messages
+        .iter()
+        .zip(tally)
+        .enumerate()
+        .filter(|(_, (&count, _))| count > 0)
+        .map(move |(link, (_, &value))| {
+            let key = Key::named(name)
+                .agent((link / n) as u32)
+                .peer((link % n) as u32);
+            (key, value)
+        })
 }
 
 impl<M: Payload + Clone> Transport<M> for DelayTransport<M> {
@@ -368,10 +440,11 @@ impl<M: Payload + Clone> Transport<M> for DelayTransport<M> {
                 }
                 Err(cause) => {
                     self.stats.dropped += 1;
-                    record_drop(&mut self.metrics, cause);
+                    record_drop(&mut self.drops, cause);
                 }
             }
         }
+        self.snapshot.take();
         self.stats.delivered += delivered;
         self.stats.rounds += 1;
         self.round = next;
@@ -387,7 +460,7 @@ impl<M: Payload + Clone> Transport<M> for DelayTransport<M> {
     }
 
     fn metrics(&self) -> &MetricsSnapshot {
-        &self.metrics
+        self.snapshot.get_or_init(|| self.materialise())
     }
 
     fn faults(&self) -> &FaultPlan {
@@ -789,5 +862,200 @@ mod tests {
         assert_eq!(net.stats().dropped, 3);
         assert_eq!(net.stats().delivered, 1);
         assert_eq!(net.stats().in_flight(), 0);
+    }
+
+    /// The per-message recording the transport did before it tallied
+    /// links into arrays: one `incr` per link counter and one `observe`
+    /// per transmission. The reference for [`DelayTransport::metrics`].
+    fn record_enqueue(
+        metrics: &mut MetricsSnapshot,
+        from: NodeId,
+        to: NodeId,
+        bytes: u64,
+        delivery_ticks: u64,
+    ) {
+        let link = Key::named("link_messages")
+            .agent(from.0 as u32)
+            .peer(to.0 as u32);
+        metrics.incr(link, 1);
+        let link_bytes = Key::named("link_bytes")
+            .agent(from.0 as u32)
+            .peer(to.0 as u32);
+        metrics.incr(link_bytes, bytes);
+        metrics.observe(
+            Key::named("delay_ticks"),
+            DELAY_TICK_BUCKETS,
+            delivery_ticks,
+        );
+    }
+
+    /// A transport paired with a snapshot recorded message by message:
+    /// each enqueue through [`record_enqueue`], each loss through
+    /// [`record_drop`] once its due tick is stepped.
+    struct Reference {
+        net: DelayTransport<Vec<u64>>,
+        metrics: MetricsSnapshot,
+        seq: u64,
+        /// `(due tick, cause)` of every queued transmission that will be
+        /// lost.
+        losses: Vec<(u64, DropCause)>,
+    }
+
+    impl Reference {
+        fn enqueue(&mut self, from: NodeId, to: NodeId, bytes: u64) {
+            self.seq += 1;
+            let round = self.net.round();
+            let delay = self.net.profile.draw(self.seq) + self.net.faults.link_delay(from, to);
+            record_enqueue(&mut self.metrics, from, to, bytes, 1 + delay);
+            let faults = &self.net.faults;
+            if let Some(cause) = classify_loss(faults, from, to, round, round + delay, self.seq) {
+                self.losses.push((round + 1 + delay, cause));
+            }
+        }
+
+        fn send(&mut self, from: usize, to: usize, payload: Vec<u64>) {
+            self.enqueue(NodeId(from), NodeId(to), payload.size_bytes() as u64);
+            self.net.send(NodeId(from), NodeId(to), payload);
+        }
+
+        fn broadcast(&mut self, from: usize, payload: Vec<u64>) {
+            for to in (0..self.net.nodes()).filter(|&to| to != from) {
+                self.enqueue(NodeId(from), NodeId(to), payload.size_bytes() as u64);
+            }
+            self.net.broadcast(NodeId(from), payload);
+        }
+
+        /// Records the losses that fell due by the transport's round.
+        fn settle(&mut self) {
+            let round = self.net.round();
+            for &(_, cause) in self.losses.iter().filter(|(due, _)| *due <= round) {
+                record_drop(&mut self.metrics, cause);
+            }
+            self.losses.retain(|(due, _)| *due > round);
+        }
+    }
+
+    /// A random fault plan and delay profile over `n` nodes: crashes,
+    /// dropped links, periodic loss and per-link delays long enough to
+    /// reach the histogram's overflow bucket.
+    fn random_setup(rng: &mut rand::rngs::StdRng, n: usize) -> (FaultPlan, DelayProfile) {
+        use rand::Rng;
+        let mut plan = FaultPlan::none(n);
+        for _ in 0..rng.gen_range(0..3usize) {
+            plan = plan.crash_at(NodeId(rng.gen_range(0..n)), rng.gen_range(0..12u64));
+        }
+        for _ in 0..rng.gen_range(0..3usize) {
+            plan = plan.drop_link(NodeId(rng.gen_range(0..n)), NodeId(rng.gen_range(0..n)));
+        }
+        if rng.gen_bool(0.5) {
+            plan = plan.drop_every(rng.gen_range(2..6u64));
+        }
+        for _ in 0..rng.gen_range(0..4usize) {
+            let (from, to) = (NodeId(rng.gen_range(0..n)), NodeId(rng.gen_range(0..n)));
+            plan = plan.delay_link(from, to, rng.gen_range(0..20u64));
+        }
+        let profile = match rng.gen_range(0..3u32) {
+            0 => DelayProfile::synchronous(),
+            1 => DelayProfile::fixed(rng.gen_range(0..4u64)),
+            _ => DelayProfile::jittered(rng.gen_range(0..3u64), rng.gen_range(0..6u64), rng.gen()),
+        };
+        (plan, profile)
+    }
+
+    proptest::proptest! {
+        /// The snapshot built from the dense tallies equals the one the
+        /// per-message recording gives, over random plans, profiles and
+        /// traffic (empty payloads make 0-byte links), read in the
+        /// middle of a run and again after more traffic.
+        #[test]
+        fn materialised_snapshot_matches_per_message_recording(seed in proptest::num::u64::ANY) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..7usize);
+            let (plan, profile) = random_setup(&mut rng, n);
+            let mut reference = Reference {
+                net: DelayTransport::with_faults(n, plan, profile),
+                metrics: MetricsSnapshot::default(),
+                seq: 0,
+                losses: Vec::new(),
+            };
+            for _ in 0..rng.gen_range(0..60usize) {
+                let from = rng.gen_range(0..n);
+                let payload: Vec<u64> = (0..rng.gen_range(0..3usize)).map(|k| k as u64).collect();
+                match rng.gen_range(0..6u32) {
+                    0 | 1 if n > 1 => {
+                        let to = (from + rng.gen_range(1..n)) % n;
+                        reference.send(from, to, payload);
+                    }
+                    2 => reference.broadcast(from, payload),
+                    3 => {
+                        reference.net.step();
+                    }
+                    4 => {
+                        let target = reference.net.round() + rng.gen_range(0..8u64);
+                        reference.net.advance_to(target);
+                    }
+                    _ => {
+                        reference.settle();
+                        proptest::prop_assert_eq!(reference.net.metrics(), &reference.metrics);
+                    }
+                }
+            }
+            let drained = reference.net.round() + 64;
+            reference.net.advance_to(drained);
+            reference.settle();
+            proptest::prop_assert_eq!(reference.net.metrics(), &reference.metrics);
+        }
+    }
+
+    /// The shuffle as it was before its one-pass bucketing: a rescan of
+    /// the arrivals per node.
+    fn shuffle_by_rescan(n: usize, round: u64, arrivals: &mut [Held<u64>], seed: u64) {
+        for node in 0..n {
+            let slots: Vec<usize> = arrivals
+                .iter()
+                .enumerate()
+                .filter(|(_, msg)| msg.to.0 == node)
+                .map(|(i, _)| i)
+                .collect();
+            if slots.len() < 2 {
+                continue;
+            }
+            let mut state = splitmix64(seed ^ (round << 20) ^ node as u64);
+            for i in (1..slots.len()).rev() {
+                state = splitmix64(state);
+                let j = (state % (i as u64 + 1)) as usize;
+                arrivals.swap(slots[i], slots[j]);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The bucketed shuffle makes the same swaps as the rescan.
+        #[test]
+        fn bucketed_shuffle_matches_the_rescan(seed in proptest::num::u64::ANY) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..9usize);
+            let mut net: DelayTransport<u64> = DelayTransport::new(n);
+            net.round = rng.gen_range(0..100u64);
+            let arrivals: Vec<Held<u64>> = (0..rng.gen_range(0..40u64))
+                .map(|k| Held {
+                    from: NodeId(0),
+                    to: NodeId(rng.gen_range(0..n)),
+                    broadcast: false,
+                    fate: Ok(k),
+                })
+                .collect();
+            let shuffle_seed: u64 = rng.gen();
+            let mut bucketed = arrivals.clone();
+            net.shuffle_per_recipient(&mut bucketed, shuffle_seed);
+            let mut rescanned = arrivals;
+            shuffle_by_rescan(n, net.round, &mut rescanned, shuffle_seed);
+            let order = |held: &[Held<u64>]| -> Vec<Result<u64, DropCause>> {
+                held.iter().map(|h| h.fate).collect()
+            };
+            proptest::prop_assert_eq!(order(&bucketed), order(&rescanned));
+        }
     }
 }

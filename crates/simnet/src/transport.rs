@@ -68,6 +68,11 @@ pub trait Transport<M: Payload + Clone> {
     /// delivery-latency histogram (observed at enqueue, in logical
     /// ticks) and per-cause `drop_*` counters. Purely deterministic —
     /// two runs of the same seed yield equal snapshots.
+    ///
+    /// [`crate::DelayTransport`] tallies links and latencies at enqueue
+    /// into dense arrays and builds the snapshot when it is first read,
+    /// keeping it until the next send or step; a runner reads it once,
+    /// after the run.
     fn metrics(&self) -> &MetricsSnapshot;
 
     /// The fault schedule the transport applies.
